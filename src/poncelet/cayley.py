@@ -99,26 +99,24 @@ def _extend_atilde(K: int) -> None:
         entries.append(a_next)
 
 
+def _hankel_matrix(n: int) -> list[list[LaurentPoly3]]:
+    """The Hankel matrix in the series coefficients A_k = entries[k] / k!."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    m = n // 2
+    # odd n: A_{i+j}, i, j = 1..m; even n: A_{i+j+1}, i, j = 1..m-1
+    first, size = (2, m) if n % 2 else (3, m - 1)
+    seq = atilde_sequence(first + 2 * (size - 1))
+    return [
+        [seq[k] * Fraction(1, factorial(k)) for k in range(first + i, first + i + size)]
+        for i in range(size)
+    ]
+
+
 @lru_cache(maxsize=None)
 def hankel_raw(n: int) -> LaurentPoly3:
     """The raw Hankel determinant whose vanishing is the n-gon condition."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if n % 2:
-        m = n // 2
-        seq = atilde_sequence(2 * m)
-        mat = [
-            [seq[i + j] * Fraction(1, factorial(i + j)) for j in range(1, m + 1)]
-            for i in range(1, m + 1)
-        ]
-    else:
-        m = n // 2
-        seq = atilde_sequence(2 * m - 1)
-        mat = [
-            [seq[i + j + 1] * Fraction(1, factorial(i + j + 1)) for j in range(1, m)]
-            for i in range(1, m)
-        ]
-    return poly_det(mat)
+    return poly_det(_hankel_matrix(n))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import verify
-from .cayley import locus, locus_at_p
+from .cayley import MAX_N, locus, locus_at_p
 from .classify import Center, isoperiodic_n, pair_classify
 from .geometry import Circle, Parabola, poncelet_trace
 from .painleve import sample_family, hitchin_residual
@@ -25,6 +25,27 @@ PARABOLA_SAMPLES = 400
 def parse_rational(text: str) -> Fraction:
     """`num/den` or a decimal string, converted exactly."""
     return Fraction(text)
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for an int in lo..hi (no upper end when hi is None)."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if v < lo or (hi is not None and v > hi):
+            span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {span}, not {v}")
+        return v
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Flag errors exit 2 with a one-line message and no usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def parse_center(text: str) -> Center:
@@ -206,17 +227,17 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="poncelet")
+    parser = _Parser(prog="poncelet")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("cayley", help="print the canonical locus polynomial")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int_in(3, MAX_N), required=True)
     c.add_argument("--p", type=parse_rational)
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.set_defaults(func=cmd_cayley)
 
     c = sub.add_parser("classify", help="pair classification for a center")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int_in(3, 7), required=True)
     c.add_argument("--center", type=parse_center, required=True)
     c.set_defaults(func=cmd_classify)
 
@@ -227,15 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("trace", help="numeric tangent-chord trace")
     c.add_argument("--center", type=parse_center, required=True)
     c.add_argument("--p", type=float, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int_in(3), required=True)
     c.add_argument("--start", type=float, default=0.8)
     c.add_argument("--svg", help="write an SVG overlay to this file")
     c.set_defaults(func=cmd_trace)
 
     c = sub.add_parser("locus", help="rasterize the locus curve at fixed p")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int_in(3, MAX_N), required=True)
     c.add_argument("--p", type=parse_rational, required=True)
-    c.add_argument("--grid", type=int, default=512)
+    c.add_argument("--grid", type=_int_in(1), default=512)
     c.add_argument("--format", choices=("csv", "svg"), default="csv")
     c.add_argument("--out")
     c.set_defaults(func=cmd_locus)

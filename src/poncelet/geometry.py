@@ -224,8 +224,6 @@ def poncelet_trace(circle: Circle, par: Parabola, start_t: complex, n: int) -> T
         t_in = t_out
     residual = abs(v[0] - v0[0]) + abs(v[1] - v0[1])
     closed = residual < CLOSURE_TOL
-    if closed and steps == n:
-        steps = n
     return TraceResult(
         vertices=tuple(vertices),
         tangency_params=tuple(params),

@@ -1,13 +1,15 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, Sturm-based real root isolation, discriminants.
 
-Coefficients are `fractions.Fraction` throughout.  Polynomials in the three
-variables (p, x, y) allow negative exponents in p only; x and y exponents
-are always nonnegative.
+Coefficients are `fractions.Fraction` throughout; determinants and exact
+division clear denominators and run over integers inside.  Polynomials in
+the three variables (p, x, y) allow negative exponents in p only; x and y
+exponents are always nonnegative.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -225,16 +227,6 @@ def _coerce(v) -> LaurentPoly3:
     raise TypeError(f"cannot coerce {type(v).__name__} to LaurentPoly3")
 
 
-def poly_arith(a: LaurentPoly3, b: LaurentPoly3, op: str) -> LaurentPoly3:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
     """Exact quotient a / b; raises NotDivisible when the remainder is nonzero.
 
@@ -245,73 +237,172 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
     if a.is_zero():
         return LaurentPoly3()
     sa, sb = a.min_p_exponent(), b.min_p_exponent()
-    ra = _raw({(ep - sa, ex, ey): c for (ep, ex, ey), c in a.terms.items()})
-    rb = _raw({(ep - sb, ex, ey): c for (ep, ex, ey), c in b.terms.items()})
-    (le, lc) = rb.leading_term()
-    quotient: dict[Expo, Fraction] = {}
-    rem = ra
-    while rem.terms:
-        (re, rc) = rem.leading_term()
-        qe = (re[0] - le[0], re[1] - le[1], re[2] - le[2])
-        if qe[1] < 0 or qe[2] < 0 or qe[0] < 0:
-            raise NotDivisible(f"{format_poly(a)} is not divisible by {format_poly(b)}")
-        qc = rc / lc
-        quotient[qe] = qc
-        rem = rem - _raw({qe: qc}) * rb
-    shift = sa - sb
-    return _raw({(ep + shift, ex, ey): c for (ep, ex, ey), c in quotient.items()})
+    da, db = _den_lcm(a.terms.values()), _den_lcm(b.terms.values())
+    w = _width(max(*_max_degree(a.terms, -sa), *_max_degree(b.terms, -sb)))
+    ia, ib = _pack(a.terms, da, -sa, w), _pack(b.terms, db, -sb, w)
+    # A primitive divisor makes the quotient integral whenever it exists
+    # over Q (Gauss's lemma), so an inexact integer step means NotDivisible.
+    g = math.gcd(*ib.values())
+    ib = {k: c // g for k, c in ib.items()}
+    try:
+        q = _idiv(ia, ib, w)
+    except NotDivisible:
+        raise NotDivisible(f"{format_poly(a)} is not divisible by {format_poly(b)}") from None
+    return _unpack(q, Fraction(db, da * g), sa - sb, w)
 
 
 def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
-    """Exact determinant: cofactor expansion up to 4x4, Bareiss above."""
+    """Exact determinant by fraction-free Bareiss elimination over Z.
+
+    The whole matrix is scaled by one lcm of denominators and one p-power,
+    so that its determinant is a known scalar multiple of the original.
+    """
     k = len(m)
-    for row in m:
+    rows = [[_coerce(v) for v in row] for row in m]
+    for row in rows:
         if len(row) != k:
             raise ValueError("matrix must be square")
-    if k <= 4:
-        return _det_cofactor([list(r) for r in m])
-    return _det_bareiss([list(r) for r in m])
-
-
-def _det_cofactor(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = LaurentPoly3()
+    entries = [v for row in rows for v in row if v.terms]
+    if not entries:
+        return LaurentPoly3()
+    den = _den_lcm(c for v in entries for c in v.terms.values())
+    shift = -min(v.min_p_exponent() for v in entries)
+    # Every minor has, in each variable, at most the sum over rows of the
+    # row's largest exponent; Bareiss multiplies two minors.
+    bound = [0, 0, 0]
+    for row in rows:
+        row_max = [max(d) for d in zip(*(_max_degree(v.terms, shift) for v in row if v.terms))]
+        bound = [b + r for b, r in zip(bound, row_max or (0, 0, 0))]
+    w = _width(2 * max(bound))
+    mat = [[_pack(v.terms, den, shift, w) for v in row] for row in rows]
     sign = 1
-    for j in range(k):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det_cofactor(minor)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
-def _det_bareiss(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
-    # Fraction-free elimination; every interior division is exact.
-    k = len(m)
-    m = [[_coerce(v) for v in row] for row in m]
-    sign = 1
-    prev = LaurentPoly3.const(1)
+    prev = {0: 1}
     for i in range(k - 1):
-        if m[i][i].is_zero():
+        if not mat[i][i]:
             for r in range(i + 1, k):
-                if not m[r][i].is_zero():
-                    m[i], m[r] = m[r], m[i]
+                if mat[r][i]:
+                    mat[i], mat[r] = mat[r], mat[i]
                     sign = -sign
                     break
             else:
                 return LaurentPoly3()
+        piv, top = mat[i][i], mat[i]
         for r in range(i + 1, k):
+            row, lead = mat[r], mat[r][i]
             for c in range(i + 1, k):
-                num = m[i][i] * m[r][c] - m[r][i] * m[i][c]
-                m[r][c] = poly_div_exact(num, prev)
-            m[r][i] = LaurentPoly3()
-        prev = m[i][i]
-    det = m[k - 1][k - 1]
-    return det if sign > 0 else -det
+                row[c] = _idiv(_mul_sub(piv, row[c], lead, top[c]), prev, w)
+            row[i] = {}
+        prev = piv
+    return _unpack(mat[k - 1][k - 1], Fraction(sign, den**k), -k * shift, w)
+
+
+# -- integer working form -----------------------------------------------------
+#
+# poly_det and poly_div_exact run on dicts {key: int}.  A key packs the
+# exponents (e_p, e_x, e_y), all >= 0, as (e_p << 2w) | (e_x << w) | e_y, so
+# int order is lex order p > x > y and adding keys multiplies monomials as
+# long as no exponent reaches 2**w.  The width w comes from a degree bound
+# on everything the caller builds; _pack and _idiv check it.
+
+
+def _den_lcm(coeffs: Iterable[Fraction]) -> int:
+    return math.lcm(1, *(c.denominator for c in coeffs))
+
+
+def _max_degree(terms: Mapping[Expo, Fraction], shift: int) -> tuple[int, int, int]:
+    return (
+        max(e[0] for e in terms) + shift,
+        max(e[1] for e in terms),
+        max(e[2] for e in terms),
+    )
+
+
+def _width(bound: int) -> int:
+    """Bits per exponent field so that exponents up to `bound` fit."""
+    return max(1, bound.bit_length())
+
+
+def _pack(terms: Mapping[Expo, Fraction], scale: int, shift: int, w: int) -> dict[int, int]:
+    """Integer form of scale * p**shift * terms; scale clears every denominator."""
+    top = 1 << w
+    out = {}
+    for (ep, ex, ey), c in terms.items():
+        ep += shift
+        if not (0 <= ep < top and ex < top and ey < top):
+            raise PolycoreError(f"exponent {(ep, ex, ey)} does not fit {w}-bit fields")
+        out[(((ep << w) | ex) << w) | ey] = c.numerator * (scale // c.denominator)
+    return out
+
+
+def _unpack(a: dict[int, int], scale: Fraction, shift: int, w: int) -> LaurentPoly3:
+    """scale * p**shift * a as a LaurentPoly3, terms in descending order."""
+    mask = (1 << w) - 1
+    return _raw({
+        ((k >> 2 * w) + shift, (k >> w) & mask, k & mask): a[k] * scale
+        for k in sorted(a, reverse=True)
+    })
+
+
+def _mul_sub(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
+    """a*b - c*d in integer form."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    for kc, cc in c.items():
+        for kd, cd in d.items():
+            k = kc + kd
+            out[k] = get(k, 0) - cc * cd
+    return {k: v for k, v in out.items() if v}
+
+
+def _idiv(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
+    """Exact quotient a / b over Z in integer form; raises NotDivisible.
+
+    Leading terms are removed in descending key order, from a heap.  A
+    quotient term whose exponents fall outside 0..deg(a) - deg(b) in some
+    variable, or whose coefficient is not an integer, means b does not
+    divide a.  Within those limits no sum of keys overflows a field.
+    """
+    if not a:
+        return {}
+    mask = (1 << w) - 1
+    lb = max(b)
+    lc = b[lb]
+    rest = [(k, c) for k, c in b.items() if k != lb]
+    bp, bx, by = lb >> 2 * w, (lb >> w) & mask, lb & mask
+    dp = (max(a) >> 2 * w) - bp
+    dx = max((k >> w) & mask for k in a) - max((k >> w) & mask for k in b)
+    dy = max(k & mask for k in a) - max(k & mask for k in b)
+    rem = dict(a)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    q: dict[int, int] = {}
+    while heap:
+        k = -pop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        qp, qx, qy = (k >> 2 * w) - bp, ((k >> w) & mask) - bx, (k & mask) - by
+        if not (0 <= qp <= dp and 0 <= qx <= dx and 0 <= qy <= dy):
+            raise NotDivisible("leading term outside the quotient's degree range")
+        qc, r = divmod(c, lc)
+        if r:
+            raise NotDivisible("inexact integer coefficient")
+        qk = k - lb
+        q[qk] = qc
+        for kb, cb in rest:
+            kk = qk + kb
+            v = rem.get(kk)
+            if v is None:
+                rem[kk] = -qc * cb
+                push(heap, -kk)
+            else:
+                rem[kk] = v - qc * cb
+    return q
 
 
 def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
@@ -634,17 +725,21 @@ def _isolate_squarefree(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
 
 
 def _refine(g: UniPolyR, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect the half-open isolating interval (lo, hi] of square-free g."""
-    if g(hi) == 0:
+    """Bisect the half-open isolating interval (lo, hi] of square-free g
+    to an interval narrower than `width`."""
+    ghi = g(hi)
+    if ghi == 0:
         # Root hit exactly; recenter a symmetric interval around it.
-        eps = width / 2
+        eps = width / 4
         return hi - eps, hi + eps
-    slo = 1 if g(lo) > 0 else -1
+    # The one root in (lo, hi] is simple, so g has the opposite sign of
+    # g(hi) just right of lo, even when g(lo) == 0 (a root outside).
+    slo = -1 if ghi > 0 else 1
     while hi - lo >= width:
         mid = (lo + hi) / 2
         v = g(mid)
         if v == 0:
-            eps = min(width, hi - mid, mid - lo) / 2
+            eps = min(width, hi - mid, mid - lo) / 4
             return mid - eps, mid + eps
         if (1 if v > 0 else -1) == slo:
             lo = mid

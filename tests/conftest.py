@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from poncelet.polycore import (
+    LaurentPoly3,
     UniPolyR,
     sign_variations,
     squarefree_decomposition,
@@ -77,6 +78,18 @@ def rand_quartic(rng: random.Random) -> UniPolyR:
             f = f * UniPolyR([-r, 1]) ** mult
             deg += mult
     return f
+
+
+def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
+    """Determinant by Laplace expansion along the first row: a slow
+    reference for poly_det that shares none of its code."""
+    if len(m) == 1:
+        return m[0][0]
+    total = LaurentPoly3()
+    for j, a in enumerate(m[0]):
+        term = a * det_laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def series_sqrt(d: list[complex], order: int) -> list[complex]:

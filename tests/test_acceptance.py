@@ -68,9 +68,9 @@ def test_criterion_03_hexagon_factorization():
 
 def test_criterion_04_discriminant_identities():
     results = dict(verify.checks())
-    names = [k for k in results if "disc" in k.lower() or "invariant" in k.lower()]
-    wanted = [k for k in results if any(s in k for s in ("Disc", "P of", "D of", "O of", "R of"))]
-    ok = bool(wanted) and all(results[k] for k in wanted)
+    prefixes = ("discriminant of", "P of", "D of", "O of", "R of")
+    names = [k for k in results if k.startswith(prefixes)]
+    ok = len(names) == 7 and all(results[k] for k in names)
     report("criterion 4: discriminant/invariant factorizations (exact)", ok)
 
 

@@ -1,13 +1,17 @@
 """Pencil coefficients, the series recursion, Hankel determinants, and
 canonical locus polynomials."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import make_rng, series_sqrt
+from conftest import det_laplace, make_rng, series_sqrt
 from poncelet.cayley import (
     DegenerateParabola,
+    _hankel_matrix,
     atilde_sequence,
     hankel_raw,
     locus,
@@ -15,7 +19,7 @@ from poncelet.cayley import (
     pencil_coeffs,
     proper_divisors,
 )
-from poncelet.polycore import LaurentPoly3, canonicalize, poly_div_exact
+from poncelet.polycore import LaurentPoly3, canonicalize, format_poly, poly_det, poly_div_exact
 from poncelet.verify import paper_locus
 
 P = LaurentPoly3.var_p()
@@ -118,6 +122,36 @@ def test_divisors_removed_bookkeeping():
         assert can.min_p_exponent() == 0
         _, lead = can.leading_term()
         assert lead > 0
+
+
+# SHA-256 of format_poly(hankel_raw(n)), pinned from the Fraction-based
+# cofactor/Bareiss determinant the integer kernel replaced.
+HANKEL_RAW_SHA256 = {
+    3: "419243be334f6d1f430bca65283a568d0215374bffeaeacd962c53c379b28e9f",
+    4: "2c450bdfd011e2daa4fe8d9b313804c96735f24b2e6782146ca55b553f094bb5",
+    5: "69053e4aa779fc5fb460e77f210d08935450543a2f838eac8437e462f5fb1627",
+    6: "a7a05004c30105d760ce82eb3b2b9da68bfb2b99613fe872e57ed1e7b31cc6cd",
+    7: "7e3defca83041193b6f38c9c3dc690244ff78f893ff992550b77aff41f632f04",
+    8: "be336aa879638a186b60c68ee39d8c4c177a5a545a8402c3efca08832640864d",
+    9: "53fd6ab6b659390e1b0d30773953270a79de07d5c3fa0eece6983c2db6c4b788",
+    10: "e7d6ef3665b364c9e273efaf86f2135fb19c95881339d57ad164dccea056ee20",
+    11: "12c52c4ef0976c6c09c646e4591ff93f46e6ec690ae58b7cab97a41ae009151a",
+    12: "d8c68de896fa8ac66cf626c4e99cec119ada36c21ff59c2f5d36dbdbc78ead91",
+}
+
+
+def _sha256(a: LaurentPoly3) -> str:
+    return hashlib.sha256(format_poly(a).encode()).hexdigest()
+
+
+def test_golden_digests_n3_to_12():
+    golden_file = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    golden = json.loads(golden_file.read_text())["format_poly_sha256"]
+    for n in range(3, 13):
+        assert _sha256(locus(n).canonical) == golden[str(n)], n
+        assert _sha256(hankel_raw(n)) == HANKEL_RAW_SHA256[n], n
+    for n in range(3, 10):
+        assert poly_det(_hankel_matrix(n)) == det_laplace(_hankel_matrix(n)), n
 
 
 def test_locus_bounds():

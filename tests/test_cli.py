@@ -145,8 +145,26 @@ def test_flag_error_exit_code():
 
 
 def test_runtime_error_exit_code(capsys):
-    code, _ = run(capsys, "cayley", "--n", "99")
+    code, _ = run(capsys, "trace", "--center", "0,0", "--p", "0", "--n", "3")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("cayley", "--n", "13"),
+    ("cayley", "--n", "2"),
+    ("cayley", "--n", "99"),
+    ("classify", "--n", "8", "--center", "0,2"),
+    ("trace", "--center", "0,0", "--p", "1", "--n", "2"),
+    ("locus", "--n", "3", "--p", "1", "--grid", "-3"),
+    ("locus", "--n", "3", "--p", "1", "--grid", "0"),
+    ("locus", "--n", "13", "--p", "1"),
+])
+def test_out_of_range_flag_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: argument --" in err
 
 
 def test_degenerate_p_exit_code(capsys):

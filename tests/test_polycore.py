@@ -1,14 +1,17 @@
 """Exact polynomial arithmetic, division, canonical form, Sturm isolation,
 and discriminants."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, rand_fraction
+from conftest import det_laplace, make_rng, rand_fraction
+from poncelet.cayley import locus
 from poncelet.polycore import (
+    ROOT_WIDTH,
     LaurentPoly3,
     NotDivisible,
     UniPolyR,
@@ -18,6 +21,7 @@ from poncelet.polycore import (
     discriminant,
     format_poly,
     parse_poly,
+    poly_det,
     poly_div_exact,
     poly_gcd,
     resultant,
@@ -27,6 +31,7 @@ from poncelet.polycore import (
     sturm_chain,
     sturm_real_roots,
 )
+from poncelet.polycore import _refine
 
 P = LaurentPoly3.var_p()
 X = LaurentPoly3.var_x()
@@ -60,6 +65,14 @@ def test_div_exact_roundtrip():
 def test_div_exact_rejects_non_divisor():
     with pytest.raises(NotDivisible):
         poly_div_exact(P**2 + 1, P + 1)
+    # a quotient term out of degree range
+    with pytest.raises(NotDivisible):
+        poly_div_exact(X * Y + 1, Y)
+    with pytest.raises(NotDivisible):
+        poly_div_exact(X, X**2)
+    # every quotient term in degree range, but x^2 / (2x) is not integral
+    with pytest.raises(NotDivisible):
+        poly_div_exact(X**2 + X, 2 * X + 1)
 
 
 def test_canonicalize_clears_p_and_sign():
@@ -101,6 +114,22 @@ def test_div_exact_property():
         if b.is_zero():
             continue
         assert poly_div_exact(a * b, b) == a
+
+
+def test_det_matches_laplace():
+    zero = LaurentPoly3()
+    # a zero pivot that needs a row swap, and two singular matrices
+    cases = [
+        [[zero, P, X], [Y, 1, zero], [LaurentPoly3.var_p(-1), X, 2]],
+        [[P, X], [2 * P, 2 * X]],
+        [[zero, P], [zero, X]],
+    ]
+    rng = make_rng(6)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        cases.append([[_rand_poly(rng, rng.randint(0, 3)) for _ in range(k)] for _ in range(k)])
+    for m in cases:
+        assert poly_det(m) == det_laplace(m)
 
 
 # -- text round trip ----------------------------------------------------------
@@ -196,6 +225,52 @@ def test_sturm_count_matches_variations():
         b = 1 + max(abs(c) for c in f.coeffs)
         count = sign_variations(chain, -b) - sign_variations(chain, b)
         assert count == len(sturm_real_roots(f))
+
+
+def test_refine_keeps_root_when_left_end_is_a_root():
+    # 2p - p^3 vanishes at p = 0, just outside (0, 2], and is positive
+    # right of it; its one root in the interval is sqrt(2).
+    g = UniPolyR([0, 2, 0, -1])
+    lo, hi = _refine(g, Fraction(0), Fraction(2), ROOT_WIDTH)
+    assert hi - lo < ROOT_WIDTH
+    assert g(lo) > 0 > g(hi)
+    assert lo * lo < 2 < hi * hi
+
+
+def test_refine_dyadic_root_hit_by_bisection():
+    # bisection of the start interval (-2, 2] lands exactly on p = 1/2
+    roots = sturm_real_roots(UniPolyR([-1, 2]))
+    (_, _, (lo, hi)), = roots
+    assert lo < Fraction(1, 2) < hi
+    assert hi - lo < ROOT_WIDTH
+
+
+def test_sturm_root_on_shared_interval_end_n12():
+    # The square-free part of locus 12 at center (-3, 2) has its root
+    # p = 0 at the shared end of two isolating intervals.  Refining the
+    # right one used to lose its root, and the overlap loop then never
+    # stopped; the alarm turns such a hang into a failure.
+    f = specialize(locus(12).canonical, -3, 2)
+
+    def stop(signum, frame):
+        raise TimeoutError("sturm_real_roots did not return")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(60)
+    try:
+        roots = sturm_real_roots(f)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    (g, _), = squarefree_decomposition(f)
+    ivals = [iv for _, _, iv in roots]
+    assert len(ivals) == 4
+    assert any(lo < 0 < hi for lo, hi in ivals)
+    for lo, hi in ivals:
+        assert hi - lo < ROOT_WIDTH
+        assert g(lo) * g(hi) < 0
+    for (_, hi), (lo, _) in zip(ivals, ivals[1:]):
+        assert hi <= lo
 
 
 def test_squarefree_structure():
