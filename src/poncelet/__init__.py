@@ -28,5 +28,38 @@ from .polycore import (
     sturm_real_roots,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Center",
+    "Circle",
+    "LaurentPoly3",
+    "LocusPolynomial",
+    "PVIParams",
+    "PairClassification",
+    "Parabola",
+    "QuarticShape",
+    "RootList",
+    "UniPolyR",
+    "canonicalize",
+    "closes_after",
+    "discriminant",
+    "format_poly",
+    "hankel_raw",
+    "isoperiodic_n",
+    "locus",
+    "locus_at_p",
+    "okamoto",
+    "p_polynomial",
+    "pair_classify",
+    "parse_poly",
+    "pencil_coeffs",
+    "poly_det",
+    "poly_div_exact",
+    "poncelet_trace",
+    "pvi_residual",
+    "rees_classify",
+    "solution_n3",
+    "solution_n4",
+    "specialize",
+    "sturm_real_roots",
+]
 __version__ = "0.1.0"

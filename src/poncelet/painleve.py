@@ -166,7 +166,6 @@ def _cardano(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, c
     r = (9 * b * c - 27 * d - 2 * b**3) / 54
     disc = q**3 + r * r
     s = (r + cmath.sqrt(disc)) ** (1 / 3)
-    t = q / s if s != 0 else 0j
     w = complex(-0.5, cmath.sqrt(3).real / 2)
     roots = []
     for k in range(3):

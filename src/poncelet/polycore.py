@@ -1,8 +1,9 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, Sturm-based real root isolation, discriminants.
 
-Coefficients are `fractions.Fraction` throughout; determinants and exact
-division clear denominators and run over integers inside.  Polynomials in
+Coefficients are `fractions.Fraction` throughout; determinants, exact
+division and the sign tests of Sturm isolation and refinement clear
+denominators and run over integers inside.  Polynomials in
 the three variables (p, x, y) allow negative exponents in p only; x and y
 exponents are always nonnegative.
 """
@@ -258,6 +259,8 @@ def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
     so that its determinant is a known scalar multiple of the original.
     """
     k = len(m)
+    if not k:
+        return LaurentPoly3.const(1)
     rows = [[_coerce(v) for v in row] for row in m]
     for row in rows:
         if len(row) != k:
@@ -665,13 +668,45 @@ def sturm_chain(f: UniPolyR) -> list[UniPolyR]:
     return chain
 
 
-def sign_variations(chain: Sequence[UniPolyR], at: Fraction) -> int:
-    signs = []
-    for g in chain:
-        v = g(at)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_variations(chain: Sequence[UniPolyR], at: Scalar) -> int:
+    at = _as_fraction(at)
+    return _variations([_int_coeffs(g) for g in chain], at.numerator, at.denominator)
+
+
+# -- integer sign evaluation --------------------------------------------------
+#
+# Sturm isolation and refinement evaluate only signs, so each polynomial is
+# scaled once by a positive rational to a primitive integer coefficient
+# list (lowest degree first), and a point u/v, v > 0, is never built as a
+# Fraction: v**d * g(u/v) = sum c_i u**i v**(d - i) has the sign of g(u/v).
+
+
+def _int_coeffs(g: UniPolyR) -> list[int]:
+    den = _den_lcm(g.coeffs)
+    out = [c.numerator * (den // c.denominator) for c in g.coeffs] or [0]
+    content = math.gcd(*out)
+    return [c // content for c in out] if content > 1 else out
+
+
+def _sign_at(c: Sequence[int], u: int, v: int) -> int:
+    """Sign of g(u/v) for integer coefficients c of g and v > 0."""
+    total = c[-1]
+    w = 1
+    for ci in reversed(c[:-1]):
+        w *= v
+        total = total * u + ci * w
+    return (total > 0) - (total < 0)
+
+
+def _variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
+    count, last = 0, 0
+    for c in chain:
+        s = _sign_at(c, u, v)
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
 
 
 class RootList:
@@ -699,53 +734,60 @@ class RootList:
         return f"RootList({self.roots!r})"
 
 
-def _isolate_squarefree(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (lo, hi] for all real roots of square-free g."""
-    if g.degree() == 0:
-        return []
-    chain = sturm_chain(g)
-    lead = abs(g.coeffs[-1])
-    bound = 1 + max(abs(c) for c in g.coeffs) / lead
-    lo, hi = -bound, bound
+def _isolate_squarefree(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi] for all real roots of square-free g,
+    from the integer form of its Sturm chain (g first)."""
+    g = chain[0]
+    lead = abs(g[-1])
+    # Start at +-(1 + max|c|/|lead|); an interval at depth k is (a/v, b/v]
+    # with v = den * 2**k.
+    bound = Fraction(lead + max(abs(c) for c in g), lead)
+    top, den = bound.numerator, bound.denominator
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))]
+    stack = [(-top, top, den, _variations(chain, -top, den), _variations(chain, top, den))]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, v, va, vb = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append((a, b))
+            out.append((Fraction(a, v), Fraction(b, v)))
             continue
-        mid = (a + b) / 2
-        vm = sign_variations(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
+        mid, v = a + b, 2 * v
+        vm = _variations(chain, mid, v)
+        stack.append((2 * a, mid, v, va, vm))
+        stack.append((mid, 2 * b, v, vm, vb))
     return sorted(out)
 
 
-def _refine(g: UniPolyR, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect the half-open isolating interval (lo, hi] of square-free g
-    to an interval narrower than `width`."""
-    ghi = g(hi)
-    if ghi == 0:
+def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect the half-open isolating interval (lo, hi] of square-free g,
+    given by its integer coefficients, to an interval narrower than `width`."""
+    # lo = a/v and hi = b/v over one denominator v, which each bisection
+    # doubles; b - a stays fixed.
+    v = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (v // lo.denominator)
+    b = hi.numerator * (v // hi.denominator)
+    shi = _sign_at(g, b, v)
+    if not shi:
         # Root hit exactly; recenter a symmetric interval around it.
         eps = width / 4
         return hi - eps, hi + eps
     # The one root in (lo, hi] is simple, so g has the opposite sign of
     # g(hi) just right of lo, even when g(lo) == 0 (a root outside).
-    slo = -1 if ghi > 0 else 1
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        v = g(mid)
-        if v == 0:
+    diff, wn, wd = b - a, width.numerator, width.denominator
+    while diff * wd >= wn * v:
+        mid, v = a + b, 2 * v
+        s = _sign_at(g, mid, v)
+        if not s:
+            mid, lo, hi = Fraction(mid, v), Fraction(2 * a, v), Fraction(2 * b, v)
             eps = min(width, hi - mid, mid - lo) / 4
             return mid - eps, mid + eps
-        if (1 if v > 0 else -1) == slo:
-            lo = mid
+        if s == shi:
+            a, b = 2 * a, mid
         else:
-            hi = mid
-    return lo, hi
+            a, b = mid, 2 * b
+    return Fraction(a, v), Fraction(b, v)
 
 
 def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
@@ -753,11 +795,12 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     Sturm bisection; isolating intervals refined below 1e-15 width."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    found: list[tuple[Fraction, Fraction, int, UniPolyR]] = []
+    found: list[tuple[Fraction, Fraction, int, list[int]]] = []
     for g, mult in squarefree_decomposition(f):
-        for lo, hi in _isolate_squarefree(g):
-            lo, hi = _refine(g, lo, hi, ROOT_WIDTH)
-            found.append((lo, hi, mult, g))
+        chain = [_int_coeffs(h) for h in sturm_chain(g)]
+        c = chain[0]
+        for lo, hi in _isolate_squarefree(chain):
+            found.append((*_refine(c, lo, hi, ROOT_WIDTH), mult, c))
     found.sort(key=lambda r: r[0] + r[1])
     # Roots of distinct square-free factors are distinct; shrink any
     # intervals that still overlap.
@@ -766,14 +809,14 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
         changed = False
         for i in range(len(found) - 1):
             if found[i][1] > found[i + 1][0]:
-                lo, hi, mult, g = found[i]
-                found[i] = (*_refine(g, lo, hi, (hi - lo) / 4), mult, g)
-                lo, hi, mult, g = found[i + 1]
-                found[i + 1] = (*_refine(g, lo, hi, (hi - lo) / 4), mult, g)
+                lo, hi, mult, c = found[i]
+                found[i] = (*_refine(c, lo, hi, (hi - lo) / 4), mult, c)
+                lo, hi, mult, c = found[i + 1]
+                found[i + 1] = (*_refine(c, lo, hi, (hi - lo) / 4), mult, c)
                 changed = True
     roots = []
-    for lo, hi, mult, g in found:
-        if exclude_zero and lo <= 0 <= hi and g(Fraction(0)) == 0:
+    for lo, hi, mult, c in found:
+        if exclude_zero and lo <= 0 <= hi and not c[0]:
             continue
         roots.append((float((lo + hi) / 2), mult, (lo, hi)))
     return RootList(roots)

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic, division, canonical form, Sturm isolation,
 and discriminants."""
 
+import hashlib
+import random
 import signal
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from poncelet.polycore import (
     sturm_chain,
     sturm_real_roots,
 )
-from poncelet.polycore import _refine
+from poncelet.polycore import _refine, _sign_at
 
 P = LaurentPoly3.var_p()
 X = LaurentPoly3.var_x()
@@ -130,6 +132,10 @@ def test_det_matches_laplace():
         cases.append([[_rand_poly(rng, rng.randint(0, 3)) for _ in range(k)] for _ in range(k)])
     for m in cases:
         assert poly_det(m) == det_laplace(m)
+
+
+def test_det_of_empty_matrix_is_one():
+    assert poly_det([]) == LaurentPoly3.const(1)
 
 
 # -- text round trip ----------------------------------------------------------
@@ -231,7 +237,7 @@ def test_refine_keeps_root_when_left_end_is_a_root():
     # 2p - p^3 vanishes at p = 0, just outside (0, 2], and is positive
     # right of it; its one root in the interval is sqrt(2).
     g = UniPolyR([0, 2, 0, -1])
-    lo, hi = _refine(g, Fraction(0), Fraction(2), ROOT_WIDTH)
+    lo, hi = _refine([0, 2, 0, -1], Fraction(0), Fraction(2), ROOT_WIDTH)
     assert hi - lo < ROOT_WIDTH
     assert g(lo) > 0 > g(hi)
     assert lo * lo < 2 < hi * hi
@@ -271,6 +277,92 @@ def test_sturm_root_on_shared_interval_end_n12():
         assert g(lo) * g(hi) < 0
     for (_, hi), (lo, _) in zip(ivals, ivals[1:]):
         assert hi <= lo
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+    st.integers(-10**9, 10**9),
+    st.integers(1, 10**9),
+    st.integers(1, 50),
+)
+def test_integer_sign_matches_fraction_horner(coeffs, u, v, k):
+    # Unreduced denominators (k * u) / (k * v), negative points and points
+    # anywhere on the number line.
+    at = Fraction(u, v)
+    assert _sign_at(coeffs, k * u, k * v) == _sign(UniPolyR(coeffs)(at))
+    # an exact root: g * (v p - u) vanishes at u / v
+    g = UniPolyR(coeffs) * UniPolyR([-u, v])
+    assert _sign_at([int(c) for c in g.coeffs] or [0], k * u, k * v) == 0
+
+
+# SHA-256 of the isolating intervals, multiplicities and float values that
+# sturm_real_roots returns on the inputs below, captured from the Fraction
+# implementation the integer one replaced.  Any change to a bisection point
+# changes it.
+STURM_GATE_SHA256 = "c7d31deb181eb99a61a0c1a98050bf4f03c8e72d2679f6f0f14383e9a7a6bba2"
+
+
+def _gate_center(rng, big):
+    while True:
+        if big:
+            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            y = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        else:
+            x = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+            y = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        if x * x + y * y not in (0, 1):
+            return x, y
+
+
+def _gate_poly(rng):
+    f = UniPolyR([Fraction(rng.choice([1, -2, 3]), rng.randint(1, 4))])
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            factor = UniPolyR([
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                1,
+            ])
+        elif rng.random() < 0.2:
+            factor = UniPolyR([0, 1])
+        else:
+            factor = UniPolyR([Fraction(rng.randint(-9, 9), rng.randint(1, 7)), 1])
+        f = f * factor ** rng.choice([1, 1, 2, 3])
+    return f
+
+
+def _gate_inputs():
+    """(f, exclude_zero) pairs: 60 centers at n = 5 and 7, 10 at n = 8..12,
+    the root p = 0 case at n = 12, and 80 products of random factors with
+    repeats.  Fixed seed, so PONCELET_SEED does not move the digest."""
+    rng = random.Random(20261018)
+    out = []
+    for i in range(60):
+        x, y = _gate_center(rng, big=i % 3 == 2)
+        out.append((specialize(locus(5 + 2 * (i % 2)).canonical, x, y), True))
+    for i in range(10):
+        x, y = _gate_center(rng, big=i % 3 == 2)
+        out.append((specialize(locus(8 + i % 5).canonical, x, y), True))
+    f = specialize(locus(12).canonical, -3, 2)
+    out += [(f, True), (f, False)]
+    for i in range(80):
+        out.append((_gate_poly(rng), i % 2 == 0))
+    return out
+
+
+def test_sturm_root_intervals_byte_identical():
+    inputs = _gate_inputs()
+    assert sum(any(m > 1 for _, m in squarefree_decomposition(f)) for f, _ in inputs) >= 40
+    h = hashlib.sha256()
+    for f, exclude_zero in inputs:
+        h.update(repr(sturm_real_roots(f, exclude_zero=exclude_zero)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == STURM_GATE_SHA256
 
 
 def test_squarefree_structure():
