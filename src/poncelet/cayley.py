@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .geometry import DegenerateParabola
 from .polycore import (
     LaurentPoly3,
     ZeroPolynomial,
@@ -22,10 +23,6 @@ MAX_N = 12
 _P = LaurentPoly3.var_p()
 _X = LaurentPoly3.var_x()
 _Y = LaurentPoly3.var_y()
-
-
-class DegenerateParabola(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -48,36 +45,22 @@ def pencil_coeffs() -> PencilCoeffs:
     )
 
 
-@dataclass(frozen=True)
-class AtildeSequence:
-    """Scaled series coefficients: entries[k-1] holds k! * A0 * A_k.
-
-    Only A0^2 = delta2 ever enters the recursion, so no square root (and no
-    branch choice) appears in exact computation.
-    """
-
-    entries: tuple[LaurentPoly3, ...]
-
-    def __getitem__(self, k: int) -> LaurentPoly3:
-        if k < 1:
-            raise IndexError("entries are indexed from 1")
-        return self.entries[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 _cache_lock = threading.Lock()
 _atilde_cache: list[LaurentPoly3] = []
 
 
-def atilde_sequence(K: int) -> AtildeSequence:
-    """Entries 1..K of the scaled coefficient recursion, computed exactly."""
+def atilde_sequence(K: int) -> tuple[LaurentPoly3, ...]:
+    """Entries 1..K of the scaled coefficient recursion, computed exactly:
+    entry k - 1 of the tuple holds k! * A0 * A_k.
+
+    Only A0^2 = delta2 ever enters the recursion, so no square root (and no
+    branch choice) appears in exact computation.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     with _cache_lock:
         _extend_atilde(K)
-        return AtildeSequence(tuple(_atilde_cache[:K]))
+        return tuple(_atilde_cache[:K])
 
 
 def _extend_atilde(K: int) -> None:
@@ -100,7 +83,7 @@ def _extend_atilde(K: int) -> None:
 
 
 def _hankel_matrix(n: int) -> list[list[LaurentPoly3]]:
-    """The Hankel matrix in the series coefficients A_k = entries[k] / k!."""
+    """The Hankel matrix in the series coefficients A_k = seq[k - 1] / k!."""
     if n < 3:
         raise ValueError("n must be >= 3")
     m = n // 2
@@ -108,7 +91,7 @@ def _hankel_matrix(n: int) -> list[list[LaurentPoly3]]:
     first, size = (2, m) if n % 2 else (3, m - 1)
     seq = atilde_sequence(first + 2 * (size - 1))
     return [
-        [seq[k] * Fraction(1, factorial(k)) for k in range(first + i, first + i + size)]
+        [seq[k - 1] * Fraction(1, factorial(k)) for k in range(first + i, first + i + size)]
         for i in range(size)
     ]
 

@@ -2,7 +2,10 @@
 location in p, region labels, Rees quartic classification, isoperiodicity.
 
 All region and sign decisions use exact rational arithmetic; floats appear
-only in reported root values.
+only in reported root values.  The region polynomials (gamma5, gamma6 and
+psi1..psi5) are defined once, in `region_polys`; region labels, the
+closed-form radicands and the identities in `verify` all use that
+definition, and a label evaluates it at the center by one integer sum.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .cayley import locus
 from .polycore import (
@@ -81,36 +87,60 @@ def p_polynomial(n: int, e: Center) -> UniPolyR:
     return specialize(locus(n).canonical, e.x, e.y)
 
 
-def psi_values(e: Center) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """The five auxiliary region polynomials for n = 7, evaluated exactly."""
-    x2, y2 = e.x * e.x, e.y * e.y
+@lru_cache(maxsize=None)
+def region_polys() -> Mapping[str, LaurentPoly3]:
+    """The polynomials in (x, y) whose signs split the plane of centers, as
+    printed: gamma5 and gamma6 are the center-dependent factors of the
+    discriminants of the 5- and 6-gon quadratics in p; psi1..psi5 those of
+    the discriminant and of the invariants P, D, O, R of the 7-gon quartic.
+
+    Built on first use: building them costs milliseconds, which importing
+    the package should not.
+    """
+    x2, y2 = LaurentPoly3.var_x() ** 2, LaurentPoly3.var_y() ** 2
     r = x2 + y2
-    psi1 = (
-        16 * r**6
-        - x2**5
-        - 71 * x2**4 * y2
-        + x2**4
-        - 247 * x2**3 * y2**2
-        + 43 * x2**3 * y2
-        - 325 * x2**2 * y2**3
-        + 108 * x2**2 * y2**2
-        - 23 * x2**2 * y2
-        - 188 * x2 * y2**4
-        + 91 * x2 * y2**3
-        - 2 * x2 * y2**2
-        + 3 * x2 * y2
-        - 40 * y2**5
-        + 25 * y2**4
-        + 5 * y2**3
-        - 5 * y2**2
-        - y2
-    )
-    psi2 = x2 - 2 * y2 + 2
-    psi3 = 4 * r**3 - 7 * r**2 + 2 * r + 3 * x2**2 + 1
-    # 12*x^2, not 12*y^2: forced by the O invariant of the n=7 quartic.
-    psi4 = 12 * r**2 - 13 * r + 12 * x2 + 1
-    psi5 = 2 * x2 + y2 - 1
-    return psi1, psi2, psi3, psi4, psi5
+    return MappingProxyType({
+        "gamma5": r**2 - y2,
+        "gamma6": r**3 - y2,
+        "psi1": (
+            16 * r**6
+            - x2**5 - 71 * x2**4 * y2 + x2**4 - 247 * x2**3 * y2**2
+            + 43 * x2**3 * y2 - 325 * x2**2 * y2**3 + 108 * x2**2 * y2**2
+            - 23 * x2**2 * y2 - 188 * x2 * y2**4 + 91 * x2 * y2**3
+            - 2 * x2 * y2**2 + 3 * x2 * y2 - 40 * y2**5 + 25 * y2**4
+            + 5 * y2**3 - 5 * y2**2 - y2
+        ),
+        "psi2": x2 - 2 * y2 + 2,
+        "psi3": 4 * r**3 - 7 * r**2 + 2 * r + 3 * x2**2 + 1,
+        # 12*x^2, not 12*y^2: forced by the O invariant of the n=7 quartic.
+        "psi4": 12 * r**2 - 13 * r + 12 * x2 + 1,
+        "psi5": 2 * x2 + y2 - 1,
+    })
+
+
+@lru_cache(maxsize=None)
+def _integer_form(name: str) -> tuple[list[tuple[int, int, int]], int, int, int]:
+    """Terms (c, e_x, e_y) of den * q for the named region polynomial q,
+    with den, the lcm of its denominators, and its degrees in x and in y."""
+    terms = region_polys()[name].terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = [(c.numerator * (den // c.denominator), ex, ey) for (_, ex, ey), c in terms.items()]
+    return ints, den, max(ex for _, ex, _ in ints), max(ey for _, _, ey in ints)
+
+
+def region_value(name: str, e: Center) -> Fraction:
+    """Exact value of the named region polynomial at the center.
+
+    With x = u/v and y = s/t, den * v**dx * t**dy * q(x, y) is a sum of
+    integers, so the center's denominators are cleared once and one
+    Fraction is built at the end.
+    """
+    terms, den, dx, dy = _integer_form(name)
+    u, v = e.x.numerator, e.x.denominator
+    s, t = e.y.numerator, e.y.denominator
+    xs = [u**i * v ** (dx - i) for i in range(dx + 1)]
+    ys = [s**j * t ** (dy - j) for j in range(dy + 1)]
+    return Fraction(sum(c * xs[i] * ys[j] for c, i, j in terms), den * v**dx * t**dy)
 
 
 # -- Rees quartic classification ---------------------------------------------
@@ -225,8 +255,7 @@ def roots_5_closed_form(e: Center) -> tuple[complex | float, complex | float]:
     if e.in_sigma():
         raise ExcludedCenter("center in Sigma is excluded for n >= 5")
     r = e.norm2()
-    rad = r * r - e.y * e.y
-    s = _sqrt_signed(rad)
+    s = _sqrt_signed(region_value("gamma5", e))
     scale = float(r - 1) / (2 * float(r))
     return ((-float(e.x) + s) * scale, (-float(e.x) - s) * scale)
 
@@ -236,8 +265,7 @@ def roots_6_closed_form(e: Center) -> tuple[complex | float, complex | float]:
     if e.in_sigma():
         raise ExcludedCenter("center in Sigma is excluded for n >= 5")
     r = e.norm2()
-    rad = r**3 - e.y * e.y
-    s = _sqrt_signed(rad)
+    s = _sqrt_signed(region_value("gamma6", e))
     denom = 2 * float(r) * float(r + 1)
     lin = -float(e.x) * float(2 * r + 1)
     scale = float(r - 1) / denom
@@ -282,6 +310,10 @@ class PairClassification:
         }
 
 
+# The region polynomial whose sign labels the regions for n, and the label.
+_GOVERNING = {5: ("gamma5", "Gamma5"), 6: ("gamma6", "Gamma6"), 7: ("psi1", "R1")}
+
+
 def _region_label(n: int, e: Center) -> str:
     if n == 3:
         return "S1" if e.on_unit_circle() else "offS1"
@@ -295,18 +327,9 @@ def _region_label(n: int, e: Center) -> str:
         return "generic"
     if e.in_sigma():
         return "Excluded"
-    if n == 5:
-        r = e.norm2()
-        g = (r - e.y) * (r + e.y)
-        s = _sign(g)
-        return {1: "Gamma5+", 0: "Gamma5", -1: "Gamma5-"}[s]
-    if n == 6:
-        g = e.norm2() ** 3 - e.y * e.y
-        s = _sign(g)
-        return {1: "Gamma6+", 0: "Gamma6", -1: "Gamma6-"}[s]
-    if n == 7:
-        s = _sign(psi_values(e)[0])
-        return {1: "R1+", 0: "R1", -1: "R1-"}[s]
+    if n in _GOVERNING:
+        name, label = _GOVERNING[n]
+        return label + {1: "+", 0: "", -1: "-"}[_sign(region_value(name, e))]
     raise ValueError(f"region analysis covers n = 3..7, not {n}")
 
 

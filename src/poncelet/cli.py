@@ -15,7 +15,7 @@ from . import verify
 from .cayley import MAX_N, locus, locus_at_p
 from .classify import Center, isoperiodic_n, pair_classify
 from .geometry import Circle, Parabola, poncelet_trace
-from .painleve import sample_family, hitchin_residual
+from .painleve import hitchin_residual, n4_relation_residual, sample_family
 from .polycore import format_poly
 
 VIEW = 3.0  # SVG viewport is [-3, 3]^2
@@ -198,15 +198,12 @@ def cmd_locus(args) -> int:
 def cmd_painleve(args) -> int:
     family = f"N{args.family}"
     points, _ = sample_family(family, [complex(v) for v in args.p])
+    relation = hitchin_residual if family == "N3" else n4_relation_residual
     rows = []
     for pt in points:
-        if family == "N3":
-            rel = hitchin_residual(pt.x, pt.y)
-        else:
-            rel = abs(pt.y**2 - 2 * pt.x * pt.y + pt.x)
         rows.append({
             "p": pt.p.real, "x": pt.x.real, "y0": pt.y0.real, "y": pt.y.real,
-            "res0": pt.residual_y0, "res1": pt.residual_y, "rel": rel,
+            "res0": pt.residual_y0, "res1": pt.residual_y, "rel": relation(pt.x, pt.y),
         })
     if args.format == "json":
         _emit(None, json.dumps(rows))

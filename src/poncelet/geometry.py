@@ -98,22 +98,16 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[complex, compl
     return r1, r2
 
 
-def _line_circle_params(circle: Circle, par: Parabola, t: complex, base: Point):
-    """Intersections of the tangent line at t with the circle, as parameters
-    s along the line through `base` with direction (t, p)."""
+def _chord_quadratic(circle: Circle, direction: Point, base: Point) -> tuple[complex, complex, complex]:
+    """Coefficients (a, b, c) of a*s^2 + b*s + c, whose roots s are where the
+    line base + s*direction meets the circle."""
     cx, cy = circle.center
-    dx, dy = t, complex(par.p)
+    dx, dy = direction
     wx, wy = base[0] - cx, base[1] - cy
     a = dx * dx + dy * dy  # bilinear, not Hermitian: complex circle
     b = 2 * (dx * wx + dy * wy)
     c = wx * wx + wy * wy - 1.0
-    if abs(a) < 1e-12:
-        # Isotropic tangent direction: a single affine intersection.
-        if abs(b) < 1e-12:
-            raise DegenerateStep("line meets the circle only at infinity")
-        s = -c / b
-        return (s, s), (dx, dy)
-    return _solve_quadratic(a, b, c), (dx, dy)
+    return a, b, c
 
 
 def _renormalize(circle: Circle, v: Point) -> Point:
@@ -144,14 +138,10 @@ def next_vertex(circle: Circle, line: tuple[float, complex], current: Point) -> 
     )
     if par.line_residual(t, current) > ON_LINE_TOL * line_scale:
         raise NotOnLine(f"residual {par.line_residual(t, current):.3e}")
-    cx, cy = circle.center
     dx, dy = t, complex(p)
-    a = dx * dx + dy * dy
+    a, b, c = _chord_quadratic(circle, (dx, dy), current)
     if abs(a) < 1e-12:
         return current  # other intersection is at infinity
-    wx, wy = current[0] - cx, current[1] - cy
-    b = 2 * (dx * wx + dy * wy)
-    c = wx * wx + wy * wy - 1.0
     # current corresponds to the root near s = 0; keeping the small residual
     # c in the solve corrects for current being slightly off the circle.
     r1, r2 = _solve_quadratic(a, b, c)
@@ -170,7 +160,15 @@ class TraceResult:
 
 def _start_vertex(circle: Circle, par: Parabola, start_t: complex) -> Point:
     base = par.contact_point(start_t)
-    (s1, s2), (dx, dy) = _line_circle_params(circle, par, start_t, base)
+    dx, dy = start_t, complex(par.p)
+    a, b, c = _chord_quadratic(circle, (dx, dy), base)
+    if abs(a) < 1e-12:
+        # Isotropic tangent direction: a single affine intersection.
+        if abs(b) < 1e-12:
+            raise DegenerateStep("line meets the circle only at infinity")
+        s1 = s2 = -c / b
+    else:
+        s1, s2 = _solve_quadratic(a, b, c)
     v1 = (base[0] + s1 * dx, base[1] + s1 * dy)
     v2 = (base[0] + s2 * dx, base[1] + s2 * dy)
     # Convention: larger real part, then larger imaginary part.

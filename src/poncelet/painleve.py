@@ -36,10 +36,6 @@ class SingularInput(PainleveError):
     pass
 
 
-class DegenerateParabola(PainleveError):
-    pass
-
-
 @dataclass(frozen=True)
 class PVIParams:
     alpha: Fraction
@@ -135,43 +131,6 @@ class PVISolutionPoint:
     d2y_dx2: complex
     residual_y0: float
     residual_y: float
-
-
-def cubic_spectrum(e, p: complex) -> tuple[complex, complex, complex]:
-    """The three zeros of the pencil characteristic cubic at center e.
-
-    Closed forms for (1, 0) and (0, 0); Cardano for a general center.
-    """
-    p = complex(p)
-    if p == 0:
-        raise DegenerateParabola("p must be nonzero")
-    x, y = float(e[0]), float(e[1])
-    if (x, y) == (1.0, 0.0):
-        s = cmath.sqrt(p**3 * (p + 4))
-        return (-1.0, (-(p * p + 2 * p) + s) / 2, (-(p * p + 2 * p) - s) / 2)
-    if (x, y) == (0.0, 0.0):
-        s = cmath.sqrt(p**4 - 4 * p * p)
-        return (-1.0, (-p * p + s) / 2, (-p * p - s) / 2)
-    # General pencil cubic: -l^3 + theta1 l^2 + theta2 l + delta2.
-    a = -1.0
-    b = -p * p - 2 * p * x + y * y - 1
-    c = -2 * p * p - 2 * p * x
-    d = -p * p
-    return _cardano(a, b, c, d)
-
-
-def _cardano(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex, complex]:
-    b, c, d = b / a, c / a, d / a
-    q = (3 * c - b * b) / 9
-    r = (9 * b * c - 27 * d - 2 * b**3) / 54
-    disc = q**3 + r * r
-    s = (r + cmath.sqrt(disc)) ** (1 / 3)
-    w = complex(-0.5, cmath.sqrt(3).real / 2)
-    roots = []
-    for k in range(3):
-        u = s * w**k
-        roots.append(u - (q / u if u != 0 else 0) - b / 3)
-    return tuple(roots)
 
 
 def okamoto(y0: complex, dy0_dx: complex, x: complex) -> complex:
@@ -279,3 +238,8 @@ def hitchin_residual(x: complex, y: complex) -> float:
         - x * x * y * (y**3 - 2 * y * y + 6 * y - 2)
         - y**4
     )
+
+
+def n4_relation_residual(x: complex, y: complex) -> float:
+    """Defect of the relation y^2 - 2xy + x = 0 satisfied by the n=4 family."""
+    return abs(y**2 - 2 * x * y + x)

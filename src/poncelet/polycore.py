@@ -1,7 +1,8 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, Sturm-based real root isolation, discriminants.
 
-Coefficients are `fractions.Fraction` throughout; determinants, exact
+Coefficients are `fractions.Fraction` throughout; determinants (one
+fraction-free Bareiss, which also gives the Sylvester resultant), exact
 division and the sign tests of Sturm isolation and refinement clear
 denominators and run over integers inside.  Polynomials in
 the three variables (p, x, y) allow negative exponents in p only; x and y
@@ -419,12 +420,7 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
         raise ZeroPolynomial("cannot canonicalize the zero polynomial")
     shift = -a.min_p_exponent()
     terms = {(ep + shift, ex, ey): c for (ep, ex, ey), c in a.terms.items()}
-    denom_lcm = 1
-    num_gcd = 0
-    for c in terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-    scale = Fraction(denom_lcm, num_gcd)
+    scale = Fraction(_den_lcm(terms.values()), math.gcd(*(c.numerator for c in terms.values())))
     lead = terms[max(terms)]
     if lead < 0:
         scale = -scale
@@ -873,7 +869,7 @@ def quartic_O(A, B, C, D, E):
 
 
 def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
-    """Resultant via the Sylvester matrix (Bareiss over Q)."""
+    """Resultant: poly_det of the Sylvester matrix, whose entries are constants."""
     n, m = f.degree(), g.degree()
     size = n + m
     rows: list[list[Fraction]] = []
@@ -883,32 +879,7 @@ def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
         rows.append([_ZERO] * i + fc + [_ZERO] * (size - n - 1 - i))
     for i in range(n):
         rows.append([_ZERO] * i + gc + [_ZERO] * (size - m - 1 - i))
-    return _det_fraction(rows)
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    k = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if m[r][i]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, k):
-            if m[r][i]:
-                f = m[r][i] * inv
-                for c in range(i, k):
-                    m[r][c] -= f * m[i][c]
-    return det
+    return poly_det(rows).terms.get((0, 0, 0), _ZERO)
 
 
 def discriminant(f: UniPolyR) -> Fraction:

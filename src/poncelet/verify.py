@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cayley import hankel_raw, locus, locus_at_p
+from .classify import region_polys
 from .polycore import (
     LaurentPoly3,
     canonicalize,
@@ -48,25 +49,6 @@ def paper_locus(n: int) -> LaurentPoly3:
             - S**6
         )
     raise ValueError("printed loci cover n = 3..7")
-
-
-def psi_polys() -> tuple[LaurentPoly3, ...]:
-    x2, y2 = X**2, Y**2
-    psi1 = (
-        16 * R**6
-        - x2**5 - 71 * x2**4 * y2 + x2**4 - 247 * x2**3 * y2**2
-        + 43 * x2**3 * y2 - 325 * x2**2 * y2**3 + 108 * x2**2 * y2**2
-        - 23 * x2**2 * y2 - 188 * x2 * y2**4 + 91 * x2 * y2**3
-        - 2 * x2 * y2**2 + 3 * x2 * y2 - 40 * y2**5 + 25 * y2**4
-        + 5 * y2**3 - 5 * y2**2 - y2
-    )
-    psi2 = x2 - 2 * y2 + 2
-    psi3 = 4 * R**3 - 7 * R**2 + 2 * R + 3 * x2**2 + 1
-    # The 12*x^2 term is forced by the quartic's O invariant; see the
-    # specialization cross-check in the test suite.
-    psi4 = 12 * R**2 - 13 * R + 12 * x2 + 1
-    psi5 = 2 * x2 + y2 - 1
-    return psi1, psi2, psi3, psi4, psi5
 
 
 def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
@@ -114,37 +96,37 @@ def checks() -> list[tuple[str, bool]]:
     except Exception:
         results.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", False))
 
-    psi1, psi2, psi3, psi4, psi5 = psi_polys()
+    rp = region_polys()
     results.append((
         "discriminant of the 5-gon quadratic factors as printed",
-        _quadratic_disc_identity(5, 16 * S**2 * (R - Y) * (R + Y)),
+        _quadratic_disc_identity(5, 16 * S**2 * rp["gamma5"]),
     ))
     results.append((
         "discriminant of the 6-gon quadratic factors as printed",
-        _quadratic_disc_identity(6, 16 * S**2 * (R**3 - Y**2)),
+        _quadratic_disc_identity(6, 16 * S**2 * rp["gamma6"]),
     ))
 
     coeffs = p_coefficients(locus(7).canonical)
     A, B, C, D, E = (coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0))
     results.append((
         "discriminant of the 7-gon quartic factors as printed",
-        quartic_disc(A, B, C, D, E) == -65536 * R**6 * S**15 * psi1,
+        quartic_disc(A, B, C, D, E) == -65536 * R**6 * S**15 * rp["psi1"],
     ))
     results.append((
         "P of the 7-gon quartic factors as printed",
-        quartic_P(A, B, C, D, E) == -256 * R**4 * S**2 * psi2,
+        quartic_P(A, B, C, D, E) == -256 * R**4 * S**2 * rp["psi2"],
     ))
     results.append((
         "D of the 7-gon quartic factors as printed",
-        quartic_D(A, B, C, D, E) == -65536 * R**8 * S**4 * psi3,
+        quartic_D(A, B, C, D, E) == -65536 * R**8 * S**4 * rp["psi3"],
     ))
     results.append((
         "O of the 7-gon quartic factors as printed",
-        quartic_O(A, B, C, D, E) == -16 * R**2 * S**5 * psi4,
+        quartic_O(A, B, C, D, E) == -16 * R**2 * S**5 * rp["psi4"],
     ))
     results.append((
         "R of the 7-gon quartic factors as printed",
-        quartic_R(A, B, C, D, E) == -4096 * X * R**6 * S**3 * psi5,
+        quartic_R(A, B, C, D, E) == -4096 * X * R**6 * S**3 * rp["psi5"],
     ))
     return results
 

@@ -20,6 +20,7 @@ from poncelet.classify import Center, p_polynomial, rees_classify
 from poncelet.geometry import Circle, Parabola, closes_after
 from poncelet.painleve import (
     hitchin_residual,
+    n4_relation_residual,
     okamoto,
     solution_n3,
     solution_n4,
@@ -211,13 +212,13 @@ def test_criterion_10_painleve_families():
     for p in (2.5, 3.0, 4.0, -3.0):
         pt = solution_n4(p)
         ok &= pt.residual_y0 < 1e-7 and pt.residual_y < 1e-7
-        ok &= abs(pt.y**2 - 2 * pt.x * pt.y + pt.x) < 1e-9
+        ok &= n4_relation_residual(pt.x, pt.y) < 1e-9
         ok &= abs(okamoto(pt.y0, p * p / 2, pt.x) - pt.y) < 1e-9
     report("criterion 10: Painleve VI residuals, algebraic relations, Okamoto", ok)
 
 
 def test_criterion_11_seven_gon_region_counts():
-    from poncelet.classify import psi_values
+    from poncelet.classify import region_value
 
     ok = True
     two = four = 0
@@ -226,7 +227,7 @@ def test_criterion_11_seven_gon_region_counts():
             e = Center(F(ix, 5), F(iy, 5))
             if e.in_sigma():
                 continue
-            psi1 = psi_values(e)[0]
+            psi1 = region_value("psi1", e)
             if psi1 == 0:
                 continue
             distinct = len(sturm_real_roots(p_polynomial(7, e), exclude_zero=True))

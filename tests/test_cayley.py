@@ -46,26 +46,26 @@ def test_pencil_coefficients_at_point():
 
 def test_first_three_entries():
     seq = atilde_sequence(3)
-    assert seq[1] == -(P**2) - P * X
-    assert seq[2] == X**2 + Y**2 - 1
+    assert seq[0] == -(P**2) - P * X
+    assert seq[1] == X**2 + Y**2 - 1
     # entry 3 is genuinely Laurent in p
     pinv = LaurentPoly3.var_p(-1)
     q4 = (X**2 + Y**2) * P + X * (X**2 + Y**2 - 1)
-    assert seq[3] == -3 * pinv * q4
-    assert seq[3].min_p_exponent() == -1
+    assert seq[2] == -3 * pinv * q4
+    assert seq[2].min_p_exponent() == -1
 
 
 def test_entry_recursion_start_values():
     pc = pencil_coeffs()
     seq = atilde_sequence(3)
-    assert seq[2] == pc.theta1 - poly_div_exact(seq[1] * seq[1], pc.delta2)
-    assert seq[3] == 3 * pc.delta1 - 3 * poly_div_exact(seq[1] * seq[2], pc.delta2)
+    assert seq[1] == pc.theta1 - poly_div_exact(seq[0] * seq[0], pc.delta2)
+    assert seq[2] == 3 * pc.delta1 - 3 * poly_div_exact(seq[0] * seq[1], pc.delta2)
 
 
 def test_entry_symmetries():
     # entries are even in y and invariant under (p,x) -> (-p,-x)
     for k in range(1, 9):
-        a = atilde_sequence(k)[k]
+        a = atilde_sequence(k)[k - 1]
         flip_y = LaurentPoly3(
             {(ep, ex, ey): (-c if ey % 2 else c) for (ep, ex, ey), c in a.terms.items()}
         )

@@ -1,7 +1,10 @@
 """Poncelet-pair counting, quartic root-shape classification, region labels,
 and isoperiodicity detection."""
 
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,9 @@ from poncelet.classify import (
     isoperiodic_n,
     p_polynomial,
     pair_classify,
-    psi_values,
     rees_classify,
+    region_polys,
+    region_value,
     roots_5_closed_form,
     roots_6_closed_form,
     unique_p_for_4,
@@ -172,13 +176,25 @@ def test_closed_form_agrees_with_sturm():
 
 
 def test_psi_examples():
-    psi = psi_values(Center(F(0), F(0)))
-    assert psi[1] == 2  # x^2 - 2y^2 + 2 at the origin
-    # fifth value vanishes on the ellipse 2x^2 + y^2 = 1
-    psi = psi_values(Center(F(2, 3), F(1, 3)))
-    assert psi[4] == 0
-    psi = psi_values(Center(F(0), F(1, 2)))
-    assert psi[0] == F(-27, 64)
+    assert region_value("psi2", Center(F(0), F(0))) == 2  # x^2 - 2y^2 + 2 at the origin
+    # psi5 vanishes on the ellipse 2x^2 + y^2 = 1
+    assert region_value("psi5", Center(F(2, 3), F(1, 3))) == 0
+    assert region_value("psi1", Center(F(0), F(1, 2))) == F(-27, 64)
+
+
+def test_region_value_matches_polynomial_evaluation():
+    # the integer sum against Fraction evaluation of the same polynomial,
+    # on centers with unequal denominators and of large height
+    rng = make_rng(24)
+    polys = region_polys()
+    for i in range(40):
+        top = 10**6 if i % 2 else 12
+        e = Center(
+            F(rng.randint(-top, top), rng.randint(1, top // 2)),
+            F(rng.randint(-top, top), rng.randint(1, top // 2)),
+        )
+        for name, q in polys.items():
+            assert region_value(name, e) == q.evaluate(0, e.x, e.y), (name, e)
 
 
 def test_pair_classify_examples():
@@ -284,7 +300,7 @@ def test_seven_gon_region_counts():
             e = Center(F(ix, 7), F(iy, 7))
             if e.in_sigma():
                 continue
-            psi1 = psi_values(e)[0]
+            psi1 = region_value("psi1", e)
             if psi1 == 0:
                 continue
             inside = e.norm2() < 1
@@ -299,3 +315,48 @@ def test_seven_gon_region_counts():
                 hits[2] += 1
     assert hits[4] >= 3
     assert hits[2] >= 30
+
+
+# -- output gate -----------------------------------------------------------------
+
+# SHA-256 of the JSON that pair_classify gives at n = 3..7 on the centers
+# below, captured before the region polynomials had one definition.  Any
+# change to a region label, root value, multiplicity or count changes it.
+CLASSIFY_GATE_SHA256 = "11f6ac83c5c09efff738e4fdea1841f62cae4cf003caf851e1b063c46793686a"
+
+
+def _classify_gate_centers():
+    """The Gamma5 = 0 point, the psi5 ellipse, the focus, the unit circle,
+    the worked points, a grid that crosses R1+, and seeded random centers, a
+    third of them of large height.  Fixed seed, so PONCELET_SEED does not
+    move the digest."""
+    out = [
+        (F(1, 2), F(1, 2)), (F(2, 3), F(1, 3)), (F(0), F(0)), (F(1), F(0)),
+        (F(3, 5), F(4, 5)), (F(0), F(1, 2)), (F(0), F(2)), (F(2), F(0)),
+    ]
+    out += [(F(ix, 5), F(iy, 5)) for ix in range(-5, 6) for iy in range(0, 6)]
+    rng = random.Random(20261019)
+    for i in range(30):
+        top = 10**6 if i % 3 == 2 else 12
+        out.append((
+            F(rng.randint(-top, top), rng.randint(1, top // 2)),
+            F(rng.randint(-top, top), rng.randint(1, top // 2)),
+        ))
+    return out
+
+
+def test_pair_classify_json_byte_identical():
+    h = hashlib.sha256()
+    regions = set()
+    for x, y in _classify_gate_centers():
+        for n in range(3, 8):
+            d = pair_classify(n, Center(x, y)).to_dict()
+            regions.add(d["region"])
+            h.update(json.dumps(d).encode())
+            h.update(b"\n")
+    # every label but Gamma6 and R1, which no center here lies on
+    assert regions == {
+        "S1", "offS1", "focus", "latus-rectum", "generic", "Excluded",
+        "Gamma5+", "Gamma5", "Gamma5-", "Gamma6+", "Gamma6-", "R1+", "R1-",
+    }
+    assert h.hexdigest() == CLASSIFY_GATE_SHA256

@@ -1,5 +1,6 @@
 """Numeric tangent-chord tracing oracle."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from poncelet.classify import Center, p_polynomial
 from poncelet.geometry import (
     Circle,
     DegenerateParabola,
+    GeometryError,
     NotOnCircle,
     NotOnLine,
     Parabola,
@@ -18,6 +20,8 @@ from poncelet.geometry import (
     tangent_params,
 )
 from poncelet.polycore import sturm_real_roots
+
+F = Fraction
 
 
 def test_circle_normalization():
@@ -153,3 +157,45 @@ def test_oracle_agrees_with_seven_gon_roots():
     f = p_polynomial(7, Center(Fraction(0), Fraction(1, 2)))
     for val in sturm_real_roots(f, exclude_zero=True).values():
         assert closes_after(Circle((0.0, 0.5)), Parabola(val), 7)
+
+
+# SHA-256 of the traces, closure verdicts and raised exceptions below,
+# captured before the chord quadratic had one definition.  Any change to a
+# float operation of the oracle changes it.
+ORACLE_GATE_SHA256 = "b6f53337529a08c0131719bb285b13888268292132000c5b65e6f47a6a819994"
+
+# Centers at n = 8..12 whose roots include near misses that raise NotOnLine
+# in the trace or in closes_after, or that closes_after rejects.
+ORACLE_GATE_CENTERS = [
+    (8, F(1, 3), F(2, 5)), (8, F(-12), F(-3)),
+    (9, F(5, 6), F(-2, 5)), (9, F(-1), F(-3, 5)),
+    (10, F(1), F(1, 2)), (10, F(-1), F(-2, 3)),
+    (11, F(8), F(-7)), (11, F(-7), F(-8, 5)),
+    (12, F(-3, 4), F(0)), (12, F(-3), F(2)),
+]
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except (GeometryError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def test_oracle_traces_byte_identical():
+    h = hashlib.sha256()
+    lines = []
+    for x, y, p, n in ((-1.0, 0.0, 1.0, 6), (1.0, 0.0, 1.0, 3), (0.0, 0.5, 1.2, 7)):
+        # 1j is an isotropic tangent direction when p = 1
+        for start in (0.9, 2.0, 0.3 + 0.8j, -1.1 - 0.2j, 1j):
+            lines.append(_outcome(poncelet_trace, Circle((x, y)), Parabola(p), start, n))
+    for n, x, y in ORACLE_GATE_CENTERS:
+        circle = Circle((float(x), float(y)))
+        for p in sturm_real_roots(p_polynomial(n, Center(x, y)), exclude_zero=True).values():
+            par = Parabola(p)
+            lines.append(_outcome(poncelet_trace, circle, par, 1.0 + 0.1j, n))
+            lines.append(_outcome(closes_after, circle, par, n))
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    assert h.hexdigest() == ORACLE_GATE_SHA256

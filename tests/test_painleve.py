@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from poncelet.cayley import pencil_coeffs
 from poncelet.painleve import (
     OKAMOTO_PARAMS,
     PICARD_PARAMS,
@@ -13,14 +14,15 @@ from poncelet.painleve import (
     Pole,
     PVIParams,
     SingularInput,
-    cubic_spectrum,
     hitchin_residual,
+    n4_relation_residual,
     okamoto,
     pvi_residual,
     sample_family,
     solution_n3,
     solution_n4,
 )
+from poncelet.polycore import UniPolyR, specialize
 
 F = Fraction
 
@@ -112,8 +114,8 @@ def test_sample_family_residuals():
     pts, max_res = sample_family("N4", [2.5, 3.0, 4.0, -3.0])
     assert max_res < 1e-7
     for pt in pts:
-        assert abs(pt.y**2 - 2 * pt.x * pt.y + pt.x) < 1e-9
-        assert abs(pt.y0**2 - 2 * pt.x * pt.y0 + pt.x) < 1e-9
+        assert n4_relation_residual(pt.x, pt.y) < 1e-9
+        assert n4_relation_residual(pt.x, pt.y0) < 1e-9
 
 
 def test_hitchin_relation_n3():
@@ -180,33 +182,18 @@ def test_params_frozen_values():
 # -- spectra --------------------------------------------------------------------
 
 
-def test_cubic_spectrum_closed_centers():
-    lams = sorted(cubic_spectrum((1, 0), 2.0), key=lambda z: z.real)
-    # -(lam+1)(lam^2 + p(p+2) lam + p^2) at p=2: quadratic roots (-8 +- 4 sqrt 3)/2
-    want = sorted([-1.0, (-8 + 4 * math.sqrt(3)) / 2, (-8 - 4 * math.sqrt(3)) / 2])
-    assert [z.real for z in lams] == pytest.approx(want, rel=1e-12)
-    assert all(abs(z.imag) < 1e-12 for z in lams)
-
-    lams = cubic_spectrum((0, 0), 3.0)
-    quad = [z for z in lams if abs(z.real + 1) > 1e-9]
-    prod = quad[0] * quad[1]
-    assert prod.real == pytest.approx(9.0, rel=1e-10)  # Vieta: product = p^2
-    assert any(abs(z.real + 1) < 1e-10 for z in lams)
-
-
-def test_cubic_spectrum_general_center_matches_pencil():
-    # the three zeros must annihilate the pencil characteristic cubic
-    from poncelet.cayley import pencil_coeffs
-
+def test_pencil_cubic_factors_at_closed_centers():
+    # det(lambda*D + P) = delta1 l^3 + theta1 l^2 + theta2 l + delta2 must be
+    # -(l + 1)(l^2 + b l + p^2), with b = p(p+2) at (1, 0) and b = p^2 at
+    # (0, 0), as polynomials in p: the root -1 and the Vieta product p^2 of
+    # the other two hold for every p.
     pc = pencil_coeffs()
-    for e, p in (((F(1, 2), F(1, 3)), 1.25), ((F(-1), F(2)), 0.6)):
-        d1 = pc.delta1.evaluate(float(p), float(e[0]), float(e[1]))
-        t1 = pc.theta1.evaluate(float(p), float(e[0]), float(e[1]))
-        t2 = pc.theta2.evaluate(float(p), float(e[0]), float(e[1]))
-        d2 = pc.delta2.evaluate(float(p), float(e[0]), float(e[1]))
-        for lam in cubic_spectrum(e, p):
-            val = d1 * lam**3 + t1 * lam**2 + t2 * lam + d2
-            assert abs(val) < 1e-8
+    one, p = UniPolyR([1]), UniPolyR([0, 1])
+    c = p * p
+    for (x, y), b in (((1, 0), p * (p + UniPolyR([2]))), ((0, 0), p * p)):
+        got = [specialize(k, x, y) for k in (pc.delta1, pc.theta1, pc.theta2, pc.delta2)]
+        want = [one, b + one, b + c, c]
+        assert got == [w.scale(-1) for w in want]
 
 
 # -- exact algebraic certificate for the n=4 relation ------------------------------
@@ -258,11 +245,9 @@ def test_n4_relation_exact_on_both_branches():
     for p in (F(3), F(5, 2), F(-3), F(7), F(12, 5)):
         m = p * p * (p * p - 4)
         s = _QExt(0, 1, m)
-        x = (_QExt(p * p - 2, 0, m) + s) / (2 * s)
         for sign in (1, -1):
             ss = sign * s
             y = (_QExt(p * p, 0, m) + ss) / (2 * p * p)
-            rel = y * y - 2 * x * y + x
             # on the opposite branch x flips too; the relation pairs x and y
             # computed from the SAME branch
             x_branch = (_QExt(p * p - 2, 0, m) + ss) / (2 * ss)
