@@ -5,7 +5,9 @@ All region and sign decisions use exact rational arithmetic; floats appear
 only in reported root values.  The region polynomials (gamma5, gamma6 and
 psi1..psi5) are defined once, in `region_polys`; region labels, the
 closed-form radicands and the identities in `verify` all use that
-definition, and a label evaluates it at the center by one integer sum.
+definition.  The locus polynomial and the region polynomials are both
+evaluated at the center by `polycore.specialize`, the one exact evaluator
+at a rational point.
 """
 
 from __future__ import annotations
@@ -118,29 +120,10 @@ def region_polys() -> Mapping[str, LaurentPoly3]:
     })
 
 
-@lru_cache(maxsize=None)
-def _integer_form(name: str) -> tuple[list[tuple[int, int, int]], int, int, int]:
-    """Terms (c, e_x, e_y) of den * q for the named region polynomial q,
-    with den, the lcm of its denominators, and its degrees in x and in y."""
-    terms = region_polys()[name].terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    ints = [(c.numerator * (den // c.denominator), ex, ey) for (_, ex, ey), c in terms.items()]
-    return ints, den, max(ex for _, ex, _ in ints), max(ey for _, _, ey in ints)
-
-
 def region_value(name: str, e: Center) -> Fraction:
-    """Exact value of the named region polynomial at the center.
-
-    With x = u/v and y = s/t, den * v**dx * t**dy * q(x, y) is a sum of
-    integers, so the center's denominators are cleared once and one
-    Fraction is built at the end.
-    """
-    terms, den, dx, dy = _integer_form(name)
-    u, v = e.x.numerator, e.x.denominator
-    s, t = e.y.numerator, e.y.denominator
-    xs = [u**i * v ** (dx - i) for i in range(dx + 1)]
-    ys = [s**j * t ** (dy - j) for j in range(dy + 1)]
-    return Fraction(sum(c * xs[i] * ys[j] for c, i, j in terms), den * v**dx * t**dy)
+    """Exact value of the named region polynomial at the center."""
+    coeffs = specialize(region_polys()[name], e.x, e.y).coeffs
+    return coeffs[0] if coeffs else Fraction(0)
 
 
 # -- Rees quartic classification ---------------------------------------------

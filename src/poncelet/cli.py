@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,17 @@ def _int_in(lo: int, hi: int | None = None):
             raise argparse.ArgumentTypeError(f"must be {span}, not {v}")
         return v
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type for a finite float: NaN and inf are rejected."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return v
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("trace", help="numeric tangent-chord trace")
     c.add_argument("--center", type=parse_center, required=True)
-    c.add_argument("--p", type=float, required=True)
+    c.add_argument("--p", type=_finite_float, required=True)
     c.add_argument("--n", type=_int_in(3), required=True)
-    c.add_argument("--start", type=float, default=0.8)
+    c.add_argument("--start", type=_finite_float, default=0.8)
     c.add_argument("--svg", help="write an SVG overlay to this file")
     c.set_defaults(func=cmd_trace)
 
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("painleve", help="evaluate and verify PVI solution points")
     c.add_argument("--family", type=int, choices=(3, 4), required=True)
-    c.add_argument("--p", type=float, nargs="+", required=True)
+    c.add_argument("--p", type=_finite_float, nargs="+", required=True)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.set_defaults(func=cmd_painleve)
 

@@ -68,6 +68,8 @@ class Parabola:
     def __post_init__(self):
         if self.p == 0:
             raise DegenerateParabola("p must be nonzero")
+        if not cmath.isfinite(self.p):
+            raise ValueError(f"p must be finite, not {self.p}")
 
     def contact_point(self, t: complex) -> Point:
         return ((t * t - self.p**2) / (2 * self.p), t)
@@ -123,25 +125,28 @@ def _renormalize(circle: Circle, v: Point) -> Point:
 
 def next_vertex(circle: Circle, line: tuple[float, complex], current: Point) -> Point:
     """The other intersection of the tangent line with the circle; returns
-    `current` itself when the line is tangent to the circle."""
+    `current` itself when the line is tangent to the circle, and raises
+    DegenerateStep when the line is isotropic, so the other intersection is
+    at infinity."""
     p, t = line
     par = Parabola(p)
     # both guards are relative: coordinates grow like p^2 for steep
-    # tangents, and the residuals scale with them
+    # tangents, and the residuals scale with them; written as `not <=` so
+    # that a NaN residual fails them
     circle_scale = max(
         1.0, abs(current[0] - circle.center[0]) ** 2 + abs(current[1] - circle.center[1]) ** 2
     )
-    if circle.residual(current) > ON_CIRCLE_TOL * 10 * circle_scale:
+    if not circle.residual(current) <= ON_CIRCLE_TOL * 10 * circle_scale:
         raise NotOnCircle(f"residual {circle.residual(current):.3e}")
     line_scale = max(
         1.0, abs(p * current[0]), abs(t * current[1]), abs(t * t + p * p) / 2
     )
-    if par.line_residual(t, current) > ON_LINE_TOL * line_scale:
+    if not par.line_residual(t, current) <= ON_LINE_TOL * line_scale:
         raise NotOnLine(f"residual {par.line_residual(t, current):.3e}")
     dx, dy = t, complex(p)
     a, b, c = _chord_quadratic(circle, (dx, dy), current)
     if abs(a) < 1e-12:
-        return current  # other intersection is at infinity
+        raise DegenerateStep("isotropic chord: the other intersection is at infinity")
     # current corresponds to the root near s = 0; keeping the small residual
     # c in the solve corrects for current being slightly off the circle.
     r1, r2 = _solve_quadratic(a, b, c)

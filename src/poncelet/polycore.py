@@ -3,10 +3,11 @@ polynomials over Q, Sturm-based real root isolation, discriminants.
 
 Coefficients are `fractions.Fraction` throughout; determinants (one
 fraction-free Bareiss, which also gives the Sylvester resultant), exact
-division and the sign tests of Sturm isolation and refinement clear
-denominators and run over integers inside.  Polynomials in
-the three variables (p, x, y) allow negative exponents in p only; x and y
-exponents are always nonnegative.
+division, `specialize` (the one exact evaluator at a rational center (x, y),
+used for the locus and the region polynomials alike) and the sign tests of
+Sturm isolation and refinement clear denominators and run over integers
+inside.  Polynomials in the three variables (p, x, y) allow negative
+exponents in p only; x and y exponents are always nonnegative.
 """
 
 from __future__ import annotations
@@ -428,18 +429,29 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
 
 
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
-    """Substitute a rational center (x, y), leaving a polynomial in p."""
+    """Substitute a rational center (x, y), leaving a polynomial in p.
+
+    With x = u/v and y = s/t, den * v**dx * t**dy times each coefficient is
+    a sum of integers (den clears a's denominators; dx, dy are its degrees
+    in x and y), so one Fraction is built per power of p.
+    """
     x = _as_fraction(x)
     y = _as_fraction(y)
-    coeffs: dict[int, Fraction] = {}
-    for (ep, ex, ey), c in a.terms.items():
-        if ep < 0:
-            raise NegativePExponent("canonicalize before specializing")
-        coeffs[ep] = coeffs.get(ep, _ZERO) + c * x**ex * y**ey
-    if not coeffs:
+    if not a.terms:
         return UniPolyR([])
-    deg = max(coeffs)
-    return UniPolyR([coeffs.get(i, _ZERO) for i in range(deg + 1)])
+    if a.min_p_exponent() < 0:
+        raise NegativePExponent("canonicalize before specializing")
+    dp, dx, dy = _max_degree(a.terms, 0)
+    den = _den_lcm(a.terms.values())
+    u, v = x.numerator, x.denominator
+    s, t = y.numerator, y.denominator
+    xs = [u**i * v ** (dx - i) for i in range(dx + 1)]
+    ys = [s**j * t ** (dy - j) for j in range(dy + 1)]
+    sums = [0] * (dp + 1)
+    for (ep, ex, ey), c in a.terms.items():
+        sums[ep] += c.numerator * (den // c.denominator) * xs[ex] * ys[ey]
+    scale = den * v**dx * t**dy
+    return UniPolyR([Fraction(c, scale) for c in sums])
 
 
 # -- text form -------------------------------------------------------------
@@ -814,7 +826,15 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     for lo, hi, mult, c in found:
         if exclude_zero and lo <= 0 <= hi and not c[0]:
             continue
-        roots.append((float((lo + hi) / 2), mult, (lo, hi)))
+        mid = (lo + hi) / 2
+        try:
+            value = float(mid)
+        except OverflowError:
+            bits = abs(mid.numerator).bit_length() - mid.denominator.bit_length()
+            raise PolycoreError(
+                f"a real root of magnitude about 2**{bits} is beyond the float range"
+            ) from None
+        roots.append((value, mult, (lo, hi)))
     return RootList(roots)
 
 

@@ -149,6 +149,14 @@ def test_runtime_error_exit_code(capsys):
     assert code == 1
 
 
+def test_root_beyond_float_range_exit_code(capsys):
+    # the roots, near 1e600, have no float: a one-line runtime error
+    code = main(["classify", "--n", "5", "--center", "1e300,0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "beyond the float range" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("cayley", "--n", "13"),
     ("cayley", "--n", "2"),
@@ -158,6 +166,10 @@ def test_runtime_error_exit_code(capsys):
     ("locus", "--n", "3", "--p", "1", "--grid", "-3"),
     ("locus", "--n", "3", "--p", "1", "--grid", "0"),
     ("locus", "--n", "13", "--p", "1"),
+    ("trace", "--center", "0,0", "--p", "nan", "--n", "4"),
+    ("trace", "--center", "0,0", "--p", "inf", "--n", "4"),
+    ("trace", "--center", "0,0", "--p", "1", "--n", "4", "--start", "nan"),
+    ("painleve", "--family", "3", "--p", "nan"),
 ])
 def test_out_of_range_flag_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from poncelet.classify import Center, p_polynomial
 from poncelet.geometry import (
     Circle,
     DegenerateParabola,
+    DegenerateStep,
     GeometryError,
     NotOnCircle,
     NotOnLine,
@@ -34,6 +35,15 @@ def test_circle_normalization():
 def test_parabola_rejects_zero():
     with pytest.raises(DegenerateParabola):
         Parabola(0.0)
+
+
+def test_parabola_rejects_non_finite():
+    for p in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Parabola(p)
+    # a NaN p must not reach the oracle and come back as a "reject" verdict
+    with pytest.raises(ValueError):
+        closes_after(Circle((0.0, 0.0)), Parabola(math.nan), 4)
 
 
 def test_tangent_params_examples():
@@ -82,6 +92,26 @@ def test_next_vertex_guards():
         next_vertex(circle, (1.0, t1), (5.0, 5.0))
     with pytest.raises(NotOnLine):
         next_vertex(circle, (1.0, t1), (0.0, 1.0))
+    # a NaN residual fails the guards; a center near the float limit makes
+    # one on the first step
+    nan = complex(math.nan, 0.0)
+    with pytest.raises(NotOnCircle):
+        next_vertex(circle, (1.0, t1), (nan, nan))
+    with pytest.raises(NotOnLine):
+        next_vertex(circle, (1.0, nan), (1.0, 0.0))
+    with pytest.raises(NotOnCircle):
+        poncelet_trace(Circle((1e308, 0.0)), par, 0.8, 4)
+
+
+def test_isotropic_chord_raises():
+    # with p = 1 the start 1j gives an isotropic chord direction (1j, 1),
+    # whose other intersection with the circle is at infinity, so the trace
+    # cannot take a step
+    for center, n in (((-1.0, 0.0), 6), ((1.0, 0.0), 3)):
+        with pytest.raises(DegenerateStep, match="isotropic"):
+            poncelet_trace(Circle(center), Parabola(1.0), 1j, n)
+    with pytest.raises(DegenerateStep):
+        next_vertex(Circle((-1.0, 0.0)), (1.0, 1j), (0j, 0j))
 
 
 def test_complex_next_vertex_stays_on_circle():
@@ -161,8 +191,10 @@ def test_oracle_agrees_with_seven_gon_roots():
 
 # SHA-256 of the traces, closure verdicts and raised exceptions below,
 # captured before the chord quadratic had one definition.  Any change to a
-# float operation of the oracle changes it.
-ORACLE_GATE_SHA256 = "b6f53337529a08c0131719bb285b13888268292132000c5b65e6f47a6a819994"
+# float operation of the oracle changes it.  Re-pinned once, when an
+# isotropic chord started to raise DegenerateStep instead of staying put:
+# only the two 1j-start lines, at (-1, 0) n = 6 and (1, 0) n = 3, moved.
+ORACLE_GATE_SHA256 = "6cc1bf8e1b4bf5942b117afbbb727e490d42f12cf2d959a463cce9dd5fc239b7"
 
 # Centers at n = 8..12 whose roots include near misses that raise NotOnLine
 # in the trace or in closes_after, or that closes_after rejects.

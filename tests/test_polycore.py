@@ -15,7 +15,9 @@ from poncelet.cayley import locus
 from poncelet.polycore import (
     ROOT_WIDTH,
     LaurentPoly3,
+    NegativePExponent,
     NotDivisible,
+    PolycoreError,
     UniPolyR,
     UnsupportedDegree,
     ZeroPolynomial,
@@ -174,6 +176,41 @@ def test_specialize():
     a = P**2 * X + P * Y - 1
     f = specialize(a, Fraction(2), Fraction(3))
     assert f == UniPolyR([Fraction(-1), Fraction(3), Fraction(2)])
+    assert specialize(LaurentPoly3(), 2, Fraction(1, 3)) == UniPolyR([])
+    with pytest.raises(NegativePExponent):
+        specialize(LaurentPoly3.var_p(-1) * X + 1, 1, 1)
+    with pytest.raises(TypeError):
+        specialize(a, 0.5, 1)
+    with pytest.raises(TypeError):
+        specialize(LaurentPoly3(), 1, 0.5)
+
+
+def _specialize_reference(a, x, y):
+    # one Fraction product per term, summed per power of p
+    coeffs = {}
+    for (ep, ex, ey), c in a.terms.items():
+        coeffs[ep] = coeffs.get(ep, 0) + c * Fraction(x) ** ex * Fraction(y) ** ey
+    return UniPolyR([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+
+
+def test_specialize_matches_fraction_reference():
+    # the cleared-denominator sum on non-integer coefficients and several
+    # powers of p, at centers whose x and y denominators differ (a power of
+    # 2 against a power of 3), with a zero coordinate and of large height
+    rng = make_rng(31)
+    for i in range(60):
+        terms = {
+            (rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 5)): rand_fraction(rng, 40, 30)
+            for _ in range(rng.randint(2, 10))
+        }
+        lead = Fraction(rng.randint(1, 9), 2 * rng.randint(1, 9) + 1)
+        terms[(3, rng.randint(0, 3), rng.randint(0, 3))] = lead
+        a = LaurentPoly3(terms)
+        top, k = (10**6, 20) if i % 2 else (12, 3)
+        x = Fraction(2 * rng.randint(-top, top) + 1, 2 ** rng.randint(1, k))
+        y = Fraction(3 * rng.randint(-top, top) + 1, 3 ** rng.randint(1, k))
+        for cx, cy in ((x, y), (0, y), (x, 0), (-1, y)):
+            assert specialize(a, cx, cy) == _specialize_reference(a, cx, cy), (a, cx, cy)
 
 
 # -- Sturm isolation -----------------------------------------------------------
@@ -420,6 +457,15 @@ def test_quartic_disc_double_route_agreement():
         # sanity: a detected double root forces discriminant 0
         if any(m > 1 for _, m in squarefree_decomposition(f)):
             assert d == 0
+
+
+def test_root_beyond_float_range_is_named():
+    # the exact interval exists, but its midpoint has no float; the error
+    # names the root's power of 2 rather than a float-division failure
+    for f in (UniPolyR([-(10**400), 1]), UniPolyR([10**400, 1]) * UniPolyR([-1, 1])):
+        with pytest.raises(PolycoreError, match=r"2\*\*1328 is beyond the float range"):
+            sturm_real_roots(f)
+    assert sturm_real_roots(UniPolyR([-(10**300), 1])).values() == [1e300]
 
 
 def test_zero_polynomial_guards():
