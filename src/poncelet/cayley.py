@@ -3,7 +3,6 @@ and canonical locus polynomials for the circle/parabola pencil."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,10 +44,6 @@ def pencil_coeffs() -> PencilCoeffs:
     )
 
 
-_cache_lock = threading.Lock()
-_atilde_cache: list[LaurentPoly3] = []
-
-
 def atilde_sequence(K: int) -> tuple[LaurentPoly3, ...]:
     """Entries 1..K of the scaled coefficient recursion, computed exactly:
     entry k - 1 of the tuple holds k! * A0 * A_k.
@@ -58,28 +53,23 @@ def atilde_sequence(K: int) -> tuple[LaurentPoly3, ...]:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    with _cache_lock:
-        _extend_atilde(K)
-        return tuple(_atilde_cache[:K])
+    return tuple(_atilde(k) for k in range(1, K + 1))
 
 
-def _extend_atilde(K: int) -> None:
+@lru_cache(maxsize=None)
+def _atilde(k: int) -> LaurentPoly3:
+    """Entry k >= 1 of atilde_sequence.  That function asks for the entries
+    in increasing order, so the recursion finds each earlier one cached."""
     pc = pencil_coeffs()
-    entries = _atilde_cache
-    if not entries:
-        entries.append(pc.theta2 * Fraction(1, 2))
+    if k == 1:
+        return pc.theta2 * Fraction(1, 2)
+    s = LaurentPoly3()
+    for l in range(1, k):
+        s = s + comb(k - 1, l) * _atilde(l) * _atilde(k - l)
     # f is cubic: f'(0) = theta2, f''(0) = 2*theta1, f'''(0) = 6*delta1,
     # and all higher derivatives vanish.
-    half_fderiv = {1: pc.theta1, 2: 3 * pc.delta1}
-    while len(entries) < K:
-        k = len(entries)  # computing entry k+1
-        s = LaurentPoly3()
-        for l in range(1, k + 1):
-            s = s + comb(k, l) * entries[l - 1] * entries[k - l]
-        a_next = -poly_div_exact(s, pc.delta2)
-        if k in half_fderiv:
-            a_next = half_fderiv[k] + a_next
-        entries.append(a_next)
+    half_fderiv = {2: pc.theta1, 3: 3 * pc.delta1}
+    return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
 def _hankel_matrix(n: int) -> list[list[LaurentPoly3]]:

@@ -43,13 +43,13 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 def _finite_float(text: str) -> float:
-    """An argparse type for a finite float: NaN and inf are rejected."""
+    """An argparse type for a float whose square is finite (so not NaN or inf)."""
     try:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    if not math.isfinite(v * v):
+        raise argparse.ArgumentTypeError(f"must be finite with a finite square, not {text!r}")
     return v
 
 
@@ -66,6 +66,14 @@ def parse_center(text: str) -> Center:
         return Center(parse_rational(xs), parse_rational(ys))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad center {text!r}: {exc}") from exc
+
+
+def _float_center(text: str) -> Center:
+    """parse_center for a flag whose coordinates are used as floats."""
+    e = parse_center(text)
+    if max(abs(e.x), abs(e.y)) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"bad center {text!r}: beyond the float range")
+    return e
 
 
 def _svg_header() -> list[str]:
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_isoperiodic)
 
     c = sub.add_parser("trace", help="numeric tangent-chord trace")
-    c.add_argument("--center", type=parse_center, required=True)
+    c.add_argument("--center", type=_float_center, required=True)
     c.add_argument("--p", type=_finite_float, required=True)
     c.add_argument("--n", type=_int_in(3), required=True)
     c.add_argument("--start", type=_finite_float, default=0.8)

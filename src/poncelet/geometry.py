@@ -102,11 +102,14 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[complex, compl
 
 def _chord_quadratic(circle: Circle, direction: Point, base: Point) -> tuple[complex, complex, complex]:
     """Coefficients (a, b, c) of a*s^2 + b*s + c, whose roots s are where the
-    line base + s*direction meets the circle."""
+    line base + s*direction meets the circle.  An isotropic direction (a = 0)
+    raises DegenerateStep: the other intersection is at infinity."""
     cx, cy = circle.center
     dx, dy = direction
     wx, wy = base[0] - cx, base[1] - cy
     a = dx * dx + dy * dy  # bilinear, not Hermitian: complex circle
+    if abs(a) < 1e-12:
+        raise DegenerateStep("isotropic chord: the other intersection is at infinity")
     b = 2 * (dx * wx + dy * wy)
     c = wx * wx + wy * wy - 1.0
     return a, b, c
@@ -144,12 +147,9 @@ def next_vertex(circle: Circle, line: tuple[float, complex], current: Point) -> 
     if not par.line_residual(t, current) <= ON_LINE_TOL * line_scale:
         raise NotOnLine(f"residual {par.line_residual(t, current):.3e}")
     dx, dy = t, complex(p)
-    a, b, c = _chord_quadratic(circle, (dx, dy), current)
-    if abs(a) < 1e-12:
-        raise DegenerateStep("isotropic chord: the other intersection is at infinity")
     # current corresponds to the root near s = 0; keeping the small residual
     # c in the solve corrects for current being slightly off the circle.
-    r1, r2 = _solve_quadratic(a, b, c)
+    r1, r2 = _solve_quadratic(*_chord_quadratic(circle, (dx, dy), current))
     s = r1 if abs(r1) >= abs(r2) else r2
     return _renormalize(circle, (current[0] + s * dx, current[1] + s * dy))
 
@@ -166,19 +166,10 @@ class TraceResult:
 def _start_vertex(circle: Circle, par: Parabola, start_t: complex) -> Point:
     base = par.contact_point(start_t)
     dx, dy = start_t, complex(par.p)
-    a, b, c = _chord_quadratic(circle, (dx, dy), base)
-    if abs(a) < 1e-12:
-        # Isotropic tangent direction: a single affine intersection.
-        if abs(b) < 1e-12:
-            raise DegenerateStep("line meets the circle only at infinity")
-        s1 = s2 = -c / b
-    else:
-        s1, s2 = _solve_quadratic(a, b, c)
-    v1 = (base[0] + s1 * dx, base[1] + s1 * dy)
-    v2 = (base[0] + s2 * dx, base[1] + s2 * dy)
+    v1, v2 = [(base[0] + s * dx, base[1] + s * dy)
+              for s in _solve_quadratic(*_chord_quadratic(circle, (dx, dy), base))]
     # Convention: larger real part, then larger imaginary part.
-    k1 = (v1[0].real, v1[0].imag, v1[1].real, v1[1].imag)
-    k2 = (v2[0].real, v2[0].imag, v2[1].real, v2[1].imag)
+    k1, k2 = [(v[0].real, v[0].imag, v[1].real, v[1].imag) for v in (v1, v2)]
     return v1 if k1 >= k2 else v2
 
 

@@ -9,6 +9,7 @@ be checked to tight tolerances.
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,6 +161,16 @@ def pvi_residual(x: complex, y: complex, dy_dx: complex, d2y_dx2: complex, param
     return abs(lhs - rhs)
 
 
+@contextmanager
+def _float_range(p: complex):
+    """A float overflow, a non-finite point or a division by a value that
+    underflowed to zero becomes a PainleveError that names p."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise PainleveError(f"the evaluation at p = {p:.12g} leaves the float range") from None
+
+
 def _point_from_jets(family: str, p: complex, xj: Jet2, y0j: Jet2, yj: Jet2) -> PVISolutionPoint:
     if xj.d1 == 0:
         raise SingularInput("dx/dp vanished; cannot reparametrize by x")
@@ -169,6 +180,8 @@ def _point_from_jets(family: str, p: complex, xj: Jet2, y0j: Jet2, yj: Jet2) -> 
     d2y0_dx2 = (y0j.d2 * xj.d1 - y0j.d1 * xj.d2) / xj.d1**3
     res0 = pvi_residual(xj.value, y0j.value, dy0_dx, d2y0_dx2, PICARD_PARAMS)
     res1 = pvi_residual(xj.value, yj.value, dy_dx, d2y_dx2, OKAMOTO_PARAMS)
+    if not all(map(cmath.isfinite, (xj.value, y0j.value, yj.value, res0, res1))):
+        raise OverflowError("non-finite value")
     return PVISolutionPoint(
         family=family,
         p=p,
@@ -191,14 +204,15 @@ def solution_n3(p: complex) -> PVISolutionPoint:
         raise BranchPoint("p in {0, -4}")
     if pc == -1:
         raise Pole("p = -1")
-    P = Jet2.variable(pc)
-    s = (P * P * P * (P + 4)).sqrt()
-    xj = (P * P + 2 * P - 2 + s) / (2 * s)
-    y0j = (P * P + 2 * P + s) / (2 * s)
-    yj = (P * P + 2 * P + s) * (-(P * P) - 4 * P + 3 * s) / (4 * P * (P + 1) * s)
-    point = _point_from_jets("N3", pc, xj, y0j, yj)
-    if abs(point.dy0_dx - (-pc / 3)) > DERIV_TOL * max(1.0, abs(pc)):
-        raise PainleveError("dy0/dx != -p/3; branch pairing broken")
+    with _float_range(pc):
+        P = Jet2.variable(pc)
+        s = (P * P * P * (P + 4)).sqrt()
+        xj = (P * P + 2 * P - 2 + s) / (2 * s)
+        y0j = (P * P + 2 * P + s) / (2 * s)
+        yj = (P * P + 2 * P + s) * (-(P * P) - 4 * P + 3 * s) / (4 * P * (P + 1) * s)
+        point = _point_from_jets("N3", pc, xj, y0j, yj)
+        if not abs(point.dy0_dx - (-pc / 3)) <= DERIV_TOL * max(1.0, abs(pc)):
+            raise PainleveError("dy0/dx != -p/3; branch pairing broken")
     return point
 
 
@@ -208,17 +222,17 @@ def solution_n4(p: complex) -> PVISolutionPoint:
     pc = complex(p)
     if pc in (0, 2, -2):
         raise BranchPoint("p in {0, +-2}")
-    P = Jet2.variable(pc)
-    s = (P * P * (P * P - 4)).sqrt()
-    xj = (P * P - 2 + s) / (2 * s)
-    y0j = (1 + P * P / s) * Fraction(1, 2)
-    yj = (P * P + s) / (2 * P * P)
-    point = _point_from_jets("N4", pc, xj, y0j, yj)
-    if abs(point.dy0_dx - pc * pc / 2) > DERIV_TOL * max(1.0, abs(pc) ** 2):
-        raise PainleveError("dy0/dx != p^2/2; branch pairing broken")
-    rel = point.y - point.y0 / (2 * point.y0 - 1)
-    if abs(rel) > DERIV_TOL:
-        raise PainleveError("y != y0/(2 y0 - 1)")
+    with _float_range(pc):
+        P = Jet2.variable(pc)
+        s = (P * P * (P * P - 4)).sqrt()
+        xj = (P * P - 2 + s) / (2 * s)
+        y0j = (1 + P * P / s) * Fraction(1, 2)
+        yj = (P * P + s) / (2 * P * P)
+        point = _point_from_jets("N4", pc, xj, y0j, yj)
+        if not abs(point.dy0_dx - pc * pc / 2) <= DERIV_TOL * max(1.0, abs(pc) ** 2):
+            raise PainleveError("dy0/dx != p^2/2; branch pairing broken")
+        if not abs(point.y - point.y0 / (2 * point.y0 - 1)) <= DERIV_TOL:
+            raise PainleveError("y != y0/(2 y0 - 1)")
     return point
 
 

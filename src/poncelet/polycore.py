@@ -1,13 +1,13 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, Sturm-based real root isolation, discriminants.
 
-Coefficients are `fractions.Fraction` throughout; determinants (one
-fraction-free Bareiss, which also gives the Sylvester resultant), exact
+Coefficients are `fractions.Fraction` throughout; products, determinants
+(one fraction-free Bareiss, which also gives the Sylvester resultant), exact
 division, `specialize` (the one exact evaluator at a rational center (x, y),
 used for the locus and the region polynomials alike) and the sign tests of
-Sturm isolation and refinement clear denominators and run over integers
-inside.  Polynomials in the three variables (p, x, y) allow negative
-exponents in p only; x and y exponents are always nonnegative.
+Sturm isolation and refinement clear denominators once and run over integer
+coefficients inside.  Polynomials in the three variables (p, x, y) allow
+negative exponents in p only; x and y exponents are always nonnegative.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 Expo = tuple[int, int, int]  # (e_p, e_x, e_y)
 
@@ -159,16 +158,13 @@ class LaurentPoly3:
             return _raw({e: k * c for e, k in self.terms.items()})
         if not isinstance(other, LaurentPoly3):
             return NotImplemented
-        out: dict[Expo, Fraction] = {}
-        for (a1, a2, a3), ca in self.terms.items():
-            for (b1, b2, b3), cb in other.terms.items():
-                e = (a1 + b1, a2 + b2, a3 + b3)
-                s = out.get(e, _ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _raw(out)
+        if not self.terms or not other.terms:
+            return LaurentPoly3()
+        sa, sb = -self.min_p_exponent(), -other.min_p_exponent()
+        da, db = _den_lcm(self.terms.values()), _den_lcm(other.terms.values())
+        w = _width(max(map(sum, zip(_max_degree(self.terms, sa), _max_degree(other.terms, sb)))))
+        ia, ib = _pack(self.terms, da, sa, w), _pack(other.terms, db, sb, w)
+        return _unpack(_mul_sub(ia, ib, {}, {}), Fraction(1, da * db), -(sa + sb), w)
 
     __rmul__ = __mul__
 
@@ -303,11 +299,11 @@ def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
 
 # -- integer working form -----------------------------------------------------
 #
-# poly_det and poly_div_exact run on dicts {key: int}.  A key packs the
-# exponents (e_p, e_x, e_y), all >= 0, as (e_p << 2w) | (e_x << w) | e_y, so
-# int order is lex order p > x > y and adding keys multiplies monomials as
-# long as no exponent reaches 2**w.  The width w comes from a degree bound
-# on everything the caller builds; _pack and _idiv check it.
+# Products, poly_det and poly_div_exact run on dicts {key: int}.  A key
+# packs (e_p, e_x, e_y), all >= 0, as (e_p << 2w) | (e_x << w) | e_y, so int
+# order is lex order p > x > y and adding keys multiplies monomials as long
+# as no exponent reaches 2**w.  The width w comes from a degree bound on
+# everything the caller builds; _pack and _idiv check it.
 
 
 def _den_lcm(coeffs: Iterable[Fraction]) -> int:

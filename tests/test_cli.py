@@ -125,6 +125,27 @@ def test_painleve_csv(capsys):
     assert float(row[4]) < 1e-7 and float(row[5]) < 1e-7 and float(row[6]) < 1e-8
 
 
+def test_painleve_csv_byte_identical(capsys):
+    code, out = run(capsys, "painleve", "--family", "3", "--p", "2", "5", "-5")
+    assert code == 0
+    assert out == (
+        "p,x,y0,y,res0,res1,rel\n"
+        "2,0.933012701892,1.07735026919,0.788675134595,4.086e-14,2.540e-13,3.331e-16\n"
+        "5,0.99193495505,1.02174919475,0.9472135955,1.407e-12,5.457e-12,6.661e-16\n"
+        "-5,1.08137767415,1.17082039325,0.835410196625,3.775e-14,9.592e-14,5.551e-17\n"
+    )
+
+
+@pytest.mark.parametrize("family", ["3", "4"])
+def test_painleve_beyond_float_range_exit_code(capsys, family):
+    # the evaluation at p = 1e100 overflows: one line naming p, no NaN row
+    code = main(["painleve", "--family", family, "--p", "3", "1e100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: the evaluation at p = 1e+100+0j leaves the float range\n"
+
+
 def test_painleve_json(capsys):
     code, out = run(capsys, "painleve", "--family", "4", "--p", "3", "--format", "json")
     assert code == 0
@@ -170,6 +191,11 @@ def test_root_beyond_float_range_exit_code(capsys):
     ("trace", "--center", "0,0", "--p", "inf", "--n", "4"),
     ("trace", "--center", "0,0", "--p", "1", "--n", "4", "--start", "nan"),
     ("painleve", "--family", "3", "--p", "nan"),
+    # a center with no float, and floats whose square overflows
+    ("trace", "--center", "1e400,0", "--p", "1", "--n", "4"),
+    ("trace", "--center", "0,0", "--p", "1e200", "--n", "4"),
+    ("trace", "--center", "0,0", "--p", "1", "--n", "4", "--start", "1e200"),
+    ("painleve", "--family", "3", "--p", "1e200"),
 ])
 def test_out_of_range_flag_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -112,6 +112,11 @@ def test_isotropic_chord_raises():
             poncelet_trace(Circle(center), Parabola(1.0), 1j, n)
     with pytest.raises(DegenerateStep):
         next_vertex(Circle((-1.0, 0.0)), (1.0, 1j), (0j, 0j))
+    # the start vertex takes the same chord and raises the same way
+    from poncelet.geometry import _start_vertex
+
+    with pytest.raises(DegenerateStep, match="isotropic"):
+        _start_vertex(Circle((-1.0, 0.0)), Parabola(1.0), 1j)
 
 
 def test_complex_next_vertex_stays_on_circle():

@@ -11,6 +11,7 @@ from poncelet.painleve import (
     PICARD_PARAMS,
     BranchPoint,
     Jet2,
+    PainleveError,
     Pole,
     PVIParams,
     SingularInput,
@@ -104,6 +105,15 @@ def test_branch_point_and_pole_errors():
     for bad in (0.0, 2.0, -2.0):
         with pytest.raises(BranchPoint):
             solution_n4(bad)
+
+
+def test_float_range_errors_name_p():
+    # p = 1e100 gives NaN jets for N3 and a zero divisor for N4, small p
+    # underflows; each is a PainleveError naming p, never a NaN point
+    for solver, p in ((solution_n3, 1e100), (solution_n4, 1e100), (solution_n3, -1e80),
+                      (solution_n3, 1e-100), (solution_n4, 1e-100), (solution_n4, 1e100j)):
+        with pytest.raises(PainleveError, match=r"at p = .* leaves the float range"):
+            solver(p)
 
 
 def test_sample_family_residuals():

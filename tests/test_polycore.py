@@ -102,6 +102,45 @@ def _rand_poly(rng, nterms=4):
     return a
 
 
+def _product_reference(a, b):
+    # the term-by-term Fraction double loop
+    out = {}
+    for (a1, a2, a3), ca in a.terms.items():
+        for (b1, b2, b3), cb in b.terms.items():
+            e = (a1 + b1, a2 + b2, a3 + b3)
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def test_product_matches_fraction_reference():
+    # the integer kernel on negative p exponents and non-integer
+    # coefficients, with terms that cancel (to 0, or down to 1 - x^3), a
+    # zero factor, and exponent sums that need a wider field than either
+    # factor (x^3 fits 2-bit fields, x^6 needs 3)
+    rng = make_rng(37)
+    zero, pinv = LaurentPoly3(), LaurentPoly3.var_p(-1)
+    x3 = LaurentPoly3.monomial(1, 0, 3, 0)
+    cases = [
+        (x3, x3),
+        (Fraction(1, 3) * pinv**3 * Y**3 + P, Fraction(2, 5) * pinv * Y**3 - X),
+        (P**3 * X**2 + pinv, P**4 * Y + Fraction(1, 2)),
+        ((P + X) * pinv, (P - X) * Fraction(3, 7)),
+        (1 + X + X**2, 1 - X),
+        (zero, P - X),
+        (Fraction(1, 2) * pinv - X, zero),
+    ]
+    for _ in range(200):
+        cases.append((_rand_poly(rng, rng.randint(1, 6)), _rand_poly(rng, rng.randint(1, 6))))
+    for a, b in cases:
+        assert (a * b).terms == _product_reference(a, b), (a, b)
+    assert (1 + X + X**2) * (1 - X) == 1 - X**3
+    assert (X - P) * (X - P) - (P - X) ** 2 == zero
+
+
 def test_canonicalize_multiplicative():
     rng = make_rng(1)
     for _ in range(150):
