@@ -108,8 +108,8 @@ def test_branch_point_and_pole_errors():
 
 
 def test_float_range_errors_name_p():
-    # p = 1e100 gives NaN jets for N3 and a zero divisor for N4, small p
-    # underflows; each is a PainleveError naming p, never a NaN point
+    # a huge p overflows the jets to inf or NaN, a tiny p underflows a
+    # divisor to zero; each is a PainleveError naming p, never a NaN point
     for solver, p in ((solution_n3, 1e100), (solution_n4, 1e100), (solution_n3, -1e80),
                       (solution_n3, 1e-100), (solution_n4, 1e-100), (solution_n4, 1e100j)):
         with pytest.raises(PainleveError, match=r"at p = .* leaves the float range"):
