@@ -68,8 +68,8 @@ class Parabola:
     def __post_init__(self):
         if self.p == 0:
             raise DegenerateParabola("p must be nonzero")
-        if not cmath.isfinite(self.p):
-            raise ValueError(f"p must be finite, not {self.p}")
+        if not cmath.isfinite(self.p * self.p):
+            raise ValueError(f"p must be finite with a finite square, not {self.p!r}")
 
     def contact_point(self, t: complex) -> Point:
         return ((t * t - self.p**2) / (2 * self.p), t)
@@ -126,6 +126,12 @@ def _renormalize(circle: Circle, v: Point) -> Point:
     return (cx + wx / nrm, cy + wy / nrm)
 
 
+def _residual_message(residual: float, p: complex) -> str:
+    if cmath.isfinite(residual):
+        return f"residual {residual:.3e}"
+    return f"residual {residual}: the float trace overflows at p = {p!r}"
+
+
 def next_vertex(circle: Circle, line: tuple[float, complex], current: Point) -> Point:
     """The other intersection of the tangent line with the circle; returns
     `current` itself when the line is tangent to the circle, and raises
@@ -140,12 +146,12 @@ def next_vertex(circle: Circle, line: tuple[float, complex], current: Point) -> 
         1.0, abs(current[0] - circle.center[0]) ** 2 + abs(current[1] - circle.center[1]) ** 2
     )
     if not circle.residual(current) <= ON_CIRCLE_TOL * 10 * circle_scale:
-        raise NotOnCircle(f"residual {circle.residual(current):.3e}")
+        raise NotOnCircle(_residual_message(circle.residual(current), p))
     line_scale = max(
         1.0, abs(p * current[0]), abs(t * current[1]), abs(t * t + p * p) / 2
     )
     if not par.line_residual(t, current) <= ON_LINE_TOL * line_scale:
-        raise NotOnLine(f"residual {par.line_residual(t, current):.3e}")
+        raise NotOnLine(_residual_message(par.line_residual(t, current), p))
     dx, dy = t, complex(p)
     # current corresponds to the root near s = 0; keeping the small residual
     # c in the solve corrects for current being slightly off the circle.

@@ -172,14 +172,22 @@ def _float_range(p: complex):
 
 
 def _point_from_jets(family: str, p: complex, xj: Jet2, y0j: Jet2, yj: Jet2) -> PVISolutionPoint:
+    # On both families dx/dp never vanishes, and the point meets a pole of
+    # the equation only where solution_n3/n4 reject p first.  Meeting either
+    # here is float rounding: x, y0 -> 1 and dx/dp -> 0 as |p| grows.
     if xj.d1 == 0:
-        raise SingularInput("dx/dp vanished; cannot reparametrize by x")
+        raise SingularInput(f"dx/dp rounds to 0 at p = {p:.12g} (float rounding); "
+                            "cannot reparametrize by x")
     dy0_dx = y0j.d1 / xj.d1
     dy_dx = yj.d1 / xj.d1
     d2y_dx2 = (yj.d2 * xj.d1 - yj.d1 * xj.d2) / xj.d1**3
     d2y0_dx2 = (y0j.d2 * xj.d1 - y0j.d1 * xj.d2) / xj.d1**3
-    res0 = pvi_residual(xj.value, y0j.value, dy0_dx, d2y0_dx2, PICARD_PARAMS)
-    res1 = pvi_residual(xj.value, yj.value, dy_dx, d2y_dx2, OKAMOTO_PARAMS)
+    try:
+        res0 = pvi_residual(xj.value, y0j.value, dy0_dx, d2y0_dx2, PICARD_PARAMS)
+        res1 = pvi_residual(xj.value, yj.value, dy_dx, d2y_dx2, OKAMOTO_PARAMS)
+    except SingularInput:
+        raise SingularInput(f"x or y rounds onto a pole of the equation at p = {p:.12g} "
+                            "(float rounding)") from None
     if not all(map(cmath.isfinite, (xj.value, y0j.value, yj.value, res0, res1))):
         raise OverflowError("non-finite value")
     return PVISolutionPoint(
@@ -204,6 +212,8 @@ def solution_n3(p: complex) -> PVISolutionPoint:
         raise BranchPoint("p in {0, -4}")
     if pc == -1:
         raise Pole("p = -1")
+    if pc == 0.5:
+        raise SingularInput("p = 1/2 puts x at 0, a pole of the equation")
     with _float_range(pc):
         P = Jet2.variable(pc)
         s = (P * P * P * (P + 4)).sqrt()

@@ -1,13 +1,17 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
-polynomials over Q, Sturm-based real root isolation, discriminants.
+polynomials over Q, real root isolation, discriminants.
 
 Coefficients are `fractions.Fraction` throughout; products, determinants
 (one fraction-free Bareiss, which also gives the Sylvester resultant), exact
 division, `specialize` (the one exact evaluator at a rational center (x, y),
-used for the locus and the region polynomials alike) and the sign tests of
-Sturm isolation and refinement clear denominators once and run over integer
-coefficients inside.  Polynomials in the three variables (p, x, y) allow
-negative exponents in p only; x and y exponents are always nonnegative.
+used for the locus and the region polynomials alike) and the real root
+finder clear denominators once and run over integer coefficients inside.
+The root finder proves square-freeness by a gcd modulo a prime (Yun's
+decomposition is the fallback), isolates by Descartes' rule of signs on
+integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
+2004) and refines by integer sign tests.  Polynomials in the three
+variables (p, x, y) allow negative exponents in p only; x and y exponents
+are always nonnegative.
 """
 
 from __future__ import annotations
@@ -672,17 +676,18 @@ def sturm_chain(f: UniPolyR) -> list[UniPolyR]:
     return chain
 
 
-def sign_variations(chain: Sequence[UniPolyR], at: Scalar) -> int:
-    at = _as_fraction(at)
-    return _variations([_int_coeffs(g) for g in chain], at.numerator, at.denominator)
-
-
-# -- integer sign evaluation --------------------------------------------------
+# -- real roots on integer coefficients ---------------------------------------
 #
-# Sturm isolation and refinement evaluate only signs, so each polynomial is
+# Root isolation and refinement look only at signs, so each polynomial is
 # scaled once by a positive rational to a primitive integer coefficient
 # list (lowest degree first), and a point u/v, v > 0, is never built as a
 # Fraction: v**d * g(u/v) = sum c_i u**i v**(d - i) has the sign of g(u/v).
+
+# The prime of the square-free test.  Any prime that does not divide the
+# leading coefficient proves square-freeness when the gcd mod q is 1; a
+# large one makes a false alarm (a square-free g with a double root mod q)
+# rare.
+_SQUAREFREE_PRIME = 2**61 - 1
 
 
 def _int_coeffs(g: UniPolyR) -> list[int]:
@@ -702,15 +707,26 @@ def _sign_at(c: Sequence[int], u: int, v: int) -> int:
     return (total > 0) - (total < 0)
 
 
-def _variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
-    count, last = 0, 0
-    for c in chain:
-        s = _sign_at(c, u, v)
-        if s:
-            if s == -last:
-                count += 1
-            last = s
-    return count
+def _squarefree_mod(c: Sequence[int]) -> bool:
+    """True when gcd(g mod q, g' mod q) = 1 over GF(q), q = _SQUAREFREE_PRIME,
+    for the integer coefficients c of g, and q does not divide the leading
+    coefficient.  Then g is square-free over Q; False proves nothing."""
+    q = _SQUAREFREE_PRIME
+    if c[-1] % q == 0:
+        return False
+    a = [x % q for x in c]
+    b = [i * x % q for i, x in enumerate(c)][1:]
+    while b:
+        # a, b = b, a mod b; b's leading coefficient is nonzero mod q
+        inv, n = pow(b[-1], -1, q), len(b) - 1
+        while len(a) > n:
+            f, k = a.pop() * inv % q, len(a) - n
+            for j in range(n):
+                a[k + j] = (a[k + j] - f * b[j]) % q
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 class RootList:
@@ -738,30 +754,67 @@ class RootList:
         return f"RootList({self.roots!r})"
 
 
-def _isolate_squarefree(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+def _shift1(c: list[int]) -> list[int]:
+    """Coefficients of P(x + 1) from those of P, in place."""
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
+
+
+def _descartes(p: Sequence[int]) -> int:
+    """Sign variations of (x + 1)^d P(1/(x + 1)): an upper bound, of the
+    same parity, on the number of roots of P in (0, 1)."""
+    signs = [c > 0 for c in _shift1(p[::-1]) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals (lo, hi] for all real roots of square-free g,
-    from the integer form of its Sturm chain (g first)."""
-    g = chain[0]
+    given by its integer coefficients, by Descartes' rule of signs.
+
+    The dyadic tree starts at (-B, B], B = 1 + max|c|/|lead|; the node at
+    depth k and index i is (lo, hi] = (-B + 2iB/2**k, -B + 2(i + 1)B/2**k].
+    A node keeps P(x) = g(lo + (hi - lo) x) scaled to integers; its roots in
+    (0, 1) are bounded by _descartes, and P(1) = 0 adds the root at hi.  The
+    left child is 2**d P(x/2), the right child that polynomial shifted by 1.
+    """
+    d = len(g) - 1
     lead = abs(g[-1])
-    # Start at +-(1 + max|c|/|lead|); an interval at depth k is (a/v, b/v]
-    # with v = den * 2**k.
     bound = Fraction(lead + max(abs(c) for c in g), lead)
     top, den = bound.numerator, bound.denominator
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-top, top, den, _variations(chain, -top, den), _variations(chain, top, den))]
+    # den**d g((2 top x - top)/den), by Horner
+    p = [g[-1]]
+    for j in range(d - 1, -1, -1):
+        p = [2 * top * b - top * a for a, b in zip(p + [0], [0] + p)]
+        p[0] += g[j] * den ** (d - j)
+    leaves: list[tuple[int, int]] = []  # (depth, index) of nodes with one root
+    stack = [(0, 0, p)]
     while stack:
-        a, b, v, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
+        k, i, p = stack.pop()
+        n = _descartes(p) + (not sum(p))
         if n == 1:
-            out.append((Fraction(a, v), Fraction(b, v)))
-            continue
-        mid, v = a + b, 2 * v
-        vm = _variations(chain, mid, v)
-        stack.append((2 * a, mid, v, va, vm))
-        stack.append((mid, 2 * b, v, vm, vb))
-    return sorted(out)
+            leaves.append((k, i))
+        elif n > 1:
+            left = [c << (d - j) for j, c in enumerate(p)]
+            stack.append((k + 1, 2 * i + 1, _shift1(left[:])))
+            stack.append((k + 1, 2 * i, left))
+    # Report each root on the largest node that holds no other root, however
+    # deep Descartes' bound went: _refine returns an interval already
+    # narrower than ROOT_WIDTH (roots closer than that) as it is, so its
+    # result depends on where isolation stopped.  A leaf's ancestor at depth
+    # m < k has index i >> (k - m); two leaves part one level below their
+    # last common ancestor.
+    out = []
+    for j, (k, i) in enumerate(leaves):
+        depth = 0
+        for k2, i2 in leaves[max(j - 1, 0):j] + leaves[j + 1:j + 2]:
+            m = min(k, k2)
+            depth = max(depth, m + 1 - ((i >> (k - m)) ^ (i2 >> (k2 - m))).bit_length())
+        a, v = top * (2 * (i >> (k - depth)) - (1 << depth)), den << depth
+        out.append((Fraction(a, v), Fraction(a + 2 * top, v)))
+    return out
 
 
 def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -795,15 +848,24 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
 
 
 def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
-    """All real roots with multiplicities, via square-free decomposition and
-    Sturm bisection; isolating intervals refined below 1e-15 width."""
+    """All real roots with multiplicities and isolating intervals refined
+    below 1e-15 width.
+
+    f is scaled once to primitive integer coefficients.  When a modular gcd
+    with its derivative proves it square-free (_squarefree_mod), that list
+    is isolated as it is; otherwise Yun's square-free decomposition splits
+    it first.  Each square-free factor is isolated by Descartes' rule of
+    signs on integer Taylor shifts (_isolate) and refined by bisection."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
+    c = _int_coeffs(f)
+    if _squarefree_mod(c):
+        factors = [(c, 1)]
+    else:
+        factors = [(_int_coeffs(g), mult) for g, mult in squarefree_decomposition(f)]
     found: list[tuple[Fraction, Fraction, int, list[int]]] = []
-    for g, mult in squarefree_decomposition(f):
-        chain = [_int_coeffs(h) for h in sturm_chain(g)]
-        c = chain[0]
-        for lo, hi in _isolate_squarefree(chain):
+    for c, mult in factors:
+        for lo, hi in _isolate(c):
             found.append((*_refine(c, lo, hi, ROOT_WIDTH), mult, c))
     found.sort(key=lambda r: r[0] + r[1])
     # Roots of distinct square-free factors are distinct; shrink any

@@ -11,7 +11,8 @@ from fractions import Fraction
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
-    sign_variations,
+    _int_coeffs,
+    _sign_at,
     squarefree_decomposition,
     sturm_chain,
 )
@@ -41,6 +42,47 @@ def rand_center_off_sigma(rng: random.Random) -> tuple[Fraction, Fraction]:
 def cauchy_bound(g: UniPolyR) -> Fraction:
     lead = g.coeffs[-1]
     return 1 + max(abs(c / lead) for c in g.coeffs)
+
+
+def _variations(chain, u: int, v: int) -> int:
+    """Sign variations of an integer-coefficient chain at u/v, v > 0."""
+    count, last = 0, 0
+    for c in chain:
+        s = _sign_at(c, u, v)
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
+
+
+def sign_variations(chain, at) -> int:
+    """Sign variations of a Sturm chain of UniPolyR at the rational `at`:
+    the reference root count, independent of the Descartes isolation in
+    sturm_real_roots."""
+    at = Fraction(at)
+    return _variations([_int_coeffs(g) for g in chain], at.numerator, at.denominator)
+
+
+def sturm_isolate(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi] of the real roots of square-free g:
+    bisect (-B, B], B = cauchy_bound(g), until each node's Sturm count
+    V(lo) - V(hi) is 0 or 1.  The reference for polycore._isolate, which
+    must return the same nodes."""
+    chain = [_int_coeffs(h) for h in sturm_chain(g)]
+    bound = cauchy_bound(g)
+    top, den = bound.numerator, bound.denominator
+    out = []
+    stack = [(-top, top, den)]
+    while stack:
+        a, b, v = stack.pop()
+        n = _variations(chain, a, v) - _variations(chain, b, v)
+        if n == 1:
+            out.append((Fraction(a, v), Fraction(b, v)))
+        elif n > 1:
+            mid, v = a + b, 2 * v
+            stack += [(mid, 2 * b, v), (2 * a, mid, v)]
+    return sorted(out)
 
 
 def real_root_profile(f: UniPolyR) -> list[int]:

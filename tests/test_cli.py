@@ -146,6 +146,24 @@ def test_painleve_beyond_float_range_exit_code(capsys, family):
     assert captured.err == "error: the evaluation at p = 1e+100+0j leaves the float range\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "--center", "0,0", "--n", "4", "--p", "1e154"),
+     "error: residual nan: the float trace overflows at p = 1e+154\n"),
+    (("painleve", "--family", "3", "--p", "1e50"),
+     "error: x or y rounds onto a pole of the equation at p = 1e+50+0j (float rounding)\n"),
+    (("painleve", "--family", "4", "--p", "1e60"),
+     "error: dx/dp rounds to 0 at p = 1e+60+0j (float rounding); cannot reparametrize by x\n"),
+])
+def test_float_limits_name_p(capsys, argv, message):
+    # p passes the flag check, but the float evaluation cannot resolve it:
+    # exit 1 with one line naming p
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_painleve_json(capsys):
     code, out = run(capsys, "painleve", "--family", "4", "--p", "3", "--format", "json")
     assert code == 0

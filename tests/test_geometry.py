@@ -46,6 +46,16 @@ def test_parabola_rejects_non_finite():
         closes_after(Circle((0.0, 0.0)), Parabola(math.nan), 4)
 
 
+def test_parabola_overflow_names_p():
+    # 1e200 is finite but its square is not: rejected up front, never a
+    # bare OverflowError from inside the oracle
+    with pytest.raises(ValueError, match=r"finite square, not 1e\+200"):
+        closes_after(Circle((0.0, 0.0)), Parabola(1e200), 4)
+    # 1e154 has a finite square, but the trace overflows to a NaN residual
+    with pytest.raises(NotOnCircle, match=r"overflows at p = 1e\+154"):
+        poncelet_trace(Circle((0.0, 0.0)), Parabola(1e154), 0.8, 4)
+
+
 def test_tangent_params_examples():
     t1, t2 = tangent_params((-1.0, 0.0), Parabola(0.5))
     assert sorted([t1.real, t2.real]) == pytest.approx(

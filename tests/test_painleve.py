@@ -105,6 +105,18 @@ def test_branch_point_and_pole_errors():
     for bad in (0.0, 2.0, -2.0):
         with pytest.raises(BranchPoint):
             solution_n4(bad)
+    # the one finite p where a family meets a pole of the equation (x = 0)
+    with pytest.raises(SingularInput, match="p = 1/2"):
+        solution_n3(0.5)
+
+
+@pytest.mark.parametrize("solver", [solution_n3, solution_n4])
+def test_float_rounding_errors_name_p(solver):
+    # x, y0 -> 1 and dx/dp -> 0 as p grows; where floats round them onto
+    # their limit the error names p and float rounding, never a pole
+    for p in (1e6, 1e50, 1e60, -1e70):
+        with pytest.raises(SingularInput, match=r"at p = .* \(float rounding\)"):
+            solver(p)
 
 
 def test_float_range_errors_name_p():

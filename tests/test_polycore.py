@@ -1,16 +1,25 @@
-"""Exact polynomial arithmetic, division, canonical form, Sturm isolation,
-and discriminants."""
+"""Exact polynomial arithmetic, division, canonical form, real root
+isolation, and discriminants."""
 
 import hashlib
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_laplace, make_rng, rand_fraction
+from conftest import (
+    det_laplace,
+    make_rng,
+    rand_fraction,
+    real_root_profile,
+    sign_variations,
+    sturm_isolate,
+)
+from poncelet import polycore
 from poncelet.cayley import locus
 from poncelet.polycore import (
     ROOT_WIDTH,
@@ -29,13 +38,12 @@ from poncelet.polycore import (
     poly_div_exact,
     poly_gcd,
     resultant,
-    sign_variations,
     specialize,
     squarefree_decomposition,
     sturm_chain,
     sturm_real_roots,
 )
-from poncelet.polycore import _refine, _sign_at
+from poncelet.polycore import _SQUAREFREE_PRIME, _int_coeffs, _isolate, _refine, _sign_at
 
 P = LaurentPoly3.var_p()
 X = LaurentPoly3.var_x()
@@ -309,6 +317,89 @@ def test_sturm_count_matches_variations():
         assert count == len(sturm_real_roots(f))
 
 
+@contextmanager
+def _time_limit(seconds):
+    """Turn a root search that never returns into a failure."""
+    def stop(signum, frame):
+        raise TimeoutError("sturm_real_roots did not return")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _squarefree_sample(rng):
+    """A square-free product of linear factors at small dyadic points
+    (often a point of the bisection tree), quadratics with a complex or
+    real pair close to one, and two roots closer than ROOT_WIDTH."""
+    while True:
+        f = UniPolyR([rng.choice([1, 2, 3, -1])])
+        for _ in range(rng.randint(1, 5)):
+            a = Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+            kind = rng.random()
+            if kind < 0.25:
+                e = Fraction(rng.choice([1, -1]), 2 ** rng.randint(2, 12))
+                f = f * UniPolyR([a * a + e, -2 * a, 1])
+            elif kind < 0.35:
+                e = Fraction(1, 10 ** rng.randint(15, 20))
+                f = f * UniPolyR([-a, 1]) * UniPolyR([-(a + e), 1])
+            else:
+                f = f * UniPolyR([-a, 1])
+        if all(m == 1 for _, m in squarefree_decomposition(f)):
+            return f
+
+
+def test_descartes_isolation_matches_sturm_reference():
+    # _isolate must return the nodes that bisection by Sturm counts stops
+    # at, including roots at a node's hi end and roots so close that
+    # Descartes' bound has to go deeper than Sturm's count
+    rng = make_rng(6)
+    at_hi = narrow = at_zero = 0
+    for _ in range(150):
+        f = _squarefree_sample(rng)
+        c = _int_coeffs(f)
+        ref = sturm_isolate(f)
+        assert _isolate(c) == ref
+        at_hi += any(_sign_at(c, hi.numerator, hi.denominator) == 0 for _, hi in ref)
+        narrow += any(hi - lo < ROOT_WIDTH for lo, hi in ref)
+        roots = sturm_real_roots(f)
+        assert len(roots) == len(ref) == len(real_root_profile(f))
+        kept = [r for r in roots if not (f(0) == 0 and r[2][0] <= 0 <= r[2][1])]
+        at_zero += len(kept) < len(roots)
+        assert sturm_real_roots(f, exclude_zero=True).roots == kept
+    assert at_hi >= 5 and narrow >= 3 and at_zero >= 5
+
+
+def test_modular_squarefree_test_falls_back_to_yun(monkeypatch):
+    q = _SQUAREFREE_PRIME
+    calls = []
+    yun = polycore.squarefree_decomposition
+    monkeypatch.setattr(polycore, "squarefree_decomposition", lambda f: calls.append(f) or yun(f))
+
+    def roots(f):
+        # a factor wrongly taken as square-free sends Descartes' bisection
+        # down forever next to its repeated root
+        with _time_limit(5):
+            return [(mult, lo, hi) for _, mult, (lo, hi) in sturm_real_roots(f)]
+
+    # square-free mod q: no fallback
+    assert [m for m, _, _ in roots(UniPolyR([-2, 0, 1]))] == [1, 1]
+    assert calls == []
+    # q divides the leading coefficient q**2: mod q the double root -1/q
+    # drops out and the gcd is 1, which proves nothing
+    (m1, lo1, hi1), (m2, lo2, hi2) = roots(UniPolyR([1, q]) ** 2 * UniPolyR([-2, 1]))
+    assert (m1, m2) == (2, 1) and lo1 < Fraction(-1, q) < hi1 and lo2 < 2 < hi2
+    assert len(calls) == 1
+    # p (p - q) is square-free over Q but has the double root 0 mod q
+    (m1, lo1, hi1), (m2, lo2, hi2) = roots(UniPolyR([0, 1]) * UniPolyR([-q, 1]))
+    assert (m1, m2) == (1, 1) and lo1 < 0 < hi1 and lo2 < q < hi2
+    assert len(calls) == 2
+
+
 def test_refine_keeps_root_when_left_end_is_a_root():
     # 2p - p^3 vanishes at p = 0, just outside (0, 2], and is positive
     # right of it; its one root in the interval is sqrt(2).
@@ -333,17 +424,8 @@ def test_sturm_root_on_shared_interval_end_n12():
     # right one used to lose its root, and the overlap loop then never
     # stopped; the alarm turns such a hang into a failure.
     f = specialize(locus(12).canonical, -3, 2)
-
-    def stop(signum, frame):
-        raise TimeoutError("sturm_real_roots did not return")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(60)
-    try:
+    with _time_limit(60):
         roots = sturm_real_roots(f)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     (g, _), = squarefree_decomposition(f)
     ivals = [iv for _, _, iv in roots]
     assert len(ivals) == 4
