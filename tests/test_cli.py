@@ -153,7 +153,7 @@ def test_painleve_beyond_float_range_exit_code(capsys, family):
      "error: x or y rounds onto a pole of the equation at p = 1e+50+0j (float rounding)\n"),
     (("painleve", "--family", "4", "--p", "1e60"),
      "error: dx/dp rounds to 0 at p = 1e+60+0j (float rounding); cannot reparametrize by x\n"),
-])
+], ids=["trace", "painleve-3", "painleve-4"])
 def test_float_limits_name_p(capsys, argv, message):
     # p passes the flag check, but the float evaluation cannot resolve it:
     # exit 1 with one line naming p
