@@ -128,19 +128,6 @@ def region_value(name: str, e: Center) -> Fraction:
 
 # -- Rees quartic classification ---------------------------------------------
 
-QUARTIC_TAGS = (
-    "FourRealSimple",
-    "TwoRealTwoComplex",
-    "TwoComplexPairs",
-    "RealDoubleTwoRealSimple",
-    "RealDoubleComplexPair",
-    "RealTripleRealSimple",
-    "TwoRealDoubles",
-    "ComplexDoublePair",
-    "RealQuadruple",
-)
-
-
 @dataclass(frozen=True)
 class QuarticShape:
     tag: str
@@ -293,11 +280,16 @@ class PairClassification:
         }
 
 
+# The n that pair_classify and the region labels cover.
+_CLASSIFY_N = range(3, 8)
+
 # The region polynomial whose sign labels the regions for n, and the label.
 _GOVERNING = {5: ("gamma5", "Gamma5"), 6: ("gamma6", "Gamma6"), 7: ("psi1", "R1")}
 
 
 def _region_label(n: int, e: Center) -> str:
+    if n not in _CLASSIFY_N:
+        raise ValueError(f"region analysis covers n = {_CLASSIFY_N[0]}..{_CLASSIFY_N[-1]}, not {n}")
     if n == 3:
         return "S1" if e.on_unit_circle() else "offS1"
     if n == 4:
@@ -310,10 +302,8 @@ def _region_label(n: int, e: Center) -> str:
         return "generic"
     if e.in_sigma():
         return "Excluded"
-    if n in _GOVERNING:
-        name, label = _GOVERNING[n]
-        return label + {1: "+", 0: "", -1: "-"}[_sign(region_value(name, e))]
-    raise ValueError(f"region analysis covers n = 3..7, not {n}")
+    name, label = _GOVERNING[n]
+    return label + {1: "+", 0: "", -1: "-"}[_sign(region_value(name, e))]
 
 
 def pair_classify(n: int, e: Center) -> PairClassification:
@@ -322,13 +312,11 @@ def pair_classify(n: int, e: Center) -> PairClassification:
     A double root counts as one parabola.  Region labels come from exact
     sign evaluation of the governing polynomials.
     """
-    if not 3 <= n <= 7:
-        raise ValueError("pair_classify covers n = 3..7")
+    if n not in _CLASSIFY_N:
+        raise ValueError(f"pair_classify covers n = {_CLASSIFY_N[0]}..{_CLASSIFY_N[-1]}")
     f = p_polynomial(n, e)
     region = _region_label(n, e)
     if f.is_zero():
         return PairClassification(n, e, RootList([]), region, 0, True)
-    if f.degree() == 0:
-        return PairClassification(n, e, RootList([]), region, 0, False)
     roots = sturm_real_roots(f, exclude_zero=True)
     return PairClassification(n, e, roots, region, roots.distinct_count(), False)

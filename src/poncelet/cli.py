@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from . import verify
 from .cayley import MAX_N, locus, locus_at_p
-from .classify import Center, isoperiodic_n, pair_classify
+from .classify import _CLASSIFY_N, Center, isoperiodic_n, pair_classify
 from .geometry import Circle, Parabola, poncelet_trace
-from .painleve import hitchin_residual, n4_relation_residual, sample_family
+from .painleve import RESIDUAL_TOL, hitchin_residual, n4_relation_residual, sample_family
 from .polycore import format_poly
 
 VIEW = 3.0  # SVG viewport is [-3, 3]^2
@@ -217,7 +217,7 @@ def cmd_locus(args) -> int:
 
 def cmd_painleve(args) -> int:
     family = f"N{args.family}"
-    points, _ = sample_family(family, [complex(v) for v in args.p])
+    points, max_res = sample_family(family, [complex(v) for v in args.p])
     relation = hitchin_residual if family == "N3" else n4_relation_residual
     rows = []
     for pt in points:
@@ -235,6 +235,11 @@ def cmd_painleve(args) -> int:
             for r in rows
         ]
         _emit(None, "\n".join(lines) + "\n")
+    if max_res > RESIDUAL_TOL:
+        worst = max(points, key=lambda pt: max(pt.residual_y0, pt.residual_y))
+        print(f"error: PVI residual {max_res:.3e} at p = {worst.p.real:.12g} "
+              f"exceeds {RESIDUAL_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cayley)
 
     c = sub.add_parser("classify", help="pair classification for a center")
-    c.add_argument("--n", type=_int_in(3, 7), required=True)
+    c.add_argument("--n", type=_int_in(_CLASSIFY_N[0], _CLASSIFY_N[-1]), required=True)
     c.add_argument("--center", type=parse_center, required=True)
     c.set_defaults(func=cmd_classify)
 

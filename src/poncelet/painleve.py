@@ -221,8 +221,10 @@ def solution_n3(p: complex) -> PVISolutionPoint:
         y0j = (P * P + 2 * P + s) / (2 * s)
         yj = (P * P + 2 * P + s) * (-(P * P) - 4 * P + 3 * s) / (4 * P * (P + 1) * s)
         point = _point_from_jets("N3", pc, xj, y0j, yj)
+        # x, y0 and y share the one root s, so dy0/dx = -p/3 exactly (and
+        # p^2/2 on N4): a miss means the float jets lost their digits.
         if not abs(point.dy0_dx - (-pc / 3)) <= DERIV_TOL * max(1.0, abs(pc)):
-            raise PainleveError("dy0/dx != -p/3; branch pairing broken")
+            raise PainleveError(f"dy0/dx misses -p/3 at p = {pc:.12g} (float rounding)")
     return point
 
 
@@ -240,9 +242,9 @@ def solution_n4(p: complex) -> PVISolutionPoint:
         yj = (P * P + s) / (2 * P * P)
         point = _point_from_jets("N4", pc, xj, y0j, yj)
         if not abs(point.dy0_dx - pc * pc / 2) <= DERIV_TOL * max(1.0, abs(pc) ** 2):
-            raise PainleveError("dy0/dx != p^2/2; branch pairing broken")
+            raise PainleveError(f"dy0/dx misses p^2/2 at p = {pc:.12g} (float rounding)")
         if not abs(point.y - point.y0 / (2 * point.y0 - 1)) <= DERIV_TOL:
-            raise PainleveError("y != y0/(2 y0 - 1)")
+            raise PainleveError(f"y misses y0/(2 y0 - 1) at p = {pc:.12g} (float rounding)")
     return point
 
 

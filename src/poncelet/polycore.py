@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -173,16 +174,7 @@ class LaurentPoly3:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly3":
-        if n < 0:
-            raise ValueError("negative powers not supported; divide explicitly")
-        result = LaurentPoly3.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly3.const(1))
 
     # -- evaluation --------------------------------------------------------
 
@@ -228,6 +220,20 @@ def _coerce(v) -> LaurentPoly3:
     if isinstance(v, (int, Fraction)):
         return LaurentPoly3.const(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to LaurentPoly3")
+
+
+def _power(base, n: int, one):
+    """base**n by repeated squaring, for either polynomial class."""
+    if n < 0:
+        raise ValueError("negative powers not supported; divide explicitly")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
@@ -491,29 +497,12 @@ def _fmt_frac(c: Fraction) -> str:
 
 def parse_poly(text: str) -> LaurentPoly3:
     """Inverse of format_poly (accepts any ordering of the same term syntax)."""
-    text = text.strip()
-    if text in ("0", "-0", "+0"):
-        return LaurentPoly3()
-    tokens = text.replace("-", " - ").replace("+", " + ").split()
-    # Re-join "-" that belongs to exponents such as p^-2.
-    merged: list[str] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in "+-" and merged and merged[-1].endswith("^"):
-            merged[-1] += tok + tokens[i + 1]
-            i += 2
-        else:
-            merged.append(tok)
-            i += 1
+    # Split at each sign but an exponent's, as in p^-2: [term, sign, term, ...]
+    parts = re.split(r"(?<!\^)([+-])", text)
     terms: dict[Expo, Fraction] = {}
-    sign = 1
-    for tok in merged:
-        if tok == "+":
-            sign = 1
-            continue
-        if tok == "-":
-            sign = -1
+    for sign, tok in zip(["+"] + parts[1::2], parts[::2]):
+        tok = tok.strip()
+        if not tok:
             continue
         coeff = Fraction(1)
         expo = [0, 0, 0]
@@ -524,12 +513,11 @@ def parse_poly(text: str) -> LaurentPoly3:
             else:
                 coeff *= Fraction(factor)
         e = (expo[0], expo[1], expo[2])
-        c = terms.get(e, _ZERO) + sign * coeff
+        c = terms.get(e, _ZERO) + (-coeff if sign == "-" else coeff)
         if c:
             terms[e] = c
         else:
             terms.pop(e, None)
-        sign = 1
     return _raw(terms)
 
 
@@ -588,16 +576,7 @@ class UniPolyR:
         return UniPolyR(out)
 
     def __pow__(self, n: int) -> "UniPolyR":
-        if n < 0:
-            raise ValueError("negative power")
-        out = UniPolyR([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UniPolyR([1]))
 
     def scale(self, c: Scalar) -> "UniPolyR":
         c = _as_fraction(c)
@@ -614,22 +593,16 @@ class UniPolyR:
     def divmod(self, other: "UniPolyR") -> tuple["UniPolyR", "UniPolyR"]:
         if other.is_zero():
             raise ZeroDivisionError
-        q = [_ZERO] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
         d = other.degree()
         lc = other.coeffs[-1]
-        while len(r) - 1 >= d and any(r):
-            while r and not r[-1]:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
+        r = list(self.coeffs)
+        q = [_ZERO] * max(0, len(r) - d)
+        # q[k] cancels r[k + d], which lies above the remainder: left as is.
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = f = r[k + d] / lc
+            for i, c in enumerate(other.coeffs[:-1]):
                 r[k + i] -= f * c
-            r.pop()
-        return UniPolyR(q), UniPolyR(r)
+        return UniPolyR(q), UniPolyR(r[:d])
 
     def __repr__(self):
         return f"UniPolyR({self.coeffs!r})"
@@ -961,11 +934,7 @@ def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
 
 
 def discriminant(f: UniPolyR) -> Fraction:
-    """Exact discriminant for degrees 2-4.
-
-    The quartic case is computed both by the closed formula and via
-    Res(f, f'); the two must agree.
-    """
+    """Exact discriminant for degrees 2-4, by closed formulas."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     deg = f.degree()
@@ -983,10 +952,5 @@ def discriminant(f: UniPolyR) -> Fraction:
             - 27 * a * a * d * d
         )
     if deg == 4:
-        A, B, C, D, E = c[4], c[3], c[2], c[1], c[0]
-        closed = quartic_disc(A, B, C, D, E)
-        via_res = resultant(f, f.derivative()) / A
-        if closed != via_res:  # pragma: no cover - internal consistency
-            raise PolycoreError("discriminant routes disagree")
-        return closed
+        return quartic_disc(c[4], c[3], c[2], c[1], c[0])
     raise UnsupportedDegree(f"degree {deg} not supported")

@@ -164,6 +164,36 @@ def test_float_limits_name_p(capsys, argv, message):
     assert captured.err == message
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "3", "--p", "2", "5", "-5"),
+    ("--family", "4", "--p", "3", "2.5", "-7"),
+])
+def test_painleve_passing_table_exits_0(capsys, argv):
+    code = main(["painleve", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 4
+
+
+def test_painleve_failed_residual_exit_code(capsys):
+    # p = 30 evaluates, but its PVI residual misses RESIDUAL_TOL: the table
+    # is printed, then one line names the worst p, and the exit code is 1
+    code = main(["painleve", "--family", "4", "--p", "3", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[2].startswith("30,")
+    assert captured.err == "error: PVI residual 3.543e-02 at p = 30 exceeds 1e-07\n"
+
+
+def test_painleve_guard_names_p(capsys):
+    code = main(["painleve", "--family", "4", "--p", "65"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: dy0/dx misses p^2/2 at p = 65+0j (float rounding)\n"
+
+
 def test_painleve_json(capsys):
     code, out = run(capsys, "painleve", "--family", "4", "--p", "3", "--format", "json")
     assert code == 0

@@ -119,6 +119,23 @@ def test_float_rounding_errors_name_p(solver):
             solver(p)
 
 
+@pytest.mark.parametrize("solver", [solution_n3, solution_n4])
+def test_derivative_guards_name_p_not_branch_pairing(solver):
+    # dy0/dx is rational in p on both families, so a guard that fires
+    # reports lost float digits and names p; N4 fires from |p| = 65, N3
+    # from p = 317 and at or below p = -310
+    fired = 0
+    for p in range(-1000, 1001):
+        try:
+            solver(p)
+        except PainleveError as exc:
+            assert "branch pairing" not in str(exc)
+            if "dy0/dx" in str(exc):
+                assert str(exc).endswith(f"at p = {complex(p):.12g} (float rounding)")
+                fired += 1
+    assert fired > 0
+
+
 def test_float_range_errors_name_p():
     # a huge p overflows the jets to inf or NaN, a tiny p underflows a
     # divisor to zero; each is a PainleveError naming p, never a NaN point

@@ -196,6 +196,22 @@ def test_format_parse_examples():
     assert parse_poly(format_poly(q3)) == q3
 
 
+def test_parse_poly_term_syntax():
+    pinv2 = LaurentPoly3.var_p(-2)
+    assert parse_poly("x+y") == X + Y
+    assert parse_poly("x-y") == X - Y
+    assert parse_poly("-x + 2") == 2 - X
+    assert parse_poly("+x") == X
+    assert parse_poly("p^-2*x - 3") == pinv2 * X - 3
+    assert parse_poly("-p^-2*x") == -(pinv2 * X)
+    assert parse_poly("y - 1/2*p^-2 + p^-1") == Y - Fraction(1, 2) * pinv2 + LaurentPoly3.var_p(-1)
+    assert parse_poly("x-p^-2*y^2") == X - pinv2 * Y**2
+    for zero in ("0", "-0", "+0", " 0 ", "x - x", "2*p^-2*y - p^-2*y - p^-2*y"):
+        assert parse_poly(zero) == LaurentPoly3()
+    assert parse_poly("x + 3 - x - 1") == LaurentPoly3.const(2)
+    assert parse_poly("3*x*x*y") == 3 * X**2 * Y
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -539,6 +555,46 @@ def test_poly_gcd():
     assert poly_gcd(a, b) == UniPolyR([-1, 1])
 
 
+def test_divmod_property():
+    # q*b + r == a and deg r < deg b, for dividends of lower degree, with
+    # zero inner coefficients, and for non-monic and constant divisors
+    rng = make_rng(8)
+    cases = [
+        (UniPolyR([1, 2]), UniPolyR([1, 0, 3])),
+        (UniPolyR([5, 0, 0, 0, 0, 1]), UniPolyR([-1, 0, 2])),
+        (UniPolyR([0, 0, 7]), UniPolyR([Fraction(-3, 2)])),
+        (UniPolyR([]), UniPolyR([1, 4])),
+    ]
+    for _ in range(300):
+        a = [rand_fraction(rng, 9, 5) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 9))]
+        b = [rand_fraction(rng, 9, 5) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 5))]
+        cases.append((UniPolyR(a), UniPolyR(b + [rand_fraction(rng, 9, 5) or 3])))
+    for a, b in cases:
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree() < b.degree()
+        if a.is_zero() or a.degree() < b.degree():
+            assert q.is_zero() and r == a
+    with pytest.raises(ZeroDivisionError):
+        UniPolyR([1, 1]).divmod(UniPolyR([]))
+
+
+def test_power_edge_exponents():
+    f = UniPolyR([Fraction(1, 2), 0, -3])
+    assert f**0 == UniPolyR([1])
+    assert f**1 == f
+    assert f**5 == f * f * f * f * f
+    a = LaurentPoly3.var_p(-1) * X - Y
+    assert a**0 == LaurentPoly3.const(1)
+    assert a**1 == a
+    assert a**5 == a * a * a * a * a
+    for base in (f, a, UniPolyR([]), LaurentPoly3()):
+        with pytest.raises(ValueError, match="negative"):
+            base**-1
+    assert UniPolyR([]) ** 0 == UniPolyR([1])
+    assert LaurentPoly3() ** 3 == LaurentPoly3()
+
+
 # -- discriminants -------------------------------------------------------------
 
 
@@ -564,9 +620,8 @@ def test_resultant_of_coprime_and_shared_root():
 
 
 def test_quartic_disc_double_route_agreement():
-    # discriminant() itself computes the closed formula and the
-    # resultant-based value and raises on mismatch; drive it over many
-    # random quartics.
+    # the closed formula of discriminant() against Res(f, f')/lc, the
+    # Sylvester determinant, over many random quartics
     rng = make_rng(5)
     for _ in range(1000):
         coeffs = [rand_fraction(rng, 9, 5) for _ in range(4)]
@@ -575,6 +630,7 @@ def test_quartic_disc_double_route_agreement():
             lead = rand_fraction(rng, 9, 5)
         f = UniPolyR(coeffs + [lead])
         d = discriminant(f)
+        assert d == resultant(f, f.derivative()) / lead
         # sanity: a detected double root forces discriminant 0
         if any(m > 1 for _, m in squarefree_decomposition(f)):
             assert d == 0
