@@ -153,7 +153,9 @@ def test_painleve_beyond_float_range_exit_code(capsys, family):
      "error: x or y rounds onto a pole of the equation at p = 1e+50+0j (float rounding)\n"),
     (("painleve", "--family", "4", "--p", "1e60"),
      "error: dx/dp rounds to 0 at p = 1e+60+0j (float rounding); cannot reparametrize by x\n"),
-], ids=["trace", "painleve-3", "painleve-4"])
+    (("painleve", "--family", "4", "--p", "65"),
+     "error: dy0/dx misses p^2/2 at p = 65+0j (float rounding)\n"),
+], ids=["trace", "painleve-3", "painleve-4", "painleve-4-guard"])
 def test_float_limits_name_p(capsys, argv, message):
     # p passes the flag check, but the float evaluation cannot resolve it:
     # exit 1 with one line naming p
@@ -164,34 +166,28 @@ def test_float_limits_name_p(capsys, argv, message):
     assert captured.err == message
 
 
-@pytest.mark.parametrize("argv", [
-    ("--family", "3", "--p", "2", "5", "-5"),
-    ("--family", "4", "--p", "3", "2.5", "-7"),
-])
-def test_painleve_passing_table_exits_0(capsys, argv):
-    code = main(["painleve", *argv])
+def test_painleve_n4_csv_byte_identical(capsys):
+    # every residual is below RESIDUAL_TOL (the largest, 2.7e-8, at p = -7)
+    code = main(["painleve", "--family", "4", "--p", "3", "2.5", "-7"])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
-    assert len(captured.out.splitlines()) == 4
+    assert captured.out == (
+        "p,x,y0,y,res0,res1,rel\n"
+        "3,1.02174919475,1.17082039325,0.87267799625,9.805e-13,6.963e-13,0.000e+00\n"
+        "2.5,1.06666666667,1.33333333333,0.8,2.309e-14,7.105e-15,0.000e+00\n"
+        "-7,1.00045330925,1.02174919475,0.97915742375,2.704e-08,2.500e-08,2.220e-16\n"
+    )
 
 
 def test_painleve_failed_residual_exit_code(capsys):
     # p = 30 evaluates, but its PVI residual misses RESIDUAL_TOL: the table
     # is printed, then one line names the worst p, and the exit code is 1
-    code = main(["painleve", "--family", "4", "--p", "3", "30"])
+    code = main(["painleve", "--family", "4", "--p", "30", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out.splitlines()[2].startswith("30,")
+    assert [row[:3] for row in captured.out.splitlines()] == ["p,x", "30,", "3,1"]
     assert captured.err == "error: PVI residual 3.543e-02 at p = 30 exceeds 1e-07\n"
-
-
-def test_painleve_guard_names_p(capsys):
-    code = main(["painleve", "--family", "4", "--p", "65"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: dy0/dx misses p^2/2 at p = 65+0j (float rounding)\n"
 
 
 def test_painleve_json(capsys):

@@ -565,10 +565,13 @@ def test_divmod_property():
         (UniPolyR([0, 0, 7]), UniPolyR([Fraction(-3, 2)])),
         (UniPolyR([]), UniPolyR([1, 4])),
     ]
+
+    def sparse(k):
+        return [rand_fraction(rng, 9, 5) if rng.random() < 0.6 else 0 for _ in range(k)]
+
     for _ in range(300):
-        a = [rand_fraction(rng, 9, 5) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 9))]
-        b = [rand_fraction(rng, 9, 5) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 5))]
-        cases.append((UniPolyR(a), UniPolyR(b + [rand_fraction(rng, 9, 5) or 3])))
+        lead = rand_fraction(rng, 9, 5) or 3
+        cases.append((UniPolyR(sparse(rng.randint(0, 9))), UniPolyR(sparse(rng.randint(0, 5)) + [lead])))
     for a, b in cases:
         q, r = a.divmod(b)
         assert q * b + r == a
