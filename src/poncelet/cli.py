@@ -113,26 +113,24 @@ def trace_svg(center: tuple[float, float], p: float, vertices) -> str:
 
 
 def marching_squares(f, grid: int, lo: float = -VIEW, hi: float = VIEW) -> list[tuple[float, float]]:
-    """Zero-crossing points of f(x, y) on a grid, by edge interpolation."""
+    """Zero-crossing points of f(x, y) on a grid: each zero node once, then
+    each edge whose ends have strictly opposite signs once, by linear
+    interpolation."""
     h = (hi - lo) / grid
     vals = [[f(lo + i * h, lo + j * h) for j in range(grid + 1)] for i in range(grid + 1)]
     points: list[tuple[float, float]] = []
-
-    def cross(x1, y1, v1, x2, y2, v2):
-        if v1 == 0.0:
-            points.append((x1, y1))
-            return
-        if (v1 < 0) == (v2 < 0):
-            return
-        t = v1 / (v1 - v2)
-        points.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-
-    for i in range(grid):
-        for j in range(grid):
-            x0, y0 = lo + i * h, lo + j * h
+    for i in range(grid + 1):
+        for j in range(grid + 1):
+            x0, y0, v0 = lo + i * h, lo + j * h, vals[i][j]
             x1, y1 = x0 + h, y0 + h
-            cross(x0, y0, vals[i][j], x1, y0, vals[i + 1][j])
-            cross(x0, y0, vals[i][j], x0, y1, vals[i][j + 1])
+            if v0 == 0.0:
+                points.append((x0, y0))
+            if i < grid and (v0 < 0 < vals[i + 1][j] or vals[i + 1][j] < 0 < v0):
+                t = v0 / (v0 - vals[i + 1][j])
+                points.append((x0 + t * (x1 - x0), y0))
+            if j < grid and (v0 < 0 < vals[i][j + 1] or vals[i][j + 1] < 0 < v0):
+                t = v0 / (v0 - vals[i][j + 1])
+                points.append((x0, y0 + t * (y1 - y0)))
     return points
 
 
@@ -244,8 +242,10 @@ def cmd_painleve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok = verify.run_all(verbose=True)
-    return 0 if ok else 1
+    results = verify.checks()
+    for name, passed in results:
+        print(f'{"PASS" if passed else "FAIL"}  {name}')
+    return 0 if all(passed for _, passed in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

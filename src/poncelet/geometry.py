@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CLOSURE_TOL = 1e-9
 ON_CIRCLE_TOL = 1e-10
@@ -41,22 +41,23 @@ class DegenerateParabola(GeometryError):
 
 @dataclass(frozen=True)
 class Circle:
-    """Unit circle; an input radius R rescales the center by 1/R (the caller
-    is responsible for rescaling p by the same factor)."""
+    """The unit circle about `center`."""
 
     center: Point
-    radius: float = 1.0
 
     def __post_init__(self):
-        if not (self.radius.real > 0):
-            raise ValueError("radius must be positive")
         cx, cy = self.center
-        object.__setattr__(self, "center", (complex(cx) / self.radius, complex(cy) / self.radius))
-        object.__setattr__(self, "radius", 1.0)
+        object.__setattr__(self, "center", (complex(cx), complex(cy)))
 
     def residual(self, pt: Point) -> float:
         cx, cy = self.center
         return abs((pt[0] - cx) ** 2 + (pt[1] - cy) ** 2 - 1.0)
+
+
+def _tangency(p: complex, t: complex, pt: Point) -> complex:
+    """t^2 - 2yt + 2px + p^2: zero iff the tangent at parameter t meets pt = (x, y)."""
+    x, y = pt
+    return t * t - 2 * y * t + 2 * p * x + p**2
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,14 @@ class Parabola:
         return ((t * t - self.p**2) / (2 * self.p), t)
 
     def line_residual(self, t: complex, pt: Point) -> float:
-        # Tangent line at parameter t: p*x - t*y + (t^2 + p^2)/2 = 0.
-        return abs(self.p * pt[0] - t * pt[1] + (t * t + self.p**2) / 2)
+        return abs(_tangency(self.p, t, pt)) / 2
 
 
 def tangent_params(point: Point, par: Parabola) -> tuple[complex, complex]:
     """Parameters (contact-point y-coordinates) of the two parabola tangents
     through the point; complex solutions allowed."""
     x0, y0 = complex(point[0]), complex(point[1])
-    # t^2 - 2*y0*t + (2*p*x0 + p^2) = 0
+    # _tangency(p, t, point) = t^2 + b*t + c
     b = -2 * y0
     c = 2 * par.p * x0 + par.p**2
     return _solve_quadratic(1.0, b, c)
@@ -180,11 +180,10 @@ def _start_vertex(circle: Circle, par: Parabola, start_t: complex) -> Point:
 
 
 def _newton_polish(par: Parabola, vertex: Point, t: complex) -> complex:
-    # Two Newton steps on g(t) = t^2 - 2 y0 t + (2 p x0 + p^2).
-    x0, y0 = vertex
+    # Two Newton steps on g(t) = _tangency(p, t, vertex).
     for _ in range(2):
-        g = t * t - 2 * y0 * t + 2 * par.p * x0 + par.p**2
-        dg = 2 * t - 2 * y0
+        g = _tangency(par.p, t, vertex)
+        dg = 2 * t - 2 * vertex[1]
         if abs(dg) < DEGENERATE_TOL:
             raise DegenerateStep("tangency parameters collide (vertex on parabola)")
         t = t - g / dg

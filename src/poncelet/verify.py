@@ -10,6 +10,7 @@ from .cayley import hankel_raw, locus, locus_at_p
 from .classify import region_polys
 from .polycore import (
     LaurentPoly3,
+    PolycoreError,
     canonicalize,
     poly_div_exact,
     quartic_D,
@@ -59,82 +60,43 @@ def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
     return {ep: LaurentPoly3(terms) for ep, terms in out.items()}
 
 
-def _quadratic_disc_identity(n: int, rhs: LaurentPoly3) -> bool:
-    coeffs = p_coefficients(locus(n).canonical)
-    A = coeffs.get(2, LaurentPoly3())
-    B = coeffs.get(1, LaurentPoly3())
-    C = coeffs.get(0, LaurentPoly3())
-    return B * B - 4 * A * C == rhs
-
-
 def checks() -> list[tuple[str, bool]]:
-    results: list[tuple[str, bool]] = []
-
-    for n in range(3, 8):
-        results.append((
-            f"locus n={n} matches the printed polynomial",
-            locus(n).canonical == paper_locus(n),
-        ))
+    """Each identity as (name, computed == printed), in a fixed order."""
+    rows: list[tuple[str, LaurentPoly3 | None, LaurentPoly3]] = [
+        (f"locus n={n} matches the printed polynomial", locus(n).canonical, paper_locus(n))
+        for n in range(3, 8)
+    ]
 
     half = Fraction(1, 2)
-    results.append((
-        "worked example: 3-gon locus at p=1/2",
-        locus_at_p(3, half) == X**2 + Y**2 - 1,
-    ))
-    results.append((
-        "worked example: 4-gon locus at p=1/2",
-        locus_at_p(4, half) == X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1),
-    ))
+    rows += [
+        ("worked example: 3-gon locus at p=1/2", locus_at_p(3, half), X**2 + Y**2 - 1),
+        ("worked example: 4-gon locus at p=1/2",
+         locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
+    ]
 
     raw6, raw3 = hankel_raw(6), hankel_raw(3)
     try:
-        quotient = poly_div_exact(raw6, raw3)
-        results.append((
-            "hankel(6) / hankel(3) canonicalizes to the 6-gon locus",
-            canonicalize(quotient) == paper_locus(6),
-        ))
-    except Exception:
-        results.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", False))
+        quotient = canonicalize(poly_div_exact(raw6, raw3))
+    except PolycoreError:
+        quotient = None  # an inexact division fails the row
+    rows.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, paper_locus(6)))
 
     rp = region_polys()
-    results.append((
-        "discriminant of the 5-gon quadratic factors as printed",
-        _quadratic_disc_identity(5, 16 * S**2 * rp["gamma5"]),
-    ))
-    results.append((
-        "discriminant of the 6-gon quadratic factors as printed",
-        _quadratic_disc_identity(6, 16 * S**2 * rp["gamma6"]),
-    ))
+    for n in (5, 6):
+        coeffs = p_coefficients(locus(n).canonical)
+        A, B, C = (coeffs.get(k, LaurentPoly3()) for k in (2, 1, 0))
+        rows.append((f"discriminant of the {n}-gon quadratic factors as printed",
+                     B * B - 4 * A * C, 16 * S**2 * rp[f"gamma{n}"]))
 
     coeffs = p_coefficients(locus(7).canonical)
-    A, B, C, D, E = (coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0))
-    results.append((
-        "discriminant of the 7-gon quartic factors as printed",
-        quartic_disc(A, B, C, D, E) == -65536 * R**6 * S**15 * rp["psi1"],
-    ))
-    results.append((
-        "P of the 7-gon quartic factors as printed",
-        quartic_P(A, B, C, D, E) == -256 * R**4 * S**2 * rp["psi2"],
-    ))
-    results.append((
-        "D of the 7-gon quartic factors as printed",
-        quartic_D(A, B, C, D, E) == -65536 * R**8 * S**4 * rp["psi3"],
-    ))
-    results.append((
-        "O of the 7-gon quartic factors as printed",
-        quartic_O(A, B, C, D, E) == -16 * R**2 * S**5 * rp["psi4"],
-    ))
-    results.append((
-        "R of the 7-gon quartic factors as printed",
-        quartic_R(A, B, C, D, E) == -4096 * X * R**6 * S**3 * rp["psi5"],
-    ))
-    return results
+    quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
+    for label, formula, printed in (
+        ("discriminant", quartic_disc, -65536 * R**6 * S**15 * rp["psi1"]),
+        ("P", quartic_P, -256 * R**4 * S**2 * rp["psi2"]),
+        ("D", quartic_D, -65536 * R**8 * S**4 * rp["psi3"]),
+        ("O", quartic_O, -16 * R**2 * S**5 * rp["psi4"]),
+        ("R", quartic_R, -4096 * X * R**6 * S**3 * rp["psi5"]),
+    ):
+        rows.append((f"{label} of the 7-gon quartic factors as printed", formula(*quartic), printed))
 
-
-def run_all(verbose: bool = False) -> bool:
-    ok = True
-    for name, passed in checks():
-        ok = ok and passed
-        if verbose:
-            print(f'{"PASS" if passed else "FAIL"}  {name}')
-    return ok
+    return [(name, computed == printed) for name, computed, printed in rows]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from poncelet.cli import main, parse_center, parse_rational
+from poncelet.cli import main, marching_squares, parse_center, parse_rational
 from fractions import Fraction
 
 
@@ -103,6 +103,30 @@ def test_locus_csv(capsys, tmp_path):
         assert abs(x * x + y * y - 1) < 0.05
 
 
+def test_locus_grid_nodes_once(capsys):
+    # the four grid nodes on the circle are each printed once
+    code, out = run(capsys, "locus", "--n", "3", "--p", "1", "--grid", "6")
+    assert code == 0
+    assert out == "x,y\n-1,0\n0,-1\n0,1\n1,0\n"
+
+
+def test_marching_squares_zero_nodes_once():
+    points = marching_squares(lambda x, y: x * x + y * y - 1, 6)
+    assert sorted(points) == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+
+
+def test_marching_squares_boundary_crossings():
+    # 2.95 lies between the last two grid lines: one crossing per line of
+    # nodes across it, the edge on the boundary x = 3 (or y = 3) included
+    nodes = [-3.0 + k for k in range(7)]
+    across = marching_squares(lambda x, y: x - 2.95, 6)
+    assert [y for _, y in across] == nodes
+    assert all(x == pytest.approx(2.95) for x, _ in across)
+    up = marching_squares(lambda x, y: y - 2.95, 6)
+    assert [x for x, _ in up] == nodes
+    assert all(y == pytest.approx(2.95) for _, y in up)
+
+
 def test_locus_svg(capsys, tmp_path):
     out_file = tmp_path / "locus.svg"
     code, _ = run(
@@ -197,10 +221,49 @@ def test_painleve_json(capsys):
     assert data[0]["y0"] == pytest.approx(1.1708203932499369, rel=1e-9)
 
 
+VERIFY_STDOUT = """\
+PASS  locus n=3 matches the printed polynomial
+PASS  locus n=4 matches the printed polynomial
+PASS  locus n=5 matches the printed polynomial
+PASS  locus n=6 matches the printed polynomial
+PASS  locus n=7 matches the printed polynomial
+PASS  worked example: 3-gon locus at p=1/2
+PASS  worked example: 4-gon locus at p=1/2
+PASS  hankel(6) / hankel(3) canonicalizes to the 6-gon locus
+PASS  discriminant of the 5-gon quadratic factors as printed
+PASS  discriminant of the 6-gon quadratic factors as printed
+PASS  discriminant of the 7-gon quartic factors as printed
+PASS  P of the 7-gon quartic factors as printed
+PASS  D of the 7-gon quartic factors as printed
+PASS  O of the 7-gon quartic factors as printed
+PASS  R of the 7-gon quartic factors as printed
+"""
+
+
 def test_verify_identities_exit_code(capsys):
     code, out = run(capsys, "verify-identities")
     assert code == 0
-    assert "FAIL" not in out
+    assert out == VERIFY_STDOUT
+
+
+def test_verify_inexact_hexagon_division_fails_one_row(capsys, monkeypatch):
+    from poncelet import verify
+    from poncelet.polycore import NotDivisible
+
+    def not_divisible(a, b):
+        raise NotDivisible("forced")
+
+    monkeypatch.setattr(verify, "poly_div_exact", not_divisible)
+    results = verify.checks()
+    assert [name for name, _ in results] == [ln[6:] for ln in VERIFY_STDOUT.splitlines()]
+    assert [name for name, passed in results if not passed] == [
+        "hankel(6) / hankel(3) canonicalizes to the 6-gon locus"
+    ]
+    code, out = run(capsys, "verify-identities")
+    assert code == 1
+    assert out == VERIFY_STDOUT.replace(
+        "PASS  hankel(6)", "FAIL  hankel(6)"
+    )
 
 
 def test_flag_error_exit_code():

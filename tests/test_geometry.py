@@ -26,10 +26,11 @@ F = Fraction
 
 
 def test_circle_normalization():
-    c = Circle((2.0, 0.0), radius=2.0)
-    assert c.residual((0.0, 0.0)) < 1e-12  # scaled to unit radius
-    with pytest.raises(ValueError):
-        Circle((0.0, 0.0), radius=0.0)
+    # the center is stored as complex coordinates; the radius is always 1
+    c = Circle((2.0, 0))
+    assert c.center == (2 + 0j, 0j) and all(type(v) is complex for v in c.center)
+    assert c.residual((3.0, 0.0)) == 0.0 and c.residual((2.0, -1.0)) == 0.0
+    assert c.residual((0.0, 0.0)) == 3.0
 
 
 def test_parabola_rejects_zero():
