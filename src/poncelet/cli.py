@@ -113,9 +113,9 @@ def trace_svg(center: tuple[float, float], p: float, vertices) -> str:
 
 
 def marching_squares(f, grid: int, lo: float = -VIEW, hi: float = VIEW) -> list[tuple[float, float]]:
-    """Zero-crossing points of f(x, y) on a grid: each zero node once, then
+    """Zero-crossing points of f(x, y) on a grid: each zero node once, and
     each edge whose ends have strictly opposite signs once, by linear
-    interpolation."""
+    interpolation; the edges on the boundary are included."""
     h = (hi - lo) / grid
     vals = [[f(lo + i * h, lo + j * h) for j in range(grid + 1)] for i in range(grid + 1)]
     points: list[tuple[float, float]] = []

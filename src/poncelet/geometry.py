@@ -55,7 +55,7 @@ class Circle:
 
 
 def _tangency(p: complex, t: complex, pt: Point) -> complex:
-    """t^2 - 2yt + 2px + p^2: zero iff the tangent at parameter t meets pt = (x, y)."""
+    """t^2 - 2yt + 2px + p^2: zero iff the tangent at parameter t passes through pt = (x, y)."""
     x, y = pt
     return t * t - 2 * y * t + 2 * p * x + p**2
 
