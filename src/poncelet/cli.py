@@ -25,7 +25,10 @@ PARABOLA_SAMPLES = 400
 
 def parse_rational(text: str) -> Fraction:
     """`num/den` or a decimal string, converted exactly."""
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -64,7 +67,7 @@ def parse_center(text: str) -> Center:
     try:
         xs, ys = text.split(",")
         return Center(parse_rational(xs), parse_rational(ys))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad center {text!r}: {exc}") from exc
 
 

@@ -9,9 +9,10 @@ finder clear denominators once and run over integer coefficients inside.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
-2004) and refines by integer sign tests.  Polynomials in the three
-variables (p, x, y) allow negative exponents in p only; x and y exponents
-are always nonnegative.
+2004) and refines each root to the dyadic cell that bisection reaches, by
+quadratic interval refinement (Abbott, 2014): secant guesses checked by
+exact integer signs.  Polynomials in the three variables (p, x, y) allow
+negative exponents in p only; x and y exponents are always nonnegative.
 """
 
 from __future__ import annotations
@@ -651,10 +652,11 @@ def sturm_chain(f: UniPolyR) -> list[UniPolyR]:
 
 # -- real roots on integer coefficients ---------------------------------------
 #
-# Root isolation and refinement look only at signs, so each polynomial is
+# Root isolation and refinement decide by signs only, so each polynomial is
 # scaled once by a positive rational to a primitive integer coefficient
 # list (lowest degree first), and a point u/v, v > 0, is never built as a
-# Fraction: v**d * g(u/v) = sum c_i u**i v**(d - i) has the sign of g(u/v).
+# Fraction: v**d * g(u/v) = sum c_i u**i v**(d - i) (_horner) has the sign
+# of g(u/v); refinement's secant guess also reads its value.
 
 # The prime of the square-free test.  Any prime that does not divide the
 # leading coefficient proves square-freeness when the gcd mod q is 1; a
@@ -670,13 +672,19 @@ def _int_coeffs(g: UniPolyR) -> list[int]:
     return [c // content for c in out] if content > 1 else out
 
 
-def _sign_at(c: Sequence[int], u: int, v: int) -> int:
-    """Sign of g(u/v) for integer coefficients c of g and v > 0."""
+def _horner(c: Sequence[int], u: int, v: int) -> int:
+    """v**d g(u/v) for the integer coefficients c of g, d = len(c) - 1."""
     total = c[-1]
     w = 1
     for ci in reversed(c[:-1]):
         w *= v
         total = total * u + ci * w
+    return total
+
+
+def _sign_at(c: Sequence[int], u: int, v: int) -> int:
+    """Sign of g(u/v) for integer coefficients c of g and v > 0."""
+    total = _horner(c, u, v)
     return (total > 0) - (total < 0)
 
 
@@ -791,33 +799,63 @@ def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
 
 
 def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect the half-open isolating interval (lo, hi] of square-free g,
-    given by its integer coefficients, to an interval narrower than `width`."""
-    # lo = a/v and hi = b/v over one denominator v, which each bisection
-    # doubles; b - a stays fixed.
+    """Refine the half-open isolating interval (lo, hi] of square-free g,
+    given by its integer coefficients, to the interval bisection gives: the
+    dyadic cell at the first depth K narrower than `width`, or a symmetric
+    interval about a bisection point where g vanishes.
+
+    Quadratic interval refinement (Abbott, 2014) takes the cell at depth k
+    as m = 2**s cells of depth k + s, tests the grid point nearest the
+    secant root and its neighbour on the root's side, and on success moves
+    to the cell between them and doubles s; otherwise s halves.  s starts
+    at 1, plain bisection, so the first test is the midpoint, and never
+    passes K - k."""
+    # lo = a/v and hi = (a + diff)/v over one denominator v, which a cell at
+    # depth k multiplies by 2**k; diff stays fixed.
     v = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (v // lo.denominator)
-    b = hi.numerator * (v // hi.denominator)
-    shi = _sign_at(g, b, v)
-    if not shi:
+    diff = hi.numerator * (v // hi.denominator) - a
+    hb = _horner(g, a + diff, v)
+    if not hb:
         # Root hit exactly; recenter a symmetric interval around it.
         eps = width / 4
         return hi - eps, hi + eps
-    # The one root in (lo, hi] is simple, so g has the opposite sign of
-    # g(hi) just right of lo, even when g(lo) == 0 (a root outside).
-    diff, wn, wd = b - a, width.numerator, width.denominator
-    while diff * wd >= wn * v:
-        mid, v = a + b, 2 * v
-        s = _sign_at(g, mid, v)
-        if not s:
-            mid, lo, hi = Fraction(mid, v), Fraction(2 * a, v), Fraction(2 * b, v)
-            eps = min(width, hi - mid, mid - lo) / 4
-            return mid - eps, mid + eps
-        if s == shi:
-            a, b = 2 * a, mid
+    if hb < 0:
+        g, hb = [-c for c in g], -hb
+    # The one root in (lo, hi] is simple, so g < 0 just right of lo and
+    # g(lo) <= 0, with 0 when lo is a root outside; hb = v**d g(hi) > 0.
+    ha, d = _horner(g, a, v), len(g) - 1
+    depth = (diff * width.denominator // (width.numerator * v)).bit_length()
+    k, s = 0, 1
+    while k < depth:
+        s = min(s, depth - k)
+        m, vm = 1 << s, v << s
+        # the grid point nearest the secant root, strictly inside the cell;
+        # a poor guess costs a step, never the result
+        den = ha - hb
+        j = min(max((2 * m * ha + den) // (2 * den), 1), m - 1)
+        h = _horner(g, a * m + j * diff, vm)
+        n = j - 1 if h > 0 else j + 1  # the neighbour on the root's side
+        if h and 0 < n < m:
+            hn = _horner(g, a * m + n * diff, vm)
+            if not hn:
+                j, h = n, 0
         else:
-            a, b = mid, 2 * b
-    return Fraction(a, v), Fraction(b, v)
+            hn = (ha if n == 0 else hb) << (s * d)
+        if not h:
+            # Grid point j is a root.  Bisection hits it at its coarsest
+            # depth e = k + s - (trailing zeros of j) and returns it with
+            # eps from the half cell there, diff / (v * 2**(e - k)).
+            mid = Fraction(a * m + j * diff, vm)
+            eps = min(width, Fraction(diff, v << (s + 1 - (j & -j).bit_length()))) / 4
+            return mid - eps, mid + eps
+        if (hn > 0) != (h > 0):
+            # the root lies in the cell between j and n
+            a, v, k, s = a * m + min(j, n) * diff, vm, k + s, 2 * s
+            ha, hb = (h, hn) if j < n else (hn, h)
+        else:
+            s //= 2
+    return Fraction(a, v), Fraction(a + diff, v)
 
 
 def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
@@ -828,7 +866,8 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     with its derivative proves it square-free (_squarefree_mod), that list
     is isolated as it is; otherwise Yun's square-free decomposition splits
     it first.  Each square-free factor is isolated by Descartes' rule of
-    signs on integer Taylor shifts (_isolate) and refined by bisection."""
+    signs on integer Taylor shifts (_isolate) and refined by quadratic
+    interval refinement (_refine) to the interval bisection would give."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     c = _int_coeffs(f)

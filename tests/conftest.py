@@ -4,8 +4,11 @@ Randomized drivers are seeded; set PONCELET_SEED to re-run them with a
 different seed.
 """
 
+import math
 import os
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from poncelet.polycore import (
@@ -37,6 +40,22 @@ def rand_center_off_sigma(rng: random.Random) -> tuple[Fraction, Fraction]:
         r2 = x * x + y * y
         if r2 != 0 and r2 != 1:
             return x, y
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a call that never returns (a root search looping forever) into
+    a failure after `seconds`."""
+    def stop(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def cauchy_bound(g: UniPolyR) -> Fraction:
@@ -83,6 +102,38 @@ def sturm_isolate(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
             mid, v = a + b, 2 * v
             stack += [(mid, 2 * b, v), (2 * a, mid, v)]
     return sorted(out)
+
+
+def bisect_refine(g, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect the half-open isolating interval (lo, hi] of square-free g,
+    given by its integer coefficients, to an interval narrower than `width`:
+    one sign test per bit.  The reference for polycore._refine, which must
+    return the same interval."""
+    # lo = a/v and hi = b/v over one denominator v, which each bisection
+    # doubles; b - a stays fixed.
+    v = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (v // lo.denominator)
+    b = hi.numerator * (v // hi.denominator)
+    shi = _sign_at(g, b, v)
+    if not shi:
+        # Root hit exactly; recenter a symmetric interval around it.
+        eps = width / 4
+        return hi - eps, hi + eps
+    # The one root in (lo, hi] is simple, so g has the opposite sign of
+    # g(hi) just right of lo, even when g(lo) == 0 (a root outside).
+    diff, wn, wd = b - a, width.numerator, width.denominator
+    while diff * wd >= wn * v:
+        mid, v = a + b, 2 * v
+        s = _sign_at(g, mid, v)
+        if not s:
+            mid, lo, hi = Fraction(mid, v), Fraction(2 * a, v), Fraction(2 * b, v)
+            eps = min(width, hi - mid, mid - lo) / 4
+            return mid - eps, mid + eps
+        if s == shi:
+            a, b = 2 * a, mid
+        else:
+            a, b = mid, 2 * b
+    return Fraction(a, v), Fraction(b, v)
 
 
 def real_root_profile(f: UniPolyR) -> list[int]:

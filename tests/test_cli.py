@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import time_limit
 from poncelet.cli import main, marching_squares, parse_center, parse_rational
 from fractions import Fraction
 
@@ -283,6 +284,29 @@ def test_root_beyond_float_range_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and "beyond the float range" in err
+
+
+def test_root_beyond_float_range_in_bounded_time(capsys):
+    # At n = 7 the roots are refined from (-B, B], B near 1e600, to below
+    # 1e-15: about 2000 bisection steps per root, far fewer by
+    # quadratic interval refinement.  The error must come within 5 s.
+    with time_limit(5):
+        code = main(["classify", "--n", "7", "--center", "1e300,0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "beyond the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cayley", "--n", "5", "--p", "1/0"),
+    ("locus", "--n", "5", "--p", "5/0"),
+])
+def test_zero_denominator_flag_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: argument --p: zero denominator" in err
 
 
 @pytest.mark.parametrize("argv", [

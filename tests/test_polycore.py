@@ -3,8 +3,6 @@ isolation, and discriminants."""
 
 import hashlib
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -12,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bisect_refine,
     det_laplace,
     make_rng,
     rand_fraction,
     real_root_profile,
     sign_variations,
     sturm_isolate,
+    time_limit,
 )
 from poncelet import polycore
 from poncelet.cayley import locus
@@ -43,7 +43,15 @@ from poncelet.polycore import (
     sturm_chain,
     sturm_real_roots,
 )
-from poncelet.polycore import _SQUAREFREE_PRIME, _int_coeffs, _isolate, _refine, _sign_at
+from poncelet.polycore import (
+    _SQUAREFREE_PRIME,
+    _horner,
+    _int_coeffs,
+    _isolate,
+    _refine,
+    _sign_at,
+    _squarefree_mod,
+)
 
 P = LaurentPoly3.var_p()
 X = LaurentPoly3.var_x()
@@ -333,21 +341,6 @@ def test_sturm_count_matches_variations():
         assert count == len(sturm_real_roots(f))
 
 
-@contextmanager
-def _time_limit(seconds):
-    """Turn a root search that never returns into a failure."""
-    def stop(signum, frame):
-        raise TimeoutError("sturm_real_roots did not return")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def _squarefree_sample(rng):
     """A square-free product of linear factors at small dyadic points
     (often a point of the bisection tree), quadratics with a complex or
@@ -399,7 +392,7 @@ def test_modular_squarefree_test_falls_back_to_yun(monkeypatch):
     def roots(f):
         # a factor wrongly taken as square-free sends Descartes' bisection
         # down forever next to its repeated root
-        with _time_limit(5):
+        with time_limit(5):
             return [(mult, lo, hi) for _, mult, (lo, hi) in sturm_real_roots(f)]
 
     # square-free mod q: no fallback
@@ -434,13 +427,95 @@ def test_refine_dyadic_root_hit_by_bisection():
     assert hi - lo < ROOT_WIDTH
 
 
+def _dyadic_roots(rng):
+    """At least two distinct roots at dyadic points of depth 0..60, some in
+    pairs closer than ROOT_WIDTH."""
+    roots = set()
+    while len(roots) < 2:
+        for _ in range(rng.randint(1, 5)):
+            r = Fraction(rng.randint(-2**12, 2**12), 2 ** rng.randint(0, 60))
+            roots.add(r)
+            if rng.random() < 0.2:
+                roots.add(r + Fraction(1, 10 ** rng.randint(16, 22)))
+    return sorted(roots)
+
+
+def test_refine_matches_bisection():
+    # _refine must return bisection's interval, byte for byte: on the
+    # isolating intervals (roots at hi, pairs closer than ROOT_WIDTH), with
+    # a root at lo outside the interval, and with the root on the interval's
+    # own dyadic grid at a depth e above and below bisection's last depth K
+    rng = make_rng(10)
+    below = above = 0
+    for _ in range(40):
+        roots = _dyadic_roots(rng)
+        f = UniPolyR([rng.choice([1, -1, 3])])
+        for r in roots:
+            f = f * UniPolyR([-r, 1])
+        c = _int_coeffs(f)
+        ivals = [(lo, hi, None) for lo, hi in _isolate(c)]
+        for r0, r1, r2 in zip(roots, roots[1:], roots[2:] + [roots[-1] + 2]):
+            ivals.append((r0, (2 * r1 + r2) / 3, None))
+        for r in roots:
+            # (lo, lo + size] holds r at lo + size * j / 2**e, j odd, and no
+            # other root
+            size = min(abs(r - t) for t in roots if t != r) * Fraction(rng.randint(1, 99), 100)
+            e = rng.randint(1, 60)
+            lo = r - size * Fraction(rng.randrange(1, 2**e, 2), 2**e)
+            ivals.append((lo, lo + size, e))
+        for lo, hi, e in ivals:
+            for width in (ROOT_WIDTH, (hi - lo) / 4, Fraction(1, 2**70)):
+                assert _refine(c, lo, hi, width) == bisect_refine(c, lo, hi, width)
+                if e:
+                    depth = ((hi - lo) * width.denominator // width.numerator).bit_length()
+                    below += e <= depth
+                    above += e > depth
+    assert below >= 100 and above >= 100
+
+
+def test_refine_first_test_is_the_midpoint():
+    # An exact hit returns an interval centred on the root that reaches past
+    # the isolating interval: here p = 0 is the first midpoint, and 0 +-
+    # 2.5e-16 holds the root 1e-22 too.  The overlap loop refines it again;
+    # a secant guess first would find 1e-22 instead of re-hitting 0, and the
+    # loop would never end.  The intervals are the ones bisection gives.
+    with time_limit(5):
+        roots = sturm_real_roots(UniPolyR([0, Fraction(-1, 5 * 10**21), 2]))
+    assert [iv for _, _, iv in roots] == [
+        (Fraction(-1, 67108864000000000000000), Fraction(1, 67108864000000000000000)),
+        (Fraction(1, 18889465931478580854784), Fraction(1, 9444732965739290427392)),
+    ]
+
+
+def test_refine_halves_the_horner_count(monkeypatch):
+    # Work, not wall clock: over the isolating intervals of the 60 n = 5
+    # and 7 gate centers, quadratic interval refinement evaluates g at most
+    # half as often as bisection (about a third in practice).
+    calls = []
+    horner = polycore._horner
+    monkeypatch.setattr(polycore, "_horner", lambda *a: calls.append(1) or horner(*a))
+    qir = bisect = 0
+    for f, _ in _gate_inputs()[:60]:
+        c = _int_coeffs(f)
+        factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+        for c in factors:
+            for lo, hi in _isolate(c):
+                calls.clear()
+                got = _refine(c, lo, hi, ROOT_WIDTH)
+                qir += len(calls)
+                calls.clear()
+                assert got == bisect_refine(c, lo, hi, ROOT_WIDTH)
+                bisect += len(calls)
+    assert bisect > 2000 and 2 * qir <= bisect
+
+
 def test_sturm_root_on_shared_interval_end_n12():
     # The square-free part of locus 12 at center (-3, 2) has its root
     # p = 0 at the shared end of two isolating intervals.  Refining the
     # right one used to lose its root, and the overlap loop then never
     # stopped; the alarm turns such a hang into a failure.
     f = specialize(locus(12).canonical, -3, 2)
-    with _time_limit(60):
+    with time_limit(60):
         roots = sturm_real_roots(f)
     (g, _), = squarefree_decomposition(f)
     ivals = [iv for _, _, iv in roots]
@@ -469,6 +544,7 @@ def test_integer_sign_matches_fraction_horner(coeffs, u, v, k):
     # anywhere on the number line.
     at = Fraction(u, v)
     assert _sign_at(coeffs, k * u, k * v) == _sign(UniPolyR(coeffs)(at))
+    assert _horner(coeffs, k * u, k * v) == (k * v) ** (len(coeffs) - 1) * UniPolyR(coeffs)(at)
     # an exact root: g * (v p - u) vanishes at u / v
     g = UniPolyR(coeffs) * UniPolyR([-u, v])
     assert _sign_at([int(c) for c in g.coeffs] or [0], k * u, k * v) == 0
