@@ -1,19 +1,25 @@
-"""Pencil coefficients, the Cayley series recursion, Hankel determinants,
-and canonical locus polynomials for the circle/parabola pencil."""
+"""Pencil coefficients, the Cayley series, the Hankel determinants W_n and
+canonical locus polynomials for the circle/parabola pencil.
+
+W_n = hankel_raw(n) runs a Somos-4 recurrence from W_1 = W_2 = 1, W_3 = A_2
+and W_4 = A_3 (A_k = atilde_k / k!): W_{k+2} W_{k-2} = a_k W_{k+1} W_{k-1}
++ b W_k^2 for k >= 3, with a_k = 1/2 for odd k and 1/(2 delta2) for even k,
+and b = -W_3 / (2 delta2).  The Hankel matrix and its Bareiss determinant
+survive only in the tests, as the independent reference."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .geometry import DegenerateParabola
 from .polycore import (
     LaurentPoly3,
     ZeroPolynomial,
+    _quotient,
     canonicalize,
-    poly_det,
     poly_div_exact,
 )
 
@@ -72,24 +78,26 @@ def _atilde(k: int) -> LaurentPoly3:
     return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
-def _hankel_matrix(n: int) -> list[list[LaurentPoly3]]:
-    """The Hankel matrix in the series coefficients A_k = seq[k - 1] / k!."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    m = n // 2
-    # odd n: A_{i+j}, i, j = 1..m; even n: A_{i+j+1}, i, j = 1..m-1
-    first, size = (2, m) if n % 2 else (3, m - 1)
-    seq = atilde_sequence(first + 2 * (size - 1))
-    return [
-        [seq[k - 1] * Fraction(1, factorial(k)) for k in range(first + i, first + i + size)]
-        for i in range(size)
-    ]
+_ATILDE = atilde_sequence(3)
+_W = (LaurentPoly3.const(1),) * 2 + (_ATILDE[1] * Fraction(1, 2), _ATILDE[2] * Fraction(1, 6))
+_A = (poly_div_exact(LaurentPoly3.const(Fraction(1, 2)), pencil_coeffs().delta2), Fraction(1, 2))
+_B = -_W[2] * _A[0]  # -W_3 / (2 delta2)
 
 
 @lru_cache(maxsize=None)
 def hankel_raw(n: int) -> LaurentPoly3:
-    """The raw Hankel determinant whose vanishing is the n-gon condition."""
-    return poly_det(_hankel_matrix(n))
+    """W_n, whose vanishing is the n-gon condition, by one exact quotient per
+    n: Hankel determinants of the square root of a cubic satisfy Somos-4
+    recurrences (van der Poorten, J. Integer Sequences 8, 2005; Hone, Bull.
+    LMS 37, 2005).  As in Ward's elliptic divisibility sequences (Amer. J.
+    Math. 70, 1948), W_d divides W_n when d | n, as `locus` relies on."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if n <= 4:
+        return _W[n - 1]
+    w = _W[:2] + tuple(hankel_raw(m) for m in range(3, n))  # w[m - 1] = W_m
+    k = n - 2
+    return _quotient(w[k], w[k - 2] * _A[k % 2], -_B * w[k - 1], w[k - 1], w[k - 3])
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,7 @@ def locus(n: int) -> LocusPolynomial:
     lower-period divisor factors removed by exact division."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    raw = hankel_raw(n)
-    q = raw
+    q = raw = hankel_raw(n)
     removed = proper_divisors(n)
     # Divide by the *canonical* locus of each proper divisor, not its raw
     # Hankel determinant: the raw determinant of a composite divisor (e.g.

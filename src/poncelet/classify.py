@@ -288,8 +288,6 @@ _GOVERNING = {5: ("gamma5", "Gamma5"), 6: ("gamma6", "Gamma6"), 7: ("psi1", "R1"
 
 
 def _region_label(n: int, e: Center) -> str:
-    if n not in _CLASSIFY_N:
-        raise ValueError(f"region analysis covers n = {_CLASSIFY_N[0]}..{_CLASSIFY_N[-1]}, not {n}")
     if n == 3:
         return "S1" if e.on_unit_circle() else "offS1"
     if n == 4:
@@ -319,4 +317,4 @@ def pair_classify(n: int, e: Center) -> PairClassification:
     if f.is_zero():
         return PairClassification(n, e, RootList([]), region, 0, True)
     roots = sturm_real_roots(f, exclude_zero=True)
-    return PairClassification(n, e, roots, region, roots.distinct_count(), False)
+    return PairClassification(n, e, roots, region, len(roots), False)

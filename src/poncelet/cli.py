@@ -154,16 +154,12 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def cmd_cayley(args) -> int:
-    if args.p is not None:
-        poly = locus_at_p(args.n, args.p)
-        removed = locus(args.n).divisors_removed
-    else:
-        loc = locus(args.n)
-        poly, removed = loc.canonical, loc.divisors_removed
+    loc = locus(args.n)
+    poly = loc.canonical if args.p is None else locus_at_p(args.n, args.p)
     if args.format == "json":
         _emit(None, json.dumps({
             "n": args.n,
-            "divisors_removed": list(removed),
+            "divisors_removed": list(loc.divisors_removed),
             "canonical": format_poly(poly),
         }))
     else:

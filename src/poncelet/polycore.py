@@ -242,23 +242,29 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
 
     Division by pure p-powers always succeeds (p is invertible).
     """
-    if b.is_zero():
+    return _quotient(a, LaurentPoly3.const(1), LaurentPoly3(), LaurentPoly3(), b)
+
+
+def _quotient(a: LaurentPoly3, b: LaurentPoly3, c: LaurentPoly3, d: LaurentPoly3, e: LaurentPoly3) -> LaurentPoly3:
+    """Exact quotient (a*b - c*d) / e, as in a Bareiss step; raises
+    NotDivisible.  All five are packed with one scale, and a to d with one
+    p-shift; e's own shift makes its lowest p-power 1."""
+    if e.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly3()
-    sa, sb = a.min_p_exponent(), b.min_p_exponent()
-    da, db = _den_lcm(a.terms.values()), _den_lcm(b.terms.values())
-    w = _width(max(*_max_degree(a.terms, -sa), *_max_degree(b.terms, -sb)))
-    ia, ib = _pack(a.terms, da, -sa, w), _pack(b.terms, db, -sb, w)
+    fs = [f for f in (a, b, c, d, e) if f.terms]
+    den = _den_lcm(v for f in fs for v in f.terms.values())
+    shift, se = -min(f.min_p_exponent() for f in fs), -e.min_p_exponent()
+    w = _width(2 * max(max(_max_degree(f.terms, shift)) for f in fs))
+    ia, ib, ic, id_ = (_pack(f.terms, den, shift, w) for f in (a, b, c, d))
+    ie = _pack(e.terms, den, se, w)
     # A primitive divisor makes the quotient integral whenever it exists
     # over Q (Gauss's lemma), so an inexact integer step means NotDivisible.
-    g = math.gcd(*ib.values())
-    ib = {k: c // g for k, c in ib.items()}
+    g = math.gcd(*ie.values())
     try:
-        q = _idiv(ia, ib, w)
+        q = _idiv(_mul_sub(ia, ib, ic, id_), {k: v // g for k, v in ie.items()}, w)
     except NotDivisible:
-        raise NotDivisible(f"{format_poly(a)} is not divisible by {format_poly(b)}") from None
-    return _unpack(q, Fraction(db, da * g), sa - sb, w)
+        raise NotDivisible(f"{format_poly(a * b - c * d)} is not divisible by {format_poly(e)}") from None
+    return _unpack(q, Fraction(1, den * g), se - 2 * shift, w)
 
 
 def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
@@ -682,12 +688,6 @@ def _horner(c: Sequence[int], u: int, v: int) -> int:
     return total
 
 
-def _sign_at(c: Sequence[int], u: int, v: int) -> int:
-    """Sign of g(u/v) for integer coefficients c of g and v > 0."""
-    total = _horner(c, u, v)
-    return (total > 0) - (total < 0)
-
-
 def _squarefree_mod(c: Sequence[int]) -> bool:
     """True when gcd(g mod q, g' mod q) = 1 over GF(q), q = _SQUAREFREE_PRIME,
     for the integer coefficients c of g, and q does not divide the leading
@@ -721,9 +721,6 @@ class RootList:
 
     def values(self) -> list[float]:
         return [r[0] for r in self.roots]
-
-    def distinct_count(self) -> int:
-        return len(self.roots)
 
     def __iter__(self) -> Iterator[tuple[float, int, tuple[Fraction, Fraction]]]:
         return iter(self.roots)
@@ -879,12 +876,13 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     for c, mult in factors:
         for lo, hi in _isolate(c):
             found.append((*_refine(c, lo, hi, ROOT_WIDTH), mult, c))
-    found.sort(key=lambda r: r[0] + r[1])
     # Roots of distinct square-free factors are distinct; shrink any
-    # intervals that still overlap.
+    # intervals that still overlap.  A refined interval can move past its
+    # neighbour, so each round sorts again.
     changed = True
     while changed:
         changed = False
+        found.sort(key=lambda r: r[0] + r[1])
         for i in range(len(found) - 1):
             if found[i][1] > found[i + 1][0]:
                 lo, hi, mult, c = found[i]

@@ -11,11 +11,12 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+from poncelet import polycore
+from poncelet.cayley import atilde_sequence, pencil_coeffs
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
     _int_coeffs,
-    _sign_at,
     squarefree_decomposition,
     sturm_chain,
 )
@@ -63,11 +64,19 @@ def cauchy_bound(g: UniPolyR) -> Fraction:
     return 1 + max(abs(c / lead) for c in g.coeffs)
 
 
+def sign_at(c, u: int, v: int) -> int:
+    """Sign of g(u/v) for the integer coefficients c of g and v > 0, by the
+    library's one evaluator (looked up on the module, so that a test that
+    counts its calls counts these too)."""
+    total = polycore._horner(c, u, v)
+    return (total > 0) - (total < 0)
+
+
 def _variations(chain, u: int, v: int) -> int:
     """Sign variations of an integer-coefficient chain at u/v, v > 0."""
     count, last = 0, 0
     for c in chain:
-        s = _sign_at(c, u, v)
+        s = sign_at(c, u, v)
         if s:
             if s == -last:
                 count += 1
@@ -114,7 +123,7 @@ def bisect_refine(g, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fract
     v = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (v // lo.denominator)
     b = hi.numerator * (v // hi.denominator)
-    shi = _sign_at(g, b, v)
+    shi = sign_at(g, b, v)
     if not shi:
         # Root hit exactly; recenter a symmetric interval around it.
         eps = width / 4
@@ -124,7 +133,7 @@ def bisect_refine(g, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fract
     diff, wn, wd = b - a, width.numerator, width.denominator
     while diff * wd >= wn * v:
         mid, v = a + b, 2 * v
-        s = _sign_at(g, mid, v)
+        s = sign_at(g, mid, v)
         if not s:
             mid, lo, hi = Fraction(mid, v), Fraction(2 * a, v), Fraction(2 * b, v)
             eps = min(width, hi - mid, mid - lo) / 4
@@ -183,6 +192,52 @@ def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
         term = a * det_laplace([row[:j] + row[j + 1:] for row in m[1:]])
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def hankel_matrix(n: int, coeff=None) -> list[list]:
+    """The Hankel matrix whose determinant is W_n = hankel_raw(n), in the
+    series coefficients coeff(k) = A0 * A_k of the square root of the
+    pencil's cubic: A_{i+j}, i, j = 1..m, for odd n = 2m + 1 and
+    A_{i+j+1}, i, j = 1..m - 1, for even n = 2m.  By default the trivariate
+    coefficients atilde_k / k!: with poly_det, the determinant route that
+    hankel_raw's recurrence replaces, kept as the independent reference."""
+    if coeff is None:
+        coeff = lambda k: atilde_sequence(k)[k - 1] * Fraction(1, math.factorial(k))
+    m = n // 2
+    first, size = (2, m) if n % 2 else (3, m - 1)
+    return [[coeff(k) for k in range(first + i, first + i + size)] for i in range(size)]
+
+
+def series_at(p: Fraction, x: Fraction, y: Fraction, order: int) -> list[Fraction]:
+    """A0 * A_k, k = 0..order, at a rational point: the series of
+    sqrt(delta2 + theta2 t + theta1 t^2 + delta1 t^3) by convolution,
+    2 A0 A_k = f_k - sum_{0<i<k} (A0 A_i)(A0 A_{k-i}) / delta2, which uses
+    only A0^2 = delta2."""
+    pc = pencil_coeffs()
+    f = [c.evaluate(p, x, y) for c in (pc.delta2, pc.theta2, pc.theta1, pc.delta1)]
+    c = [f[0]]
+    for k in range(1, order + 1):
+        acc = sum(c[i] * c[k - i] for i in range(1, k))
+        c.append(((f[k] if k < len(f) else 0) - acc / f[0]) / 2)
+    return c
+
+
+def fraction_det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant over Q by Gaussian elimination with row swaps."""
+    m = [list(row) for row in m]
+    det = Fraction(1)
+    for i in range(len(m)):
+        r = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if r is None:
+            return Fraction(0)
+        if r != i:
+            m[i], m[r], det = m[r], m[i], -det
+        det *= m[i][i]
+        for row in m[i + 1:]:
+            f = row[i] / m[i][i]
+            for j in range(i, len(m)):
+                row[j] -= f * m[i][j]
+    return det
 
 
 def series_sqrt(d: list[complex], order: int) -> list[complex]:

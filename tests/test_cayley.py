@@ -1,5 +1,5 @@
-"""Pencil coefficients, the series recursion, Hankel determinants, and
-canonical locus polynomials."""
+"""Pencil coefficients, the series recursion, the Somos-4 recurrence for
+the Hankel determinants, and canonical locus polynomials."""
 
 import hashlib
 import json
@@ -8,10 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import det_laplace, make_rng, series_sqrt
+from conftest import (
+    det_laplace,
+    fraction_det,
+    hankel_matrix,
+    make_rng,
+    rand_fraction,
+    series_at,
+    series_sqrt,
+)
+from poncelet import cayley
 from poncelet.cayley import (
     DegenerateParabola,
-    _hankel_matrix,
     atilde_sequence,
     hankel_raw,
     locus,
@@ -151,7 +159,36 @@ def test_golden_digests_n3_to_12():
         assert _sha256(locus(n).canonical) == golden[str(n)], n
         assert _sha256(hankel_raw(n)) == HANKEL_RAW_SHA256[n], n
     for n in range(3, 10):
-        assert poly_det(_hankel_matrix(n)) == det_laplace(_hankel_matrix(n)), n
+        m = hankel_matrix(n)
+        assert poly_det(m) == det_laplace(m) == hankel_raw(n), n
+
+
+def test_recurrence_matches_hankel_determinants_to_n24():
+    # hankel_raw's own start values and coefficients, evaluated at seeded
+    # rational points and iterated there, equal the Fraction Hankel
+    # determinants of the series at the point for every n = 3..24.
+    rng = make_rng(11)
+    checked = 0
+    while checked < 3:
+        p, x, y = (rand_fraction(rng) for _ in range(3))
+        if not p:
+            continue
+        c = series_at(p, x, y, 23)
+        ref = [fraction_det(hankel_matrix(n, c.__getitem__)) for n in range(3, 25)]
+        if not all(ref):
+            continue  # on a locus: the recurrence would divide by zero
+        at = lambda v: v.evaluate(p, x, y) if isinstance(v, LaurentPoly3) else v
+        w, a, b = [at(v) for v in cayley._W], [at(v) for v in cayley._A], at(cayley._B)
+        for k in range(3, 23):
+            # append W_{k+2}; w[m - 1] = W_m
+            w.append((a[k % 2] * w[k] * w[k - 2] + b * w[k - 1] ** 2) / w[k - 3])
+        assert w[2:] == ref, (p, x, y)
+        checked += 1
+
+
+def test_hankel_raw_bounds():
+    with pytest.raises(ValueError):
+        hankel_raw(2)
 
 
 def test_locus_bounds():

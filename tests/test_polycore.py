@@ -15,6 +15,7 @@ from conftest import (
     make_rng,
     rand_fraction,
     real_root_profile,
+    sign_at,
     sign_variations,
     sturm_isolate,
     time_limit,
@@ -49,7 +50,6 @@ from poncelet.polycore import (
     _int_coeffs,
     _isolate,
     _refine,
-    _sign_at,
     _squarefree_mod,
 )
 
@@ -373,7 +373,7 @@ def test_descartes_isolation_matches_sturm_reference():
         c = _int_coeffs(f)
         ref = sturm_isolate(f)
         assert _isolate(c) == ref
-        at_hi += any(_sign_at(c, hi.numerator, hi.denominator) == 0 for _, hi in ref)
+        at_hi += any(sign_at(c, hi.numerator, hi.denominator) == 0 for _, hi in ref)
         narrow += any(hi - lo < ROOT_WIDTH for lo, hi in ref)
         roots = sturm_real_roots(f)
         assert len(roots) == len(ref) == len(real_root_profile(f))
@@ -528,6 +528,45 @@ def test_sturm_root_on_shared_interval_end_n12():
         assert hi <= lo
 
 
+def _check_roots(f, known, roots):
+    # root count and multiplicities against the Sturm reference, disjoint
+    # intervals in order, and each known root in one interval of its own
+    assert sorted(m for _, m, _ in roots) == real_root_profile(f)
+    assert len(roots) == len(known)
+    ivals = [iv for _, _, iv in roots]
+    for (_, hi), (lo, _) in zip(ivals, ivals[1:]):
+        assert hi <= lo
+    for t, m in known.items():
+        assert [mult for _, mult, (lo, hi) in roots if lo < t <= hi] == [m], t
+
+
+def test_overlap_loop_sorts_each_round():
+    # The double root -3 is hit exactly and recentred on a symmetric
+    # interval that also holds the simple root 1e-22 away; refining moves
+    # the pair past each other, and an order sorted only once never clears.
+    f = UniPolyR([3, 1]) ** 2 * UniPolyR([1, 1]) * UniPolyR([3 - Fraction(1, 10**22), 1])
+    with time_limit(5):
+        roots = sturm_real_roots(f)
+    _check_roots(f, {Fraction(-3): 2, Fraction(-1): 1, Fraction(1, 10**22) - 3: 1}, roots)
+
+
+def test_overlap_loop_near_double_roots():
+    # A double root at a dyadic point and a simple root within 1e-22 of it,
+    # in the other square-free factor, with up to two more simple roots.
+    rng = make_rng(12)
+    for _ in range(200):
+        r = Fraction(rng.randint(-2**12, 2**12), 2 ** rng.randint(0, 40))
+        known = {r: 2, r + rng.choice([1, -1]) * Fraction(rng.randint(1, 10**6), 10**28): 1}
+        for _ in range(rng.randint(0, 2)):
+            known.setdefault(rand_fraction(rng), 1)
+        f = UniPolyR([rng.choice([1, -2, 3])])
+        for t, m in known.items():
+            f = f * UniPolyR([-t, 1]) ** m
+        with time_limit(5):
+            roots = sturm_real_roots(f)
+        _check_roots(f, known, roots)
+
+
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -543,11 +582,11 @@ def test_integer_sign_matches_fraction_horner(coeffs, u, v, k):
     # Unreduced denominators (k * u) / (k * v), negative points and points
     # anywhere on the number line.
     at = Fraction(u, v)
-    assert _sign_at(coeffs, k * u, k * v) == _sign(UniPolyR(coeffs)(at))
+    assert sign_at(coeffs, k * u, k * v) == _sign(UniPolyR(coeffs)(at))
     assert _horner(coeffs, k * u, k * v) == (k * v) ** (len(coeffs) - 1) * UniPolyR(coeffs)(at)
     # an exact root: g * (v p - u) vanishes at u / v
     g = UniPolyR(coeffs) * UniPolyR([-u, v])
-    assert _sign_at([int(c) for c in g.coeffs] or [0], k * u, k * v) == 0
+    assert sign_at([int(c) for c in g.coeffs] or [0], k * u, k * v) == 0
 
 
 # SHA-256 of the isolating intervals, multiplicities and float values that
