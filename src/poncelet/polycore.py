@@ -9,10 +9,14 @@ finder clear denominators once and run over integer coefficients inside.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
-2004) and refines each root to the dyadic cell that bisection reaches, by
-quadratic interval refinement (Abbott, 2014): secant guesses checked by
-exact integer signs.  Polynomials in the three variables (p, x, y) allow
-negative exponents in p only; x and y exponents are always nonnegative.
+2004) from the nodes of the Cauchy-bound tree that a power-of-2 Fujiwara
+bound picks, and refines each root to the dyadic cell that bisection
+reaches, by quadratic interval refinement (Abbott, 2014): secant guesses
+checked by exact integer signs, on long operands by a fixed-point Horner
+with a rigorous error bound (Kobel, Rouillier and Sagraloff, 2016) and by
+exact Horner where it does not decide.  Polynomials in the three variables
+(p, x, y) allow negative exponents in p only; x and y exponents are always
+nonnegative.
 """
 
 from __future__ import annotations
@@ -688,6 +692,41 @@ def _horner(c: Sequence[int], u: int, v: int) -> int:
     return total
 
 
+# Fractional bits of the filtered sign test beyond those of the width, where
+# the test starts; see _filtered_horner.
+_GUARD_BITS = 128
+
+
+def _filtered_horner(prec: int):
+    """A sign test at u/w, w > 0, for integer coefficients c: fixed-point
+    Horner on the exact c_i, S <- floor(S x~ / 2**P) + c_i 2**P
+    with x~ = floor(u 2**P / w).  For X = 2**t >= |u/w| and |x~ / 2**P|,
+    |S - 2**P g(u/w)| <= E with E_i = E_(i+1) X + A_(i+1) + 1, A Horner on
+    |c_i| at X.  S is returned on the scale 2**prec when |S| > E proves its
+    sign; otherwise P, from prec on, doubles for this test and later ones,
+    and once P passes the bits of w, _horner gives the exact value on that
+    scale, which finds every zero."""
+    work = prec  # P
+
+    def sign_test(c: Sequence[int], u: int, w: int) -> int:
+        nonlocal work
+        while work <= w.bit_length():
+            x = (u << work) // w
+            t = ((abs(x) >> work) + 1).bit_length()
+            total, big, bound = c[-1] << work, abs(c[-1]), 0
+            for ci in reversed(c[:-1]):
+                total = (total * x >> work) + (ci << work)
+                bound, big = (bound << t) + big + 1, (big << t) + abs(ci)
+            if abs(total) > bound:
+                return (total >> (work - prec)) or 1
+            work *= 2
+        exact = _horner(c, u, w)
+        size = (abs(exact) << prec) // w ** (len(c) - 1) or 1
+        return size if exact > 0 else -size if exact else 0
+
+    return sign_test
+
+
 def _squarefree_mod(c: Sequence[int]) -> bool:
     """True when gcd(g mod q, g' mod q) = 1 over GF(q), q = _SQUAREFREE_PRIME,
     for the integer coefficients c of g, and q does not divide the leading
@@ -752,23 +791,32 @@ def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals (lo, hi] for all real roots of square-free g,
     given by its integer coefficients, by Descartes' rule of signs.
 
-    The dyadic tree starts at (-B, B], B = 1 + max|c|/|lead|; the node at
+    The dyadic tree is that of (-B, B], B = 1 + max|c|/|lead|; the node at
     depth k and index i is (lo, hi] = (-B + 2iB/2**k, -B + 2(i + 1)B/2**k].
-    A node keeps P(x) = g(lo + (hi - lo) x) scaled to integers; its roots in
-    (0, 1) are bounded by _descartes, and P(1) = 0 adds the root at hi.  The
-    left child is 2**d P(x/2), the right child that polynomial shifted by 1.
+    A node keeps P(x) = g(lo + (hi - lo) x) times a positive integer; its
+    roots in (0, 1) are bounded by _descartes, and P(1) = 0 adds the root at
+    hi.  The left child is 2**d P(x/2), the right child that polynomial
+    shifted by 1.  The search starts at the nodes (-h, 0] and (0, h],
+    h = 2B/2**k, at the largest depth k >= 1 with h >= 2**e, where every
+    root has |z| < 2**e by Fujiwara's bound with each ratio |c_(d-i)/lead|
+    rounded up to a power of 2.
     """
     d = len(g) - 1
     lead = abs(g[-1])
     bound = Fraction(lead + max(abs(c) for c in g), lead)
     top, den = bound.numerator, bound.denominator
-    # den**d g((2 top x - top)/den), by Horner
-    p = [g[-1]]
-    for j in range(d - 1, -1, -1):
-        p = [2 * top * b - top * a for a, b in zip(p + [0], [0] + p)]
-        p[0] += g[j] * den ** (d - j)
+    # |c_(d-i)/lead| < 2**(bits(c_(d-i)) - bits(lead) + 1), so |z| < 2**e
+    drop = [lead.bit_length() - 1 - abs(c).bit_length() for c in reversed(g[:-1])]
+    e = 1 - min((x // i for i, x in enumerate(drop, 1)), default=0)
+    k = max(1, (top // den).bit_length() - e)
+    h = Fraction(top, den << (k - 1))
+    # P(x) = g(h x) times h.denominator**d, and P(x - 1), which is Q(x + 1)
+    # at -x for Q(x) = P(-x)
+    right = [c * h.numerator**j * h.denominator ** (d - j) for j, c in enumerate(g)]
+    left = _shift1([-c if j % 2 else c for j, c in enumerate(right)])
+    left = [-c if j % 2 else c for j, c in enumerate(left)]
     leaves: list[tuple[int, int]] = []  # (depth, index) of nodes with one root
-    stack = [(0, 0, p)]
+    stack = [(k, 1 << (k - 1), right), (k, (1 << (k - 1)) - 1, left)]
     while stack:
         k, i, p = stack.pop()
         n = _descartes(p) + (not sum(p))
@@ -806,13 +854,18 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
     secant root and its neighbour on the root's side, and on success moves
     to the cell between them and doubles s; otherwise s halves.  s starts
     at 1, plain bisection, so the first test is the midpoint, and never
-    passes K - k."""
+    passes K - k.  Signs are exact: from _filtered_horner when v (below) is
+    longer than prec = _GUARD_BITS + log2(1/width) bits, else _horner."""
     # lo = a/v and hi = (a + diff)/v over one denominator v, which a cell at
     # depth k multiplies by 2**k; diff stays fixed.
     v = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (v // lo.denominator)
     diff = hi.numerator * (v // hi.denominator) - a
-    hb = _horner(g, a + diff, v)
+    # The secant guess reads w**d g(u/w) from _horner, so an end value kept
+    # for a finer cell is multiplied by m**d, or ~2**prec g(u/w), filtered.
+    prec = _GUARD_BITS + (width.denominator // width.numerator).bit_length()
+    horner, scale = (_filtered_horner(prec), 0) if v.bit_length() > prec else (_horner, len(g) - 1)
+    hb = horner(g, a + diff, v)
     if not hb:
         # Root hit exactly; recenter a symmetric interval around it.
         eps = width / 4
@@ -820,8 +873,8 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
     if hb < 0:
         g, hb = [-c for c in g], -hb
     # The one root in (lo, hi] is simple, so g < 0 just right of lo and
-    # g(lo) <= 0, with 0 when lo is a root outside; hb = v**d g(hi) > 0.
-    ha, d = _horner(g, a, v), len(g) - 1
+    # g(lo) <= 0, with 0 when lo is a root outside, and hb > 0.
+    ha = horner(g, a, v)
     depth = (diff * width.denominator // (width.numerator * v)).bit_length()
     k, s = 0, 1
     while k < depth:
@@ -831,14 +884,14 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
         # a poor guess costs a step, never the result
         den = ha - hb
         j = min(max((2 * m * ha + den) // (2 * den), 1), m - 1)
-        h = _horner(g, a * m + j * diff, vm)
+        h = horner(g, a * m + j * diff, vm)
         n = j - 1 if h > 0 else j + 1  # the neighbour on the root's side
         if h and 0 < n < m:
-            hn = _horner(g, a * m + n * diff, vm)
+            hn = horner(g, a * m + n * diff, vm)
             if not hn:
                 j, h = n, 0
         else:
-            hn = (ha if n == 0 else hb) << (s * d)
+            hn = (ha if n == 0 else hb) << (s * scale)
         if not h:
             # Grid point j is a root.  Bisection hits it at its coarsest
             # depth e = k + s - (trailing zeros of j) and returns it with
@@ -863,8 +916,9 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     with its derivative proves it square-free (_squarefree_mod), that list
     is isolated as it is; otherwise Yun's square-free decomposition splits
     it first.  Each square-free factor is isolated by Descartes' rule of
-    signs on integer Taylor shifts (_isolate) and refined by quadratic
-    interval refinement (_refine) to the interval bisection would give."""
+    signs on integer Taylor shifts from a Fujiwara start node (_isolate) and
+    refined by quadratic interval refinement with filtered signs (_refine)
+    to the interval bisection from (-B, B] would give."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     c = _int_coeffs(f)

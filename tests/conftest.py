@@ -113,6 +113,74 @@ def sturm_isolate(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
+def cauchy_isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi] of the real roots of square-free g,
+    given by its integer coefficients, by Descartes' rule of signs from the
+    root of the dyadic tree of (-B, B], B = 1 + max|c|/|lead|: the node at
+    depth k and index i is (-B + 2iB/2**k, -B + 2(i + 1)B/2**k].  A node
+    keeps P(x) = g(lo + (hi - lo) x) scaled to integers; its roots in (0, 1)
+    are bounded by _descartes, and P(1) = 0 adds the root at hi.  The left
+    child is 2**d P(x/2), the right child that polynomial shifted by 1.
+    Each root is reported on the largest node that holds no other root.
+    The reference for polycore._isolate, which starts below the root node
+    and must return the same nodes; its kernels are looked up on the module,
+    so that a test that counts their calls counts these too."""
+    d = len(g) - 1
+    lead = abs(g[-1])
+    bound = Fraction(lead + max(abs(c) for c in g), lead)
+    top, den = bound.numerator, bound.denominator
+    # den**d g((2 top x - top)/den), by Horner
+    p = [g[-1]]
+    for j in range(d - 1, -1, -1):
+        p = [2 * top * b - top * a for a, b in zip(p + [0], [0] + p)]
+        p[0] += g[j] * den ** (d - j)
+    leaves: list[tuple[int, int]] = []  # (depth, index) of nodes with one root
+    stack = [(0, 0, p)]
+    while stack:
+        k, i, p = stack.pop()
+        n = polycore._descartes(p) + (not sum(p))
+        if n == 1:
+            leaves.append((k, i))
+        elif n > 1:
+            left = [c << (d - j) for j, c in enumerate(p)]
+            stack.append((k + 1, 2 * i + 1, polycore._shift1(left[:])))
+            stack.append((k + 1, 2 * i, left))
+    # A leaf's ancestor at depth m < k has index i >> (k - m); two leaves
+    # part one level below their last common ancestor.
+    out = []
+    for j, (k, i) in enumerate(leaves):
+        depth = 0
+        for k2, i2 in leaves[max(j - 1, 0):j] + leaves[j + 1:j + 2]:
+            m = min(k, k2)
+            depth = max(depth, m + 1 - ((i >> (k - m)) ^ (i2 >> (k2 - m))).bit_length())
+        a, v = top * (2 * (i >> (k - depth)) - (1 << depth)), den << depth
+        out.append((Fraction(a, v), Fraction(a + 2 * top, v)))
+    return out
+
+
+def large_height_product(rng: random.Random) -> list[int]:
+    """Integer coefficients of a square-free product of 5 to 9 linear
+    factors q p - s 2**t, q and s of 100 bits and t in 0..30, and 1 to 3
+    dyadic roots m / 2**j, |m| < 2**12, j <= 40: coefficients of 500 bits
+    and more, and a Cauchy bound at least 2**20 times the largest root,
+    like the large-height centers' locus polynomials."""
+    def big():
+        return rng.getrandbits(100) | 1 << 99
+
+    while True:
+        f = [rng.choice([1, -1])]
+        roots = set()
+        factors = [(big(), rng.choice([1, -1]) * big() << rng.randint(0, 30)) for _ in range(rng.randint(5, 9))]
+        factors += [(1 << rng.randint(0, 40), rng.randint(-2**12, 2**12)) for _ in range(rng.randint(1, 3))]
+        for q, s in factors:
+            roots.add(Fraction(s, q))
+            f = [b * q - a * s for a, b in zip(f + [0], [0] + f)]
+        largest = max(abs(r) for r in roots)
+        if (len(roots) == len(factors) and max(abs(c) for c in f).bit_length() >= 500
+                and cauchy_bound(UniPolyR(f)) >= largest * 2**20):
+            return f
+
+
 def bisect_refine(g, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect the half-open isolating interval (lo, hi] of square-free g,
     given by its integer coefficients, to an interval narrower than `width`:

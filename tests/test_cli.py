@@ -287,14 +287,17 @@ def test_root_beyond_float_range_exit_code(capsys):
 
 
 def test_root_beyond_float_range_in_bounded_time(capsys):
-    # At n = 7 the roots are refined from (-B, B], B near 1e600, to below
-    # 1e-15: about 2000 bisection steps per root, far fewer by
-    # quadratic interval refinement.  The error must come within 5 s.
-    with time_limit(5):
-        code = main(["classify", "--n", "7", "--center", "1e300,0"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and "beyond the float range" in err
+    # At n = 7 the roots, near 2**1494 and 2**2989, lie in isolating
+    # intervals about 2**5975 and 2**11955 wide, which are refined to below
+    # 1e-15: about 6000 and 12000 bisection steps per root, far fewer by
+    # quadratic interval refinement, with signs decided in fixed point.  The
+    # error must come within 5 s at each center.
+    for center in ("1e300,0", "1e600,0"):
+        with time_limit(5):
+            code = main(["classify", "--n", "7", "--center", center])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "beyond the float range" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 isolation, and discriminants."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     bisect_refine,
+    cauchy_bound,
+    cauchy_isolate,
     det_laplace,
+    large_height_product,
     make_rng,
     rand_fraction,
     real_root_profile,
@@ -507,6 +511,162 @@ def test_refine_halves_the_horner_count(monkeypatch):
                 assert got == bisect_refine(c, lo, hi, ROOT_WIDTH)
                 bisect += len(calls)
     assert bisect > 2000 and 2 * qir <= bisect
+
+
+def _large_height_samples():
+    rng = make_rng(14)
+    return [large_height_product(rng) for _ in range(10)]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    kernel = getattr(polycore, name)
+    monkeypatch.setattr(polycore, name, lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def test_large_height_roots_match_references():
+    # The start node below the root of the tree and the filtered sign tests
+    # move no interval, on products whose Cauchy bound lies 2**20 and more
+    # above the largest root and whose coefficients reach 500 bits; every
+    # interval's denominator is longer than the filter's precision.  A wrong
+    # sign can send refinement round forever; the alarm makes that a failure.
+    for c in _large_height_samples():
+        with time_limit(10):
+            ivals = _isolate(c)
+            assert ivals == cauchy_isolate(c)
+            assert len(ivals) == len(c) - 1
+            for lo, hi in ivals:
+                assert _refine(c, lo, hi, ROOT_WIDTH) == bisect_refine(c, lo, hi, ROOT_WIDTH)
+
+
+def test_isolate_degree_zero():
+    assert _isolate([5]) == cauchy_isolate([5]) == []
+    assert _isolate([-1]) == []
+    assert sturm_real_roots(UniPolyR([Fraction(-3, 7)])).roots == []
+
+
+@pytest.mark.parametrize("b, d", [(3, 6), (10, 12), (40, 12)])
+def test_isolate_root_next_to_start_node_end(b, d):
+    # Each |c_(d-i) / lead| = 2**(ib) - 2**-7 lies just under the power of 2
+    # that the start bound rounds it up to, so the largest root comes within
+    # 1% of h, the end of a start node: one depth deeper would lose it.
+    # g(-p) puts it next to -h.
+    g = [-(2 ** (7 + (d - j) * b) - 1) for j in range(d)] + [2**7]
+    for c in (g, [(-1) ** j * x for j, x in enumerate(g)]):
+        # e, k and h as the _isolate docstring defines them
+        lb = c[-1].bit_length()
+        e = 1 + max(-(-(abs(x).bit_length() - lb + 1) // i) for i, x in enumerate(reversed(c[:-1]), 1))
+        bound = cauchy_bound(UniPolyR(c))
+        k = max(kk for kk in range(1, 2000) if 2 * bound / 2**kk >= 2**e)
+        h = 2 * bound / 2**k
+        assert _isolate(c) == cauchy_isolate(c)
+        roots = sturm_real_roots(UniPolyR(c)).values()
+        assert max(abs(r) for r in roots) > 0.99 * h
+
+
+def test_filtered_sign_test_falls_back_at_dyadic_roots(monkeypatch):
+    # A root on the dyadic grid of an interval whose denominator is longer
+    # than the filter's precision: no fixed-point value can prove a sign
+    # there, so the filter must hand the test to exact Horner, which finds
+    # the zero where bisection does.
+    calls = _count_calls(monkeypatch, "_horner")
+    rng = make_rng(15)
+    hits = 0
+    for _ in range(20):
+        c = large_height_product(rng)
+        j = rng.randint(0, 40)
+        r = Fraction(rng.randrange(-2**12 + 1, 2**12, 2), 2**j)
+        if not _horner(c, r.numerator, r.denominator):
+            continue
+        c = [b * r.denominator - a * r.numerator for a, b in zip(c + [0], [0] + c)]
+        sep = min(abs(r - (a + b) / 2) for _, _, (a, b) in sturm_real_roots(UniPolyR(c)) if not a <= r <= b)
+        # a 300-bit odd denominator, and r at a depth e of (lo, lo + size]
+        # that bisection reaches
+        size = sep / 4 * Fraction(2**299, rng.getrandbits(299) | 2**299 | 1)
+        e = rng.randint(1, min(40, int(size / ROOT_WIDTH).bit_length()))
+        lo = r - size * Fraction(rng.randrange(1, 2**e, 2), 2**e)
+        calls.clear()
+        with time_limit(10):
+            got = _refine(c, lo, lo + size, ROOT_WIDTH)
+        assert calls and (got[0] + got[1]) / 2 == r
+        assert got == bisect_refine(c, lo, lo + size, ROOT_WIDTH)
+        hits += 1
+    assert hits >= 15
+
+
+def test_filtered_sign_test_at_its_error_bound(monkeypatch):
+    # Positive c_1..c_d (and their mirror at -x) and c_0 leaving
+    # 0 <= g(x) < 1: the fixed-point value falls short by up to its error
+    # bound E, far more than 2**prec g(x), so its sign is wrong unless the
+    # test sees |S| <= E and retries at a higher precision or, past the bits
+    # of w, asks exact Horner.  x just below 2**t makes E nearly tight; x in
+    # [1.5 * 2**t, 2**(t+1) - 1) needs X = 2**(t+1), not 2**t.  A third kind
+    # has g(x) = h(x) / w, too small for the 2**prec scale, which must still
+    # come back nonzero.
+    calls = _count_calls(monkeypatch, "_horner")
+    rng = make_rng(16)
+    for i in range(300):
+        d, t = rng.randint(1, 8), rng.randint(2, 40)
+        w = rng.getrandbits(200) | 1 << 199 | 1
+        if i % 3 == 0:
+            u = (w << t) - rng.randint(1, w >> 1)
+        else:
+            u = (3 * w << (t - 1)) + rng.randrange((w << (t - 1)) - w)
+        c = [0] + [rng.getrandbits(100) for _ in range(d)]
+        if i % 3 < 2:
+            c[0] = -(_horner(c, u, w) // w**d)
+        elif math.gcd(u, w) == 1:
+            q = pow(u, -1, w)
+            c = [b * q - a * ((q * u - 1) // w) for a, b in zip(c[1:] + [0], [0] + c[1:])]
+        for c, u in ((c, u), ([(-1) ** j * x for j, x in enumerate(c)], -u)):
+            exact = _horner(c, u, w)
+            got = polycore._filtered_horner(64)(c, u, w)
+            assert (got > 0) - (got < 0) == (exact > 0) - (exact < 0)
+    assert len(calls) >= 200
+
+
+def test_start_node_cuts_taylor_shifts(monkeypatch):
+    # Work, not wall clock: Taylor shifts (one per Descartes node and one per
+    # split) from the start nodes against the search from the root of the
+    # tree, on the n = 8..12 gate centers and the large-height samples.
+    # About 36% and 26% of cauchy_isolate's.
+    shifts = _count_calls(monkeypatch, "_shift1")
+    gate = [_int_coeffs(g) for f, _ in _gate_inputs()[60:72] for g, _ in squarefree_decomposition(f)]
+    for inputs in (gate, _large_height_samples()):
+        shifts.clear()
+        for c in inputs:
+            _isolate(c)
+        tight = len(shifts)
+        shifts.clear()
+        for c in inputs:
+            cauchy_isolate(c)
+        assert 4 * tight <= 3 * len(shifts)
+
+
+def test_filter_cuts_exact_horner(monkeypatch):
+    # Work, not wall clock: exact Horner calls of _refine.  The size rule
+    # keeps the small-coefficient n = 5 gate centers exact: 649 calls, as
+    # before the filter.  On the large-height samples the filter leaves at
+    # most a third of the calls that every test exact takes (a guard longer
+    # than any denominator); none at all on the default seed's samples.
+    calls = _count_calls(monkeypatch, "_horner")
+    for i, (f, _) in enumerate(_gate_inputs()[:60]):
+        if i % 2 == 0 and i % 3 != 2:
+            c = _int_coeffs(f)
+            factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+            for c in factors:
+                for lo, hi in _isolate(c):
+                    _refine(c, lo, hi, ROOT_WIDTH)
+    assert len(calls) == 649
+    cases = [(c, lo, hi) for c in _large_height_samples() for lo, hi in _isolate(c)]
+    calls.clear()
+    filtered = [_refine(c, lo, hi, ROOT_WIDTH) for c, lo, hi in cases]
+    count = len(calls)
+    monkeypatch.setattr(polycore, "_GUARD_BITS", 10**9)
+    calls.clear()
+    assert [_refine(c, lo, hi, ROOT_WIDTH) for c, lo, hi in cases] == filtered
+    assert 3 * count <= len(calls)
 
 
 def test_sturm_root_on_shared_interval_end_n12():
