@@ -855,7 +855,9 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
     to the cell between them and doubles s; otherwise s halves.  s starts
     at 1, plain bisection, so the first test is the midpoint, and never
     passes K - k.  Signs are exact: from _filtered_horner when v (below) is
-    longer than prec = _GUARD_BITS + log2(1/width) bits, else _horner."""
+    longer than prec = _GUARD_BITS + log2(1/width) bits, else _horner.
+    An interval with g(lo) and g(hi) of one nonzero sign raises
+    PolycoreError unless its midpoint is a root."""
     # lo = a/v and hi = (a + diff)/v over one denominator v, which a cell at
     # depth k multiplies by 2**k; diff stays fixed.
     v = math.lcm(lo.denominator, hi.denominator)
@@ -873,7 +875,10 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
     if hb < 0:
         g, hb = [-c for c in g], -hb
     # The one root in (lo, hi] is simple, so g < 0 just right of lo and
-    # g(lo) <= 0, with 0 when lo is a root outside, and hb > 0.
+    # g(lo) <= 0, with 0 when lo is a root outside, and hb > 0.  Only an
+    # interval centred on a root, as an exact hit returns and the overlap
+    # loop refines again, may have g(lo) > 0; the first test, at its
+    # midpoint, must hit that root.
     ha = horner(g, a, v)
     depth = (diff * width.denominator // (width.numerator * v)).bit_length()
     k, s = 0, 1
@@ -883,7 +888,7 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
         # the grid point nearest the secant root, strictly inside the cell;
         # a poor guess costs a step, never the result
         den = ha - hb
-        j = min(max((2 * m * ha + den) // (2 * den), 1), m - 1)
+        j = min(max((2 * m * ha + den) // (2 * den), 1), m - 1) if ha <= 0 else 1
         h = horner(g, a * m + j * diff, vm)
         n = j - 1 if h > 0 else j + 1  # the neighbour on the root's side
         if h and 0 < n < m:
@@ -899,11 +904,15 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
             mid = Fraction(a * m + j * diff, vm)
             eps = min(width, Fraction(diff, v << (s + 1 - (j & -j).bit_length()))) / 4
             return mid - eps, mid + eps
+        if ha > 0:
+            raise PolycoreError(f"({lo}, {hi}] does not isolate one simple root")
         if (hn > 0) != (h > 0):
             # the root lies in the cell between j and n
             a, v, k, s = a * m + min(j, n) * diff, vm, k + s, 2 * s
             ha, hb = (h, hn) if j < n else (hn, h)
         else:
+            # ha <= 0 < hb holds here, so a test at s = 1, whose neighbour
+            # is an end, always moves: s never reaches 0.
             s //= 2
     return Fraction(a, v), Fraction(a + diff, v)
 
@@ -964,28 +973,16 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
 
 
 def quartic_disc(A, B, C, D, E):
-    """Closed-form discriminant of A t^4 + B t^3 + C t^2 + D t + E.
+    """Discriminant of A t^4 + B t^3 + C t^2 + D t + E from the invariants
+    I = quartic_O and J of the quartic: (4 I^3 - J^2) / 27, where
+    J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2) (Cremona, 1999).
 
-    Works over any commutative ring (Fraction or LaurentPoly3 entries).
+    Works over any commutative ring that holds 1/27 (Fraction or
+    LaurentPoly3 entries); int entries give a Fraction.
     """
-    return (
-        B * B * C * C * D * D
-        - 4 * A * C * C * C * D * D
-        - 4 * B * B * B * D * D * D
-        + 18 * A * B * C * D * D * D
-        - 27 * A * A * D * D * D * D
-        - 4 * B * B * C * C * C * E
-        + 16 * A * C * C * C * C * E
-        + 18 * B * B * B * C * D * E
-        - 80 * A * B * C * C * D * E
-        - 6 * A * B * B * D * D * E
-        + 144 * A * A * C * D * D * E
-        - 27 * B * B * B * B * E * E
-        + 144 * A * B * B * C * E * E
-        - 128 * A * A * C * C * E * E
-        - 192 * A * A * B * D * E * E
-        + 256 * A * A * A * E * E * E
-    )
+    I = quartic_O(A, B, C, D, E)
+    J = C * (72 * A * E + 9 * B * D - 2 * C * C) - 27 * (A * D * D + E * B * B)
+    return (4 * I * I * I - J * J) * Fraction(1, 27)
 
 
 def quartic_P(A, B, C, D, E):
@@ -993,13 +990,14 @@ def quartic_P(A, B, C, D, E):
 
 
 def quartic_D(A, B, C, D, E):
-    return (
-        -3 * B * B * B * B
-        - 16 * A * A * C * C
-        + 64 * A * A * A * E
-        + 16 * A * B * B * C
-        - 16 * A * A * B * D
-    )
+    """The invariant D = (16 A^2 I - P^2) / 3 of the quartic, with
+    I = quartic_O and P = quartic_P.
+
+    Works over any commutative ring that holds 1/3; int entries give a
+    Fraction.
+    """
+    P = quartic_P(A, B, C, D, E)
+    return (16 * A * A * quartic_O(A, B, C, D, E) - P * P) * Fraction(1, 3)
 
 
 def quartic_R(A, B, C, D, E):

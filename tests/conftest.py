@@ -158,6 +158,42 @@ def cauchy_isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def quartic_disc_expanded(A, B, C, D, E):
+    """The discriminant of A t^4 + B t^3 + C t^2 + D t + E as its 16
+    expanded terms: the reference for polycore.quartic_disc, which builds
+    it from the invariants I and J."""
+    return (
+        B * B * C * C * D * D
+        - 4 * A * C * C * C * D * D
+        - 4 * B * B * B * D * D * D
+        + 18 * A * B * C * D * D * D
+        - 27 * A * A * D * D * D * D
+        - 4 * B * B * C * C * C * E
+        + 16 * A * C * C * C * C * E
+        + 18 * B * B * B * C * D * E
+        - 80 * A * B * C * C * D * E
+        - 6 * A * B * B * D * D * E
+        + 144 * A * A * C * D * D * E
+        - 27 * B * B * B * B * E * E
+        + 144 * A * B * B * C * E * E
+        - 128 * A * A * C * C * E * E
+        - 192 * A * A * B * D * E * E
+        + 256 * A * A * A * E * E * E
+    )
+
+
+def quartic_D_expanded(A, B, C, D, E):
+    """The quartic's invariant D as its 5 expanded terms: the reference for
+    polycore.quartic_D, which builds it from P and I."""
+    return (
+        -3 * B * B * B * B
+        - 16 * A * A * C * C
+        + 64 * A * A * A * E
+        + 16 * A * B * B * C
+        - 16 * A * A * B * D
+    )
+
+
 def large_height_product(rng: random.Random) -> list[int]:
     """Integer coefficients of a square-free product of 5 to 9 linear
     factors q p - s 2**t, q and s of 100 bits and t in 0..30, and 1 to 3

@@ -17,6 +17,8 @@ from conftest import (
     det_laplace,
     large_height_product,
     make_rng,
+    quartic_D_expanded,
+    quartic_disc_expanded,
     rand_fraction,
     real_root_profile,
     sign_at,
@@ -24,7 +26,7 @@ from conftest import (
     sturm_isolate,
     time_limit,
 )
-from poncelet import polycore
+from poncelet import polycore, verify
 from poncelet.cayley import locus
 from poncelet.polycore import (
     ROOT_WIDTH,
@@ -42,6 +44,8 @@ from poncelet.polycore import (
     poly_det,
     poly_div_exact,
     poly_gcd,
+    quartic_D,
+    quartic_disc,
     resultant,
     specialize,
     squarefree_decomposition,
@@ -429,6 +433,15 @@ def test_refine_dyadic_root_hit_by_bisection():
     (_, _, (lo, hi)), = roots
     assert lo < Fraction(1, 2) < hi
     assert hi - lo < ROOT_WIDTH
+
+
+def test_refine_raises_without_one_simple_root():
+    # g(lo) and g(hi) of one sign: no root in (lo, hi] for p^2 + 1, two for
+    # p^2 - 2.  Refinement used to loop forever on the first and divide by
+    # zero on the second; the alarm turns a hang into a failure.
+    for c, lo, hi in (([1, 0, 1], 0, 1), ([1, 0, 1], -1, 1), ([-2, 0, 1], -2, 2)):
+        with time_limit(5), pytest.raises(PolycoreError, match="does not isolate"):
+            _refine(c, Fraction(lo), Fraction(hi), ROOT_WIDTH)
 
 
 def _dyadic_roots(rng):
@@ -912,6 +925,70 @@ def test_quartic_disc_double_route_agreement():
         # sanity: a detected double root forces discriminant 0
         if any(m > 1 for _, m in squarefree_decomposition(f)):
             assert d == 0
+
+
+def test_discriminant_low_degree_double_route_agreement():
+    # the closed formulas of discriminant() at degrees 2 and 3 against
+    # (-1)**(d (d - 1) / 2) Res(f, f') / lc, the Sylvester determinant
+    rng = make_rng(6)
+    for d in (2, 3):
+        for _ in range(300):
+            lead = Fraction(0)
+            while lead == 0:
+                lead = rand_fraction(rng, 9, 5)
+            f = UniPolyR([rand_fraction(rng, 9, 5) for _ in range(d)] + [lead])
+            sign = -1 if d * (d - 1) // 2 % 2 else 1
+            assert discriminant(f) == sign * resultant(f, f.derivative()) / lead
+
+
+def _locus7_quartic():
+    coeffs = verify.p_coefficients(locus(7).canonical)
+    return [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
+
+
+def test_quartic_invariants_match_expansions():
+    # the I, J form of the discriminant and the P, I form of D against
+    # their expanded terms, over Q with zero coefficients (A = 0 included)
+    # and over LaurentPoly3
+    rng = make_rng(7)
+    quartics = [
+        [Fraction(0) if rng.random() < 0.2 else rand_fraction(rng, 30, 7) for _ in range(5)]
+        for _ in range(1200)
+    ]
+    assert sum(q[0] == 0 for q in quartics) >= 100
+    quartics += [_locus7_quartic()]
+    quartics += [[_rand_poly(rng, rng.randint(0, 3)) for _ in range(5)] for _ in range(20)]
+    for q in quartics:
+        assert quartic_disc(*q) == quartic_disc_expanded(*q)
+        assert quartic_D(*q) == quartic_D_expanded(*q)
+    # the ring must hold 1/27 and 1/3, so int entries give a Fraction
+    assert quartic_disc(1, 0, -5, 0, 4) == 5184
+    assert isinstance(quartic_disc(1, 0, -5, 0, 4), Fraction)
+    assert isinstance(quartic_D(1, 0, -5, 0, 4), Fraction)
+
+
+def test_quartic_disc_product_work(monkeypatch):
+    # Work, not wall clock: term products len(a) len(b) + len(c) len(d) in
+    # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
+    # quartic against 102481 for the expansion, and 37733 for a warm
+    # verify.checks() against 116629 with the expanded discriminant.
+    quartic = _locus7_quartic()
+    verify.checks()
+    mul_sub, work = polycore._mul_sub, [0]
+
+    def counted(a, b, c, d):
+        work[0] += len(a) * len(b) + len(c) * len(d)
+        return mul_sub(a, b, c, d)
+
+    monkeypatch.setattr(polycore, "_mul_sub", counted)
+    counts = []
+    for run in (lambda: quartic_disc(*quartic), lambda: quartic_disc_expanded(*quartic), verify.checks):
+        work[0] = 0
+        run()
+        counts.append(work[0])
+    invariant, expanded, checks = counts
+    assert invariant <= 0.3 * expanded
+    assert checks <= 45_000
 
 
 def test_root_beyond_float_range_is_named():
