@@ -437,8 +437,7 @@ def test_refine_dyadic_root_hit_by_bisection():
 
 def test_refine_raises_without_one_simple_root():
     # g(lo) and g(hi) of one sign: no root in (lo, hi] for p^2 + 1, two for
-    # p^2 - 2.  Refinement used to loop forever on the first and divide by
-    # zero on the second; the alarm turns a hang into a failure.
+    # p^2 - 2.  Each must raise; the alarm turns a hang into a failure.
     for c, lo, hi in (([1, 0, 1], 0, 1), ([1, 0, 1], -1, 1), ([-2, 0, 1], -2, 2)):
         with time_limit(5), pytest.raises(PolycoreError, match="does not isolate"):
             _refine(c, Fraction(lo), Fraction(hi), ROOT_WIDTH)
