@@ -1,11 +1,10 @@
 """Pencil coefficients, the Cayley series, the Hankel determinants W_n and
 canonical locus polynomials for the circle/parabola pencil.
 
-W_n = hankel_raw(n) runs a Somos-4 recurrence from W_1 = W_2 = 1, W_3 = A_2
-and W_4 = A_3 (A_k = atilde_k / k!): W_{k+2} W_{k-2} = a_k W_{k+1} W_{k-1}
-+ b W_k^2 for k >= 3, with a_k = 1/2 for odd k and 1/(2 delta2) for even k,
-and b = -W_3 / (2 delta2).  The Hankel matrix and its Bareiss determinant
-survive only in the tests, as the independent reference."""
+W_n = hankel_raw(n) comes from W_1 = W_2 = 1, W_3 = A_2 and W_4 = A_3
+(A_k = atilde_k / k!) by the doubling formulas of elliptic divisibility
+sequences, products alone.  The Hankel matrix, with its Bareiss determinant,
+and the Somos-4 recurrence survive in the tests as independent references."""
 
 from __future__ import annotations
 
@@ -14,14 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from . import polycore
 from .geometry import DegenerateParabola
-from .polycore import (
-    LaurentPoly3,
-    ZeroPolynomial,
-    _quotient,
-    canonicalize,
-    poly_div_exact,
-)
+from .polycore import LaurentPoly3, ZeroPolynomial, canonicalize, poly_div_exact
 
 MAX_N = 12
 
@@ -78,26 +72,49 @@ def _atilde(k: int) -> LaurentPoly3:
     return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
-_ATILDE = atilde_sequence(3)
+_ATILDE, _DELTA2 = atilde_sequence(3), pencil_coeffs().delta2
 _W = (LaurentPoly3.const(1),) * 2 + (_ATILDE[1] * Fraction(1, 2), _ATILDE[2] * Fraction(1, 6))
-_A = (poly_div_exact(LaurentPoly3.const(Fraction(1, 2)), pencil_coeffs().delta2), Fraction(1, 2))
-_B = -_W[2] * _A[0]  # -W_3 / (2 delta2)
 
 
 @lru_cache(maxsize=None)
 def hankel_raw(n: int) -> LaurentPoly3:
-    """W_n, whose vanishing is the n-gon condition, by one exact quotient per
-    n: Hankel determinants of the square root of a cubic satisfy Somos-4
+    """W_n, whose vanishing is the n-gon condition, by a doubling formula.
+
+    Hankel determinants of the square root of a cubic satisfy Somos-4
     recurrences (van der Poorten, J. Integer Sequences 8, 2005; Hone, Bull.
-    LMS 37, 2005).  As in Ward's elliptic divisibility sequences (Amer. J.
-    Math. 70, 1948), W_d divides W_n when d | n, as `locus` relies on."""
+    LMS 37, 2005), here W_k+2 W_k-2 = a_k W_k+1 W_k-1 + b W_k^2 and W_0 = 0,
+    a_k = 1/2 (k odd) or 1/(2 delta2) (k even), b = -W_3 / (2 delta2).  With
+    W_n = g_n h_n, g_n = B^(n-1) u^[n even], B^2 = 2 delta2, u^4 = 1/delta2,
+    it is Ward's addition law h_m+n h_m-n = h_m+1 h_m-1 h_n^2 - h_n+1 h_n-1
+    h_m^2 at n = 2 (Amer. J. Math. 70, 1948): h is an elliptic divisibility
+    sequence, so W_d | W_n when d | n, as `locus` relies on.  At (m+1, m-1)
+    and (m+1, m) the law gives h_2m h_2 = h_m (h_m+2 h_m-1^2 - h_m-2 h_m+1^2)
+    and h_2m+1 = h_m+2 h_m^3 - h_m-1 h_m+1^3 (Shipsey, thesis, 2000).  Both
+    products of a formula carry one factor, g_2m / (h_2 g_m g_m+2 g_m-1^2) =
+    B^(4-2m), or g_2m+1 / (g_j g_j'^3) = B^(2-2m) u^(-4[j' even]) for
+    W_j W_j'^3, so
+
+      W_2m = (2 delta2)^-(m-2) W_m (W_m+2 W_m-1^2 - W_m-2 W_m+1^2),
+      W_2m+1 = (2 delta2)^-(m-1) (delta2^[m even] W_m+2 W_m^3 - delta2^[m odd] W_m-1 W_m+1^3)."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if n <= 4:
         return _W[n - 1]
-    w = _W[:2] + tuple(hankel_raw(m) for m in range(3, n))  # w[m - 1] = W_m
-    k = n - 2
-    return _quotient(w[k], w[k - 2] * _A[k % 2], -_B * w[k - 1], w[k - 1], w[k - 3])
+    m, odd = divmod(n, 2)
+    # W_n is (2 delta2)^-k times a form of degree d in 1, delta2 and the W_j,
+    # all packed once at one scale; k >= 1 for even n, so W_0 is never read.
+    k, d = m - 2 + odd, 4 + odd
+    fs = [_W[0], _DELTA2] + [_W[j - 1] if j < 3 else hankel_raw(j) for j in range(k, m + 3)]
+    (one, d2, *ws), scale, shift, w = polycore._pack_all(fs, d)
+    W, ms = dict(enumerate(ws, k)), polycore._mul_sub
+    mul = lambda a, b: ms(a, b, {}, {})
+    if odd:
+        t, v = (mul(W[i], mul(W[j], mul(W[j], W[j]))) for i, j in ((m + 2, m), (m - 1, m + 1)))
+        q = ms(d2, t, one, v) if m % 2 == 0 else ms(one, t, d2, v)
+    else:
+        q = mul(W[m], ms(W[m + 2], mul(W[m - 1], W[m - 1]), W[m - 2], mul(W[m + 1], W[m + 1])))
+    # (2 delta2)^-k = (-1)^k 2^-k p^-2k
+    return polycore._unpack(q, Fraction((-1) ** k, 2**k * scale**d), -2 * k - d * shift, w)
 
 
 @dataclass(frozen=True)

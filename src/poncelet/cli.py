@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import verify
 from .cayley import MAX_N, locus, locus_at_p
@@ -200,10 +201,26 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def float_evaluator(curve):
+    """curve.evaluate(1, x, y) for floats x and y, bit for bit, with each
+    coefficient made a float once and the powers of each value cached."""
+    try:
+        terms = [(float(c), ex, ey) for (_, ex, ey), c in curve.terms.items()]
+    except OverflowError:
+        raise ValueError("the locus at this p has a coefficient beyond the float range") from None
+    exponents = range(1 + max(map(max, curve.terms)))
+    powers = lru_cache(maxsize=None)(lambda v: [v**e for e in exponents])
+
+    def f(x: float, y: float) -> float:
+        xs, ys, total = powers(x), powers(y), 0.0
+        for c, ex, ey in terms:  # evaluate's order; p**ep = 1
+            total = total + c * xs[ex] * ys[ey]
+        return total
+    return f
+
+
 def cmd_locus(args) -> int:
-    curve = locus_at_p(args.n, args.p)
-    f = lambda x, y: float(curve.evaluate(1, x, y))  # p already substituted
-    points = marching_squares(f, args.grid)
+    points = marching_squares(float_evaluator(locus_at_p(args.n, args.p)), args.grid)
     if args.format == "svg":
         _emit(args.out, locus_svg(points))
     else:

@@ -2,10 +2,9 @@
 polynomials over Q, real root isolation, discriminants.
 
 Coefficients are `fractions.Fraction` throughout; products, determinants
-(one fraction-free Bareiss, which also gives the Sylvester resultant), exact
-division, `specialize` (the one exact evaluator at a rational center (x, y),
-used for the locus and the region polynomials alike) and the real root
-finder clear denominators once and run over integer coefficients inside.
+(one fraction-free Bareiss), exact division, `specialize` (the one exact
+evaluator at a rational center (x, y), for the locus and region polynomials)
+and the real root finder clear denominators once and run over integers.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
@@ -170,11 +169,8 @@ class LaurentPoly3:
             return NotImplemented
         if not self.terms or not other.terms:
             return LaurentPoly3()
-        sa, sb = -self.min_p_exponent(), -other.min_p_exponent()
-        da, db = _den_lcm(self.terms.values()), _den_lcm(other.terms.values())
-        w = _width(max(map(sum, zip(_max_degree(self.terms, sa), _max_degree(other.terms, sb)))))
-        ia, ib = _pack(self.terms, da, sa, w), _pack(other.terms, db, sb, w)
-        return _unpack(_mul_sub(ia, ib, {}, {}), Fraction(1, da * db), -(sa + sb), w)
+        (ia, ib), scale, shift, w = _pack_all((self, other), 2)
+        return _unpack(_mul_sub(ia, ib, {}, {}), Fraction(1, scale * scale), -2 * shift, w)
 
     __rmul__ = __mul__
 
@@ -228,47 +224,41 @@ def _coerce(v) -> LaurentPoly3:
 
 
 def _power(base, n: int, one):
-    """base**n by repeated squaring, for either polynomial class."""
+    """base**n by repeated squaring, for either polynomial class; no factor is `one`."""
     if n < 0:
         raise ValueError("negative powers not supported; divide explicitly")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
     """Exact quotient a / b; raises NotDivisible when the remainder is nonzero.
 
-    Division by pure p-powers always succeeds (p is invertible).
+    Division by pure p-powers always succeeds (p is invertible).  b's own
+    p-shift makes its lowest p-power 1, so the quotient has no negative one.
     """
-    return _quotient(a, LaurentPoly3.const(1), LaurentPoly3(), LaurentPoly3(), b)
-
-
-def _quotient(a: LaurentPoly3, b: LaurentPoly3, c: LaurentPoly3, d: LaurentPoly3, e: LaurentPoly3) -> LaurentPoly3:
-    """Exact quotient (a*b - c*d) / e, as in a Bareiss step; raises
-    NotDivisible.  All five are packed with one scale, and a to d with one
-    p-shift; e's own shift makes its lowest p-power 1."""
-    if e.is_zero():
+    if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    fs = [f for f in (a, b, c, d, e) if f.terms]
-    den = _den_lcm(v for f in fs for v in f.terms.values())
-    shift, se = -min(f.min_p_exponent() for f in fs), -e.min_p_exponent()
-    w = _width(2 * max(max(_max_degree(f.terms, shift)) for f in fs))
-    ia, ib, ic, id_ = (_pack(f.terms, den, shift, w) for f in (a, b, c, d))
-    ie = _pack(e.terms, den, se, w)
+    if a.is_zero():
+        return LaurentPoly3()
+    da, db = _den_lcm(a.terms.values()), _den_lcm(b.terms.values())
+    sa, sb = -a.min_p_exponent(), -b.min_p_exponent()
+    w = _width(max(*_max_degree(a.terms, sa), *_max_degree(b.terms, sb)))
+    ia, ib = _pack(a.terms, da, sa, w), _pack(b.terms, db, sb, w)
     # A primitive divisor makes the quotient integral whenever it exists
     # over Q (Gauss's lemma), so an inexact integer step means NotDivisible.
-    g = math.gcd(*ie.values())
+    g = math.gcd(*ib.values())
     try:
-        q = _idiv(_mul_sub(ia, ib, ic, id_), {k: v // g for k, v in ie.items()}, w)
+        q = _idiv(ia, {k: v // g for k, v in ib.items()}, w)
     except NotDivisible:
-        raise NotDivisible(f"{format_poly(a * b - c * d)} is not divisible by {format_poly(e)}") from None
-    return _unpack(q, Fraction(1, den * g), se - 2 * shift, w)
+        raise NotDivisible(f"{format_poly(a)} is not divisible by {format_poly(b)}") from None
+    return _unpack(q, Fraction(db, da * g), sb - sa, w)
 
 
 def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
@@ -281,22 +271,13 @@ def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
     if not k:
         return LaurentPoly3.const(1)
     rows = [[_coerce(v) for v in row] for row in m]
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("matrix must be square")
-    entries = [v for row in rows for v in row if v.terms]
-    if not entries:
+    if any(len(row) != k for row in rows):
+        raise ValueError("matrix must be square")
+    if not any(v.terms for row in rows for v in row):
         return LaurentPoly3()
-    den = _den_lcm(c for v in entries for c in v.terms.values())
-    shift = -min(v.min_p_exponent() for v in entries)
-    # Every minor has, in each variable, at most the sum over rows of the
-    # row's largest exponent; Bareiss multiplies two minors.
-    bound = [0, 0, 0]
-    for row in rows:
-        row_max = [max(d) for d in zip(*(_max_degree(v.terms, shift) for v in row if v.terms))]
-        bound = [b + r for b, r in zip(bound, row_max or (0, 0, 0))]
-    w = _width(2 * max(bound))
-    mat = [[_pack(v.terms, den, shift, w) for v in row] for row in rows]
+    # A minor's exponents are at most k times the largest; Bareiss multiplies two.
+    forms, den, shift, w = _pack_all([v for row in rows for v in row], 2 * k)
+    mat = [forms[i * k:(i + 1) * k] for i in range(k)]
     sign = 1
     prev = {0: 1}
     for i in range(k - 1):
@@ -356,11 +337,23 @@ def _pack(terms: Mapping[Expo, Fraction], scale: int, shift: int, w: int) -> dic
     return out
 
 
+def _pack_all(fs: Sequence[LaurentPoly3], degree: int) -> tuple[list[dict[int, int]], int, int, int]:
+    """Integer forms of fs at one scale and p-shift, in a width that fits
+    any product of `degree` of them: (forms, scale, shift, w).  A form of
+    degree d in them is scale**d * p**(d * shift) times that form in fs."""
+    nonzero = [f for f in fs if f.terms]
+    scale = _den_lcm(c for f in nonzero for c in f.terms.values())
+    shift = -min(f.min_p_exponent() for f in nonzero)
+    w = _width(degree * max(max(_max_degree(f.terms, shift)) for f in nonzero))
+    return [_pack(f.terms, scale, shift, w) for f in fs], scale, shift, w
+
+
 def _unpack(a: dict[int, int], scale: Fraction, shift: int, w: int) -> LaurentPoly3:
     """scale * p**shift * a as a LaurentPoly3, terms in descending order."""
     mask = (1 << w) - 1
+    num, den = scale.numerator, scale.denominator
     return _raw({
-        ((k >> 2 * w) + shift, (k >> w) & mask, k & mask): a[k] * scale
+        ((k >> 2 * w) + shift, (k >> w) & mask, k & mask): Fraction(a[k] * num, den)
         for k in sorted(a, reverse=True)
     })
 
@@ -481,25 +474,12 @@ def format_poly(a: LaurentPoly3) -> str:
     parts = []
     for e in sorted(a.terms, reverse=True):
         c = a.terms[e]
-        factors = []
-        for name, expo in zip(("p", "x", "y"), e):
-            if expo == 1:
-                factors.append(name)
-            elif expo != 0:
-                factors.append(f"{name}^{expo}")
-        mag = abs(c)
-        if not factors:
-            body = _fmt_frac(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_fmt_frac(mag)] + factors)
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    out = body0 if sign0 == "+" else "-" + body0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        factors = [name if k == 1 else f"{name}^{k}" for name, k in zip("pxy", e) if k]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, _fmt_frac(abs(c)))
+        parts.append((" - " if c < 0 else " + ") + "*".join(factors))
+    out = "".join(parts)  # " - body" or " + body" first: a sign is kept only if "-"
+    return ("-" if out[1] == "-" else "") + out[3:]
 
 
 def _fmt_frac(c: Fraction) -> str:
@@ -1006,20 +986,6 @@ def quartic_R(A, B, C, D, E):
 
 def quartic_O(A, B, C, D, E):
     return C * C + 12 * A * E - 3 * B * D
-
-
-def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
-    """Resultant: poly_det of the Sylvester matrix, whose entries are constants."""
-    n, m = f.degree(), g.degree()
-    size = n + m
-    rows: list[list[Fraction]] = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([_ZERO] * i + fc + [_ZERO] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([_ZERO] * i + gc + [_ZERO] * (size - m - 1 - i))
-    return poly_det(rows).terms.get((0, 0, 0), _ZERO)
 
 
 def discriminant(f: UniPolyR) -> Fraction:

@@ -5,6 +5,7 @@ different seed.
 """
 
 import math
+import operator
 import os
 import random
 import signal
@@ -17,6 +18,7 @@ from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
     _int_coeffs,
+    poly_div_exact,
     squarefree_decomposition,
     sturm_chain,
 )
@@ -298,18 +300,48 @@ def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
     return total
 
 
+def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
+    """Res(f, g): poly_det of the Sylvester matrix, whose entries are
+    constants; the reference for `discriminant`."""
+    n, m = f.degree(), g.degree()
+    fc, gc = f.coeffs[::-1], g.coeffs[::-1]
+    rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gc + [0] * (n - 1 - i) for i in range(n)]
+    return polycore.poly_det(rows).terms.get((0, 0, 0), Fraction(0))
+
+
 def hankel_matrix(n: int, coeff=None) -> list[list]:
     """The Hankel matrix whose determinant is W_n = hankel_raw(n), in the
     series coefficients coeff(k) = A0 * A_k of the square root of the
     pencil's cubic: A_{i+j}, i, j = 1..m, for odd n = 2m + 1 and
     A_{i+j+1}, i, j = 1..m - 1, for even n = 2m.  By default the trivariate
     coefficients atilde_k / k!: with poly_det, the determinant route that
-    hankel_raw's recurrence replaces, kept as the independent reference."""
+    hankel_raw's doubling formulas replace, kept as the independent reference."""
     if coeff is None:
         coeff = lambda k: atilde_sequence(k)[k - 1] * Fraction(1, math.factorial(k))
     m = n // 2
     first, size = (2, m) if n % 2 else (3, m - 1)
     return [[coeff(k) for k in range(first + i, first + i + size)] for i in range(size)]
+
+
+def somos4(n_max: int, at=None) -> list:
+    """W_1..W_n_max by the Somos-4 recurrence W_k+2 W_k-2 = a_k W_k+1 W_k-1
+    + b W_k^2, a_k = 1/2 for odd k and 1/(2 delta2) for even k, b = -W_3 /
+    (2 delta2), from W_1 = W_2 = 1, W_3 = A_2 and W_4 = A_3: the route that
+    hankel_raw's doubling formulas replace, kept as a reference.  With
+    `at`, the start values and coefficients are first mapped by it (say,
+    evaluated at a point), and the recurrence runs on the images."""
+    pc = pencil_coeffs()
+    A = lambda k: atilde_sequence(k)[k - 1] * Fraction(1, math.factorial(k))
+    a = (poly_div_exact(LaurentPoly3.const(Fraction(1, 2)), pc.delta2), Fraction(1, 2))  # a[k % 2] = a_k
+    b = -A(2) * a[0]
+    w = [LaurentPoly3.const(1)] * 2 + [A(2), A(3)]  # w[j - 1] = W_j
+    div = poly_div_exact
+    if at is not None:
+        w, a, b, div = [at(v) for v in w], [at(v) for v in a], at(b), operator.truediv
+    for k in range(3, n_max - 1):
+        w.append(div(a[k % 2] * w[k] * w[k - 2] + b * w[k - 1] ** 2, w[k - 3]))
+    return w[:n_max]
 
 
 def series_at(p: Fraction, x: Fraction, y: Fraction, order: int) -> list[Fraction]:

@@ -1,5 +1,6 @@
-"""Pencil coefficients, the series recursion, the Somos-4 recurrence for
-the Hankel determinants, and canonical locus polynomials."""
+"""Pencil coefficients, the series recursion, the doubling formulas for
+the Hankel determinants against the Somos-4 recurrence and the Hankel
+matrix, and canonical locus polynomials."""
 
 import hashlib
 import json
@@ -16,8 +17,10 @@ from conftest import (
     rand_fraction,
     series_at,
     series_sqrt,
+    somos4,
+    time_limit,
 )
-from poncelet import cayley
+from poncelet import cayley, polycore
 from poncelet.cayley import (
     DegenerateParabola,
     atilde_sequence,
@@ -163,27 +166,103 @@ def test_golden_digests_n3_to_12():
         assert poly_det(m) == det_laplace(m) == hankel_raw(n), n
 
 
-def test_recurrence_matches_hankel_determinants_to_n24():
-    # hankel_raw's own start values and coefficients, evaluated at seeded
-    # rational points and iterated there, equal the Fraction Hankel
-    # determinants of the series at the point for every n = 3..24.
-    rng = make_rng(11)
-    checked = 0
-    while checked < 3:
+def _point_hankel_dets(rng, n_max: int):
+    """A seeded rational point off every locus n = 3..n_max, with the
+    Fraction Hankel determinants of the series there: w[j - 1] = W_j."""
+    while True:
         p, x, y = (rand_fraction(rng) for _ in range(3))
         if not p:
             continue
-        c = series_at(p, x, y, 23)
-        ref = [fraction_det(hankel_matrix(n, c.__getitem__)) for n in range(3, 25)]
-        if not all(ref):
-            continue  # on a locus: the recurrence would divide by zero
+        c = series_at(p, x, y, n_max - 1)
+        ref = [fraction_det(hankel_matrix(n, c.__getitem__)) for n in range(3, n_max + 1)]
+        if all(ref):  # on a locus the recurrence would divide by zero
+            return (p, x, y), [Fraction(1)] * 2 + ref
+
+
+def test_recurrence_matches_hankel_determinants_to_n24():
+    # The reference recurrence's start values and coefficients, evaluated
+    # at seeded rational points and iterated there, equal the Fraction
+    # Hankel determinants of the series at the point for every n = 3..24.
+    rng = make_rng(11)
+    for _ in range(3):
+        (p, x, y), ref = _point_hankel_dets(rng, 24)
         at = lambda v: v.evaluate(p, x, y) if isinstance(v, LaurentPoly3) else v
-        w, a, b = [at(v) for v in cayley._W], [at(v) for v in cayley._A], at(cayley._B)
-        for k in range(3, 23):
-            # append W_{k+2}; w[m - 1] = W_m
-            w.append((a[k % 2] * w[k] * w[k - 2] + b * w[k - 1] ** 2) / w[k - 3])
-        assert w[2:] == ref, (p, x, y)
-        checked += 1
+        assert somos4(24, at) == ref, (p, x, y)
+
+
+def test_hankel_raw_equals_recurrence_to_n14():
+    w = somos4(14)
+    for n in range(3, 15):
+        assert hankel_raw(n) == w[n - 1], n
+
+
+def test_doubling_formulas_match_hankel_determinants_to_n24():
+    # The doubling formulas of hankel_raw, on Fraction Hankel determinants
+    # at seeded rational points, give the determinant of every n = 5..24;
+    # hankel_raw itself, evaluated at the first point, does too up to n = 16.
+    rng = make_rng(12)
+    e = lambda j, m: (j % 2 == 0) - (m - 1)
+    for i in range(3):
+        (p, x, y), W = _point_hankel_dets(rng, 24)
+        d2 = pencil_coeffs().delta2.evaluate(p, x, y)
+        w = lambda j: W[j - 1]
+        for n in range(5, 25):
+            m = n // 2
+            if n % 2 == 0:
+                got = (2 * d2) ** (2 - m) * w(m) * (w(m + 2) * w(m - 1) ** 2 - w(m - 2) * w(m + 1) ** 2)
+            else:
+                got = Fraction(1, 2 ** (m - 1)) * (
+                    d2 ** e(m, m) * w(m + 2) * w(m) ** 3 - d2 ** e(m + 1, m) * w(m - 1) * w(m + 1) ** 3
+                )
+            assert got == w(n), (n, p, x, y)
+        if i == 0:
+            for n in range(3, 17):
+                assert hankel_raw(n).evaluate(p, x, y) == w(n), (n, p, x, y)
+
+
+def _clear_caches():
+    for f in (cayley.hankel_raw, cayley.locus):
+        f.cache_clear()
+
+
+def test_cold_loci_kernel_work(monkeypatch):
+    # Work, not wall clock: term pairs in the integer kernel for a cold
+    # locus(3..12).  Products count len(a) len(b) + len(c) len(d) per
+    # _mul_sub, division len(quotient) len(divisor) per _idiv.  Measured
+    # 60391 and 20475; the Somos-4 quotient made 622912 and 244337.
+    work = {"mul": 0, "div": 0}
+    mul_sub, idiv = polycore._mul_sub, polycore._idiv
+
+    def counted_mul_sub(a, b, c, d):
+        work["mul"] += len(a) * len(b) + len(c) * len(d)
+        return mul_sub(a, b, c, d)
+
+    def counted_idiv(a, b, w):
+        q = idiv(a, b, w)
+        work["div"] += len(q) * len(b)
+        return q
+
+    monkeypatch.setattr(polycore, "_mul_sub", counted_mul_sub)
+    monkeypatch.setattr(polycore, "_idiv", counted_idiv)
+    _clear_caches()
+    try:
+        for n in range(3, 13):
+            locus(n)
+    finally:
+        _clear_caches()
+    assert 0 < work["mul"] <= 100_000, work
+    assert 0 < work["div"] <= 40_000, work
+
+
+def test_cold_hankel_raw_16_in_bounded_time():
+    # The Somos-4 quotient took about 19 s (2-vCPU x86-64, CPython 3.11);
+    # W_16 reads W_6..W_10, which need no W_n above 10.
+    _clear_caches()
+    try:
+        with time_limit(3):
+            assert len(hankel_raw(16).terms) > len(hankel_raw(12).terms)
+    finally:
+        _clear_caches()
 
 
 def test_hankel_raw_bounds():

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from conftest import time_limit
-from poncelet.cli import main, marching_squares, parse_center, parse_rational
+from poncelet.cayley import locus_at_p
+from poncelet.cli import VIEW, float_evaluator, main, marching_squares, parse_center, parse_rational
 from fractions import Fraction
 
 
@@ -126,6 +127,27 @@ def test_marching_squares_boundary_crossings():
     up = marching_squares(lambda x, y: y - 2.95, 6)
     assert [x for x, _ in up] == nodes
     assert all(y == pytest.approx(2.95) for _, y in up)
+
+
+def test_float_evaluator_is_evaluate_bit_for_bit():
+    # on the grid `locus` samples, with the coefficients of the 12-gon at
+    # p = 1/3 far from floats and x, y, powers and sums far from exact
+    for n, p, grid in ((12, Fraction(1, 3), 24), (7, Fraction(-5, 2), 16), (3, Fraction(1), 6)):
+        curve = locus_at_p(n, p)
+        f = float_evaluator(curve)
+        h = 2 * VIEW / grid
+        for i in range(grid + 1):
+            for j in range(grid + 1):
+                x, y = -VIEW + i * h, -VIEW + j * h
+                assert f(x, y).hex() == float(curve.evaluate(1, x, y)).hex(), (n, x, y)
+
+
+def test_locus_beyond_float_range_exit_code(capsys):
+    # the coefficients of the 5-gon at p = 1e999 have no float
+    code = main(["locus", "--n", "5", "--p", "1e999"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "beyond the float range" in err
 
 
 def test_locus_svg(capsys, tmp_path):

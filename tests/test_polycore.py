@@ -21,6 +21,7 @@ from conftest import (
     quartic_disc_expanded,
     rand_fraction,
     real_root_profile,
+    resultant,
     sign_at,
     sign_variations,
     sturm_isolate,
@@ -46,7 +47,6 @@ from poncelet.polycore import (
     poly_gcd,
     quartic_D,
     quartic_disc,
-    resultant,
     specialize,
     squarefree_decomposition,
     sturm_chain,
@@ -883,6 +883,23 @@ def test_power_edge_exponents():
             base**-1
     assert UniPolyR([]) ** 0 == UniPolyR([1])
     assert LaurentPoly3() ** 3 == LaurentPoly3()
+
+
+def test_power_starts_at_lowest_set_bit(monkeypatch):
+    # No product has the constant 1 as a factor: a**5 = a * (a^2)^2 takes
+    # three products, a**1 and a**0 none.
+    mul, count = LaurentPoly3.__mul__, [0]
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly3, "__mul__", counted)
+    a = LaurentPoly3.var_p(-1) * X - Y
+    for n, products in ((5, 3), (1, 0), (0, 0), (2, 1), (6, 3), (8, 3)):
+        count[0] = 0
+        a**n
+        assert count[0] == products, n
 
 
 # -- discriminants -------------------------------------------------------------
