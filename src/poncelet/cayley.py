@@ -134,24 +134,23 @@ def proper_divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def locus(n: int) -> LocusPolynomial:
-    """Canonical locus polynomial: raw Hankel determinant with the
-    lower-period divisor factors removed by exact division."""
+    """Canonical locus polynomial: raw Hankel determinant with the lower-period
+    divisor factors removed by exact division, in one integer form."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    q = raw = hankel_raw(n)
-    removed = proper_divisors(n)
+    raw, removed = hankel_raw(n), proper_divisors(n)
+    (q,), _, _, w = polycore._pack_all([raw], 1)
     # Divide by the *canonical* locus of each proper divisor, not its raw
     # Hankel determinant: the raw determinant of a composite divisor (e.g.
     # 6) already contains its own divisor factors, which would otherwise be
-    # stripped twice.
+    # stripped twice.  Each is primitive, so the quotient stays integral.
     for k in removed:
-        q = poly_div_exact(q, locus(k).canonical)
-    return LocusPolynomial(
-        n=n,
-        raw_hankel=raw,
-        divisors_removed=tuple(removed),
-        canonical=canonicalize(q),
-    )
+        d = polycore._pack(locus(k).canonical.terms, 1, 0, w)
+        try:
+            q = polycore._idiv(q, d, w)
+        except polycore.NotDivisible as exc:
+            raise polycore.NotDivisible(f"W_{n} is not divisible by locus({k}): {exc}") from None
+    return LocusPolynomial(n, raw, tuple(removed), polycore._canonical(q, w))
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:

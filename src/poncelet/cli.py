@@ -204,10 +204,15 @@ def cmd_trace(args) -> int:
 def float_evaluator(curve):
     """curve.evaluate(1, x, y) for floats x and y, bit for bit, with each
     coefficient made a float once and the powers of each value cached."""
+    cs = curve.terms.values()
     try:
-        terms = [(float(c), ex, ey) for (_, ex, ey), c in curve.terms.items()]
-    except OverflowError:
-        raise ValueError("the locus at this p has a coefficient beyond the float range") from None
+        fs = [float(c) for c in cs]
+    except OverflowError:  # divide all by one power of 2: signs and ratios stay
+        k = max(abs(c.numerator) // c.denominator for c in cs).bit_length()
+        fs = [c.numerator / (c.denominator << k) for c in cs]
+        if min(map(abs, fs)) < sys.float_info.min:
+            raise ValueError("the locus at this p has a coefficient beyond the float range") from None
+    terms = [(c, ex, ey) for c, (_, ex, ey) in zip(fs, curve.terms)]
     exponents = range(1 + max(map(max, curve.terms)))
     powers = lru_cache(maxsize=None)(lambda v: [v**e for e in exponents])
 

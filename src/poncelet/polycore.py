@@ -2,9 +2,9 @@
 polynomials over Q, real root isolation, discriminants.
 
 Coefficients are `fractions.Fraction` throughout; products, determinants
-(one fraction-free Bareiss), exact division, `specialize` (the one exact
-evaluator at a rational center (x, y), for the locus and region polynomials)
-and the real root finder clear denominators once and run over integers.
+(one fraction-free Bareiss), exact division, the normal form, `specialize`
+(the one exact evaluator at a rational center, for the locus and region
+polynomials) and the root finder run over integers, denominators cleared once.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
@@ -429,13 +429,18 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
     """
     if a.is_zero():
         raise ZeroPolynomial("cannot canonicalize the zero polynomial")
-    shift = -a.min_p_exponent()
-    terms = {(ep + shift, ex, ey): c for (ep, ex, ey), c in a.terms.items()}
-    scale = Fraction(_den_lcm(terms.values()), math.gcd(*(c.numerator for c in terms.values())))
-    lead = terms[max(terms)]
-    if lead < 0:
-        scale = -scale
-    return _raw({e: c * scale for e, c in terms.items()})
+    (ia,), _, _, w = _pack_all([a], 1)
+    return _canonical(ia, w)
+
+
+def _canonical(q: dict[int, int], w: int) -> LaurentPoly3:
+    """canonicalize of nonzero q in integer form, with one Fraction per
+    term in q's order (descending from _idiv and _unpack)."""
+    g = math.gcd(*q.values())
+    if q[max(q)] < 0:
+        g = -g
+    mask, low = (1 << w) - 1, min(q) >> 2 * w
+    return _raw({((k >> 2 * w) - low, (k >> w) & mask, k & mask): Fraction(c // g) for k, c in q.items()})
 
 
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
@@ -474,16 +479,13 @@ def format_poly(a: LaurentPoly3) -> str:
     parts = []
     for e in sorted(a.terms, reverse=True):
         c = a.terms[e]
+        num, den = c.numerator, c.denominator
         factors = [name if k == 1 else f"{name}^{k}" for name, k in zip("pxy", e) if k]
-        if abs(c) != 1 or not factors:
-            factors.insert(0, _fmt_frac(abs(c)))
-        parts.append((" - " if c < 0 else " + ") + "*".join(factors))
+        if num not in (1, -1) or den != 1 or not factors:
+            factors.insert(0, str(abs(num)) if den == 1 else f"{abs(num)}/{den}")
+        parts.append((" - " if num < 0 else " + ") + "*".join(factors))
     out = "".join(parts)  # " - body" or " + body" first: a sign is kept only if "-"
     return ("-" if out[1] == "-" else "") + out[3:]
-
-
-def _fmt_frac(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def parse_poly(text: str) -> LaurentPoly3:

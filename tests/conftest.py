@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from poncelet import polycore
-from poncelet.cayley import atilde_sequence, pencil_coeffs
+from poncelet.cayley import atilde_sequence, hankel_raw, pencil_coeffs, proper_divisors
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
@@ -342,6 +342,50 @@ def somos4(n_max: int, at=None) -> list:
     for k in range(3, n_max - 1):
         w.append(div(a[k % 2] * w[k] * w[k - 2] + b * w[k - 1] ** 2, w[k - 3]))
     return w[:n_max]
+
+
+def canonicalize_reference(a: LaurentPoly3) -> LaurentPoly3:
+    """The Fraction normal form: a times p**-min_p_exponent times one
+    rational scale (denominator lcm over numerator gcd, negated when the
+    largest term's coefficient is negative), term by term in a's order.
+    The reference for polycore.canonicalize, which works in integer form."""
+    shift = -a.min_p_exponent()
+    terms = {(ep + shift, ex, ey): c for (ep, ex, ey), c in a.terms.items()}
+    scale = Fraction(math.lcm(1, *(c.denominator for c in terms.values())),
+                     math.gcd(*(c.numerator for c in terms.values())))
+    if terms[max(terms)] < 0:
+        scale = -scale
+    return LaurentPoly3({e: c * scale for e, c in terms.items()})
+
+
+def locus_reference(n: int) -> LaurentPoly3:
+    """The canonical n-locus by the Fraction route: hankel_raw(n) divided
+    by poly_div_exact by each proper divisor's reference locus, then
+    canonicalize_reference.  The reference for cayley.locus, which stays in
+    one integer form from the packed W_n to the canonical polynomial."""
+    q = hankel_raw(n)
+    for k in proper_divisors(n):
+        q = poly_div_exact(q, locus_reference(k))
+    return canonicalize_reference(q)
+
+
+def format_reference(a: LaurentPoly3) -> str:
+    """Text of a, terms in descending lex order p > x > y, each coefficient
+    formatted from abs(c): the reference for polycore.format_poly."""
+    def frac(c: Fraction) -> str:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    if a.is_zero():
+        return "0"
+    parts = []
+    for e in sorted(a.terms, reverse=True):
+        c = a.terms[e]
+        factors = [name if k == 1 else f"{name}^{k}" for name, k in zip("pxy", e) if k]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, frac(abs(c)))
+        parts.append((" - " if c < 0 else " + ") + "*".join(factors))
+    out = "".join(parts)
+    return ("-" if out[1] == "-" else "") + out[3:]
 
 
 def series_at(p: Fraction, x: Fraction, y: Fraction, order: int) -> list[Fraction]:

@@ -13,6 +13,7 @@ from conftest import (
     det_laplace,
     fraction_det,
     hankel_matrix,
+    locus_reference,
     make_rng,
     rand_fraction,
     series_at,
@@ -252,6 +253,52 @@ def test_cold_loci_kernel_work(monkeypatch):
         _clear_caches()
     assert 0 < work["mul"] <= 100_000, work
     assert 0 < work["div"] <= 40_000, work
+
+
+def test_locus_equals_fraction_reference():
+    # the integer route equals the Fraction route, coefficients and term
+    # order (descending) alike
+    for n in range(3, 13):
+        assert list(locus(n).canonical.terms.items()) == list(locus_reference(n).terms.items()), n
+
+
+def test_cold_loci_unpack_once_per_hankel(monkeypatch):
+    # A cold locus(3..12) leaves the integer form once per hankel_raw(n),
+    # n = 5..12 (W_3 and W_4 are built at import), and divides by its
+    # divisors' loci in integer form; the Fraction route made 15 unpacks
+    # and 7 poly_div_exact calls.
+    calls = {"unpack": 0, "div": 0}
+    unpack, div = polycore._unpack, polycore.poly_div_exact
+
+    def counted_unpack(*args):
+        calls["unpack"] += 1
+        return unpack(*args)
+
+    def counted_div(a, b):
+        calls["div"] += 1
+        return div(a, b)
+
+    monkeypatch.setattr(polycore, "_unpack", counted_unpack)
+    monkeypatch.setattr(polycore, "poly_div_exact", counted_div)
+    monkeypatch.setattr(cayley, "poly_div_exact", counted_div)
+    _clear_caches()
+    try:
+        for n in range(3, 13):
+            locus(n)
+    finally:
+        _clear_caches()
+    assert calls == {"unpack": 8, "div": 0}
+
+
+def test_locus_names_a_divisor_that_does_not_divide(monkeypatch):
+    divisors = cayley.proper_divisors
+    monkeypatch.setattr(cayley, "proper_divisors", lambda n: [5] if n == 12 else divisors(n))
+    _clear_caches()
+    try:
+        with pytest.raises(polycore.NotDivisible, match=r"W_12 .*locus\(5\)"):
+            locus(12)
+    finally:
+        _clear_caches()
 
 
 def test_cold_hankel_raw_16_in_bounded_time():

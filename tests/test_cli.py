@@ -150,6 +150,27 @@ def test_locus_beyond_float_range_exit_code(capsys):
     assert err.count("\n") == 1 and "beyond the float range" in err
 
 
+def test_locus_tiny_p_scales_to_floats(capsys):
+    # the coefficients of the 5-gon at p = 1e-200 reach about 2**1330, and
+    # the smallest is about 2**665: one power of 2 brings them all into
+    # range, and at each node the sign is the exact sign
+    code = main(["locus", "--n", "5", "--p", "1e-200", "--grid", "16"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("\n") > 10
+    curve = locus_at_p(5, Fraction("1e-200"))
+    f = float_evaluator(curve)
+    h = 2 * VIEW / 16
+    signs = set()
+    for i in range(17):
+        for j in range(17):
+            x, y = -VIEW + i * h, -VIEW + j * h
+            exact, value = curve.evaluate(1, Fraction(x), Fraction(y)), f(x, y)
+            sign = (exact > 0) - (exact < 0)
+            assert (value > 0) - (value < 0) == sign, (x, y)
+            signs.add(sign)
+    assert signs == {-1, 1}
+
+
 def test_locus_svg(capsys, tmp_path):
     out_file = tmp_path / "locus.svg"
     code, _ = run(

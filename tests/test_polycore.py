@@ -27,7 +27,9 @@ from conftest import (
     sturm_isolate,
     time_limit,
 )
+from conftest import canonicalize_reference, format_reference
 from poncelet import polycore, verify
+from poncelet.cayley import hankel_raw
 from poncelet.cayley import locus
 from poncelet.polycore import (
     ROOT_WIDTH,
@@ -174,6 +176,23 @@ def test_canonicalize_multiplicative():
         assert canonicalize(a * b) == canonicalize(canonicalize(a) * canonicalize(b))
 
 
+def test_canonicalize_matches_fraction_reference():
+    # the integer normal form on Fraction coefficients, negative p
+    # exponents and negative leading coefficients, term order included
+    rng = make_rng(41)
+    count = {"inputs": 0, "negative p": 0, "negative lead": 0, "fraction": 0}
+    for _ in range(400):
+        a = _rand_poly(rng, rng.randint(1, 7))
+        if a.is_zero():
+            continue
+        count["inputs"] += 1
+        count["negative p"] += a.min_p_exponent() < 0
+        count["negative lead"] += a.leading_term()[1] < 0
+        count["fraction"] += any(c.denominator != 1 for c in a.terms.values())
+        assert list(canonicalize(a).terms.items()) == list(canonicalize_reference(a).terms.items()), a
+    assert count["inputs"] >= 300 and min(count.values()) >= 100, count
+
+
 def test_div_exact_property():
     rng = make_rng(2)
     for _ in range(150):
@@ -210,6 +229,17 @@ def test_format_parse_examples():
     q3 = X**2 + Y**2 - 1
     assert format_poly(q3) == "x^2 + y^2 - 1"
     assert parse_poly(format_poly(q3)) == q3
+
+
+def test_format_poly_matches_reference():
+    edge = ["0", "1", "-1", "p", "-p", "1/2*p^-2", "-3/7*x*y^2", "p^-1 - x + 1/3"]
+    for text in edge:
+        assert format_poly(parse_poly(text)) == format_reference(parse_poly(text)), text
+    for n in range(3, 13):
+        for a in (locus(n).canonical, hankel_raw(n)):
+            assert format_poly(a) == format_reference(a), n
+    assert any(c.denominator != 1 for c in hankel_raw(12).terms.values())
+    assert hankel_raw(12).min_p_exponent() < 0
 
 
 def test_parse_poly_term_syntax():
