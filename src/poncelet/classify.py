@@ -1,13 +1,12 @@
 """Pair-existence decisions for a center E and n: root counting and
 location in p, region labels, Rees quartic classification, isoperiodicity.
 
-All region and sign decisions use exact rational arithmetic; floats appear
-only in reported root values.  The region polynomials (gamma5, gamma6 and
-psi1..psi5) are defined once, in `region_polys`; region labels, the
-closed-form radicands and the identities in `verify` all use that
-definition.  The locus polynomial and the region polynomials are both
-evaluated at the center by `polycore.specialize`, the one exact evaluator
-at a rational point.
+Every answer at a center is read from the n-gon polynomial in p there
+(`p_polynomial`): its roots are the parabolas, its discriminant's sign is
+the region label through the factorizations in `DISCRIMINANT_FACTORS`,
+its coefficients give the closed forms, and it vanishes identically at the
+isoperiodic centers.  All region and sign decisions are exact; floats
+appear only in reported root values.
 """
 
 from __future__ import annotations
@@ -16,15 +15,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .cayley import locus
 from .polycore import (
-    LaurentPoly3,
     RootList,
     UniPolyR,
+    _discriminant,
+    _int_coeffs,
+    discriminant,
     quartic_D,
     quartic_O,
     quartic_P,
@@ -87,43 +85,6 @@ class Center:
 def p_polynomial(n: int, e: Center) -> UniPolyR:
     """The locus polynomial specialized at the center; may be zero."""
     return specialize(locus(n).canonical, e.x, e.y)
-
-
-@lru_cache(maxsize=None)
-def region_polys() -> Mapping[str, LaurentPoly3]:
-    """The polynomials in (x, y) whose signs split the plane of centers, as
-    printed: gamma5 and gamma6 are the center-dependent factors of the
-    discriminants of the 5- and 6-gon quadratics in p; psi1..psi5 those of
-    the discriminant and of the invariants P, D, O, R of the 7-gon quartic.
-
-    Built on first use: building them costs milliseconds, which importing
-    the package should not.
-    """
-    x2, y2 = LaurentPoly3.var_x() ** 2, LaurentPoly3.var_y() ** 2
-    r = x2 + y2
-    return MappingProxyType({
-        "gamma5": r**2 - y2,
-        "gamma6": r**3 - y2,
-        "psi1": (
-            16 * r**6
-            - x2**5 - 71 * x2**4 * y2 + x2**4 - 247 * x2**3 * y2**2
-            + 43 * x2**3 * y2 - 325 * x2**2 * y2**3 + 108 * x2**2 * y2**2
-            - 23 * x2**2 * y2 - 188 * x2 * y2**4 + 91 * x2 * y2**3
-            - 2 * x2 * y2**2 + 3 * x2 * y2 - 40 * y2**5 + 25 * y2**4
-            + 5 * y2**3 - 5 * y2**2 - y2
-        ),
-        "psi2": x2 - 2 * y2 + 2,
-        "psi3": 4 * r**3 - 7 * r**2 + 2 * r + 3 * x2**2 + 1,
-        # 12*x^2, not 12*y^2: forced by the O invariant of the n=7 quartic.
-        "psi4": 12 * r**2 - 13 * r + 12 * x2 + 1,
-        "psi5": 2 * x2 + y2 - 1,
-    })
-
-
-def region_value(name: str, e: Center) -> Fraction:
-    """Exact value of the named region polynomial at the center."""
-    coeffs = specialize(region_polys()[name], e.x, e.y).coeffs
-    return coeffs[0] if coeffs else Fraction(0)
 
 
 # -- Rees quartic classification ---------------------------------------------
@@ -201,55 +162,39 @@ def rees_classify(a4: Scalar, a3: Scalar, a2: Scalar, a1: Scalar, a0: Scalar) ->
 
 
 def unique_p_for_4(e: Center) -> Fraction:
-    """The single parabola parameter pairing with the circle for n = 4."""
+    """The single parabola parameter pairing with the circle for n = 4: the
+    root of the linear p_polynomial(4, e)."""
     if e.is_focus():
         raise AtFocus("every parabola pairs with the focus-centered circle")
     if e.x == 0:
         raise OnLatusRectumLine("no 4-Poncelet pair off the focus on x = 0")
     if e.on_unit_circle():
         raise OnUnitCircle("centers on the unit circle admit only 3-gons")
-    return -e.x * (e.norm2() - 1) / e.norm2()
+    c0, c1 = p_polynomial(4, e).coeffs
+    return -c0 / c1
 
 
-def _sqrt_signed(v) -> complex | float:
-    """Square root of an exact or float quantity as float (v >= 0) or complex."""
-    f = float(v)
-    if v >= 0:
-        return math.sqrt(f)
-    return cmath.sqrt(complex(f))
-
-
-def roots_5_closed_form(e: Center) -> tuple[complex | float, complex | float]:
-    """Both parabola parameters for n = 5; complex when the center lies in
-    the region where the discriminant is negative."""
+def closed_form_roots(n: int, e: Center) -> tuple[complex | float, complex | float]:
+    """Both parabola parameters for n = 5 or 6, (-b + sqrt(d)) / 2a and
+    (-b - sqrt(d)) / 2a for the quadratic p_polynomial(n, e) = a p^2 + b p + c
+    of discriminant d; complex where d < 0."""
+    if n not in (5, 6):
+        raise ValueError("the quadratic closed form covers n = 5 and 6")
     if e.in_sigma():
         raise ExcludedCenter("center in Sigma is excluded for n >= 5")
-    r = e.norm2()
-    s = _sqrt_signed(region_value("gamma5", e))
-    scale = float(r - 1) / (2 * float(r))
-    return ((-float(e.x) + s) * scale, (-float(e.x) - s) * scale)
-
-
-def roots_6_closed_form(e: Center) -> tuple[complex | float, complex | float]:
-    """Both parabola parameters for n = 6."""
-    if e.in_sigma():
-        raise ExcludedCenter("center in Sigma is excluded for n >= 5")
-    r = e.norm2()
-    s = _sqrt_signed(region_value("gamma6", e))
-    denom = 2 * float(r) * float(r + 1)
-    lin = -float(e.x) * float(2 * r + 1)
-    scale = float(r - 1) / denom
-    return ((lin + s) * scale, (lin - s) * scale)
+    f = p_polynomial(n, e)
+    d = discriminant(f)
+    s = math.sqrt(d) if d >= 0 else cmath.sqrt(d)
+    b, a = float(f.coeffs[1]), float(f.coeffs[2])
+    return ((-b + s) / (2 * a), (-b - s) / (2 * a))
 
 
 def isoperiodic_n(e: Center) -> int | None:
-    """3 when the circle passes through the focus, 4 at the focus itself,
-    None otherwise; no other n admits an isoperiodic family."""
-    if e.on_unit_circle():
-        return 3
-    if e.is_focus():
-        return 4
-    return None
+    """The n whose polynomial in p vanishes identically at the center, so
+    that every parabola pairs with the circle: 3 on the unit circle, 4 at
+    the focus, None otherwise.  The paper proves that no other n admits an
+    isoperiodic family, so only n = 3 and 4 are tried."""
+    return next((n for n in (3, 4) if p_polynomial(n, e).is_zero()), None)
 
 
 # -- classification driver ----------------------------------------------------
@@ -281,13 +226,20 @@ class PairClassification:
 
 
 # The n that pair_classify and the region labels cover.
-_CLASSIFY_N = range(3, 8)
+CLASSIFY_N = range(3, 8)
 
-# The region polynomial whose sign labels the regions for n, and the label.
-_GOVERNING = {5: ("gamma5", "Gamma5"), 6: ("gamma6", "Gamma6"), 7: ("psi1", "R1")}
+# For n = 5..7, (label, name, c, r, s): the discriminant of the n-gon
+# polynomial in p is c * R**r * S**s times the printed region polynomial
+# `name`, R = x^2 + y^2 and S = R - 1, whose sign the label carries.
+# verify checks each factorization; the labels read it backwards.
+DISCRIMINANT_FACTORS = {
+    5: ("Gamma5", "gamma5", 16, 0, 2),
+    6: ("Gamma6", "gamma6", 16, 0, 2),
+    7: ("R1", "psi1", -65536, 6, 15),
+}
 
 
-def _region_label(n: int, e: Center) -> str:
+def _region_label(n: int, e: Center, f: UniPolyR) -> str:
     if n == 3:
         return "S1" if e.on_unit_circle() else "offS1"
     if n == 4:
@@ -300,20 +252,24 @@ def _region_label(n: int, e: Center) -> str:
         return "generic"
     if e.in_sigma():
         return "Excluded"
-    name, label = _GOVERNING[n]
-    return label + {1: "+", 0: "", -1: "-"}[_sign(region_value(name, e))]
+    # Off Sigma R > 0, S != 0 and the leading coefficient 4R, 4R(R + 1) or
+    # 16R^3 is not 0.  f's integer form is f times a positive scale, which
+    # multiplies the discriminant by a positive power of it.
+    label, _, c, _, s = DISCRIMINANT_FACTORS[n]
+    sign = _sign(_discriminant(_int_coeffs(f))) * _sign(c) * _sign(e.norm2() - 1) ** s
+    return label + {1: "+", 0: "", -1: "-"}[sign]
 
 
 def pair_classify(n: int, e: Center) -> PairClassification:
     """Count and locate the parabolas pairing with the circle at center e.
 
-    A double root counts as one parabola.  Region labels come from exact
-    sign evaluation of the governing polynomials.
+    A double root counts as one parabola.  For n = 5..7 the region label is
+    read from the discriminant of the polynomial whose roots are counted.
     """
-    if n not in _CLASSIFY_N:
-        raise ValueError(f"pair_classify covers n = {_CLASSIFY_N[0]}..{_CLASSIFY_N[-1]}")
+    if n not in CLASSIFY_N:
+        raise ValueError(f"pair_classify covers n = {CLASSIFY_N[0]}..{CLASSIFY_N[-1]}")
     f = p_polynomial(n, e)
-    region = _region_label(n, e)
+    region = _region_label(n, e, f)
     if f.is_zero():
         return PairClassification(n, e, RootList([]), region, 0, True)
     roots = sturm_real_roots(f, exclude_zero=True)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import verify
 from .cayley import MAX_N, locus, locus_at_p
-from .classify import _CLASSIFY_N, Center, isoperiodic_n, pair_classify
+from .classify import CLASSIFY_N, Center, isoperiodic_n, pair_classify
 from .geometry import Circle, Parabola, poncelet_trace
 from .painleve import RESIDUAL_TOL, hitchin_residual, n4_relation_residual, sample_family
 from .polycore import format_poly
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cayley)
 
     c = sub.add_parser("classify", help="pair classification for a center")
-    c.add_argument("--n", type=_int_in(_CLASSIFY_N[0], _CLASSIFY_N[-1]), required=True)
+    c.add_argument("--n", type=_int_in(CLASSIFY_N[0], CLASSIFY_N[-1]), required=True)
     c.add_argument("--center", type=parse_center, required=True)
     c.set_defaults(func=cmd_classify)
 

@@ -994,8 +994,12 @@ def discriminant(f: UniPolyR) -> Fraction:
     """Exact discriminant for degrees 2-4, by closed formulas."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    deg = f.degree()
-    c = f.coeffs
+    return _discriminant(f.coeffs)
+
+
+def _discriminant(c: Sequence):
+    """discriminant() of the coefficients c, constant first, in any ring."""
+    deg = len(c) - 1
     if deg == 2:
         A, B, C = c[2], c[1], c[0]
         return B * B - 4 * A * C

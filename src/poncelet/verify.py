@@ -1,23 +1,28 @@
 """Golden polynomial identities: the printed locus polynomials, the worked
 p = 1/2 example, the divisor factorization, and the symbolic discriminant
-factorizations.  All comparisons are exact."""
+factorizations.  All comparisons are exact.  The printed sides are typed
+here once; the discriminants' factors come from
+`classify.DISCRIMINANT_FACTORS`, the table the region labels read."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .cayley import hankel_raw, locus, locus_at_p
-from .classify import region_polys
+from .classify import DISCRIMINANT_FACTORS
 from .polycore import (
     LaurentPoly3,
     PolycoreError,
+    _discriminant,
     canonicalize,
     poly_div_exact,
     quartic_D,
     quartic_O,
     quartic_P,
     quartic_R,
-    quartic_disc,
 )
 
 P = LaurentPoly3.var_p()
@@ -52,6 +57,36 @@ def paper_locus(n: int) -> LaurentPoly3:
     raise ValueError("printed loci cover n = 3..7")
 
 
+@lru_cache(maxsize=None)
+def region_polys() -> Mapping[str, LaurentPoly3]:
+    """The polynomials in (x, y) whose signs split the plane of centers, as
+    printed: gamma5 and gamma6 are the center-dependent factors of the
+    discriminants of the 5- and 6-gon quadratics in p; psi1..psi5 those of
+    the discriminant and of the invariants P, D, O, R of the 7-gon quartic.
+
+    Built on first use: building them costs milliseconds, which importing
+    the package should not.
+    """
+    x2, y2 = X**2, Y**2
+    return MappingProxyType({
+        "gamma5": R**2 - y2,
+        "gamma6": R**3 - y2,
+        "psi1": (
+            16 * R**6
+            - x2**5 - 71 * x2**4 * y2 + x2**4 - 247 * x2**3 * y2**2
+            + 43 * x2**3 * y2 - 325 * x2**2 * y2**3 + 108 * x2**2 * y2**2
+            - 23 * x2**2 * y2 - 188 * x2 * y2**4 + 91 * x2 * y2**3
+            - 2 * x2 * y2**2 + 3 * x2 * y2 - 40 * y2**5 + 25 * y2**4
+            + 5 * y2**3 - 5 * y2**2 - y2
+        ),
+        "psi2": x2 - 2 * y2 + 2,
+        "psi3": 4 * R**3 - 7 * R**2 + 2 * R + 3 * x2**2 + 1,
+        # 12*x^2, not 12*y^2: forced by the O invariant of the n=7 quartic.
+        "psi4": 12 * R**2 - 13 * R + 12 * x2 + 1,
+        "psi5": 2 * x2 + y2 - 1,
+    })
+
+
 def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
     """Split a polynomial into its coefficients with respect to p."""
     out: dict[int, dict] = {}
@@ -81,17 +116,21 @@ def checks() -> list[tuple[str, bool]]:
         quotient = None  # an inexact division fails the row
     rows.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, paper_locus(6)))
 
+    # c * R**r * S**s * the region polynomial, with no product by a power 0
     rp = region_polys()
-    for n in (5, 6):
+    for n, (_, name, printed, r, s) in DISCRIMINANT_FACTORS.items():
+        for base, k in ((R, r), (S, s)):
+            if k:
+                printed = printed * base**k
         coeffs = p_coefficients(locus(n).canonical)
-        A, B, C = (coeffs.get(k, LaurentPoly3()) for k in (2, 1, 0))
-        rows.append((f"discriminant of the {n}-gon quadratic factors as printed",
-                     B * B - 4 * A * C, 16 * S**2 * rp[f"gamma{n}"]))
+        shape = {2: "quadratic", 4: "quartic"}[max(coeffs)]
+        rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
+                     _discriminant([coeffs.get(k, LaurentPoly3()) for k in range(max(coeffs) + 1)]),
+                     printed * rp[name]))
 
     coeffs = p_coefficients(locus(7).canonical)
     quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
     for label, formula, printed in (
-        ("discriminant", quartic_disc, -65536 * R**6 * S**15 * rp["psi1"]),
         ("P", quartic_P, -256 * R**4 * S**2 * rp["psi2"]),
         ("D", quartic_D, -65536 * R**8 * S**4 * rp["psi3"]),
         ("O", quartic_O, -16 * R**2 * S**5 * rp["psi4"]),

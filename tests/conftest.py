@@ -12,13 +12,14 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from poncelet import polycore
+from poncelet import polycore, verify
 from poncelet.cayley import atilde_sequence, hankel_raw, pencil_coeffs, proper_divisors
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
     _int_coeffs,
     poly_div_exact,
+    specialize,
     squarefree_decomposition,
     sturm_chain,
 )
@@ -43,6 +44,13 @@ def rand_center_off_sigma(rng: random.Random) -> tuple[Fraction, Fraction]:
         r2 = x * x + y * y
         if r2 != 0 and r2 != 1:
             return x, y
+
+
+def region_value(name: str, x: Fraction, y: Fraction) -> Fraction:
+    """Exact value at (x, y) of the printed region polynomial `name`, the
+    reference the region labels of `pair_classify` are checked against."""
+    coeffs = specialize(verify.region_polys()[name], x, y).coeffs
+    return coeffs[0] if coeffs else Fraction(0)
 
 
 @contextmanager

@@ -13,6 +13,7 @@ from conftest import (
     rand_center_off_sigma,
     rand_quartic,
     real_root_profile,
+    region_value,
 )
 from poncelet import verify
 from poncelet.cayley import hankel_raw, locus, locus_at_p
@@ -218,8 +219,6 @@ def test_criterion_10_painleve_families():
 
 
 def test_criterion_11_seven_gon_region_counts():
-    from poncelet.classify import region_value
-
     ok = True
     two = four = 0
     for ix in range(-5, 6):
@@ -227,7 +226,7 @@ def test_criterion_11_seven_gon_region_counts():
             e = Center(F(ix, 5), F(iy, 5))
             if e.in_sigma():
                 continue
-            psi1 = region_value("psi1", e)
+            psi1 = region_value("psi1", e.x, e.y)
             if psi1 == 0:
                 continue
             distinct = len(sturm_real_roots(p_polynomial(7, e), exclude_zero=True))

@@ -1,6 +1,7 @@
 """Poncelet-pair counting, quartic root-shape classification, region labels,
 and isoperiodicity detection."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, rand_center_off_sigma, rand_quartic, real_root_profile
+from conftest import make_rng, rand_center_off_sigma, rand_quartic, real_root_profile, region_value
+from poncelet import classify, polycore, verify
 from poncelet.classify import (
     AtFocus,
     Center,
@@ -17,17 +19,14 @@ from poncelet.classify import (
     NotQuartic,
     OnLatusRectumLine,
     OnUnitCircle,
+    closed_form_roots,
     isoperiodic_n,
     p_polynomial,
     pair_classify,
     rees_classify,
-    region_polys,
-    region_value,
-    roots_5_closed_form,
-    roots_6_closed_form,
     unique_p_for_4,
 )
-from poncelet.polycore import UniPolyR, sturm_real_roots
+from poncelet.polycore import UniPolyR, specialize, sturm_real_roots
 
 F = Fraction
 
@@ -118,33 +117,36 @@ def test_unique_p_for_4():
 
 
 def test_roots_5_closed_form_examples():
-    a, b = sorted(roots_5_closed_form(Center(F(0), F(2))), key=lambda v: v.real if isinstance(v, complex) else v)
+    a, b = sorted(closed_form_roots(5, Center(F(0), F(2))), key=lambda v: v.real if isinstance(v, complex) else v)
     ref = 3 * math.sqrt(3) / 4
     assert a == pytest.approx(-ref, abs=1e-12)
     assert b == pytest.approx(ref, abs=1e-12)
 
-    a, b = roots_5_closed_form(Center(F(1, 2), F(1, 2)))
+    a, b = closed_form_roots(5, Center(F(1, 2), F(1, 2)))
     assert a == pytest.approx(0.25, abs=1e-12)
     assert b == pytest.approx(0.25, abs=1e-12)
 
-    a, b = roots_5_closed_form(Center(F(0), F(1, 4)))
+    a, b = closed_form_roots(5, Center(F(0), F(1, 4)))
     assert isinstance(a, complex) and abs(a.imag) > 0
     assert isinstance(b, complex) and abs(b.imag) > 0
 
     with pytest.raises(ExcludedCenter):
-        roots_5_closed_form(Center(F(0), F(0)))
+        closed_form_roots(5, Center(F(0), F(0)))
 
 
 def test_roots_6_closed_form_examples():
-    a, b = sorted(roots_6_closed_form(Center(F(2), F(0))))
+    a, b = sorted(closed_form_roots(6, Center(F(2), F(0))))
     assert a == pytest.approx(-39 / 20, abs=1e-12)
     assert b == pytest.approx(-3 / 4, abs=1e-12)
 
-    a, b = roots_6_closed_form(Center(F(0), F(1, 2)))
+    a, b = closed_form_roots(6, Center(F(0), F(1, 2)))
     assert isinstance(a, complex) and abs(a.imag) > 0
 
     with pytest.raises(ExcludedCenter):
-        roots_6_closed_form(Center(F(3, 5), F(4, 5)))
+        closed_form_roots(6, Center(F(3, 5), F(4, 5)))
+    for n in (4, 7):
+        with pytest.raises(ValueError):
+            closed_form_roots(n, Center(F(2), F(0)))
 
 
 def test_closed_form_agrees_with_sturm():
@@ -152,10 +154,10 @@ def test_closed_form_agrees_with_sturm():
     for _ in range(200):
         x, y = rand_center_off_sigma(rng)
         e = Center(x, y)
-        for n, closed in ((5, roots_5_closed_form), (6, roots_6_closed_form)):
+        for n in (5, 6):
             f = p_polynomial(n, e)
             roots = sturm_real_roots(f, exclude_zero=True)
-            vals = closed(e)
+            vals = closed_form_roots(n, e)
             real_vals = sorted(
                 float(v.real if isinstance(v, complex) else v)
                 for v in vals
@@ -172,29 +174,111 @@ def test_closed_form_agrees_with_sturm():
                 assert len(roots) == 0
 
 
+def test_closed_form_matches_printed_radicands():
+    # the quadratic formula on p_polynomial's coefficients against the
+    # printed forms (-x +- sqrt(gamma5)) S / 2R and
+    # (-x (2R + 1) +- sqrt(gamma6)) S / 2R(R + 1), S = R - 1
+    rng = make_rng(26)
+    for _ in range(300):
+        x, y = rand_center_off_sigma(rng)
+        r = x * x + y * y
+        for n, lin, den in ((5, -x, 2 * r), (6, -x * (2 * r + 1), 2 * r * (r + 1))):
+            s = cmath.sqrt(float(region_value(f"gamma{n}", x, y)))
+            scale = float((r - 1) / den)
+            want = sorted(((float(lin) + s) * scale, (float(lin) - s) * scale), key=lambda v: (v.real, v.imag))
+            got = sorted(map(complex, closed_form_roots(n, Center(x, y))), key=lambda v: (v.real, v.imag))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * max(1, abs(w)), (n, x, y)
+
+
 # -- psi values and regions --------------------------------------------------------
 
 
 def test_psi_examples():
-    assert region_value("psi2", Center(F(0), F(0))) == 2  # x^2 - 2y^2 + 2 at the origin
+    assert region_value("psi2", F(0), F(0)) == 2  # x^2 - 2y^2 + 2 at the origin
     # psi5 vanishes on the ellipse 2x^2 + y^2 = 1
-    assert region_value("psi5", Center(F(2, 3), F(1, 3))) == 0
-    assert region_value("psi1", Center(F(0), F(1, 2))) == F(-27, 64)
+    assert region_value("psi5", F(2, 3), F(1, 3)) == 0
+    assert region_value("psi1", F(0), F(1, 2)) == F(-27, 64)
 
 
 def test_region_value_matches_polynomial_evaluation():
     # the integer sum against Fraction evaluation of the same polynomial,
     # on centers with unequal denominators and of large height
     rng = make_rng(24)
-    polys = region_polys()
+    polys = verify.region_polys()
     for i in range(40):
         top = 10**6 if i % 2 else 12
-        e = Center(
-            F(rng.randint(-top, top), rng.randint(1, top // 2)),
-            F(rng.randint(-top, top), rng.randint(1, top // 2)),
-        )
+        x = F(rng.randint(-top, top), rng.randint(1, top // 2))
+        y = F(rng.randint(-top, top), rng.randint(1, top // 2))
         for name, q in polys.items():
-            assert region_value(name, e) == q.evaluate(0, e.x, e.y), (name, e)
+            assert region_value(name, x, y) == q.evaluate(0, x, y), (name, x, y)
+
+
+# The label carried by the sign of each printed region polynomial.
+REGION_LABELS = {5: ("Gamma5", "gamma5"), 6: ("Gamma6", "gamma6"), 7: ("R1", "psi1")}
+
+
+def _psi1_crossings():
+    """Pairs of centers within 2**-80 of the curve psi1 = 0, one on each
+    side, by exact bisection along x = 1/5 and x = 2/5 between an R1+ and an
+    R1- center.  A search of small height found no rational point of the
+    curve off Sigma."""
+    out = []
+    for x in (F(1, 5), F(2, 5)):
+        for lo, hi in ((F(0), F(1, 5)), (F(4, 5), F(1))):
+            side = region_value("psi1", x, lo) > 0
+            assert side != (region_value("psi1", x, hi) > 0)
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                if (region_value("psi1", x, mid) > 0) == side:
+                    lo = mid
+                else:
+                    hi = mid
+            out += [(x, lo), (x, hi)]
+    return out
+
+
+def test_region_label_is_the_sign_of_the_printed_polynomial():
+    # pair_classify reads the label from the discriminant of the polynomial
+    # in p; the reference evaluates the printed polynomial at the center.
+    rng = make_rng(25)
+    centers = [(F(1, 2), F(1, 2))] + _psi1_crossings()
+    for i in range(210):
+        top = 10**6 if i % 3 == 2 else 12
+        x = F(rng.randint(-top, top), rng.randint(1, top // 2))
+        y = F(rng.randint(-top, top), rng.randint(1, top // 2))
+        if x * x + y * y not in (0, 1):
+            centers.append((x, y))
+    assert len(centers) >= 200
+    seen = set()
+    for x, y in centers:
+        for n, (label, name) in REGION_LABELS.items():
+            v = region_value(name, x, y)
+            want = label + {1: "+", 0: "", -1: "-"}[(v > 0) - (v < 0)]
+            assert pair_classify(n, Center(x, y)).region == want, (n, x, y)
+            seen.add(want)
+    assert {"Gamma5", "Gamma5+", "Gamma5-", "Gamma6+", "Gamma6-", "R1+", "R1-"} <= seen
+    # psi1 vanishes at these centers of Sigma, which are excluded
+    for x, y in ((F(0), F(0)), (F(0), F(1)), (F(0), F(-1))):
+        assert region_value("psi1", x, y) == 0
+        assert pair_classify(7, Center(x, y)).region == "Excluded"
+
+
+def test_pair_classify_specializes_once(monkeypatch):
+    # one polynomial per center: the label reads no second polynomial
+    calls = [0]
+
+    def counted(a, x, y):
+        calls[0] += 1
+        return specialize(a, x, y)
+
+    monkeypatch.setattr(classify, "specialize", counted)
+    monkeypatch.setattr(polycore, "specialize", counted)
+    for n in (5, 6, 7):
+        for e in (Center(F(0), F(2)), Center(F(1, 2), F(1, 2)), Center(F(1, 5), F(1, 5)), Center(F(0), F(0))):
+            calls[0] = 0
+            pair_classify(n, e)
+            assert calls[0] == 1, (n, e)
 
 
 def test_pair_classify_examples():
@@ -300,7 +384,7 @@ def test_seven_gon_region_counts():
             e = Center(F(ix, 7), F(iy, 7))
             if e.in_sigma():
                 continue
-            psi1 = region_value("psi1", e)
+            psi1 = region_value("psi1", e.x, e.y)
             if psi1 == 0:
                 continue
             inside = e.norm2() < 1
