@@ -22,7 +22,6 @@ from .polycore import (
     discriminant,
     format_poly,
     parse_poly,
-    poly_det,
     poly_div_exact,
     specialize,
     sturm_real_roots,
@@ -52,7 +51,6 @@ __all__ = [
     "pair_classify",
     "parse_poly",
     "pencil_coeffs",
-    "poly_det",
     "poly_div_exact",
     "poncelet_trace",
     "pvi_residual",

@@ -177,7 +177,10 @@ def unique_p_for_4(e: Center) -> Fraction:
 def closed_form_roots(n: int, e: Center) -> tuple[complex | float, complex | float]:
     """Both parabola parameters for n = 5 or 6, (-b + sqrt(d)) / 2a and
     (-b - sqrt(d)) / 2a for the quadratic p_polynomial(n, e) = a p^2 + b p + c
-    of discriminant d; complex where d < 0."""
+    of discriminant d; complex where d < 0.  Where c vanishes the pair keeps
+    the degenerate p = 0, which `pair_classify` drops from its roots and
+    count: at n = 6, c = (3x^2 - y^2 + 1) S^2 with S = x^2 + y^2 - 1, so at
+    (1, 2) the pair is (0.0, -22/15) and the count is 1."""
     if n not in (5, 6):
         raise ValueError("the quadratic closed form covers n = 5 and 6")
     if e.in_sigma():

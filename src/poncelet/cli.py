@@ -11,7 +11,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from . import verify
 from .cayley import MAX_N, locus, locus_at_p
@@ -93,12 +92,10 @@ def _svg_footer() -> list[str]:
 
 
 def _svg_parabola(p: float) -> str:
-    pts = []
-    for i in range(PARABOLA_SAMPLES + 1):
-        y = -4.0 + 8.0 * i / PARABOLA_SAMPLES
-        x = (y * y - p * p) / (2 * p)
-        pts.append(f"{x:.5f},{y:.5f}")
-    return f'<polyline fill="none" stroke="green" stroke-width="0.02" points="{" ".join(pts)}"/>'
+    par = Parabola(p)
+    ys = (-4.0 + 8.0 * i / PARABOLA_SAMPLES for i in range(PARABOLA_SAMPLES + 1))
+    pts = " ".join(f"{x:.5f},{y:.5f}" for x, y in map(par.contact_point, ys))
+    return f'<polyline fill="none" stroke="green" stroke-width="0.02" points="{pts}"/>'
 
 
 def trace_svg(center: tuple[float, float], p: float, vertices) -> str:
@@ -116,24 +113,53 @@ def trace_svg(center: tuple[float, float], p: float, vertices) -> str:
     return "\n".join(lines)
 
 
-def marching_squares(f, grid: int, lo: float = -VIEW, hi: float = VIEW) -> list[tuple[float, float]]:
-    """Zero-crossing points of f(x, y) on a grid: each zero node once, and
-    each edge whose ends have strictly opposite signs once, by linear
-    interpolation; the edges on the boundary are included."""
-    h = (hi - lo) / grid
-    vals = [[f(lo + i * h, lo + j * h) for j in range(grid + 1)] for i in range(grid + 1)]
+def node_values(curve, grid: int):
+    """The values of an integer curve in x and y (as `locus_at_p` gives it)
+    at the grid nodes u/D, D = grid and u = 6i - 3D for i = 0..grid, so that
+    u/D runs over [-VIEW, VIEW]: one row per x-node, one exact int per y-node,
+    all on the positive scale D**(dx + dy) for the curve's degrees dx and dy
+    in x and y.  The coefficients in y are built once per row, already times
+    D**(dx + dy - j) at y**j, so each node is a plain integer Horner."""
+    dx, dy = (max(e[k] for e in curve.terms) for k in (1, 2))
+    terms = [(ex, ey, c.numerator * grid ** (dy - ey)) for (_, ex, ey), c in curve.terms.items()]
+    v = int(VIEW)
+    nodes = range(-v * grid, v * grid + 1, 2 * v)
+    for u in nodes:
+        xs = [u**i * grid ** (dx - i) for i in range(dx + 1)]
+        cs = [0] * (dy + 1)
+        for ex, ey, c in terms:
+            cs[ey] += c * xs[ex]
+        row = []
+        for s in nodes:
+            total = 0
+            for c in reversed(cs):
+                total = total * s + c
+            row.append(total)
+        yield row
+
+
+def marching_squares(rows, grid: int) -> list[tuple[float, float]]:
+    """Zero-crossing points on the grid of [-VIEW, VIEW]^2, from its node
+    values row by row (row i at x-node i, entry j at y-node j; two rows are
+    alive at a time): each zero node once, and each edge whose ends have
+    strictly opposite signs once, by linear interpolation; the edges on the
+    boundary are included."""
+    h = 2 * VIEW / grid
     points: list[tuple[float, float]] = []
+    rows = iter(rows)
+    nxt = next(rows)
     for i in range(grid + 1):
-        for j in range(grid + 1):
-            x0, y0, v0 = lo + i * h, lo + j * h, vals[i][j]
+        row, nxt = nxt, next(rows, None)
+        for j, v0 in enumerate(row):
+            x0, y0 = -VIEW + i * h, -VIEW + j * h
             x1, y1 = x0 + h, y0 + h
-            if v0 == 0.0:
+            if v0 == 0:
                 points.append((x0, y0))
-            if i < grid and (v0 < 0 < vals[i + 1][j] or vals[i + 1][j] < 0 < v0):
-                t = v0 / (v0 - vals[i + 1][j])
+            if nxt and (v0 < 0 < nxt[j] or nxt[j] < 0 < v0):
+                t = v0 / (v0 - nxt[j])
                 points.append((x0 + t * (x1 - x0), y0))
-            if j < grid and (v0 < 0 < vals[i][j + 1] or vals[i][j + 1] < 0 < v0):
-                t = v0 / (v0 - vals[i][j + 1])
+            if j < grid and (v0 < 0 < row[j + 1] or row[j + 1] < 0 < v0):
+                t = v0 / (v0 - row[j + 1])
                 points.append((x0, y0 + t * (y1 - y0)))
     return points
 
@@ -201,31 +227,8 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def float_evaluator(curve):
-    """curve.evaluate(1, x, y) for floats x and y, bit for bit, with each
-    coefficient made a float once and the powers of each value cached."""
-    cs = curve.terms.values()
-    try:
-        fs = [float(c) for c in cs]
-    except OverflowError:  # divide all by one power of 2: signs and ratios stay
-        k = max(abs(c.numerator) // c.denominator for c in cs).bit_length()
-        fs = [c.numerator / (c.denominator << k) for c in cs]
-        if min(map(abs, fs)) < sys.float_info.min:
-            raise ValueError("the locus at this p has a coefficient beyond the float range") from None
-    terms = [(c, ex, ey) for c, (_, ex, ey) in zip(fs, curve.terms)]
-    exponents = range(1 + max(map(max, curve.terms)))
-    powers = lru_cache(maxsize=None)(lambda v: [v**e for e in exponents])
-
-    def f(x: float, y: float) -> float:
-        xs, ys, total = powers(x), powers(y), 0.0
-        for c, ex, ey in terms:  # evaluate's order; p**ep = 1
-            total = total + c * xs[ex] * ys[ey]
-        return total
-    return f
-
-
 def cmd_locus(args) -> int:
-    points = marching_squares(float_evaluator(locus_at_p(args.n, args.p)), args.grid)
+    points = marching_squares(node_values(locus_at_p(args.n, args.p), args.grid), args.grid)
     if args.format == "svg":
         _emit(args.out, locus_svg(points))
     else:

@@ -1,10 +1,10 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, real root isolation, discriminants.
 
-Coefficients are `fractions.Fraction` throughout; products, determinants
-(one fraction-free Bareiss), exact division, the normal form, `specialize`
-(the one exact evaluator at a rational center, for the locus and region
-polynomials) and the root finder run over integers, denominators cleared once.
+Coefficients are `fractions.Fraction` throughout; products, exact division,
+the normal form, `specialize` (the one exact evaluator at a rational center,
+for the locus and region polynomials) and the root finder run over integers,
+denominators cleared once.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
@@ -261,47 +261,9 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
     return _unpack(q, Fraction(db, da * g), sb - sa, w)
 
 
-def poly_det(m: Sequence[Sequence[LaurentPoly3]]) -> LaurentPoly3:
-    """Exact determinant by fraction-free Bareiss elimination over Z.
-
-    The whole matrix is scaled by one lcm of denominators and one p-power,
-    so that its determinant is a known scalar multiple of the original.
-    """
-    k = len(m)
-    if not k:
-        return LaurentPoly3.const(1)
-    rows = [[_coerce(v) for v in row] for row in m]
-    if any(len(row) != k for row in rows):
-        raise ValueError("matrix must be square")
-    if not any(v.terms for row in rows for v in row):
-        return LaurentPoly3()
-    # A minor's exponents are at most k times the largest; Bareiss multiplies two.
-    forms, den, shift, w = _pack_all([v for row in rows for v in row], 2 * k)
-    mat = [forms[i * k:(i + 1) * k] for i in range(k)]
-    sign = 1
-    prev = {0: 1}
-    for i in range(k - 1):
-        if not mat[i][i]:
-            for r in range(i + 1, k):
-                if mat[r][i]:
-                    mat[i], mat[r] = mat[r], mat[i]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly3()
-        piv, top = mat[i][i], mat[i]
-        for r in range(i + 1, k):
-            row, lead = mat[r], mat[r][i]
-            for c in range(i + 1, k):
-                row[c] = _idiv(_mul_sub(piv, row[c], lead, top[c]), prev, w)
-            row[i] = {}
-        prev = piv
-    return _unpack(mat[k - 1][k - 1], Fraction(sign, den**k), -k * shift, w)
-
-
 # -- integer working form -----------------------------------------------------
 #
-# Products, poly_det and poly_div_exact run on dicts {key: int}.  A key
+# Products, poly_div_exact, hankel_raw and locus run on dicts {key: int}.  A key
 # packs (e_p, e_x, e_y), all >= 0, as (e_p << 2w) | (e_x << w) | e_y, so int
 # order is lex order p > x > y and adding keys multiplies monomials as long
 # as no exponent reaches 2**w.  The width w comes from a degree bound on

@@ -296,6 +296,46 @@ def rand_quartic(rng: random.Random) -> UniPolyR:
     return f
 
 
+def poly_det(m) -> LaurentPoly3:
+    """Exact determinant by fraction-free Bareiss elimination over Z, on
+    polycore's integer working form: the determinant route of
+    `hankel_matrix`, and `resultant`'s.
+
+    The whole matrix is scaled by one lcm of denominators and one p-power,
+    so that its determinant is a known scalar multiple of the original.
+    """
+    k = len(m)
+    if not k:
+        return LaurentPoly3.const(1)
+    rows = [[polycore._coerce(v) for v in row] for row in m]
+    if any(len(row) != k for row in rows):
+        raise ValueError("matrix must be square")
+    if not any(v.terms for row in rows for v in row):
+        return LaurentPoly3()
+    # A minor's exponents are at most k times the largest; Bareiss multiplies two.
+    forms, den, shift, w = polycore._pack_all([v for row in rows for v in row], 2 * k)
+    mat = [forms[i * k:(i + 1) * k] for i in range(k)]
+    sign = 1
+    prev = {0: 1}
+    for i in range(k - 1):
+        if not mat[i][i]:
+            for r in range(i + 1, k):
+                if mat[r][i]:
+                    mat[i], mat[r] = mat[r], mat[i]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly3()
+        piv, top = mat[i][i], mat[i]
+        for r in range(i + 1, k):
+            row, lead = mat[r], mat[r][i]
+            for c in range(i + 1, k):
+                row[c] = polycore._idiv(polycore._mul_sub(piv, row[c], lead, top[c]), prev, w)
+            row[i] = {}
+        prev = piv
+    return polycore._unpack(mat[k - 1][k - 1], Fraction(sign, den**k), -k * shift, w)
+
+
 def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
     """Determinant by Laplace expansion along the first row: a slow
     reference for poly_det that shares none of its code."""
@@ -315,7 +355,7 @@ def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
     fc, gc = f.coeffs[::-1], g.coeffs[::-1]
     rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
     rows += [[0] * i + gc + [0] * (n - 1 - i) for i in range(n)]
-    return polycore.poly_det(rows).terms.get((0, 0, 0), Fraction(0))
+    return poly_det(rows).terms.get((0, 0, 0), Fraction(0))
 
 
 def hankel_matrix(n: int, coeff=None) -> list[list]:

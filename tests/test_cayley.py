@@ -15,6 +15,7 @@ from conftest import (
     hankel_matrix,
     locus_reference,
     make_rng,
+    poly_det,
     rand_fraction,
     series_at,
     series_sqrt,
@@ -31,7 +32,7 @@ from poncelet.cayley import (
     pencil_coeffs,
     proper_divisors,
 )
-from poncelet.polycore import LaurentPoly3, canonicalize, format_poly, poly_det, poly_div_exact
+from poncelet.polycore import LaurentPoly3, canonicalize, format_poly, poly_div_exact
 from poncelet.verify import paper_locus
 
 P = LaurentPoly3.var_p()

@@ -149,6 +149,16 @@ def test_roots_6_closed_form_examples():
             closed_form_roots(n, Center(F(2), F(0)))
 
 
+def test_closed_form_keeps_degenerate_p0():
+    # at (1, 2) the 6-gon constant term (3x^2 - y^2 + 1) S^2 vanishes: the
+    # closed form keeps p = 0, pair_classify drops it and counts one parabola
+    e = Center(F(1), F(2))
+    zero, p = closed_form_roots(6, e)
+    assert zero == 0.0 and p == pytest.approx(-22 / 15, abs=1e-12)
+    r = pair_classify(6, e)
+    assert r.count == 1 and r.p_roots.values() == [pytest.approx(-22 / 15, abs=1e-12)]
+
+
 def test_closed_form_agrees_with_sturm():
     rng = make_rng(21)
     for _ in range(200):

@@ -1,12 +1,14 @@
 """Command-line interface: flag handling, output formats, exit codes."""
 
+import hashlib
 import json
+from functools import lru_cache
 
 import pytest
 
 from conftest import time_limit
 from poncelet.cayley import locus_at_p
-from poncelet.cli import VIEW, float_evaluator, main, marching_squares, parse_center, parse_rational
+from poncelet.cli import VIEW, main, marching_squares, node_values, parse_center, parse_rational
 from fractions import Fraction
 
 
@@ -112,8 +114,14 @@ def test_locus_grid_nodes_once(capsys):
     assert out == "x,y\n-1,0\n0,-1\n0,1\n1,0\n"
 
 
+def _rows(f, grid):
+    """f at the nodes of the locus grid, row by row, as marching_squares takes them."""
+    nodes = [-VIEW + k * 2 * VIEW / grid for k in range(grid + 1)]
+    return ([f(x, y) for y in nodes] for x in nodes)
+
+
 def test_marching_squares_zero_nodes_once():
-    points = marching_squares(lambda x, y: x * x + y * y - 1, 6)
+    points = marching_squares(_rows(lambda x, y: x * x + y * y - 1, 6), 6)
     assert sorted(points) == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
 
@@ -121,54 +129,89 @@ def test_marching_squares_boundary_crossings():
     # 2.95 lies between the last two grid lines: one crossing per line of
     # nodes across it, the edge on the boundary x = 3 (or y = 3) included
     nodes = [-3.0 + k for k in range(7)]
-    across = marching_squares(lambda x, y: x - 2.95, 6)
+    across = marching_squares(_rows(lambda x, y: x - 2.95, 6), 6)
     assert [y for _, y in across] == nodes
     assert all(x == pytest.approx(2.95) for x, _ in across)
-    up = marching_squares(lambda x, y: y - 2.95, 6)
+    up = marching_squares(_rows(lambda x, y: y - 2.95, 6), 6)
     assert [x for x, _ in up] == nodes
     assert all(y == pytest.approx(2.95) for _, y in up)
 
 
-def test_float_evaluator_is_evaluate_bit_for_bit():
-    # on the grid `locus` samples, with the coefficients of the 12-gon at
-    # p = 1/3 far from floats and x, y, powers and sums far from exact
-    for n, p, grid in ((12, Fraction(1, 3), 24), (7, Fraction(-5, 2), 16), (3, Fraction(1), 6)):
-        curve = locus_at_p(n, p)
-        f = float_evaluator(curve)
-        h = 2 * VIEW / grid
-        for i in range(grid + 1):
-            for j in range(grid + 1):
-                x, y = -VIEW + i * h, -VIEW + j * h
-                assert f(x, y).hex() == float(curve.evaluate(1, x, y)).hex(), (n, x, y)
+LOCUS_CASES = (
+    (12, Fraction(1, 3), 24), (7, Fraction(-5, 2), 16), (3, Fraction(1), 6),
+    (5, Fraction("1e200"), 16), (5, Fraction("1e-200"), 16),
+)
 
 
-def test_locus_beyond_float_range_exit_code(capsys):
-    # the coefficients of the 5-gon at p = 1e999 have no float
-    code = main(["locus", "--n", "5", "--p", "1e999"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and "beyond the float range" in err
+@lru_cache(maxsize=None)
+def _exact_grid(n, p, grid):
+    """The nodes -3 + 6k/grid and the curve's Fraction values at them."""
+    curve = locus_at_p(n, p)
+    nodes = [Fraction(6 * k - 3 * grid, grid) for k in range(grid + 1)]
+    return nodes, [[curve.evaluate(1, x, y) for y in nodes] for x in nodes]
 
 
-def test_locus_tiny_p_scales_to_floats(capsys):
-    # the coefficients of the 5-gon at p = 1e-200 reach about 2**1330, and
-    # the smallest is about 2**665: one power of 2 brings them all into
-    # range, and at each node the sign is the exact sign
-    code = main(["locus", "--n", "5", "--p", "1e-200", "--grid", "16"])
-    out = capsys.readouterr().out
-    assert code == 0 and out.count("\n") > 10
-    curve = locus_at_p(5, Fraction("1e-200"))
-    f = float_evaluator(curve)
-    h = 2 * VIEW / 16
-    signs = set()
-    for i in range(17):
-        for j in range(17):
-            x, y = -VIEW + i * h, -VIEW + j * h
-            exact, value = curve.evaluate(1, Fraction(x), Fraction(y)), f(x, y)
-            sign = (exact > 0) - (exact < 0)
-            assert (value > 0) - (value < 0) == sign, (x, y)
-            signs.add(sign)
-    assert signs == {-1, 1}
+@pytest.mark.parametrize("n, p, grid", LOCUS_CASES, ids=["n12", "n7", "n3", "n5-huge-p", "n5-tiny-p"])
+def test_node_values_are_exact_on_one_scale(n, p, grid):
+    # every node u/grid, u = 6i - 3 grid, has the value grid**(dx + dy)
+    # times the exact one, so each sign is the exact sign
+    curve = locus_at_p(n, p)
+    dx, dy = (max(e[k] for e in curve.terms) for k in (1, 2))
+    scale = grid ** (dx + dy)
+    _, vals = _exact_grid(n, p, grid)
+    assert [[scale * v for v in row] for row in vals] == list(node_values(curve, grid))
+
+
+def test_locus_crossings_round_the_exact_ones():
+    # each crossing is within a few ulps of linear interpolation between
+    # the exact node values, at the nodes as exact fractions
+    n, p, grid = LOCUS_CASES[0]
+    nodes, vals = _exact_grid(n, p, grid)
+    h = Fraction(6, grid)
+    want = []
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            v0 = vals[i][j]
+            if v0 == 0:
+                want.append((x, y))
+            if i < grid and v0 * vals[i + 1][j] < 0:
+                want.append((x + v0 / (v0 - vals[i + 1][j]) * h, y))
+            if j < grid and v0 * vals[i][j + 1] < 0:
+                want.append((x, y + v0 / (v0 - vals[i][j + 1]) * h))
+    got = marching_squares(node_values(locus_at_p(n, p), grid), grid)
+    assert len(got) == len(want) > 50
+    for (gx, gy), (wx, wy) in zip(got, want):
+        assert abs(gx - wx) < 1e-15 and abs(gy - wy) < 1e-15, (gx, gy)
+
+
+@pytest.mark.parametrize("p", ["1e200", "1e-200", "1e999"])
+def test_locus_far_p_exit_code(capsys, p):
+    # no float range limits the curve: its node values are exact ints
+    code, out = run(capsys, "locus", "--n", "5", "--p", p, "--grid", "16")
+    assert code == 0
+    if p == "1e-200":
+        assert out.count("\n") > 10
+    else:  # every node value is negative: the header alone
+        assert out == "x,y\n"
+        curve = locus_at_p(5, Fraction(p))
+        assert all(v < 0 for row in node_values(curve, 16) for v in row)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "3", "--p", "1", "--grid", "64"),
+     "2071896f42d180244cd5940a86cb136c0156b6e2f30ee0ccc70f1816d9d5db14"),
+    (("--n", "7", "--p=-5/2", "--grid", "256"),
+     "5409ba8f4c8f6b3dfdc5bb0b940fdf13315c46bf51d64c4f95ac77bf4325b9e1"),
+    (("--n", "5", "--p", "1e-200", "--grid", "16"),
+     "c4c15b012ce5974a788c2d38c5268e40963919ed781bccd12b5d6c55d43f3bbd"),
+    (("--n", "4", "--p", "1/2", "--format", "svg", "--grid", "64"),
+     "82c2ae8f78c531baa95ad186b88a02e197385ec72c90aa6c421273a4e1a99dd9"),
+], ids=["n3", "n7", "n5-tiny-p", "n4-svg"])
+def test_locus_output_pinned(capsys, argv, digest):
+    # on these commands the exact crossings round to the bytes the float sums gave
+    code, out = run(capsys, "locus", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_locus_svg(capsys, tmp_path):

@@ -17,6 +17,7 @@ from conftest import (
     det_laplace,
     large_height_product,
     make_rng,
+    poly_det,
     quartic_D_expanded,
     quartic_disc_expanded,
     rand_fraction,
@@ -44,7 +45,6 @@ from poncelet.polycore import (
     discriminant,
     format_poly,
     parse_poly,
-    poly_det,
     poly_div_exact,
     poly_gcd,
     quartic_D,
