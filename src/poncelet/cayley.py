@@ -154,11 +154,18 @@ def locus(n: int) -> LocusPolynomial:
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:
-    """The locus curve in (x, y) for a fixed parabola parameter p."""
+    """The locus curve in (x, y) at a fixed parabola parameter p = a/b, from one
+    integer sum per (e_x, e_y) over a**e * b**(d - e), d its degree in p."""
     p = Fraction(p)
     if p == 0:
         raise DegenerateParabola("p = 0 is a degenerate parabola")
-    curve = locus(n).canonical.substitute_p(p)
+    terms = locus(n).canonical.terms
+    d = max(e[0] for e in terms)
+    ps = [p.numerator**e * p.denominator ** (d - e) for e in range(d + 1)]
+    sums: dict[polycore.Expo, int] = {}
+    for (ep, ex, ey), c in terms.items():
+        sums[0, ex, ey] = sums.get((0, ex, ey), 0) + c.numerator * ps[ep]
+    curve = LaurentPoly3(sums)
     if curve.is_zero():
         raise ZeroPolynomial(f"locus for n={n} vanished at p={p}")
     return canonicalize(curve)

@@ -11,7 +11,6 @@ appear only in reported root values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .polycore import (
     UniPolyR,
     _discriminant,
     _int_coeffs,
-    discriminant,
+    _root_float,
     quartic_D,
     quartic_O,
     quartic_P,
@@ -185,11 +184,18 @@ def closed_form_roots(n: int, e: Center) -> tuple[complex | float, complex | flo
         raise ValueError("the quadratic closed form covers n = 5 and 6")
     if e.in_sigma():
         raise ExcludedCenter("center in Sigma is excluded for n >= 5")
-    f = p_polynomial(n, e)
-    d = discriminant(f)
-    s = math.sqrt(d) if d >= 0 else cmath.sqrt(d)
-    b, a = float(f.coeffs[1]), float(f.coeffs[2])
-    return ((-b + s) / (2 * a), (-b - s) / (2 * a))
+    c = _int_coeffs(p_polynomial(n, e))
+    b, a, d = c[1], c[2], _discriminant(c)
+    # sqrt(d) is the one float, taken on d / 4**k, which has one.  q adds two
+    # terms of one sign, so neither root q / a nor c / q cancels: p = 0 stays 0.
+    k = max(0, abs(d).bit_length() // 2 - 500)
+    s = Fraction(math.sqrt(abs(d) / 4**k)) * 2**k
+    if d < 0:
+        re, im = _root_float(Fraction(-b, 2 * a)), _root_float(s / (2 * a))
+        return complex(re, im), complex(re, -im)
+    q = -(b + (s if b >= 0 else -s)) / 2
+    near, far = c[0] / q if q else q, q / a
+    return tuple(map(_root_float, (near, far) if b >= 0 else (far, near)))
 
 
 def isoperiodic_n(e: Center) -> int | None:

@@ -132,13 +132,12 @@ def _residual_message(residual: float, p: complex) -> str:
     return f"residual {residual}: the float trace overflows at p = {p!r}"
 
 
-def next_vertex(circle: Circle, line: tuple[float, complex], current: Point) -> Point:
-    """The other intersection of the tangent line with the circle; returns
-    `current` itself when the line is tangent to the circle, and raises
-    DegenerateStep when the line is isotropic, so the other intersection is
-    at infinity."""
-    p, t = line
-    par = Parabola(p)
+def next_vertex(circle: Circle, par: Parabola, t: complex, current: Point) -> Point:
+    """The other intersection with the circle of the parabola's tangent line
+    at parameter t; returns `current` itself when the line is tangent to the
+    circle, and raises DegenerateStep when the line is isotropic, so the
+    other intersection is at infinity."""
+    p = par.p
     # both guards are relative: coordinates grow like p^2 for steep
     # tangents, and the residuals scale with them; written as `not <=` so
     # that a NaN residual fails them
@@ -198,7 +197,7 @@ def poncelet_trace(circle: Circle, par: Parabola, start_t: complex, n: int) -> T
     v0 = _renormalize(circle, _start_vertex(circle, par, start_t))
     vertices = [v0]
     params: list[complex] = [complex(start_t)]
-    v = next_vertex(circle, (par.p, complex(start_t)), v0)
+    v = next_vertex(circle, par, complex(start_t), v0)
     t_in = complex(start_t)
     steps = n
     for k in range(1, n):
@@ -219,7 +218,7 @@ def poncelet_trace(circle: Circle, par: Parabola, start_t: complex, n: int) -> T
             and abs(t_out - params[0]) < 1e-6
         ):
             steps = k
-        v = next_vertex(circle, (par.p, t_out), v)
+        v = next_vertex(circle, par, t_out, v)
         t_in = t_out
     residual = abs(v[0] - v0[0]) + abs(v[1] - v0[1])
     closed = residual < CLOSURE_TOL

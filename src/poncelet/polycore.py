@@ -188,20 +188,6 @@ class LaurentPoly3:
             total = total + coeff * p**ep * x**ex * y**ey
         return total
 
-    def substitute_p(self, p: Fraction) -> "LaurentPoly3":
-        """Exact substitution of a rational p, leaving a polynomial in x, y."""
-        if p == 0:
-            raise ZeroPolynomial("p = 0 is a degenerate parabola")
-        out: dict[Expo, Fraction] = {}
-        for (ep, ex, ey), c in self.terms.items():
-            e = (0, ex, ey)
-            s = out.get(e, _ZERO) + c * Fraction(p) ** ep
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
-
     def __repr__(self) -> str:
         return f"LaurentPoly3({format_poly(self)!r})"
 
@@ -901,16 +887,17 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     for lo, hi, mult, c in found:
         if exclude_zero and lo <= 0 <= hi and not c[0]:
             continue
-        mid = (lo + hi) / 2
-        try:
-            value = float(mid)
-        except OverflowError:
-            bits = abs(mid.numerator).bit_length() - mid.denominator.bit_length()
-            raise PolycoreError(
-                f"a real root of magnitude about 2**{bits} is beyond the float range"
-            ) from None
-        roots.append((value, mult, (lo, hi)))
+        roots.append((_root_float((lo + hi) / 2), mult, (lo, hi)))
     return RootList(roots)
+
+
+def _root_float(v: Fraction) -> float:
+    """float(v) for a reported root value, or a named error where v has none."""
+    try:
+        return float(v)
+    except OverflowError:
+        bits = abs(v.numerator).bit_length() - v.denominator.bit_length()
+        raise PolycoreError(f"a root of magnitude about 2**{bits} is beyond the float range") from None
 
 
 # -- discriminants -----------------------------------------------------------

@@ -335,6 +335,27 @@ def test_locus_at_p():
         locus_at_p(3, Fraction(0))
 
 
+def _substitute_p_reference(a: LaurentPoly3, p: Fraction) -> LaurentPoly3:
+    """a at p term by term in Fractions: the route locus_at_p replaced."""
+    out: dict = {}
+    for (ep, ex, ey), c in a.terms.items():
+        out[(0, ex, ey)] = out.get((0, ex, ey), 0) + c * p**ep
+    return LaurentPoly3(out)
+
+
+def test_locus_at_p_matches_fraction_substitution():
+    # the integer restriction against canonicalize of the Fraction sums, at
+    # p across the range and signs, integer and not
+    rng = make_rng(18)
+    ps = [s * Fraction(10) ** e for s in (1, -1) for e in (200, -200)]
+    ps += [Fraction(-5, 2), Fraction(1, 3), Fraction(-7, 10**30)]
+    ps += [rand_fraction(rng, 10**6, 10**6) or Fraction(1) for _ in range(10)]
+    for n in range(3, 13):
+        canonical = locus(n).canonical
+        for p in ps:
+            assert locus_at_p(n, p) == canonicalize(_substitute_p_reference(canonical, p)), (n, p)
+
+
 def test_numeric_evaluation_consistency():
     """The exact Hankel determinants agree with determinants of numerically
     computed sqrt-series coefficients (convolution route), up to the scalar

@@ -157,6 +157,36 @@ def test_closed_form_keeps_degenerate_p0():
     assert zero == 0.0 and p == pytest.approx(-22 / 15, abs=1e-12)
     r = pair_classify(6, e)
     assert r.count == 1 and r.p_roots.values() == [pytest.approx(-22 / 15, abs=1e-12)]
+    # so it does far out on that hyperbola, where b has no exact float
+    e = Center(F(2107560), F(3650401))
+    zero, p = closed_form_roots(6, e)
+    assert zero == 0.0 and p == pytest.approx(pair_classify(6, e).p_roots.values()[0], rel=1e-15)
+
+
+def test_closed_form_beyond_float_range_coefficients():
+    # far out, a, b or the discriminant of the quadratic has no float while
+    # both roots do; a root with none raises the named error, as Sturm does
+    for e in (Center(F(10**100), F(3)), Center(F(10**80), F(1, 3))):
+        for n in (5, 6):
+            got, want = sorted(closed_form_roots(n, e)), pair_classify(n, e).p_roots.values()
+            assert len(want) == 2 and all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want)), (n, e)
+    with pytest.raises(polycore.PolycoreError, match="beyond the float range"):
+        closed_form_roots(5, Center(F(10**200), F(3)))
+
+
+def test_closed_form_matches_the_float_quadratic_formula():
+    # in the float range the integer form gives the roots of the quadratic
+    # formula on p_polynomial's coefficients, to 1e-12
+    rng = make_rng(21)
+    centers = [(F(0), F(2)), (F(1, 2), F(1, 2)), (F(0), F(1, 4)), (F(2), F(0)), (F(0), F(1, 2)), (F(1), F(2))]
+    for x, y in centers + [rand_center_off_sigma(rng) for _ in range(50)]:
+        for n in (5, 6):
+            c0, c1, c2 = p_polynomial(n, Center(x, y)).coeffs
+            s = cmath.sqrt(float(c1 * c1 - 4 * c2 * c0))
+            b, a = float(c1), float(c2)
+            want = ((-b + s) / (2 * a), (-b - s) / (2 * a))
+            for g, w in zip(closed_form_roots(n, Center(x, y)), want):
+                assert abs(g - w) <= 1e-12 * max(1, abs(w)), (n, x, y)
 
 
 def test_closed_form_agrees_with_sturm():

@@ -58,6 +58,43 @@ def test_cayley_at_p(capsys):
     )
 
 
+CAYLEY_AT_P_SHA256 = {
+    (3, "1/3"): ("56d5732922e82da11be0707b933a9abe146e85bae3aec944ac6fc1912eb55bcc",
+                 "cc5f3ad7ff230f298f66aba9c326c0d304def7922a5ccf6a01a73d41ab045e58"),
+    (3, "-5/2"): ("56d5732922e82da11be0707b933a9abe146e85bae3aec944ac6fc1912eb55bcc",
+                  "cc5f3ad7ff230f298f66aba9c326c0d304def7922a5ccf6a01a73d41ab045e58"),
+    (3, "1e200"): ("56d5732922e82da11be0707b933a9abe146e85bae3aec944ac6fc1912eb55bcc",
+                   "cc5f3ad7ff230f298f66aba9c326c0d304def7922a5ccf6a01a73d41ab045e58"),
+    (3, "1e-200"): ("56d5732922e82da11be0707b933a9abe146e85bae3aec944ac6fc1912eb55bcc",
+                    "cc5f3ad7ff230f298f66aba9c326c0d304def7922a5ccf6a01a73d41ab045e58"),
+    (7, "1/3"): ("122e3402011d829cc7a38f840edffba2a75cdc39ccb8cca168590ad0db2d0d56",
+                 "2a4448167233b31181d4dc55d0caeb89bae439ec6a105524e82dc43d22c76532"),
+    (7, "-5/2"): ("11465d811724792a975c6a7f89accaa9bb17a48fd4474a24bf771acf70c03c2f",
+                  "7c354bf71f1ee4ba24b6b64ba8948ad29028701fd5f58e70d468e1d0e4f356d4"),
+    (7, "1e200"): ("f3275fe0250c8906695b5288d236df019b937b0bbacacf420e912899c3895b8c",
+                   "2bbdc083634e31f04e2caa1a1208686aa5b8b7abd92c97f8d7c2c8307627ca2c"),
+    (7, "1e-200"): ("38420d6759631593a8056784c432a3a6e5538739f698a5eddca68e61a2d1d833",
+                    "24311cdfebe0bd6876350ef287d73ba2704624da37a9a31bb61bf4937a590df8"),
+    (12, "1/3"): ("89ac13c50330b9eb51cdba7a2b10b0a7823e2f2600d889f3c869c3e3418ead75",
+                  "60e13a18b37108bd0059cb466a510b5a524c37f1063871720213cf70990ef66c"),
+    (12, "-5/2"): ("066160dd03c768e7bb599456e453dc5bff05a1f3a8e8672f14be87d473ff3f9b",
+                   "b8be8de4b068fc4bcadf8677a8a85e352c33fb6afdeeb83baeff3b9d8d9ce8cf"),
+    (12, "1e200"): ("8cb891497a5ebf071c01295f8bc3c21fd30fb01b82317bf714b808e0d8cf0a9b",
+                    "89dbb421090527f1c492e50d2c8fb3135d3ed0dcca3ab075f2cf4b65bbe92213"),
+    (12, "1e-200"): ("542655fe34f9b131102727a26555976517671da23f09e8bae923856b66e2ef0e",
+                     "632f7c171a1b7665cb1c51effb06e5f3b60ae64bba346ec4ca9bfb6c20c0a6ec"),
+}
+
+
+@pytest.mark.parametrize("n, p", sorted(CAYLEY_AT_P_SHA256))
+def test_cayley_at_p_output_pinned(capsys, n, p):
+    # the text and JSON curves of the Fraction substitution, byte for byte
+    for fmt, digest in zip(("text", "json"), CAYLEY_AT_P_SHA256[n, p]):
+        code, out = run(capsys, "cayley", "--n", str(n), f"--p={p}", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_classify_json(capsys):
     code, out = run(capsys, "classify", "--n", "4", "--center", "2,0")
     assert code == 0

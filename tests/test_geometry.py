@@ -89,7 +89,7 @@ def test_next_vertex_basic():
     # line of the parabola through it to the second intersection
     circle = Circle((0.0, 0.0))
     t1, _ = tangent_params((-1.0, 0.0), Parabola(0.5))
-    nxt = next_vertex(circle, (0.5, t1), (-1.0 + 0.0j, 0.0 + 0.0j))
+    nxt = next_vertex(circle, Parabola(0.5), t1, (-1.0 + 0.0j, 0.0 + 0.0j))
     assert circle.residual(nxt) < 1e-9
     assert Parabola(0.5).line_residual(t1, nxt) < 1e-9
     assert abs(complex(nxt[0]) - (-1.0)) > 1e-6 or abs(complex(nxt[1])) > 1e-6
@@ -100,16 +100,16 @@ def test_next_vertex_guards():
     par = Parabola(1.0)
     t1, _ = tangent_params((1.0, 0.0), par)
     with pytest.raises(NotOnCircle):
-        next_vertex(circle, (1.0, t1), (5.0, 5.0))
+        next_vertex(circle, par, t1, (5.0, 5.0))
     with pytest.raises(NotOnLine):
-        next_vertex(circle, (1.0, t1), (0.0, 1.0))
+        next_vertex(circle, par, t1, (0.0, 1.0))
     # a NaN residual fails the guards; a center near the float limit makes
     # one on the first step
     nan = complex(math.nan, 0.0)
     with pytest.raises(NotOnCircle):
-        next_vertex(circle, (1.0, t1), (nan, nan))
+        next_vertex(circle, par, t1, (nan, nan))
     with pytest.raises(NotOnLine):
-        next_vertex(circle, (1.0, nan), (1.0, 0.0))
+        next_vertex(circle, par, nan, (1.0, 0.0))
     with pytest.raises(NotOnCircle):
         poncelet_trace(Circle((1e308, 0.0)), par, 0.8, 4)
 
@@ -122,7 +122,7 @@ def test_isotropic_chord_raises():
         with pytest.raises(DegenerateStep, match="isotropic"):
             poncelet_trace(Circle(center), Parabola(1.0), 1j, n)
     with pytest.raises(DegenerateStep):
-        next_vertex(Circle((-1.0, 0.0)), (1.0, 1j), (0j, 0j))
+        next_vertex(Circle((-1.0, 0.0)), Parabola(1.0), 1j, (0j, 0j))
     # the start vertex takes the same chord and raises the same way
     from poncelet.geometry import _start_vertex
 

@@ -33,6 +33,34 @@ def test_private_definitions_have_a_caller():
             assert any(word.search(t) for t in rest), f"{path.name}: {node.name} has no caller"
 
 
+def _package_imports(tree: ast.Module) -> set[tuple[str, str | None]]:
+    """(module, name) for each package module a source file imports, at any
+    depth: name is None where the module itself is imported."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {(a.name.split(".")[1], None) for a in node.names if a.name.startswith("poncelet.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("poncelet")):
+            module = (node.module or "").removeprefix("poncelet").lstrip(".")
+            if module:
+                out |= {(module, a.name) for a in node.names}
+            else:
+                out |= {(a.name, None) for a in node.names}
+    return out
+
+
+def test_oracle_shares_no_code_with_the_exact_side():
+    # the float oracle imports nothing from the exact modules, and they take
+    # nothing from it but the exception for p = 0
+    exact = {"polycore", "cayley", "classify", "verify"}
+    imports = {m: _package_imports(ast.parse((SRC / f"{m}.py").read_text())) for m in exact | {"geometry"}}
+    assert not {m for m, _ in imports["geometry"]} & exact, imports["geometry"]
+    assert ("geometry", "DegenerateParabola") in imports["cayley"]  # the reader sees imports
+    for m in exact:
+        taken = {name for module, name in imports[m] if module == "geometry"}
+        assert taken <= {"DegenerateParabola"}, (m, taken)
+
+
 def _is_self_module(node, modules: set[str]) -> bool:
     """node is `self.<module>` for one of the modules."""
     return (isinstance(node, ast.Attribute) and node.attr in modules
