@@ -76,6 +76,30 @@ _ATILDE, _DELTA2 = atilde_sequence(3), pencil_coeffs().delta2
 _W = (LaurentPoly3.const(1),) * 2 + (_ATILDE[1] * Fraction(1, 2), _ATILDE[2] * Fraction(1, 6))
 
 
+def _doubling(n: int) -> tuple[list[dict[int, int]], Fraction, int, int]:
+    """W_n, n >= 5, by a doubling formula of `hankel_raw`, as packed factors:
+    (forms, scale, shift, w) with W_n = scale * p**shift * the product of
+    forms, in the integer form of `polycore._pack_all` at width w.  For odd n
+    forms is [W_n]; for even n = 2m it is [W_m, X_m], with the cofactor
+    X_m = W_m+2 W_m-1^2 - W_m-2 W_m+1^2 kept apart: `hankel_raw` multiplies
+    the two, `locus` reads X_m alone."""
+    m, odd = divmod(n, 2)
+    # W_n is (2 delta2)^-k times a form of degree d in 1, delta2 and the W_j,
+    # all packed once at one scale; k >= 1 for even n, so W_0 is never read.
+    k, d = m - 2 + odd, 4 + odd
+    fs = [_W[0], _DELTA2] + [_W[j - 1] if j < 3 else hankel_raw(j) for j in range(k, m + 3)]
+    (one, d2, *ws), scale, shift, w = polycore._pack_all(fs, d)
+    W, ms = dict(enumerate(ws, k)), polycore._mul_sub
+    mul = lambda a, b: ms(a, b, {}, {})
+    if odd:
+        t, v = (mul(W[i], mul(W[j], mul(W[j], W[j]))) for i, j in ((m + 2, m), (m - 1, m + 1)))
+        forms = [ms(d2, t, one, v) if m % 2 == 0 else ms(one, t, d2, v)]
+    else:
+        forms = [W[m], ms(W[m + 2], mul(W[m - 1], W[m - 1]), W[m - 2], mul(W[m + 1], W[m + 1]))]
+    # (2 delta2)^-k = (-1)^k 2^-k p^-2k
+    return forms, Fraction((-1) ** k, 2**k * scale**d), -2 * k - d * shift, w
+
+
 @lru_cache(maxsize=None)
 def hankel_raw(n: int) -> LaurentPoly3:
     """W_n, whose vanishing is the n-gon condition, by a doubling formula.
@@ -94,27 +118,19 @@ def hankel_raw(n: int) -> LaurentPoly3:
     B^(4-2m), or g_2m+1 / (g_j g_j'^3) = B^(2-2m) u^(-4[j' even]) for
     W_j W_j'^3, so
 
-      W_2m = (2 delta2)^-(m-2) W_m (W_m+2 W_m-1^2 - W_m-2 W_m+1^2),
-      W_2m+1 = (2 delta2)^-(m-1) (delta2^[m even] W_m+2 W_m^3 - delta2^[m odd] W_m-1 W_m+1^3)."""
+      W_2m = (2 delta2)^-(m-2) W_m X_m,  X_m = W_m+2 W_m-1^2 - W_m-2 W_m+1^2,
+      W_2m+1 = (2 delta2)^-(m-1) (delta2^[m even] W_m+2 W_m^3 - delta2^[m odd] W_m-1 W_m+1^3).
+
+    One routine, `_doubling`, builds the packed factors for this function
+    and for `locus`; here an even n multiplies W_m by X_m, and W_n is
+    unpacked."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if n <= 4:
         return _W[n - 1]
-    m, odd = divmod(n, 2)
-    # W_n is (2 delta2)^-k times a form of degree d in 1, delta2 and the W_j,
-    # all packed once at one scale; k >= 1 for even n, so W_0 is never read.
-    k, d = m - 2 + odd, 4 + odd
-    fs = [_W[0], _DELTA2] + [_W[j - 1] if j < 3 else hankel_raw(j) for j in range(k, m + 3)]
-    (one, d2, *ws), scale, shift, w = polycore._pack_all(fs, d)
-    W, ms = dict(enumerate(ws, k)), polycore._mul_sub
-    mul = lambda a, b: ms(a, b, {}, {})
-    if odd:
-        t, v = (mul(W[i], mul(W[j], mul(W[j], W[j]))) for i, j in ((m + 2, m), (m - 1, m + 1)))
-        q = ms(d2, t, one, v) if m % 2 == 0 else ms(one, t, d2, v)
-    else:
-        q = mul(W[m], ms(W[m + 2], mul(W[m - 1], W[m - 1]), W[m - 2], mul(W[m + 1], W[m + 1])))
-    # (2 delta2)^-k = (-1)^k 2^-k p^-2k
-    return polycore._unpack(q, Fraction((-1) ** k, 2**k * scale**d), -2 * k - d * shift, w)
+    forms, scale, shift, w = _doubling(n)
+    q = polycore._mul_sub(*forms, {}, {}) if len(forms) == 2 else forms[0]
+    return polycore._unpack(q, scale, shift, w)
 
 
 @dataclass(frozen=True)
@@ -123,9 +139,15 @@ class LocusPolynomial:
     parabola of parameter p, with its Hankel provenance."""
 
     n: int
-    raw_hankel: LaurentPoly3
     divisors_removed: tuple[int, ...]
     canonical: LaurentPoly3
+
+    @property
+    def raw_hankel(self) -> LaurentPoly3:
+        """W_n = hankel_raw(n), computed on access (and cached there):
+        `locus` builds the canonical polynomial from packed factors and
+        never needs it."""
+        return hankel_raw(self.n)
 
 
 def proper_divisors(n: int) -> list[int]:
@@ -134,23 +156,43 @@ def proper_divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def locus(n: int) -> LocusPolynomial:
-    """Canonical locus polynomial: raw Hankel determinant with the lower-period
-    divisor factors removed by exact division, in one integer form."""
+    """Canonical locus polynomial: W_n with the lower-period divisor factors
+    removed by exact division, in one integer form read from `_doubling`,
+    never unpacked.
+
+    For odd n the packed W_n is divided by the locus of every proper divisor.
+    For even n = 2m, W_n = (2 delta2)^-(m-2) W_m X_m, and W_m already holds
+    every divisor of m: locus(m) is W_m divided by the loci of the proper
+    divisors of m and then canonicalized, which strips only content and a
+    power of p, so W_m = c p^a prod(locus(d), d | m, d >= 3).  Only the
+    cofactor X_m is kept, divided by the loci of the proper divisors of n
+    that do not divide m.  Up to n = 12, locus(6), locus(8) and locus(10)
+    divide nothing and locus(12) divides X_6 by locus(4) alone."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    raw, removed = hankel_raw(n), proper_divisors(n)
-    (q,), _, _, w = polycore._pack_all([raw], 1)
-    # Divide by the *canonical* locus of each proper divisor, not its raw
-    # Hankel determinant: the raw determinant of a composite divisor (e.g.
-    # 6) already contains its own divisor factors, which would otherwise be
-    # stripped twice.  Each is primitive, so the quotient stays integral.
+    removed = proper_divisors(n)
+    if n <= 4:
+        (q,), _, _, w = polycore._pack_all([_W[n - 1]], 1)
+    else:
+        forms, _, _, w = _doubling(n)
+        q = forms[-1]
+    # Divide by the *canonical* locus of each divisor, not its raw Hankel
+    # determinant: the raw determinant of a composite divisor already
+    # contains its own divisor factors, which would otherwise be stripped
+    # twice.  Each is primitive, so the quotient stays integral.
     for k in removed:
+        if n % 2 == 0 and (n // 2) % k == 0:  # a factor of W_m, never multiplied in
+            continue
         d = polycore._pack(locus(k).canonical.terms, 1, 0, w)
         try:
             q = polycore._idiv(q, d, w)
         except polycore.NotDivisible as exc:
             raise polycore.NotDivisible(f"W_{n} is not divisible by locus({k}): {exc}") from None
-    return LocusPolynomial(n, raw, tuple(removed), polycore._canonical(q, w))
+    # _mul_sub leaves keys unordered; _idiv and _unpack give the descending
+    # order the canonical terms keep (n = 3 and 4 keep the seeds' order)
+    if n >= 5:
+        q = {key: q[key] for key in sorted(q, reverse=True)}
+    return LocusPolynomial(n, tuple(removed), polycore._canonical(q, w))
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:

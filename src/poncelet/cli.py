@@ -1,7 +1,7 @@
 """Command-line interface: polynomial emission, classification,
 isoperiodicity, numeric tracing, Painleve verification, figure/CSV export.
 
-Exit codes: 0 success, 1 failed verification, 2 flag errors.
+Exit codes: 0 success, 1 failed verification or runtime error, 2 flag errors.
 """
 
 from __future__ import annotations

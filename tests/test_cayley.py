@@ -231,7 +231,8 @@ def test_cold_loci_kernel_work(monkeypatch):
     # Work, not wall clock: term pairs in the integer kernel for a cold
     # locus(3..12).  Products count len(a) len(b) + len(c) len(d) per
     # _mul_sub, division len(quotient) len(divisor) per _idiv.  Measured
-    # 60391 and 20475; the Somos-4 quotient made 622912 and 244337.
+    # 43278 and 2650; dividing the whole W_n by every divisor's locus made
+    # 60391 and 20475, the Somos-4 quotient 622912 and 244337.
     work = {"mul": 0, "div": 0}
     mul_sub, idiv = polycore._mul_sub, polycore._idiv
 
@@ -252,8 +253,8 @@ def test_cold_loci_kernel_work(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert 0 < work["mul"] <= 100_000, work
-    assert 0 < work["div"] <= 40_000, work
+    assert 0 < work["mul"] <= 50_000, work
+    assert 0 < work["div"] <= 5_000, work
 
 
 def test_locus_equals_fraction_reference():
@@ -265,9 +266,11 @@ def test_locus_equals_fraction_reference():
 
 def test_cold_loci_unpack_once_per_hankel(monkeypatch):
     # A cold locus(3..12) leaves the integer form once per hankel_raw(n),
-    # n = 5..12 (W_3 and W_4 are built at import), and divides by its
-    # divisors' loci in integer form; the Fraction route made 15 unpacks
-    # and 7 poly_div_exact calls.
+    # n = 5..8, the factors that the doubling formulas of n = 9..12 read
+    # (W_3 and W_4 are built at import); locus(n) itself never unpacks, and
+    # divides by its divisors' loci in integer form.  Unpacking every W_n,
+    # n = 5..12, made 8 unpacks; the Fraction route made 15 unpacks and 7
+    # poly_div_exact calls.
     calls = {"unpack": 0, "div": 0}
     unpack, div = polycore._unpack, polycore.poly_div_exact
 
@@ -288,7 +291,39 @@ def test_cold_loci_unpack_once_per_hankel(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert calls == {"unpack": 8, "div": 0}
+    assert calls == {"unpack": 4, "div": 0}
+
+
+def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
+    # A cold locus(3..12) builds no W_9..W_12 as a LaurentPoly3: raw_hankel
+    # is computed on access.  Even n divides only the cofactor X_m, by the
+    # loci of the divisors that do not divide m, so the only divisions are
+    # by locus(3) at n = 9 and by locus(4) at n = 12.
+    asked, divisors = [], []
+    raw, idiv = cayley.hankel_raw, polycore._idiv
+
+    def counted_raw(n):
+        asked.append(n)
+        return raw(n)
+
+    def counted_idiv(a, b, w):
+        divisors.append((b, w))
+        return idiv(a, b, w)
+
+    _clear_caches()
+    monkeypatch.setattr(cayley, "hankel_raw", counted_raw)
+    monkeypatch.setattr(polycore, "_idiv", counted_idiv)
+    try:
+        loci = {n: locus(n) for n in range(3, 13)}
+    finally:
+        monkeypatch.undo()
+    assert set(asked) == set(range(3, 9)), asked
+    assert len(divisors) == 2
+    for k, (b, w) in zip((3, 4), divisors):
+        assert b == polycore._pack(locus(k).canonical.terms, 1, 0, w), k
+    for n, loc in loci.items():
+        assert loc.raw_hankel == hankel_raw(n), n
+        assert _sha256(loc.raw_hankel) == HANKEL_RAW_SHA256[n], n
 
 
 def test_locus_names_a_divisor_that_does_not_divide(monkeypatch):
@@ -298,6 +333,17 @@ def test_locus_names_a_divisor_that_does_not_divide(monkeypatch):
     try:
         with pytest.raises(polycore.NotDivisible, match=r"W_12 .*locus\(5\)"):
             locus(12)
+    finally:
+        _clear_caches()
+
+
+def test_locus_names_a_divisor_that_does_not_divide_odd_n(monkeypatch):
+    divisors = cayley.proper_divisors
+    monkeypatch.setattr(cayley, "proper_divisors", lambda n: [4] if n == 9 else divisors(n))
+    _clear_caches()
+    try:
+        with pytest.raises(polycore.NotDivisible, match=r"W_9 .*locus\(4\)"):
+            locus(9)
     finally:
         _clear_caches()
 
