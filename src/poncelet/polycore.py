@@ -249,11 +249,13 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
 
 # -- integer working form -----------------------------------------------------
 #
-# Products, poly_div_exact, hankel_raw and locus run on dicts {key: int}.  A key
-# packs (e_p, e_x, e_y), all >= 0, as (e_p << 2w) | (e_x << w) | e_y, so int
-# order is lex order p > x > y and adding keys multiplies monomials as long
-# as no exponent reaches 2**w.  The width w comes from a degree bound on
-# everything the caller builds; _pack and _idiv check it.
+# Products, poly_div_exact, hankel_raw, locus and verify run on dicts
+# {key: int}.  A key packs (e_p, e_x, e_y), all >= 0, as
+# (e_p << 2w) | (e_x << w) | e_y, so int order is lex order p > x > y and
+# adding keys multiplies monomials as long as no exponent reaches 2**w.  The
+# width w comes from a degree bound on everything the caller builds; _pack,
+# _idiv and the ring type _IntForm, in which verify checks its identities,
+# check it.
 
 
 def _den_lcm(coeffs: Iterable[Fraction]) -> int:
@@ -366,6 +368,103 @@ def _idiv(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
             else:
                 rem[kk] = v - qc * cb
     return q
+
+
+def _scaled(a: dict[int, int], m: int) -> dict[int, int]:
+    return {k: c * m for k, c in a.items()}
+
+
+class _IntForm:
+    """A polynomial in (p, x, y) over Q with no negative power of p, as
+    q / den for q in the integer form at width w.  A ring under +, - and *
+    (by a form, an int or a Fraction), with ** through `_power`: every
+    product of forms is one `_mul_sub`, and == cross-multiplies the two
+    denominators.  deg bounds every exponent in q, so a product whose bound
+    reaches 2**w raises instead of carrying into the next field."""
+
+    __slots__ = ("q", "den", "deg", "w")
+
+    def __init__(self, q: dict[int, int], den: int, deg: int, w: int):
+        self.q, self.den, self.deg, self.w = q, den, deg, w
+
+    @staticmethod
+    def pack(fs: Sequence[LaurentPoly3], degree: int) -> list["_IntForm"]:
+        """Forms of fs at one width that fits any product of `degree` of them."""
+        degs = [max(_max_degree(f.terms, 0)) if f.terms else 0 for f in fs]
+        w = _width(degree * max(degs))
+        out = []
+        for f, deg in zip(fs, degs):
+            den = _den_lcm(f.terms.values())
+            out.append(_IntForm(_pack(f.terms, den, 0, w), den, deg, w))
+        return out
+
+    def _lift(self, other) -> "_IntForm":
+        if isinstance(other, _IntForm):
+            if other.w != self.w:
+                raise PolycoreError(f"forms of widths {self.w} and {other.w} do not mix")
+            return other
+        c = _as_fraction(other)
+        return _IntForm({0: c.numerator} if c else {}, c.denominator, 0, self.w)
+
+    def __add__(self, other) -> "_IntForm":
+        other = self._lift(other)
+        a, b, den = self.q, other.q, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a, b = _scaled(a, den // self.den), _scaled(b, den // other.den)
+        out = dict(a)
+        for k, c in b.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _IntForm(out, den, max(self.deg, other.deg), self.w)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_IntForm":
+        return _IntForm({k: -c for k, c in self.q.items()}, self.den, self.deg, self.w)
+
+    def __sub__(self, other) -> "_IntForm":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "_IntForm":
+        return -self + other
+
+    def __mul__(self, other) -> "_IntForm":
+        if isinstance(other, (int, Fraction)):  # a scalar costs no product
+            num = other.numerator
+            return _IntForm(_scaled(self.q, num) if num else {}, self.den * other.denominator, self.deg, self.w)
+        other = self._lift(other)
+        deg = self.deg + other.deg
+        if deg >> self.w:
+            raise PolycoreError(f"a product of degree {deg} does not fit {self.w}-bit fields")
+        return _IntForm(_mul_sub(self.q, other.q, {}, {}), self.den * other.den, deg, self.w)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_IntForm":
+        return _power(self, n, self._lift(1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _IntForm):
+            return NotImplemented
+        other = self._lift(other)
+        if self.den == other.den:
+            return self.q == other.q
+        return _scaled(self.q, other.den) == _scaled(other.q, self.den)
+
+    __hash__ = None
+
+    def p_coefficients(self) -> list["_IntForm"]:
+        """The coefficients of p**0 .. p**d, each a form in x and y alone."""
+        shift = 2 * self.w
+        low = (1 << shift) - 1
+        split: dict[int, dict[int, int]] = {}
+        for k, c in self.q.items():
+            split.setdefault(k >> shift, {})[k & low] = c
+        return [_IntForm(split.get(e, {}), self.den, self.deg, self.w) for e in range(max(split, default=-1) + 1)]
 
 
 def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
@@ -908,8 +1007,8 @@ def quartic_disc(A, B, C, D, E):
     I = quartic_O and J of the quartic: (4 I^3 - J^2) / 27, where
     J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2) (Cremona, 1999).
 
-    Works over any commutative ring that holds 1/27 (Fraction or
-    LaurentPoly3 entries); int entries give a Fraction.
+    Works over any commutative ring that holds 1/27 (Fraction, LaurentPoly3
+    or _IntForm entries); int entries give a Fraction.
     """
     I = quartic_O(A, B, C, D, E)
     J = C * (72 * A * E + 9 * B * D - 2 * C * C) - 27 * (A * D * D + E * B * B)

@@ -17,6 +17,7 @@ from .polycore import (
     LaurentPoly3,
     PolycoreError,
     _discriminant,
+    _IntForm,
     canonicalize,
     poly_div_exact,
     quartic_D,
@@ -34,6 +35,11 @@ S = R - 1  # vanishes when the circle passes through the focus
 
 def paper_locus(n: int) -> LaurentPoly3:
     """The locus polynomials exactly as printed, n = 3..7."""
+    return _printed_locus(n, P, X, Y, R, S)
+
+
+def _printed_locus(n: int, P, X, Y, R, S):
+    """paper_locus(n) over the generators P, X, Y, R, S of any ring."""
     if n == 3:
         return R - 1
     if n == 4:
@@ -96,45 +102,50 @@ def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
 
 
 def checks() -> list[tuple[str, bool]]:
-    """Each identity as (name, computed == printed), in a fixed order."""
-    rows: list[tuple[str, LaurentPoly3 | None, LaurentPoly3]] = [
-        (f"locus n={n} matches the printed polynomial", locus(n).canonical, paper_locus(n))
+    """Each identity as (name, computed == printed), in a fixed order.
+
+    Every computed side is packed once into one integer form (`_IntForm`),
+    and every printed side and formula is built in that form, with no
+    Fraction per term.  Its width fits a product of 6 packed sides, the
+    degree of the quartic discriminant in its coefficients; a product beyond
+    it raises."""
+    try:
+        quotient = canonicalize(poly_div_exact(hankel_raw(6), hankel_raw(3)))
+    except PolycoreError:
+        quotient = LaurentPoly3()  # never canonical: an inexact division fails the row
+    half = Fraction(1, 2)
+    rp = region_polys()
+    p, x, y, r, s, quotient, at3, at4, *rest = _IntForm.pack(
+        [P, X, Y, R, S, quotient, locus_at_p(3, half), locus_at_p(4, half),
+         *(locus(n).canonical for n in range(3, 8)), *rp.values()], 6)
+    loci, rp = dict(zip(range(3, 8), rest)), dict(zip(rp, rest[5:]))
+
+    rows: list[tuple[str, _IntForm, _IntForm]] = [
+        (f"locus n={n} matches the printed polynomial", loci[n], _printed_locus(n, p, x, y, r, s))
         for n in range(3, 8)
     ]
-
-    half = Fraction(1, 2)
     rows += [
-        ("worked example: 3-gon locus at p=1/2", locus_at_p(3, half), X**2 + Y**2 - 1),
-        ("worked example: 4-gon locus at p=1/2",
-         locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
+        ("worked example: 3-gon locus at p=1/2", at3, x**2 + y**2 - 1),
+        ("worked example: 4-gon locus at p=1/2", at4, x**2 + y**2 + 2 * x * (x**2 + y**2 - 1)),
+        ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, _printed_locus(6, p, x, y, r, s)),
     ]
 
-    raw6, raw3 = hankel_raw(6), hankel_raw(3)
-    try:
-        quotient = canonicalize(poly_div_exact(raw6, raw3))
-    except PolycoreError:
-        quotient = None  # an inexact division fails the row
-    rows.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, paper_locus(6)))
-
     # c * R**r * S**s * the region polynomial, with no product by a power 0
-    rp = region_polys()
-    for n, (_, name, printed, r, s) in DISCRIMINANT_FACTORS.items():
-        for base, k in ((R, r), (S, s)):
+    for n, (_, name, printed, kr, ks) in DISCRIMINANT_FACTORS.items():
+        for base, k in ((r, kr), (s, ks)):
             if k:
                 printed = printed * base**k
-        coeffs = p_coefficients(locus(n).canonical)
-        shape = {2: "quadratic", 4: "quartic"}[max(coeffs)]
+        coeffs = loci[n].p_coefficients()
+        shape = {3: "quadratic", 5: "quartic"}[len(coeffs)]
         rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
-                     _discriminant([coeffs.get(k, LaurentPoly3()) for k in range(max(coeffs) + 1)]),
-                     printed * rp[name]))
+                     _discriminant(coeffs), printed * rp[name]))
 
-    coeffs = p_coefficients(locus(7).canonical)
-    quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
+    quartic = loci[7].p_coefficients()[::-1]
     for label, formula, printed in (
-        ("P", quartic_P, -256 * R**4 * S**2 * rp["psi2"]),
-        ("D", quartic_D, -65536 * R**8 * S**4 * rp["psi3"]),
-        ("O", quartic_O, -16 * R**2 * S**5 * rp["psi4"]),
-        ("R", quartic_R, -4096 * X * R**6 * S**3 * rp["psi5"]),
+        ("P", quartic_P, -256 * r**4 * s**2 * rp["psi2"]),
+        ("D", quartic_D, -65536 * r**8 * s**4 * rp["psi3"]),
+        ("O", quartic_O, -16 * r**2 * s**5 * rp["psi4"]),
+        ("R", quartic_R, -4096 * x * r**6 * s**3 * rp["psi5"]),
     ):
         rows.append((f"{label} of the 7-gon quartic factors as printed", formula(*quartic), printed))
 

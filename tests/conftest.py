@@ -12,8 +12,8 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from poncelet import polycore, verify
-from poncelet.cayley import atilde_sequence, hankel_raw, pencil_coeffs, proper_divisors
+from poncelet import classify, polycore, verify
+from poncelet.cayley import atilde_sequence, hankel_raw, locus, locus_at_p, pencil_coeffs, proper_divisors
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
@@ -415,6 +415,51 @@ def locus_reference(n: int) -> LaurentPoly3:
     for k in proper_divisors(n):
         q = poly_div_exact(q, locus_reference(k))
     return canonicalize_reference(q)
+
+
+def checks_reference() -> list[tuple[str, bool]]:
+    """verify.checks() by the LaurentPoly3 route: every computed and printed
+    side a LaurentPoly3, each product packed and unpacked on its own.  The
+    reference for verify.checks, which compares the same rows in one integer
+    form.  It reads the printed sides, the factor table and the hexagon
+    division through verify and classify, so a test that patches one of
+    them changes both routes."""
+    X, Y, R, S = verify.X, verify.Y, verify.R, verify.S
+    rows = [
+        (f"locus n={n} matches the printed polynomial", locus(n).canonical, verify.paper_locus(n))
+        for n in range(3, 8)
+    ]
+    half = Fraction(1, 2)
+    rows += [
+        ("worked example: 3-gon locus at p=1/2", locus_at_p(3, half), X**2 + Y**2 - 1),
+        ("worked example: 4-gon locus at p=1/2",
+         locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
+    ]
+    try:
+        quotient = polycore.canonicalize(verify.poly_div_exact(hankel_raw(6), hankel_raw(3)))
+    except polycore.PolycoreError:
+        quotient = None
+    rows.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, verify.paper_locus(6)))
+
+    rp = verify.region_polys()
+    for n, (_, name, printed, r, s) in classify.DISCRIMINANT_FACTORS.items():
+        printed = printed * R**r * S**s * rp[name]
+        coeffs = verify.p_coefficients(locus(n).canonical)
+        shape = {2: "quadratic", 4: "quartic"}[max(coeffs)]
+        rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
+                     polycore._discriminant([coeffs.get(k, LaurentPoly3()) for k in range(max(coeffs) + 1)]),
+                     printed))
+
+    coeffs = verify.p_coefficients(locus(7).canonical)
+    quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
+    for label, formula, printed in (
+        ("P", polycore.quartic_P, -256 * R**4 * S**2 * rp["psi2"]),
+        ("D", polycore.quartic_D, -65536 * R**8 * S**4 * rp["psi3"]),
+        ("O", polycore.quartic_O, -16 * R**2 * S**5 * rp["psi4"]),
+        ("R", polycore.quartic_R, -4096 * X * R**6 * S**3 * rp["psi5"]),
+    ):
+        rows.append((f"{label} of the 7-gon quartic factors as printed", formula(*quartic), printed))
+    return [(name, computed == printed) for name, computed, printed in rows]
 
 
 def format_reference(a: LaurentPoly3) -> str:

@@ -56,6 +56,7 @@ from poncelet.polycore import (
 )
 from poncelet.polycore import (
     _SQUAREFREE_PRIME,
+    _IntForm,
     _horner,
     _int_coeffs,
     _isolate,
@@ -165,6 +166,63 @@ def test_product_matches_fraction_reference():
         assert (a * b).terms == _product_reference(a, b), (a, b)
     assert (1 + X + X**2) * (1 - X) == 1 - X**3
     assert (X - P) * (X - P) - (P - X) ** 2 == zero
+
+
+def _unpacked(f):
+    return polycore._unpack(f.q, Fraction(1, f.den), 0, f.w)
+
+
+def test_int_form_ring_matches_laurent_poly3():
+    # sums, differences, products, Fraction multiples and powers of packed
+    # forms, on rational coefficients, zero operands and cancelling terms,
+    # unpack to the LaurentPoly3 results
+    rng = make_rng(43)
+    count = {"fraction": 0, "zero": 0, "dens differ": 0}
+    for _ in range(200):
+        a, b, c = (P**2 * _rand_poly(rng, rng.randint(0, 5)) for _ in range(3))
+        k, e = rand_fraction(rng, 9, 5), rng.randint(0, 3)
+        fa, fb, fc = _IntForm.pack([a, b, c], 3)
+        count["fraction"] += any(t.denominator != 1 for t in a.terms.values())
+        count["zero"] += a.is_zero()
+        count["dens differ"] += fa.den != fb.den
+        assert _unpacked(fa + fb) == a + b
+        assert _unpacked(fa - fb) == a - b
+        assert _unpacked(fa - fa) == LaurentPoly3()
+        assert _unpacked(fa * fb - fc) == a * b - c
+        assert _unpacked(k * fa + fb * k) == k * a + b * k
+        assert _unpacked(3 - fa + k) == 3 - a + k
+        assert _unpacked(fa**e) == a**e
+        assert _unpacked(fa * fb * fc) == a * b * c
+    assert min(count.values()) >= 10, count
+
+
+def test_int_form_equality_cross_multiplies():
+    rng = make_rng(44)
+    for _ in range(100):
+        a = P**2 * _rand_poly(rng, rng.randint(1, 5)) + Fraction(1, 3)
+        e = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+        changed = a + LaurentPoly3.monomial(Fraction(1, 7), *e)
+        fa, fchanged = _IntForm.pack([a, changed], 1)
+        half = Fraction(1, 2)
+        assert (2 * fa) * half == fa and fa == half * (fa * 2)
+        assert (fa * Fraction(3, 7)) * Fraction(7, 3) == fa
+        assert fchanged != fa and (2 * fchanged) * half != fa
+
+
+def test_int_form_product_past_the_width_raises():
+    # x^3 fits 2-bit fields; x^6 would carry into the p field, as the raw
+    # kernel shows: the form raises instead
+    fx3, fy = _IntForm.pack([LaurentPoly3.monomial(1, 0, 3, 0), Y], 1)
+    assert fx3.w == 2
+    wrapped = polycore._mul_sub(fx3.q, fx3.q, {}, {})
+    assert _unpacked(_IntForm(wrapped, 1, 0, 2)) == P * X**2
+    for product in (lambda: fx3 * fx3, lambda: fx3**2):
+        with pytest.raises(PolycoreError, match="does not fit 2-bit fields"):
+            product()
+    with pytest.raises(PolycoreError, match="do not mix"):
+        fy + _IntForm.pack([Y], 8)[0]
+    with pytest.raises(PolycoreError, match="does not fit"):
+        _IntForm.pack([LaurentPoly3.var_p(-1)], 1)
 
 
 def test_canonicalize_multiplicative():
@@ -1041,6 +1099,8 @@ def test_warm_checks_product_work(monkeypatch):
     # The printed discriminant sides are built from
     # classify.DISCRIMINANT_FACTORS; a factor R**0 or 1 there must not cost a
     # product.  Measured 141 calls and 37588 term pairs before the table.
+    # The lower bounds catch a checks() that makes its products outside
+    # polycore._mul_sub, which the upper bounds alone would let pass at 0.
     verify.checks()
     mul_sub, work = polycore._mul_sub, [0, 0]
 
@@ -1051,8 +1111,8 @@ def test_warm_checks_product_work(monkeypatch):
 
     monkeypatch.setattr(polycore, "_mul_sub", counted)
     verify.checks()
-    assert work[0] <= 141
-    assert work[1] <= 37_588
+    assert 100 <= work[0] <= 141
+    assert 30_000 <= work[1] <= 37_588
 
 
 def test_root_beyond_float_range_is_named():
