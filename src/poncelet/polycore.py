@@ -254,8 +254,8 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
 # (e_p << 2w) | (e_x << w) | e_y, so int order is lex order p > x > y and
 # adding keys multiplies monomials as long as no exponent reaches 2**w.  The
 # width w comes from a degree bound on everything the caller builds; _pack,
-# _idiv and the ring type _IntForm, in which verify checks its identities,
-# check it.
+# _idiv and the ring type _IntForm, in which verify checks its identities
+# and divides out powers of R and S exactly, check it.
 
 
 def _den_lcm(coeffs: Iterable[Fraction]) -> int:
@@ -374,13 +374,22 @@ def _scaled(a: dict[int, int], m: int) -> dict[int, int]:
     return {k: c * m for k, c in a.items()}
 
 
+def _top(q: dict[int, int], w: int) -> int:
+    """The largest exponent of any variable in the integer form q."""
+    mask = (1 << w) - 1
+    return max((max(k >> 2 * w, (k >> w) & mask, k & mask) for k in q), default=0)
+
+
 class _IntForm:
     """A polynomial in (p, x, y) over Q with no negative power of p, as
     q / den for q in the integer form at width w.  A ring under +, - and *
     (by a form, an int or a Fraction), with ** through `_power`: every
     product of forms is one `_mul_sub`, and == cross-multiplies the two
-    denominators.  deg bounds every exponent in q, so a product whose bound
-    reaches 2**w raises instead of carrying into the next field."""
+    denominators.  / is exact division, one `_idiv`, and raises NotDivisible
+    when the divisor does not divide.  deg bounds every exponent in q, so a
+    product whose bound reaches 2**w raises instead of carrying into the
+    next field; a quotient and a p-coefficient carry their own largest
+    exponent."""
 
     __slots__ = ("q", "den", "deg", "w")
 
@@ -447,6 +456,16 @@ class _IntForm:
     def __pow__(self, n: int) -> "_IntForm":
         return _power(self, n, self._lift(1))
 
+    def __truediv__(self, other) -> "_IntForm":
+        # the divisor's content moves into den, so the integer step divides
+        # by a primitive form: exact over Q means exact over Z (Gauss's lemma)
+        other = self._lift(other)
+        if not other.q:
+            raise ZeroDivisionError("division by the zero form")
+        g = math.gcd(*other.q.values())
+        q = _idiv(self.q, {k: c // g for k, c in other.q.items()} if g > 1 else other.q, self.w)
+        return _IntForm(_scaled(q, other.den) if other.den > 1 else q, self.den * g, _top(q, self.w), self.w)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, _IntForm):
             return NotImplemented
@@ -464,7 +483,10 @@ class _IntForm:
         split: dict[int, dict[int, int]] = {}
         for k, c in self.q.items():
             split.setdefault(k >> shift, {})[k & low] = c
-        return [_IntForm(split.get(e, {}), self.den, self.deg, self.w) for e in range(max(split, default=-1) + 1)]
+        return [
+            _IntForm(a, self.den, _top(a, self.w), self.w)
+            for a in (split.get(e, {}) for e in range(max(split, default=-1) + 1))
+        ]
 
 
 def canonicalize(a: LaurentPoly3) -> LaurentPoly3:

@@ -9,12 +9,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .cayley import hankel_raw, locus, locus_at_p
 from .classify import DISCRIMINANT_FACTORS
 from .polycore import (
     LaurentPoly3,
+    NotDivisible,
     PolycoreError,
     _discriminant,
     _IntForm,
@@ -101,6 +102,63 @@ def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
     return {ep: LaurentPoly3(terms) for ep, terms in out.items()}
 
 
+# The invariants of A t^4 + B t^3 + C t^2 + D t + E as functions of the
+# coefficients constant first, as `_discriminant` takes them.
+_QUARTIC_INVARIANTS = {
+    label: (lambda a, f=f: f(*a[::-1]))
+    for label, f in zip("PDOR", (quartic_P, quartic_D, quartic_O, quartic_R))
+}
+
+
+@lru_cache(maxsize=None)
+def _degree_weight(formula, d: int) -> tuple[int, int]:
+    """(deg, w) of a formula in the coefficients a_0..a_d, constant first,
+    that is homogeneous of degree deg and isobaric of weight w: each of its
+    monomials a_k1 ... a_kdeg has k1 + ... + kdeg = w.  Read off its value
+    at a_k = p**k * x**(d - k), which is then one term c * p**w *
+    x**(d*deg - w); any other value raises ValueError."""
+    value = formula([LaurentPoly3.monomial(1, k, d - k) for k in range(d + 1)])
+    if len(value.terms) == 1:
+        (w, v, _), = value.terms
+        deg, odd = divmod(w + v, d)
+        if not odd:
+            return deg, w
+    raise ValueError(f"not homogeneous and isobaric in {d + 1} coefficients: {value}")
+
+
+def _divide_out(a: list[_IntForm], base: _IntForm, weight: Sequence[int]) -> tuple[list[_IntForm], int, int]:
+    """(b, c, l) with a_k = base**(c + l*weight[k]) * b_k for every k.
+
+    How often base divides each a_k is counted by exact trial division.  The
+    exponents c + l*weight[k] are the affine ones under those counts with the
+    largest sum, for l in 0..the largest count, ties to the smaller l; a zero
+    a_k bounds nothing.  b_k is read off the trial quotients, or is
+    a_k * base**-e where the exponent e is negative."""
+    chains = []
+    for ak in a:
+        chain = [ak]
+        if ak.q:
+            try:
+                while True:
+                    chain.append(chain[-1] / base)
+            except NotDivisible:
+                pass
+        chains.append(chain)
+    counts = [(t, len(chain) - 1) for t, chain in zip(weight, chains) if chain[0].q]
+
+    def low(l: int) -> int:
+        return min((v - l * t for t, v in counts), default=0)
+
+    total = sum(weight)
+    l = max(range(max((v for _, v in counts), default=0) + 1), key=lambda j: len(a) * low(j) + j * total)
+    c = low(l)
+    b = []
+    for t, chain in zip(weight, chains):
+        e = c + l * t if chain[0].q else 0  # a zero a_k stays 0
+        b.append(chain[e] if e >= 0 else chain[0] * base**-e)
+    return b, c, l
+
+
 def checks() -> list[tuple[str, bool]]:
     """Each identity as (name, computed == printed), in a fixed order.
 
@@ -108,7 +166,18 @@ def checks() -> list[tuple[str, bool]]:
     and every printed side and formula is built in that form, with no
     Fraction per term.  Its width fits a product of 6 packed sides, the
     degree of the quartic discriminant in its coefficients; a product beyond
-    it raises."""
+    it raises.
+
+    The discriminant and invariant rows run their formula on the
+    weight-reduced p-coefficients.  Each locus n = 5, 6, 7 is split once
+    into a_0..a_d and written a_k = R**(c + l*k) * S**(c' + m*(d - k)) * b_k
+    (`_divide_out`).  A formula F homogeneous of degree deg and isobaric of
+    weight w (`_degree_weight`) then has F(a) = R**(deg*c + w*l) *
+    S**(deg*c' + (d*deg - w)*m) * F(b), so F(a) == rest * R**kr * S**ks is
+    checked as F(b) == rest with the common powers of R and S cancelled: the
+    larger of each pair of exponents keeps the difference.  R and S are not
+    zero, so the comparison is exact and equivalent to that of the full
+    F(a), for any locus."""
     try:
         quotient = canonicalize(poly_div_exact(hankel_raw(6), hankel_raw(3)))
     except PolycoreError:
@@ -130,23 +199,40 @@ def checks() -> list[tuple[str, bool]]:
         ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, _printed_locus(6, p, x, y, r, s)),
     ]
 
-    # c * R**r * S**s * the region polynomial, with no product by a power 0
-    for n, (_, name, printed, kr, ks) in DISCRIMINANT_FACTORS.items():
-        for base, k in ((r, kr), (s, ks)):
-            if k:
-                printed = printed * base**k
-        coeffs = loci[n].p_coefficients()
-        shape = {3: "quadratic", 5: "quartic"}[len(coeffs)]
-        rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
-                     _discriminant(coeffs), printed * rp[name]))
+    def times(f: _IntForm, i: int, j: int) -> _IntForm:
+        # f * R**i * S**j for the positive exponents, with no product by a power 0
+        for base, k in ((r, i), (s, j)):
+            if k > 0:
+                f = f * base**k
+        return f
 
-    quartic = loci[7].p_coefficients()[::-1]
-    for label, formula, printed in (
-        ("P", quartic_P, -256 * r**4 * s**2 * rp["psi2"]),
-        ("D", quartic_D, -65536 * r**8 * s**4 * rp["psi3"]),
-        ("O", quartic_O, -16 * r**2 * s**5 * rp["psi4"]),
-        ("R", quartic_R, -4096 * x * r**6 * s**3 * rp["psi5"]),
+    reduced = {}
+    for n in DISCRIMINANT_FACTORS:
+        a = loci[n].p_coefficients()
+        d = len(a) - 1
+        b, c, l = _divide_out(a, r, range(d + 1))
+        b, c2, m = _divide_out(b, s, range(d, -1, -1))
+        reduced[n] = b, c, l, c2, m
+
+    def row(n: int, formula, printed: _IntForm, kr: int, ks: int) -> tuple[_IntForm, _IntForm]:
+        b, c, l, c2, m = reduced[n]
+        d = len(b) - 1
+        deg, w = _degree_weight(formula, d)
+        er, es = deg * c + w * l, deg * c2 + (d * deg - w) * m
+        return times(formula(b), er - kr, es - ks), times(printed, kr - er, ks - es)
+
+    for n, (_, name, c, kr, ks) in DISCRIMINANT_FACTORS.items():
+        shape = {3: "quadratic", 5: "quartic"}[len(reduced[n][0])]
+        rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
+                     *row(n, _discriminant, c * rp[name], kr, ks)))
+
+    for label, printed, kr, ks in (
+        ("P", -256 * rp["psi2"], 4, 2),
+        ("D", -65536 * rp["psi3"], 8, 4),
+        ("O", -16 * rp["psi4"], 2, 5),
+        ("R", -4096 * x * rp["psi5"], 6, 3),
     ):
-        rows.append((f"{label} of the 7-gon quartic factors as printed", formula(*quartic), printed))
+        rows.append((f"{label} of the 7-gon quartic factors as printed",
+                     *row(7, _QUARTIC_INVARIANTS[label], printed, kr, ks)))
 
     return [(name, computed == printed) for name, computed, printed in rows]

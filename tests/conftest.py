@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from poncelet import classify, polycore, verify
-from poncelet.cayley import atilde_sequence, hankel_raw, locus, locus_at_p, pencil_coeffs, proper_divisors
+from poncelet.cayley import atilde_sequence, hankel_raw, locus_at_p, pencil_coeffs, proper_divisors
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
@@ -419,14 +419,15 @@ def locus_reference(n: int) -> LaurentPoly3:
 
 def checks_reference() -> list[tuple[str, bool]]:
     """verify.checks() by the LaurentPoly3 route: every computed and printed
-    side a LaurentPoly3, each product packed and unpacked on its own.  The
-    reference for verify.checks, which compares the same rows in one integer
-    form.  It reads the printed sides, the factor table and the hexagon
-    division through verify and classify, so a test that patches one of
-    them changes both routes."""
+    side a LaurentPoly3, each product packed and unpacked on its own, and
+    every discriminant and invariant expanded on the full p-coefficients.
+    The reference for verify.checks, which compares the same rows in one
+    integer form on weight-reduced p-coefficients.  It reads the loci, the
+    printed sides, the factor table and the hexagon division through verify
+    and classify, so a test that patches one of them changes both routes."""
     X, Y, R, S = verify.X, verify.Y, verify.R, verify.S
     rows = [
-        (f"locus n={n} matches the printed polynomial", locus(n).canonical, verify.paper_locus(n))
+        (f"locus n={n} matches the printed polynomial", verify.locus(n).canonical, verify.paper_locus(n))
         for n in range(3, 8)
     ]
     half = Fraction(1, 2)
@@ -444,13 +445,13 @@ def checks_reference() -> list[tuple[str, bool]]:
     rp = verify.region_polys()
     for n, (_, name, printed, r, s) in classify.DISCRIMINANT_FACTORS.items():
         printed = printed * R**r * S**s * rp[name]
-        coeffs = verify.p_coefficients(locus(n).canonical)
+        coeffs = verify.p_coefficients(verify.locus(n).canonical)
         shape = {2: "quadratic", 4: "quartic"}[max(coeffs)]
         rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
                      polycore._discriminant([coeffs.get(k, LaurentPoly3()) for k in range(max(coeffs) + 1)]),
                      printed))
 
-    coeffs = verify.p_coefficients(locus(7).canonical)
+    coeffs = verify.p_coefficients(verify.locus(7).canonical)
     quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
     for label, formula, printed in (
         ("P", polycore.quartic_P, -256 * R**4 * S**2 * rp["psi2"]),

@@ -159,6 +159,14 @@ def test_locus_p_degree_is_jordan_j2_over_12():
     assert all(_jordan_j2(n) % 12 == 0 for n in range(4, 13))
 
 
+def test_locus_xy_degree_is_jordan_j2_over_4():
+    # the companion law: the total degree of the n-gon locus in the center
+    # (x, y) is J_2(n)/4, three times its p-degree for n >= 4
+    degrees = [max(ex + ey for _, ex, ey in locus(n).canonical.terms) for n in range(3, 13)]
+    assert degrees == [_jordan_j2(n) // 4 for n in range(3, 13)]
+    assert degrees == [2, 3, 6, 6, 12, 12, 18, 18, 30, 24]
+
+
 # SHA-256 of format_poly(hankel_raw(n)), pinned from the Fraction-based
 # cofactor/Bareiss determinant the integer kernel replaced.
 HANKEL_RAW_SHA256 = {

@@ -56,6 +56,7 @@ from poncelet.polycore import (
 )
 from poncelet.polycore import (
     _SQUAREFREE_PRIME,
+    _discriminant,
     _IntForm,
     _horner,
     _int_coeffs,
@@ -207,6 +208,30 @@ def test_int_form_equality_cross_multiplies():
         assert (2 * fa) * half == fa and fa == half * (fa * 2)
         assert (fa * Fraction(3, 7)) * Fraction(7, 3) == fa
         assert fchanged != fa and (2 * fchanged) * half != fa
+
+
+def test_int_form_division_is_exact():
+    # (a*b)/b == a with rational coefficients and content on either side;
+    # a remainder raises NotDivisible, the zero form ZeroDivisionError, and
+    # the quotient's degree bound is its own largest exponent
+    rng = make_rng(45)
+    count = {"fraction": 0, "content": 0}
+    for _ in range(100):
+        a = P**2 * _rand_poly(rng, rng.randint(1, 5))
+        b = P**2 * _rand_poly(rng, rng.randint(1, 4)) * rand_fraction(rng, 6, 5)
+        if a.is_zero() or b.is_zero() or not any(e != (0, 0, 0) for e in b.terms):
+            continue
+        fa, fb, fab, fone = _IntForm.pack([a, b, a * b, LaurentPoly3.const(1)], 3)
+        count["fraction"] += any(t.denominator != 1 for t in b.terms.values())
+        count["content"] += math.gcd(*fb.q.values()) > 1
+        quotient = fab / fb
+        assert quotient == fa and _unpacked(quotient) == a
+        assert quotient.deg == max(max(e) for e in a.terms)
+        with pytest.raises(NotDivisible):
+            (fab + fone) / fb
+        with pytest.raises(ZeroDivisionError):
+            fa / (fb - fb)
+    assert min(count.values()) >= 10, count
 
 
 def test_int_form_product_past_the_width_raises():
@@ -1074,8 +1099,10 @@ def test_quartic_invariants_match_expansions():
 def test_quartic_disc_product_work(monkeypatch):
     # Work, not wall clock: term products len(a) len(b) + len(c) len(d) in
     # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
-    # quartic against 102481 for the expansion, and 37733 for a warm
-    # verify.checks() against 116629 with the expanded discriminant.
+    # quartic against 102481 for the expansion.  A warm verify.checks()
+    # measured 37733 with the invariants of the full p-coefficients and
+    # 1655 with those of the weight-reduced ones; the lower bound catches a
+    # checks() that makes its products outside polycore._mul_sub.
     quartic = _locus7_quartic()
     verify.checks()
     mul_sub, work = polycore._mul_sub, [0]
@@ -1092,27 +1119,65 @@ def test_quartic_disc_product_work(monkeypatch):
         counts.append(work[0])
     invariant, expanded, checks = counts
     assert invariant <= 0.3 * expanded
-    assert checks <= 45_000
+    assert 1_000 <= checks <= 2_000
 
 
 def test_warm_checks_product_work(monkeypatch):
-    # The printed discriminant sides are built from
-    # classify.DISCRIMINANT_FACTORS; a factor R**0 or 1 there must not cost a
-    # product.  Measured 141 calls and 37588 term pairs before the table.
-    # The lower bounds catch a checks() that makes its products outside
-    # polycore._mul_sub, which the upper bounds alone would let pass at 0.
+    # The discriminant and invariant rows run on the weight-reduced
+    # p-coefficients, and a factor R**0 or 1 must not cost a product.
+    # Measured 106 products (1655 term pairs) and 50 exact divisions
+    # (1026 = the sum of len(a) len(b)), against 141 products (37588 pairs)
+    # and one division on the full p-coefficients.  The lower bounds catch a
+    # checks() that multiplies or divides outside polycore._mul_sub and
+    # polycore._idiv, which the upper bounds alone would let pass at 0.
     verify.checks()
-    mul_sub, work = polycore._mul_sub, [0, 0]
+    mul_sub, idiv, work = polycore._mul_sub, polycore._idiv, [0, 0, 0, 0]
 
     def counted(a, b, c, d):
         work[0] += 1
         work[1] += len(a) * len(b) + len(c) * len(d)
         return mul_sub(a, b, c, d)
 
+    def counted_div(a, b, w):
+        work[2] += 1
+        work[3] += len(a) * len(b)
+        return idiv(a, b, w)
+
     monkeypatch.setattr(polycore, "_mul_sub", counted)
+    monkeypatch.setattr(polycore, "_idiv", counted_div)
     verify.checks()
-    assert 100 <= work[0] <= 141
-    assert 30_000 <= work[1] <= 37_588
+    assert 90 <= work[0] <= 106
+    assert 1_400 <= work[1] <= 1_655
+    assert 40 <= work[2] <= 50
+    assert 850 <= work[3] <= 1_026
+
+
+def test_isobaric_law_at_the_derived_weights():
+    # F(c lam**k mu**(d-k) b_k) = c**deg lam**w mu**(d deg - w) F(b) at the
+    # (deg, w) that verify reads off each formula, which the reduced
+    # discriminant and invariant rows rest on
+    formulas = [(_discriminant, 2), (_discriminant, 4),
+                *((verify._QUARTIC_INVARIANTS[label], 4) for label in "PDOR")]
+    weights = [verify._degree_weight(f, d) for f, d in formulas]
+    assert weights == [(2, 2), (6, 12), (2, 6), (4, 12), (2, 4), (3, 9)]
+    rng = make_rng(2103)
+
+    def nonzero():
+        return rand_fraction(rng) or Fraction(1, 7)
+
+    for _ in range(50):
+        c, lam, mu = nonzero(), nonzero(), nonzero()
+        for (formula, d), (deg, w) in zip(formulas, weights):
+            b = [rand_fraction(rng) for _ in range(d + 1)]
+            a = [c * lam**k * mu ** (d - k) * bk for k, bk in enumerate(b)]
+            assert formula(a) == c**deg * lam**w * mu ** (d * deg - w) * formula(b)
+
+
+def test_degree_weight_refuses_a_formula_that_is_not_isobaric():
+    with pytest.raises(ValueError, match="not homogeneous and isobaric"):
+        verify._degree_weight(lambda a: a[0] * a[2] + a[1], 2)
+    with pytest.raises(ValueError, match="not homogeneous and isobaric"):
+        verify._degree_weight(lambda a: a[0] * a[1] + a[1] * a[1], 2)
 
 
 def test_root_beyond_float_range_is_named():
