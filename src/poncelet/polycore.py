@@ -483,10 +483,8 @@ class _IntForm:
         split: dict[int, dict[int, int]] = {}
         for k, c in self.q.items():
             split.setdefault(k >> shift, {})[k & low] = c
-        return [
-            _IntForm(a, self.den, _top(a, self.w), self.w)
-            for a in (split.get(e, {}) for e in range(max(split, default=-1) + 1))
-        ]
+        parts = [split.get(e, {}) for e in range(max(split, default=-1) + 1)]
+        return [_IntForm(a, self.den, _top(a, self.w), self.w) for a in parts]
 
 
 def canonicalize(a: LaurentPoly3) -> LaurentPoly3:

@@ -94,14 +94,6 @@ def region_polys() -> Mapping[str, LaurentPoly3]:
     })
 
 
-def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
-    """Split a polynomial into its coefficients with respect to p."""
-    out: dict[int, dict] = {}
-    for (ep, ex, ey), c in a.terms.items():
-        out.setdefault(ep, {})[(0, ex, ey)] = c
-    return {ep: LaurentPoly3(terms) for ep, terms in out.items()}
-
-
 # The invariants of A t^4 + B t^3 + C t^2 + D t + E as functions of the
 # coefficients constant first, as `_discriminant` takes them.
 _QUARTIC_INVARIANTS = {
@@ -189,14 +181,14 @@ def checks() -> list[tuple[str, bool]]:
          *(locus(n).canonical for n in range(3, 8)), *rp.values()], 6)
     loci, rp = dict(zip(range(3, 8), rest)), dict(zip(rp, rest[5:]))
 
+    printed_loci = {n: _printed_locus(n, p, x, y, r, s) for n in range(3, 8)}
     rows: list[tuple[str, _IntForm, _IntForm]] = [
-        (f"locus n={n} matches the printed polynomial", loci[n], _printed_locus(n, p, x, y, r, s))
-        for n in range(3, 8)
+        (f"locus n={n} matches the printed polynomial", loci[n], printed_loci[n]) for n in range(3, 8)
     ]
     rows += [
         ("worked example: 3-gon locus at p=1/2", at3, x**2 + y**2 - 1),
         ("worked example: 4-gon locus at p=1/2", at4, x**2 + y**2 + 2 * x * (x**2 + y**2 - 1)),
-        ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, _printed_locus(6, p, x, y, r, s)),
+        ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, printed_loci[6]),
     ]
 
     def times(f: _IntForm, i: int, j: int) -> _IntForm:

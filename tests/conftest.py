@@ -417,6 +417,14 @@ def locus_reference(n: int) -> LaurentPoly3:
     return canonicalize_reference(q)
 
 
+def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
+    """Split a polynomial into its coefficients with respect to p."""
+    out: dict[int, dict] = {}
+    for (ep, ex, ey), c in a.terms.items():
+        out.setdefault(ep, {})[(0, ex, ey)] = c
+    return {ep: LaurentPoly3(terms) for ep, terms in out.items()}
+
+
 def checks_reference() -> list[tuple[str, bool]]:
     """verify.checks() by the LaurentPoly3 route: every computed and printed
     side a LaurentPoly3, each product packed and unpacked on its own, and
@@ -445,13 +453,13 @@ def checks_reference() -> list[tuple[str, bool]]:
     rp = verify.region_polys()
     for n, (_, name, printed, r, s) in classify.DISCRIMINANT_FACTORS.items():
         printed = printed * R**r * S**s * rp[name]
-        coeffs = verify.p_coefficients(verify.locus(n).canonical)
+        coeffs = p_coefficients(verify.locus(n).canonical)
         shape = {2: "quadratic", 4: "quartic"}[max(coeffs)]
         rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
                      polycore._discriminant([coeffs.get(k, LaurentPoly3()) for k in range(max(coeffs) + 1)]),
                      printed))
 
-    coeffs = verify.p_coefficients(verify.locus(7).canonical)
+    coeffs = p_coefficients(verify.locus(7).canonical)
     quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
     for label, formula, printed in (
         ("P", polycore.quartic_P, -256 * R**4 * S**2 * rp["psi2"]),

@@ -17,6 +17,7 @@ from conftest import (
     det_laplace,
     large_height_product,
     make_rng,
+    p_coefficients,
     poly_det,
     quartic_D_expanded,
     quartic_disc_expanded,
@@ -1071,7 +1072,7 @@ def test_discriminant_low_degree_double_route_agreement():
 
 
 def _locus7_quartic():
-    coeffs = verify.p_coefficients(locus(7).canonical)
+    coeffs = p_coefficients(locus(7).canonical)
     return [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
 
 
@@ -1101,7 +1102,7 @@ def test_quartic_disc_product_work(monkeypatch):
     # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
     # quartic against 102481 for the expansion.  A warm verify.checks()
     # measured 37733 with the invariants of the full p-coefficients and
-    # 1655 with those of the weight-reduced ones; the lower bound catches a
+    # 1596 with those of the weight-reduced ones; the lower bound catches a
     # checks() that makes its products outside polycore._mul_sub.
     quartic = _locus7_quartic()
     verify.checks()
@@ -1124,8 +1125,9 @@ def test_quartic_disc_product_work(monkeypatch):
 
 def test_warm_checks_product_work(monkeypatch):
     # The discriminant and invariant rows run on the weight-reduced
-    # p-coefficients, and a factor R**0 or 1 must not cost a product.
-    # Measured 106 products (1655 term pairs) and 50 exact divisions
+    # p-coefficients, a factor R**0 or 1 must not cost a product, and the
+    # printed 6-gon locus is built once for its two rows.
+    # Measured 96 products (1596 term pairs) and 50 exact divisions
     # (1026 = the sum of len(a) len(b)), against 141 products (37588 pairs)
     # and one division on the full p-coefficients.  The lower bounds catch a
     # checks() that multiplies or divides outside polycore._mul_sub and
@@ -1146,8 +1148,8 @@ def test_warm_checks_product_work(monkeypatch):
     monkeypatch.setattr(polycore, "_mul_sub", counted)
     monkeypatch.setattr(polycore, "_idiv", counted_div)
     verify.checks()
-    assert 90 <= work[0] <= 106
-    assert 1_400 <= work[1] <= 1_655
+    assert 80 <= work[0] <= 96
+    assert 1_400 <= work[1] <= 1_596
     assert 40 <= work[2] <= 50
     assert 850 <= work[3] <= 1_026
 
