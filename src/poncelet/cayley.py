@@ -3,8 +3,12 @@ canonical locus polynomials for the circle/parabola pencil.
 
 W_n = hankel_raw(n) comes from W_1 = W_2 = 1, W_3 = A_2 and W_4 = A_3
 (A_k = atilde_k / k!) by the doubling formulas of elliptic divisibility
-sequences, products alone.  The Hankel matrix, with its Bareiss determinant,
-and the Somos-4 recurrence survive in the tests as independent references."""
+sequences, products alone.  Every W_n is even in y, so the formulas and
+locus's exact divisions run on integer forms in (p, x, s), s = x^2 + y^2 - 1,
+where W_n has about 9 times fewer terms; each public result (`hankel_raw(n)`,
+`locus(n).canonical`) is expanded to (p, x, y) once.  The Hankel matrix,
+with its Bareiss determinant, the Somos-4 recurrence and the group law on
+the pencil's cubic survive in the tests as independent references."""
 
 from __future__ import annotations
 
@@ -76,18 +80,32 @@ _ATILDE, _DELTA2 = atilde_sequence(3), pencil_coeffs().delta2
 _W = (LaurentPoly3.const(1),) * 2 + (_ATILDE[1] * Fraction(1, 2), _ATILDE[2] * Fraction(1, 6))
 
 
+def _s_form(f: LaurentPoly3) -> LaurentPoly3:
+    """f, even in y, in (p, x, s) with s = x**2 + y**2 - 1: y**2 becomes
+    s + 1 - x**2, and the third variable of the result is s."""
+    y2 = _Y + 1 - _X**2
+    return sum((LaurentPoly3.monomial(c, ep, ex) * y2 ** (ey // 2) for (ep, ex, ey), c in f.terms.items()),
+               LaurentPoly3())
+
+
+# The seeds in (p, x, s): W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p).
+_W_S = tuple(_s_form(f) for f in _W)
+
+
+@lru_cache(maxsize=None)
 def _doubling(n: int) -> tuple[list[dict[int, int]], Fraction, int, int]:
-    """W_n, n >= 5, by a doubling formula of `hankel_raw`, as packed factors:
-    (forms, scale, shift, w) with W_n = scale * p**shift * the product of
-    forms, in the integer form of `polycore._pack_all` at width w.  For odd n
-    forms is [W_n]; for even n = 2m it is [W_m, X_m], with the cofactor
-    X_m = W_m+2 W_m-1^2 - W_m-2 W_m+1^2 kept apart: `hankel_raw` multiplies
-    the two, `locus` reads X_m alone."""
+    """W_n, n >= 5, in (p, x, s) by a doubling formula of `hankel_raw`, as
+    packed factors: (forms, scale, shift, w) with W_n = scale * p**shift *
+    the product of forms, in the integer form of `polycore._pack_all` at
+    width w.  For odd n forms is [W_n]; for even n = 2m it is [W_m, X_m],
+    with the cofactor X_m = W_m+2 W_m-1^2 - W_m-2 W_m+1^2 kept apart: `_ws`
+    multiplies the two, `_locus_s` reads X_m alone.  Cached, so each n is
+    doubled once for both."""
     m, odd = divmod(n, 2)
     # W_n is (2 delta2)^-k times a form of degree d in 1, delta2 and the W_j,
     # all packed once at one scale; k >= 1 for even n, so W_0 is never read.
     k, d = m - 2 + odd, 4 + odd
-    fs = [_W[0], _DELTA2] + [_W[j - 1] if j < 3 else hankel_raw(j) for j in range(k, m + 3)]
+    fs = [_W_S[0], _DELTA2] + [_ws(j) for j in range(k, m + 3)]
     (one, d2, *ws), scale, shift, w = polycore._pack_all(fs, d)
     W, ms = dict(enumerate(ws, k)), polycore._mul_sub
     mul = lambda a, b: ms(a, b, {}, {})
@@ -98,6 +116,17 @@ def _doubling(n: int) -> tuple[list[dict[int, int]], Fraction, int, int]:
         forms = [W[m], ms(W[m + 2], mul(W[m - 1], W[m - 1]), W[m - 2], mul(W[m + 1], W[m + 1]))]
     # (2 delta2)^-k = (-1)^k 2^-k p^-2k
     return forms, Fraction((-1) ** k, 2**k * scale**d), -2 * k - d * shift, w
+
+
+@lru_cache(maxsize=None)
+def _ws(n: int) -> LaurentPoly3:
+    """W_n in (p, x, s), n >= 1: a seed, or the product of `_doubling`'s
+    factors, kept once per n for the formulas of higher n."""
+    if n <= 4:
+        return _W_S[n - 1]
+    forms, scale, shift, w = _doubling(n)
+    q = polycore._mul_sub(*forms, {}, {}) if len(forms) == 2 else forms[0]
+    return polycore._unpack(q, scale, shift, w)
 
 
 @lru_cache(maxsize=None)
@@ -121,16 +150,17 @@ def hankel_raw(n: int) -> LaurentPoly3:
       W_2m = (2 delta2)^-(m-2) W_m X_m,  X_m = W_m+2 W_m-1^2 - W_m-2 W_m+1^2,
       W_2m+1 = (2 delta2)^-(m-1) (delta2^[m even] W_m+2 W_m^3 - delta2^[m odd] W_m-1 W_m+1^3).
 
-    One routine, `_doubling`, builds the packed factors for this function
-    and for `locus`; here an even n multiplies W_m by X_m, and W_n is
-    unpacked."""
+    Every W_n is even in y, so the formulas run in (p, x, s) with
+    s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms (`_doubling`,
+    from the seeds W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p)).  The
+    result is expanded to (p, x, y) once, by `polycore._expand_s`."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if n <= 4:
         return _W[n - 1]
-    forms, scale, shift, w = _doubling(n)
-    q = polycore._mul_sub(*forms, {}, {}) if len(forms) == 2 else forms[0]
-    return polycore._unpack(q, scale, shift, w)
+    (q,), scale, shift, w = polycore._pack_all([_ws(n)], 1)
+    q, w = polycore._expand_s(q, w)
+    return polycore._unpack(q, Fraction(1, scale), -shift, w)
 
 
 @dataclass(frozen=True)
@@ -145,8 +175,8 @@ class LocusPolynomial:
     @property
     def raw_hankel(self) -> LaurentPoly3:
         """W_n = hankel_raw(n), computed on access (and cached there):
-        `locus` builds the canonical polynomial from packed factors and
-        never needs it."""
+        `locus` builds the canonical polynomial from packed factors in
+        (p, x, s) and never needs it."""
         return hankel_raw(self.n)
 
 
@@ -155,44 +185,57 @@ def proper_divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def locus(n: int) -> LocusPolynomial:
-    """Canonical locus polynomial: W_n with the lower-period divisor factors
-    removed by exact division, in one integer form read from `_doubling`,
-    never unpacked.
+def _locus_s(n: int) -> tuple[dict[int, int], int]:
+    """locus(n) in (p, x, s) before normalization, as an integer form and
+    its width: (q, w).
 
-    For odd n the packed W_n is divided by the locus of every proper divisor.
-    For even n = 2m, W_n = (2 delta2)^-(m-2) W_m X_m, and W_m already holds
-    every divisor of m: locus(m) is W_m divided by the loci of the proper
-    divisors of m and then canonicalized, which strips only content and a
-    power of p, so W_m = c p^a prod(locus(d), d | m, d >= 3).  Only the
-    cofactor X_m is kept, divided by the loci of the proper divisors of n
-    that do not divide m.  Up to n = 12, locus(6), locus(8) and locus(10)
-    divide nothing and locus(12) divides X_6 by locus(4) alone."""
-    if not 3 <= n <= MAX_N:
-        raise ValueError(f"n must be in 3..{MAX_N}")
-    removed = proper_divisors(n)
+    For n <= 4 it is the packed seed.  For odd n the packed W_n is divided
+    by the locus of every proper divisor.  For even n = 2m, W_n = (2
+    delta2)^-(m-2) W_m X_m, and W_m already holds every divisor of m: W_m =
+    c p^a prod(locus(d), d | m, d >= 3), since normalizing strips only
+    content and a power of p.  Only the cofactor X_m is kept, divided by the
+    loci of the proper divisors of n that do not divide m.  Up to n = 12,
+    locus(6), locus(8) and locus(10) divide nothing and locus(12) divides
+    X_6 by locus(4) alone."""
     if n <= 4:
-        (q,), _, _, w = polycore._pack_all([_W[n - 1]], 1)
-    else:
-        forms, _, _, w = _doubling(n)
-        q = forms[-1]
-    # Divide by the *canonical* locus of each divisor, not its raw Hankel
-    # determinant: the raw determinant of a composite divisor already
-    # contains its own divisor factors, which would otherwise be stripped
-    # twice.  Each is primitive, so the quotient stays integral.
-    for k in removed:
+        (q,), _, _, w = polycore._pack_all([_ws(n)], 1)
+        return q, w
+    forms, _, _, w = _doubling(n)
+    q = forms[-1]
+    # Divide by each divisor's locus, not its raw Hankel determinant: the
+    # raw determinant of a composite divisor already contains its own
+    # divisor factors, which would otherwise be stripped twice.  Each is
+    # divided out through its primitive s-form, so the quotient stays
+    # integral.
+    for k in proper_divisors(n):
         if n % 2 == 0 and (n // 2) % k == 0:  # a factor of W_m, never multiplied in
             continue
-        d = polycore._pack(locus(k).canonical.terms, 1, 0, w)
+        d = polycore._pack(polycore._canonical(*_locus_s(k)).terms, 1, 0, w)
         try:
             q = polycore._idiv(q, d, w)
         except polycore.NotDivisible as exc:
             raise polycore.NotDivisible(f"W_{n} is not divisible by locus({k}): {exc}") from None
-    # _mul_sub leaves keys unordered; _idiv and _unpack give the descending
-    # order the canonical terms keep (n = 3 and 4 keep the seeds' order)
-    if n >= 5:
-        q = {key: q[key] for key in sorted(q, reverse=True)}
-    return LocusPolynomial(n, tuple(removed), polycore._canonical(q, w))
+    return q, w
+
+
+@lru_cache(maxsize=None)
+def locus(n: int) -> LocusPolynomial:
+    """Canonical locus polynomial: W_n with the lower-period divisor factors
+    removed by exact division.
+
+    The division runs on integer forms in (p, x, s), s = x^2 + y^2 - 1
+    (`_locus_s`), and the quotient is expanded to (p, x, y) once
+    (`polycore._expand_s`), in descending term order.  The change of
+    variables is unimodular over Z, so content and the lowest power of p
+    are unchanged by it; `_canonical` fixes them and the sign after the
+    expansion.  n = 3 and 4 keep the seeds' order."""
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"n must be in 3..{MAX_N}")
+    if n <= 4:
+        (q,), _, _, w = polycore._pack_all([_W[n - 1]], 1)
+    else:
+        q, w = polycore._expand_s(*_locus_s(n))
+    return LocusPolynomial(n, tuple(proper_divisors(n)), polycore._canonical(q, w))
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:

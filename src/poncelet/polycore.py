@@ -255,7 +255,9 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
 # adding keys multiplies monomials as long as no exponent reaches 2**w.  The
 # width w comes from a degree bound on everything the caller builds; _pack,
 # _idiv and the ring type _IntForm, in which verify checks its identities
-# and divides out powers of R and S exactly, check it.
+# and divides out powers of R and S exactly, check it.  hankel_raw and
+# locus pack (e_p, e_x, e_s) in the same way, s = x**2 + y**2 - 1, and
+# _expand_s turns such a form into one in (p, x, y).
 
 
 def _den_lcm(coeffs: Iterable[Fraction]) -> int:
@@ -368,6 +370,40 @@ def _idiv(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
             else:
                 rem[kk] = v - qc * cb
     return q
+
+
+def _expand_s(q: dict[int, int], w: int) -> tuple[dict[int, int], int]:
+    """q, an integer form in (p, x, s) at width w, in (p, x, y) with
+    s = x**2 + y**2 - 1: (the form, its width), keys in descending order.
+
+    Two binomial expansions: s = r - 1 takes c s**k to the sum of
+    (-1)**(k - j) C(k, j) c r**j, and r = x**2 + y**2 takes c x**b r**j to
+    the sum of C(j, i) c x**(b + 2j - 2i) y**(2i).  The change of variables
+    is unimodular over Z, so the content and the lowest power of p are
+    those of q."""
+    mask = (1 << w) - 1
+    w2 = _width(max(max(k >> 2 * w, ((k >> w) & mask) + 2 * (k & mask)) for k in q))
+    rows = [[1]]  # C(k, 0..k)
+    for _ in range(max(k & mask for k in q)):
+        rows.append([a + b for a, b in zip(rows[-1] + [0], [0] + rows[-1])])
+    r: dict[int, int] = {}  # in (p, x, r), at width w
+    get = r.get
+    for key, c in q.items():
+        k = key & mask
+        base = key - k
+        for j, m in enumerate(rows[k]):
+            r[base + j] = get(base + j, 0) + (-c * m if (k - j) & 1 else c * m)
+    # r**j as (key offset from x**(2j), coefficient) at width w2
+    powers = [[(i * (2 - (2 << w2)), m) for i, m in enumerate(row)] for row in rows]
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in r.items():
+        if c:
+            j = key & mask
+            base = ((key >> 2 * w) << 2 * w2) | ((((key >> w) & mask) + 2 * j) << w2)
+            for off, m in powers[j]:
+                out[base + off] = get(base + off, 0) + c * m
+    return {k: out[k] for k in sorted(out, reverse=True) if out[k]}, w2
 
 
 def _scaled(a: dict[int, int], m: int) -> dict[int, int]:

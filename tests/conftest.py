@@ -392,6 +392,69 @@ def somos4(n_max: int, at=None) -> list:
     return w[:n_max]
 
 
+def pencil_cubic(p: Fraction, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(a2, a4, a6) of the curve E: mu^2 = t^3 + a2 t^2 + a4 t + a6 =
+    -det(t C + D) at a rational point, for the printed conics: the unit
+    circle (X - x)^2 + (Y - y)^2 = 1 and the parabola Y^2 = 2pX + p^2,
+    C and D their symmetric matrices.  The pencil's cubic is read off its
+    values at t = 0, 1 and -1 (its leading coefficient det C is -1), with
+    no use of `pencil_coeffs`."""
+    def g(t):
+        (a, b, c), (d, e, f), (h, i, j) = (
+            (t, 0, -t * x - p), (0, t + 1, -t * y), (-t * x - p, -t * y, t * (x * x + y * y - 1) - p * p)
+        )
+        return -(a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h))
+
+    a6 = g(0)
+    return (g(1) + g(-1)) / 2 - a6, (g(1) - g(-1)) / 2 - 1, a6
+
+
+def division_values(p: Fraction, x: Fraction, y: Fraction, n_max: int) -> list[Fraction] | None:
+    """W_1..W_n_max at a rational point from the group law on E
+    (`pencil_cubic`) with P = (0, p), which lies on E since a6 = p^2: by
+    Cayley's criterion the n-gon closes iff nP = O, and the W_n are a
+    division sequence of (E, P) (Ward 1948), with
+    x(nP) = c_n W_n-1 W_n+1 / W_n^2, c_n = 2 for even n and -2p^2 for odd
+    n.  So W_1 = W_2 = 1 and each W_n+1 follows from x(nP), nP by chord
+    and tangent.  None where some W_n vanishes, n < n_max, since then
+    nP = O and the recurrence stops."""
+    a2, a4, _ = pencil_cubic(p, x, y)
+    px, py = Fraction(0), p
+    lam = a4 / (2 * py)  # the tangent at P: 2 mu dmu = (3t^2 + 2 a2 t + a4) dt at t = 0
+    w = [Fraction(1), Fraction(1)]
+    qx = lam * lam - a2 - 2 * px
+    qy = lam * (px - qx) - py
+    for n in range(2, n_max):  # (qx, qy) = nP
+        w.append(qx * w[-1] ** 2 / ((2 if n % 2 == 0 else -2 * p * p) * w[-2]))
+        if not w[-1]:
+            return None
+        lam = (qy - py) / (qx - px)  # qx = px would make (n + 1)P or (n - 1)P = O
+        t = lam * lam - a2 - qx - px
+        qx, qy = t, lam * (px - t) - py
+    return w
+
+
+def int_evaluator(f: LaurentPoly3):
+    """A function giving f at rational points (p, x, y), Laurent in p, each
+    as one integer sum: a variable a/b with exponents lo..hi gives
+    a^e / b^e = a^(e - lo) b^(hi - e) times a^lo / b^hi, and the
+    denominators of f are cleared once, by their lcm."""
+    den = math.lcm(1, *(c.denominator for c in f.terms.values()))
+    terms = [(*e, c.numerator * (den // c.denominator)) for e, c in f.terms.items()]
+    ranges = [(min(e[i] for e in f.terms), max(e[i] for e in f.terms)) for i in range(3)]
+
+    def at(*point: Fraction) -> Fraction:
+        scale, (tp, tx, ty) = Fraction(1, den), [[], [], []]
+        for (lo, hi), v, table in zip(ranges, point, (tp, tx, ty)):
+            a, b = v.numerator, v.denominator
+            table += [a ** (e - lo) * b ** (hi - e) for e in range(lo, hi + 1)]
+            scale *= Fraction(a) ** lo / Fraction(b) ** hi
+        lp, lx, ly = (lo for lo, _ in ranges)
+        return scale * sum(c * tp[ep - lp] * tx[ex - lx] * ty[ey - ly] for ep, ex, ey, c in terms)
+
+    return at
+
+
 def canonicalize_reference(a: LaurentPoly3) -> LaurentPoly3:
     """The Fraction normal form: a times p**-min_p_exponent times one
     rational scale (denominator lcm over numerator gcd, negated when the

@@ -1,18 +1,22 @@
 """Pencil coefficients, the series recursion, the doubling formulas for
-the Hankel determinants against the Somos-4 recurrence and the Hankel
-matrix, and canonical locus polynomials."""
+the Hankel determinants against the Somos-4 recurrence, the Hankel matrix
+and the group law on the pencil's cubic, and canonical locus polynomials."""
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from conftest import (
     det_laplace,
+    division_values,
     fraction_det,
     hankel_matrix,
+    int_evaluator,
     locus_reference,
     make_rng,
     poly_det,
@@ -198,6 +202,39 @@ def test_golden_digests_n3_to_12():
         assert poly_det(m) == det_laplace(m) == hankel_raw(n), n
 
 
+def test_s_form_seeds():
+    # The seeds in (p, x, s), s = x^2 + y^2 - 1, derived at import from the
+    # (p, x, y) seeds, are the closed forms W_3 = s/2 and
+    # W_4 = -((s + 1) p + x s) / (2p); expanded back they are the seeds.
+    S = LaurentPoly3.var_y()  # the third variable of an s-form
+    half = Fraction(1, 2)
+    assert cayley._W_S[:2] == (LaurentPoly3.const(1),) * 2
+    assert cayley._W_S[2] == half * S
+    assert cayley._W_S[3] == -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)
+    for j in range(4):
+        (q,), scale, shift, w = polycore._pack_all([cayley._W_S[j]], 1)
+        q, w = polycore._expand_s(q, w)
+        assert polycore._unpack(q, Fraction(1, scale), -shift, w) == cayley._W[j], j
+
+
+def test_hankel_raw_matches_group_law_to_n16():
+    # W_n, n = 3..16, at 20 seeded rational points against the division
+    # values of P = (0, p) on the pencil's cubic, by chord and tangent
+    # (conftest.division_values): a reference with no Hankel matrix, no
+    # recurrence and no doubling formula.
+    rng = make_rng(22)
+    points = []
+    while len(points) < 20:
+        p, x, y = (rand_fraction(rng) for _ in range(3))
+        w = division_values(p, x, y, 16) if p else None
+        if w:
+            points.append(((p, x, y), w))
+    for n in range(3, 17):
+        at = int_evaluator(hankel_raw(n))
+        for point, w in points:
+            assert at(*point) == w[n - 1], (n, point)
+
+
 def _point_hankel_dets(rng, n_max: int):
     """A seeded rational point off every locus n = 3..n_max, with the
     Fraction Hankel determinants of the series there: w[j - 1] = W_j."""
@@ -253,7 +290,7 @@ def test_doubling_formulas_match_hankel_determinants_to_n24():
 
 
 def _clear_caches():
-    for f in (cayley.hankel_raw, cayley.locus):
+    for f in (cayley._doubling, cayley._ws, cayley._locus_s, cayley.hankel_raw, cayley.locus):
         f.cache_clear()
 
 
@@ -261,8 +298,9 @@ def test_cold_loci_kernel_work(monkeypatch):
     # Work, not wall clock: term pairs in the integer kernel for a cold
     # locus(3..12).  Products count len(a) len(b) + len(c) len(d) per
     # _mul_sub, division len(quotient) len(divisor) per _idiv.  Measured
-    # 43278 and 2650; dividing the whole W_n by every divisor's locus made
-    # 60391 and 20475, the Somos-4 quotient 622912 and 244337.
+    # 2005 and 203 in (p, x, s); the same route in (p, x, y) made 43278 and
+    # 2650, dividing the whole W_n by every divisor's locus 60391 and 20475,
+    # the Somos-4 quotient 622912 and 244337.
     work = {"mul": 0, "div": 0}
     mul_sub, idiv = polycore._mul_sub, polycore._idiv
 
@@ -283,8 +321,8 @@ def test_cold_loci_kernel_work(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert 0 < work["mul"] <= 50_000, work
-    assert 0 < work["div"] <= 5_000, work
+    assert 0 < work["mul"] <= 2_100, work
+    assert 0 < work["div"] <= 220, work
 
 
 def test_locus_equals_fraction_reference():
@@ -295,24 +333,30 @@ def test_locus_equals_fraction_reference():
 
 
 def test_cold_loci_unpack_once_per_hankel(monkeypatch):
-    # A cold locus(3..12) leaves the integer form once per hankel_raw(n),
-    # n = 5..8, the factors that the doubling formulas of n = 9..12 read
-    # (W_3 and W_4 are built at import); locus(n) itself never unpacks, and
-    # divides by its divisors' loci in integer form.  Unpacking every W_n,
-    # n = 5..12, made 8 unpacks; the Fraction route made 15 unpacks and 7
-    # poly_div_exact calls.
-    calls = {"unpack": 0, "div": 0}
-    unpack, div = polycore._unpack, polycore.poly_div_exact
+    # A cold locus(3..12) leaves the integer form once per W_n, n = 5..8, in
+    # (p, x, s): the factors that the doubling formulas of n = 9..12 read (W_3
+    # and W_4 are built at import).  Each locus(n), n = 5..12, is expanded to
+    # (p, x, y) once and divides by its divisors' loci in integer form.  The
+    # (p, x, y) route made 4 unpacks too, of W_5..W_8 as the hankel_raw the
+    # formulas read; the Fraction route made 15 unpacks and 7 poly_div_exact
+    # calls.
+    calls = {"unpack": 0, "expand": 0, "div": 0}
+    unpack, expand, div = polycore._unpack, polycore._expand_s, polycore.poly_div_exact
 
     def counted_unpack(*args):
         calls["unpack"] += 1
         return unpack(*args)
+
+    def counted_expand(*args):
+        calls["expand"] += 1
+        return expand(*args)
 
     def counted_div(a, b):
         calls["div"] += 1
         return div(a, b)
 
     monkeypatch.setattr(polycore, "_unpack", counted_unpack)
+    monkeypatch.setattr(polycore, "_expand_s", counted_expand)
     monkeypatch.setattr(polycore, "poly_div_exact", counted_div)
     monkeypatch.setattr(cayley, "poly_div_exact", counted_div)
     _clear_caches()
@@ -321,20 +365,48 @@ def test_cold_loci_unpack_once_per_hankel(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert calls == {"unpack": 4, "div": 0}
+    assert calls == {"unpack": 4, "expand": 8, "div": 0}
+
+
+def test_cold_loci_double_each_w_once(monkeypatch):
+    # A cold locus(3..12) doubles each W_n, n = 5..12, once: W_5..W_8 serve
+    # both their own locus and the formulas of n = 9..12, which read them in
+    # (p, x, s).  The (p, x, y) route doubled W_5..W_8 twice, once for
+    # locus(n) and once for the hankel_raw(n) the formulas read.
+    counts = Counter()
+    body = cayley._doubling.__wrapped__
+
+    def counted(n):
+        counts[n] += 1
+        return body(n)
+
+    _clear_caches()
+    monkeypatch.setattr(cayley, "_doubling", lru_cache(maxsize=None)(counted))
+    try:
+        for n in range(3, 13):
+            locus(n)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert counts == {n: 1 for n in range(5, 13)}, counts
 
 
 def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
-    # A cold locus(3..12) builds no W_9..W_12 as a LaurentPoly3: raw_hankel
-    # is computed on access.  Even n divides only the cofactor X_m, by the
-    # loci of the divisors that do not divide m, so the only divisions are
-    # by locus(3) at n = 9 and by locus(4) at n = 12.
-    asked, divisors = [], []
-    raw, idiv = cayley.hankel_raw, polycore._idiv
+    # A cold locus(3..12) builds no W_n in (p, x, y): raw_hankel is computed
+    # on access, and the doubling formulas read W_1..W_8 in (p, x, s).  Even
+    # n divides only the cofactor X_m, by the loci of the divisors that do
+    # not divide m, so the only divisions are by locus(3) at n = 9 and by
+    # locus(4) at n = 12, each through its s-form: s and (s + 1) p + x s.
+    raw, read, divisors = [], [], []
+    raw_hankel, ws, idiv = cayley.hankel_raw, cayley._ws, polycore._idiv
 
     def counted_raw(n):
-        asked.append(n)
-        return raw(n)
+        raw.append(n)
+        return raw_hankel(n)
+
+    def counted_ws(n):
+        read.append(n)
+        return ws(n)
 
     def counted_idiv(a, b, w):
         divisors.append((b, w))
@@ -342,15 +414,18 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
 
     _clear_caches()
     monkeypatch.setattr(cayley, "hankel_raw", counted_raw)
+    monkeypatch.setattr(cayley, "_ws", counted_ws)
     monkeypatch.setattr(polycore, "_idiv", counted_idiv)
     try:
         loci = {n: locus(n) for n in range(3, 13)}
     finally:
         monkeypatch.undo()
-    assert set(asked) == set(range(3, 9)), asked
+    assert raw == [] and set(read) == set(range(1, 9)), (raw, read)
     assert len(divisors) == 2
-    for k, (b, w) in zip((3, 4), divisors):
-        assert b == polycore._pack(locus(k).canonical.terms, 1, 0, w), k
+    S = LaurentPoly3.var_y()  # the third variable of an s-form
+    for k, (b, w), s_form in zip((3, 4), divisors, (S, (S + 1) * P + X * S)):
+        assert b == polycore._pack(s_form.terms, 1, 0, w), k
+        assert polycore._canonical(*polycore._expand_s(b, w)) == locus(k).canonical, k
     for n, loc in loci.items():
         assert loc.raw_hankel == hankel_raw(n), n
         assert _sha256(loc.raw_hankel) == HANKEL_RAW_SHA256[n], n

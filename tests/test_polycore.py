@@ -170,6 +170,25 @@ def test_product_matches_fraction_reference():
     assert (X - P) * (X - P) - (P - X) ** 2 == zero
 
 
+def test_expand_s_matches_substitution():
+    # forms in (p, x, s), with cancelling terms and s-degrees past what the
+    # input width holds after doubling, expand to the LaurentPoly3
+    # substitution s = x^2 + y^2 - 1, keys in descending order
+    rng = make_rng(44)
+    s = X**2 + Y**2 - 1
+    cases = [LaurentPoly3.monomial(1, 0, 0, 9), X**2 * Y**3 - Y**4, 3 * P**2 * Y + 1]
+    cases += [P**2 * _rand_poly(rng, rng.randint(1, 6)) for _ in range(100)]
+    for f in filter(None, cases):
+        f = canonicalize(f)
+        reference = LaurentPoly3()
+        for (ep, ex, es), c in f.terms.items():
+            reference = reference + LaurentPoly3.monomial(c, ep, ex) * s**es
+        (q,), _, _, w = polycore._pack_all([f], 1)
+        q, w = polycore._expand_s(q, w)
+        assert list(q) == sorted(q, reverse=True)
+        assert polycore._unpack(q, Fraction(1), 0, w) == reference, f
+
+
 def _unpacked(f):
     return polycore._unpack(f.q, Fraction(1, f.den), 0, f.w)
 
