@@ -1,7 +1,8 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, real root isolation, discriminants.
 
-Coefficients are `fractions.Fraction` throughout; products, exact division,
+Coefficients are exact rationals: `fractions.Fraction`, and `int` in the
+canonical forms (integer polynomials of content 1); products, exact division,
 the normal form, `specialize` (the one exact evaluator at a rational center,
 for the locus and region polynomials) and the root finder run over integers,
 denominators cleared once.
@@ -24,6 +25,7 @@ import heapq
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -67,7 +69,9 @@ class LaurentPoly3:
     """Polynomial in (p, x, y) over Q, Laurent in p.
 
     Stored sparsely as {(e_p, e_x, e_y): coefficient} with no zero
-    coefficients.  Instances are treated as immutable.
+    coefficients.  A coefficient is an exact rational: the constructor
+    makes each a Fraction, and canonical forms hold ints, which compare and
+    hash like the equal Fraction.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -115,7 +119,7 @@ class LaurentPoly3:
             raise ZeroPolynomial("zero polynomial has no p-degree")
         return min(e[0] for e in self.terms)
 
-    def leading_term(self) -> tuple[Expo, Fraction]:
+    def leading_term(self) -> tuple[Expo, Scalar]:
         """Leading term in lexicographic order p > x > y."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
@@ -180,8 +184,11 @@ class LaurentPoly3:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, p, x, y):
-        """Numeric or exact evaluation; works for Fraction, float, complex."""
+        """Numeric or exact evaluation; works for Fraction, float, complex.
+        With int or Fraction inputs the value is an exact Fraction."""
         exact = all(isinstance(v, (int, Fraction)) for v in (p, x, y))
+        if exact:
+            p = Fraction(p)  # an int p to a negative power would be a float
         total = Fraction(0) if exact else 0.0
         for (ep, ex, ey), c in self.terms.items():
             coeff = c if exact else float(c)
@@ -195,7 +202,7 @@ class LaurentPoly3:
 _ZERO = Fraction(0)
 
 
-def _raw(terms: dict[Expo, Fraction]) -> LaurentPoly3:
+def _raw(terms: dict[Expo, Scalar]) -> LaurentPoly3:
     p = LaurentPoly3.__new__(LaurentPoly3)
     p.terms = terms
     return p
@@ -260,11 +267,11 @@ def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
 # _expand_s turns such a form into one in (p, x, y).
 
 
-def _den_lcm(coeffs: Iterable[Fraction]) -> int:
+def _den_lcm(coeffs: Iterable[Scalar]) -> int:
     return math.lcm(1, *(c.denominator for c in coeffs))
 
 
-def _max_degree(terms: Mapping[Expo, Fraction], shift: int) -> tuple[int, int, int]:
+def _max_degree(terms: Mapping[Expo, Scalar], shift: int) -> tuple[int, int, int]:
     return (
         max(e[0] for e in terms) + shift,
         max(e[1] for e in terms),
@@ -277,7 +284,7 @@ def _width(bound: int) -> int:
     return max(1, bound.bit_length())
 
 
-def _pack(terms: Mapping[Expo, Fraction], scale: int, shift: int, w: int) -> dict[int, int]:
+def _pack(terms: Mapping[Expo, Scalar], scale: int, shift: int, w: int) -> dict[int, int]:
     """Integer form of scale * p**shift * terms; scale clears every denominator."""
     top = 1 << w
     out = {}
@@ -527,7 +534,7 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
     """Unique scalar * p-power normal form.
 
     The result is a true polynomial in (p, x, y) whose lowest p-degree is
-    zero, with integer coefficients of content 1 and a positive leading
+    zero, with int coefficients of content 1 and a positive leading
     coefficient in lex order p > x > y.
     """
     if a.is_zero():
@@ -537,13 +544,13 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
 
 
 def _canonical(q: dict[int, int], w: int) -> LaurentPoly3:
-    """canonicalize of nonzero q in integer form, with one Fraction per
-    term in q's order (descending from _idiv and _unpack)."""
+    """canonicalize of nonzero q in integer form, with an int coefficient
+    per term in q's order (descending from _idiv and _unpack)."""
     g = math.gcd(*q.values())
     if q[max(q)] < 0:
         g = -g
     mask, low = (1 << w) - 1, min(q) >> 2 * w
-    return _raw({((k >> 2 * w) - low, (k >> w) & mask, k & mask): Fraction(c // g) for k, c in q.items()})
+    return _raw({((k >> 2 * w) - low, (k >> w) & mask, k & mask): c // g for k, c in q.items()})
 
 
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
@@ -576,19 +583,33 @@ def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
 
 
 def format_poly(a: LaurentPoly3) -> str:
-    """Canonical text form: terms sorted lex p > x > y descending."""
-    if a.is_zero():
+    """Canonical text form: terms sorted lex p > x > y descending, each as
+    its sign, abs(coefficient) unless that is 1 on a monomial, and the
+    powers p^k, x^k, y^k, joined by "*"; a leading "+" is dropped."""
+    terms = a.terms
+    if not terms:
         return "0"
     parts = []
-    for e in sorted(a.terms, reverse=True):
-        c = a.terms[e]
-        num, den = c.numerator, c.denominator
-        factors = [name if k == 1 else f"{name}^{k}" for name, k in zip("pxy", e) if k]
-        if num not in (1, -1) or den != 1 or not factors:
-            factors.insert(0, str(abs(num)) if den == 1 else f"{abs(num)}/{den}")
-        parts.append((" - " if num < 0 else " + ") + "*".join(factors))
-    out = "".join(parts)  # " - body" or " + body" first: a sign is kept only if "-"
-    return ("-" if out[1] == "-" else "") + out[3:]
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        ep, ex, ey = e
+        powers = ((_power_text("p", ep) if ep else "") + (_power_text("x", ex) if ex else "")
+                  + (_power_text("y", ey) if ey else ""))
+        if c < 0:
+            c = -c
+            parts.append(" - ")
+        else:
+            parts.append(" + ")
+        # str of an int or a Fraction is its text here: "3", "1/2"
+        parts.append(powers[1:] if c == 1 and powers else f"{c}{powers}")
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
+
+
+@lru_cache(maxsize=None)
+def _power_text(name: str, k: int) -> str:
+    """The factor name**k of a term's text, "*" first."""
+    return f"*{name}" if k == 1 else f"*{name}^{k}"
 
 
 def parse_poly(text: str) -> LaurentPoly3:

@@ -32,7 +32,7 @@ from conftest import (
 from conftest import canonicalize_reference, format_reference
 from poncelet import polycore, verify
 from poncelet.cayley import hankel_raw
-from poncelet.cayley import locus
+from poncelet.cayley import locus, locus_at_p
 from poncelet.polycore import (
     ROOT_WIDTH,
     LaurentPoly3,
@@ -62,6 +62,7 @@ from poncelet.polycore import (
     _horner,
     _int_coeffs,
     _isolate,
+    _raw,
     _refine,
     _squarefree_mod,
 )
@@ -87,6 +88,14 @@ def test_laurent_exponents():
     a = LaurentPoly3.var_p(-2) * X
     assert a.evaluate(Fraction(1, 2), 3, 0) == 12
     assert a.min_p_exponent() == -2
+
+
+def test_evaluate_is_exact_at_an_int_p():
+    # W_4 has a term in p**-1: an int p must not turn it into a float
+    value = hankel_raw(4).evaluate(2, 1, 1)
+    assert type(value) is Fraction and value == Fraction(-5, 4)
+    assert hankel_raw(4).evaluate(Fraction(2), 1, 1) == value
+    assert type(locus(5).canonical.evaluate(2, 1, 1)) is Fraction
 
 
 def test_div_exact_roundtrip():
@@ -270,6 +279,28 @@ def test_int_form_product_past_the_width_raises():
         _IntForm.pack([LaurentPoly3.var_p(-1)], 1)
 
 
+def test_canonical_forms_hold_int_coefficients():
+    # A canonical form keeps an int per term.  It equals and hashes like its
+    # Fraction-valued twin, and sums and products with Fraction-valued
+    # polynomials and scalars stay exact.
+    rng = make_rng(23)
+    forms = [locus(n).canonical for n in range(3, 13)]
+    forms += [locus_at_p(n, p) for n in (3, 5, 8, 12) for p in (Fraction(1, 3), Fraction(-7, 2), Fraction(5))]
+    forms += [canonicalize(a) for a in (_rand_poly(rng, rng.randint(1, 7)) for _ in range(40)) if a]
+    b = Fraction(1, 2) * X - LaurentPoly3.var_p(-1) * Fraction(2, 3) * Y
+    for a in forms:
+        assert all(type(c) is int for c in a.terms.values()), a
+        twin = parse_poly(format_poly(a))
+        assert all(type(c) is Fraction for c in twin.terms.values())
+        assert a == twin and hash(a) == hash(twin)
+        for value in (a + b, a * b, a * Fraction(-3, 4), Fraction(5, 7) + a):
+            assert all(isinstance(c, (int, Fraction)) for c in value.terms.values())
+        assert a + b - b == twin
+        assert a * b == twin * b
+        assert a * Fraction(-3, 4) * Fraction(-4, 3) == twin
+        assert a + Fraction(5, 7) - Fraction(5, 7) == twin
+
+
 def test_canonicalize_multiplicative():
     rng = make_rng(1)
     for _ in range(150):
@@ -338,6 +369,16 @@ def test_format_poly_matches_reference():
     edge = ["0", "1", "-1", "p", "-p", "1/2*p^-2", "-3/7*x*y^2", "p^-1 - x + 1/3"]
     for text in edge:
         assert format_poly(parse_poly(text)) == format_reference(parse_poly(text)), text
+    # int coefficients, from canonicalize: +-1 on a monomial, +-1 and other
+    # integer constants, and (shifted back by p**-2) negative p-powers
+    canonical = [
+        canonicalize(parse_poly(text))
+        for text in ("p - x", "-p*x + 3*y", "x - 1", "-x*y - 1", "2*x - 6", "-4", "2/3*p^-2*x - 4/3*p^-1 + 2")
+    ]
+    canonical += [_raw({(ep - 2, ex, ey): c for (ep, ex, ey), c in a.terms.items()}) for a in canonical]
+    for a in canonical:
+        assert all(type(c) is int for c in a.terms.values()), a
+        assert format_poly(a) == format_reference(a), format_reference(a)
     for n in range(3, 13):
         for a in (locus(n).canonical, hankel_raw(n)):
             assert format_poly(a) == format_reference(a), n
