@@ -4,9 +4,10 @@ canonical locus polynomials for the circle/parabola pencil.
 W_n = hankel_raw(n) comes from W_1 = W_2 = 1, W_3 = A_2 and W_4 = A_3
 (A_k = atilde_k / k!) by the doubling formulas of elliptic divisibility
 sequences, products alone.  Every W_n is even in y, so the formulas and
-locus's exact divisions run on integer forms in (p, x, s), s = x^2 + y^2 - 1,
-where W_n has about 9 times fewer terms; each public result (`hankel_raw(n)`,
-`locus(n).canonical`) is expanded to (p, x, y) once.  The Hankel matrix,
+locus's exact divisions run in (p, x, s), s = x^2 + y^2 - 1, where W_n has
+about 9 times fewer terms, on one integer type, `polycore._IntForm`, from
+the seeds to each public result (`hankel_raw(n)`, `locus(n).canonical`),
+which is expanded to (p, x, y) and viewed as a LaurentPoly3 once.  The Hankel matrix,
 with its Bareiss determinant, the Somos-4 recurrence and the group law on
 the pencil's cubic survive in the tests as independent references."""
 
@@ -19,7 +20,7 @@ from math import comb
 
 from . import polycore
 from .geometry import DegenerateParabola
-from .polycore import LaurentPoly3, ZeroPolynomial, canonicalize, poly_div_exact
+from .polycore import LaurentPoly3, ZeroPolynomial, _IntForm, canonicalize, poly_div_exact
 
 MAX_N = 12
 
@@ -76,8 +77,7 @@ def _atilde(k: int) -> LaurentPoly3:
     return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
-_ATILDE, _DELTA2 = atilde_sequence(3), pencil_coeffs().delta2
-_W = (LaurentPoly3.const(1),) * 2 + (_ATILDE[1] * Fraction(1, 2), _ATILDE[2] * Fraction(1, 6))
+_W = (LaurentPoly3.const(1),) * 2 + tuple(a * Fraction(1, k) for a, k in zip(atilde_sequence(3)[1:], (2, 6)))
 
 
 def _s_form(f: LaurentPoly3) -> LaurentPoly3:
@@ -88,45 +88,44 @@ def _s_form(f: LaurentPoly3) -> LaurentPoly3:
                LaurentPoly3())
 
 
-# The seeds in (p, x, s): W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p).
-_W_S = tuple(_s_form(f) for f in _W)
+# The seeds as forms: in (p, x, y) for locus(3) and locus(4), and in (p, x, s),
+# W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p), for the doubling formulas.
+_W_XY = tuple(_IntForm.pack(_W, 1))
+_W_S = tuple(_IntForm.pack([_s_form(f) for f in _W], 1, polycore._PXS))
 
 
 @lru_cache(maxsize=None)
-def _doubling(n: int) -> tuple[list[dict[int, int]], Fraction, int, int]:
+def _doubling(n: int) -> tuple[_IntForm, ...]:
     """W_n, n >= 5, in (p, x, s) by a doubling formula of `hankel_raw`, as
-    packed factors: (forms, scale, shift, w) with W_n = scale * p**shift *
-    the product of forms, in the integer form of `polycore._pack_all` at
-    width w.  For odd n forms is [W_n]; for even n = 2m it is [W_m, X_m],
-    with the cofactor X_m = W_m+2 W_m-1^2 - W_m-2 W_m+1^2 kept apart: `_ws`
-    multiplies the two, `_locus_s` reads X_m alone.  Cached, so each n is
+    forms whose product is W_n: (W_n,) for odd n, and (W_m, X'_m) for even
+    n = 2m, with the cofactor X'_m = (2 delta2)^-(m-2) X_m kept apart: `_ws`
+    multiplies the two, `_locus_s` reads X'_m alone.  Cached, so each n is
     doubled once for both."""
     m, odd = divmod(n, 2)
-    # W_n is (2 delta2)^-k times a form of degree d in 1, delta2 and the W_j,
-    # all packed once at one scale; k >= 1 for even n, so W_0 is never read.
-    k, d = m - 2 + odd, 4 + odd
-    fs = [_W_S[0], _DELTA2] + [_ws(j) for j in range(k, m + 3)]
-    (one, d2, *ws), scale, shift, w = polycore._pack_all(fs, d)
-    W, ms = dict(enumerate(ws, k)), polycore._mul_sub
-    mul = lambda a, b: ms(a, b, {}, {})
+    # W_n is (2 delta2)^-k times a form of degree 4 in the W_j and delta2, at a
+    # width that fits it; k >= 1 for even n, so W_0 is never read.
+    k = m - 2 + odd
+    ws = [_ws(j) for j in range(k, m + 3)]
+    w = polycore._width((4 + odd) * max(f.deg for f in ws))
+    W = {j: f.at_width(w) for j, f in enumerate(ws, k)}
+    d2 = lambda f, e: f.times_p(2 * e) * (-1) ** (e & 1)  # f * delta2**e, delta2 = -p**2: no product
     if odd:
-        t, v = (mul(W[i], mul(W[j], mul(W[j], W[j]))) for i, j in ((m + 2, m), (m - 1, m + 1)))
-        forms = [ms(d2, t, one, v) if m % 2 == 0 else ms(one, t, d2, v)]
+        t, v = W[m + 2] * W[m] ** 3, W[m - 1] * W[m + 1] ** 3
+        forms = [d2(t, 1 - m % 2) - d2(v, m % 2)]
     else:
-        forms = [W[m], ms(W[m + 2], mul(W[m - 1], W[m - 1]), W[m - 2], mul(W[m + 1], W[m + 1]))]
-    # (2 delta2)^-k = (-1)^k 2^-k p^-2k
-    return forms, Fraction((-1) ** k, 2**k * scale**d), -2 * k - d * shift, w
+        forms = [W[m], W[m + 2] * W[m - 1] ** 2 - W[m - 2] * W[m + 1] ** 2]
+    forms[-1] = d2(forms[-1], -k) * Fraction(1, 2**k)  # (2 delta2)^-k
+    return tuple(forms)
 
 
 @lru_cache(maxsize=None)
-def _ws(n: int) -> LaurentPoly3:
+def _ws(n: int) -> _IntForm:
     """W_n in (p, x, s), n >= 1: a seed, or the product of `_doubling`'s
-    factors, kept once per n for the formulas of higher n."""
+    factors, reduced, kept once per n for the formulas of higher n."""
     if n <= 4:
         return _W_S[n - 1]
-    forms, scale, shift, w = _doubling(n)
-    q = polycore._mul_sub(*forms, {}, {}) if len(forms) == 2 else forms[0]
-    return polycore._unpack(q, scale, shift, w)
+    forms = _doubling(n)
+    return (forms[0] * forms[1] if len(forms) == 2 else forms[0]).reduced()
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +152,12 @@ def hankel_raw(n: int) -> LaurentPoly3:
     Every W_n is even in y, so the formulas run in (p, x, s) with
     s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms (`_doubling`,
     from the seeds W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p)).  The
-    result is expanded to (p, x, y) once, by `polycore._expand_s`."""
+    result is expanded to (p, x, y) and viewed once."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if n <= 4:
         return _W[n - 1]
-    (q,), scale, shift, w = polycore._pack_all([_ws(n)], 1)
-    q, w = polycore._expand_s(q, w)
-    return polycore._unpack(q, Fraction(1, scale), -shift, w)
+    return _ws(n).expand_s().poly()
 
 
 @dataclass(frozen=True)
@@ -175,8 +172,8 @@ class LocusPolynomial:
     @property
     def raw_hankel(self) -> LaurentPoly3:
         """W_n = hankel_raw(n), computed on access (and cached there):
-        `locus` builds the canonical polynomial from packed factors in
-        (p, x, s) and never needs it."""
+        `locus` builds the canonical polynomial from forms in (p, x, s) and
+        never needs it."""
         return hankel_raw(self.n)
 
 
@@ -185,37 +182,32 @@ def proper_divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _locus_s(n: int) -> tuple[dict[int, int], int]:
-    """locus(n) in (p, x, s) before normalization, as an integer form and
-    its width: (q, w).
+def _locus_s(n: int) -> _IntForm:
+    """locus(n) in (p, x, s) before normalization.
 
-    For n <= 4 it is the packed seed.  For odd n the packed W_n is divided
-    by the locus of every proper divisor.  For even n = 2m, W_n = (2
-    delta2)^-(m-2) W_m X_m, and W_m already holds every divisor of m: W_m =
-    c p^a prod(locus(d), d | m, d >= 3), since normalizing strips only
-    content and a power of p.  Only the cofactor X_m is kept, divided by the
-    loci of the proper divisors of n that do not divide m.  Up to n = 12,
-    locus(6), locus(8) and locus(10) divide nothing and locus(12) divides
-    X_6 by locus(4) alone."""
+    For n <= 4 it is the seed.  For odd n, W_n is divided by the locus of
+    every proper divisor.  For even n = 2m, W_n = W_m X'_m, and W_m already
+    holds every divisor of m: W_m = c p^a prod(locus(d), d | m, d >= 3),
+    since normalizing strips only content and a power of p.  Only the
+    cofactor X'_m is kept, divided by the loci of the proper divisors of n
+    that do not divide m.  Up to n = 12, locus(6), locus(8) and locus(10)
+    divide nothing and locus(12) divides X'_6 by locus(4) alone."""
     if n <= 4:
-        (q,), _, _, w = polycore._pack_all([_ws(n)], 1)
-        return q, w
-    forms, _, _, w = _doubling(n)
-    q = forms[-1]
+        return _ws(n)
+    q = _doubling(n)[-1]
     # Divide by each divisor's locus, not its raw Hankel determinant: the
     # raw determinant of a composite divisor already contains its own
     # divisor factors, which would otherwise be stripped twice.  Each is
-    # divided out through its primitive s-form, so the quotient stays
+    # divided out through its canonical s-form, so the quotient stays
     # integral.
     for k in proper_divisors(n):
         if n % 2 == 0 and (n // 2) % k == 0:  # a factor of W_m, never multiplied in
             continue
-        d = polycore._pack(polycore._canonical(*_locus_s(k)).terms, 1, 0, w)
         try:
-            q = polycore._idiv(q, d, w)
+            q = q / _locus_s(k).canonical().at_width(q.w)
         except polycore.NotDivisible as exc:
             raise polycore.NotDivisible(f"W_{n} is not divisible by locus({k}): {exc}") from None
-    return q, w
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -223,19 +215,14 @@ def locus(n: int) -> LocusPolynomial:
     """Canonical locus polynomial: W_n with the lower-period divisor factors
     removed by exact division.
 
-    The division runs on integer forms in (p, x, s), s = x^2 + y^2 - 1
-    (`_locus_s`), and the quotient is expanded to (p, x, y) once
-    (`polycore._expand_s`), in descending term order.  The change of
-    variables is unimodular over Z, so content and the lowest power of p
-    are unchanged by it; `_canonical` fixes them and the sign after the
-    expansion.  n = 3 and 4 keep the seeds' order."""
+    The division runs in (p, x, s), s = x^2 + y^2 - 1 (`_locus_s`).  The
+    quotient is expanded to (p, x, y), which keeps content and the lowest
+    power of p, in descending term order, normalized and viewed once.  n = 3
+    and 4 keep the seeds' order."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    if n <= 4:
-        (q,), _, _, w = polycore._pack_all([_W[n - 1]], 1)
-    else:
-        q, w = polycore._expand_s(*_locus_s(n))
-    return LocusPolynomial(n, tuple(proper_divisors(n)), polycore._canonical(q, w))
+    form = _W_XY[n - 1] if n <= 4 else _locus_s(n).expand_s()
+    return LocusPolynomial(n, tuple(proper_divisors(n)), form.canonical().poly())
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -70,8 +71,9 @@ class LaurentPoly3:
 
     Stored sparsely as {(e_p, e_x, e_y): coefficient} with no zero
     coefficients.  A coefficient is an exact rational: the constructor
-    makes each a Fraction, and canonical forms hold ints, which compare and
-    hash like the equal Fraction.  Instances are treated as immutable.
+    makes each a Fraction, and a view of an integer form (a canonical form,
+    a product of integer polynomials) holds ints, which compare and hash
+    like the equal Fraction.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -79,12 +81,13 @@ class LaurentPoly3:
     def __init__(self, terms: Mapping[Expo, Scalar] | None = None):
         clean: dict[Expo, Fraction] = {}
         if terms:
-            for (ep, ex, ey), c in terms.items():
+            for e, c in terms.items():
+                ep, ex, ey = map(operator.index, e)  # TypeError for 1.5 or "1", not truncation
                 if ex < 0 or ey < 0:
                     raise ValueError("x and y exponents must be nonnegative")
                 c = _as_fraction(c)
                 if c:
-                    clean[(int(ep), int(ex), int(ey))] = c
+                    clean[(ep, ex, ey)] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -173,8 +176,8 @@ class LaurentPoly3:
             return NotImplemented
         if not self.terms or not other.terms:
             return LaurentPoly3()
-        (ia, ib), scale, shift, w = _pack_all((self, other), 2)
-        return _unpack(_mul_sub(ia, ib, {}, {}), Fraction(1, scale * scale), -2 * shift, w)
+        fa, fb = _IntForm.pack((self, other), 2)
+        return (fa * fb).poly()
 
     __rmul__ = __mul__
 
@@ -231,90 +234,43 @@ def _power(base, n: int, one):
 
 
 def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
-    """Exact quotient a / b; raises NotDivisible when the remainder is nonzero.
+    """Exact quotient a / b; raises NotDivisible when the remainder is nonzero
+    and ZeroDivisionError when b is zero.
 
-    Division by pure p-powers always succeeds (p is invertible).  b's own
-    p-shift makes its lowest p-power 1, so the quotient has no negative one.
+    Division by pure p-powers always succeeds (p is invertible): each form
+    keeps its lowest power of p in its shift, outside the integer division.
     """
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly3()
-    da, db = _den_lcm(a.terms.values()), _den_lcm(b.terms.values())
-    sa, sb = -a.min_p_exponent(), -b.min_p_exponent()
-    w = _width(max(*_max_degree(a.terms, sa), *_max_degree(b.terms, sb)))
-    ia, ib = _pack(a.terms, da, sa, w), _pack(b.terms, db, sb, w)
-    # A primitive divisor makes the quotient integral whenever it exists
-    # over Q (Gauss's lemma), so an inexact integer step means NotDivisible.
-    g = math.gcd(*ib.values())
+    fa, fb = _IntForm.pack((a, b), 1)
     try:
-        q = _idiv(ia, {k: v // g for k, v in ib.items()}, w)
+        return (fa / fb).poly()
     except NotDivisible:
         raise NotDivisible(f"{format_poly(a)} is not divisible by {format_poly(b)}") from None
-    return _unpack(q, Fraction(db, da * g), sb - sa, w)
 
 
 # -- integer working form -----------------------------------------------------
 #
-# Products, poly_div_exact, hankel_raw, locus and verify run on dicts
-# {key: int}.  A key packs (e_p, e_x, e_y), all >= 0, as
-# (e_p << 2w) | (e_x << w) | e_y, so int order is lex order p > x > y and
-# adding keys multiplies monomials as long as no exponent reaches 2**w.  The
-# width w comes from a degree bound on everything the caller builds; _pack,
-# _idiv and the ring type _IntForm, in which verify checks its identities
-# and divides out powers of R and S exactly, check it.  hankel_raw and
-# locus pack (e_p, e_x, e_s) in the same way, s = x**2 + y**2 - 1, and
-# _expand_s turns such a form into one in (p, x, y).
+# Products, exact division, the normal form, hankel_raw, locus and verify run
+# on one type, _IntForm, around a dict q = {key: int}.  A key packs three
+# exponents, all >= 0, as (e_1 << 2w) | (e_2 << w) | e_3, so int order is lex
+# order and adding keys multiplies monomials as long as no exponent reaches
+# 2**w; _mul_sub and _idiv work on such dicts.
+
+_PXY, _PXS = "(p, x, y)", "(p, x, s)"
 
 
 def _den_lcm(coeffs: Iterable[Scalar]) -> int:
     return math.lcm(1, *(c.denominator for c in coeffs))
 
 
-def _max_degree(terms: Mapping[Expo, Scalar], shift: int) -> tuple[int, int, int]:
-    return (
-        max(e[0] for e in terms) + shift,
-        max(e[1] for e in terms),
-        max(e[2] for e in terms),
-    )
+def _degrees(terms: Mapping[Expo, Scalar]) -> tuple[int, int, int, int]:
+    """The lowest p-exponent and the highest p-, x- and y-exponents."""
+    ps, xs, ys = zip(*terms)
+    return min(ps), max(ps), max(xs), max(ys)
 
 
 def _width(bound: int) -> int:
     """Bits per exponent field so that exponents up to `bound` fit."""
     return max(1, bound.bit_length())
-
-
-def _pack(terms: Mapping[Expo, Scalar], scale: int, shift: int, w: int) -> dict[int, int]:
-    """Integer form of scale * p**shift * terms; scale clears every denominator."""
-    top = 1 << w
-    out = {}
-    for (ep, ex, ey), c in terms.items():
-        ep += shift
-        if not (0 <= ep < top and ex < top and ey < top):
-            raise PolycoreError(f"exponent {(ep, ex, ey)} does not fit {w}-bit fields")
-        out[(((ep << w) | ex) << w) | ey] = c.numerator * (scale // c.denominator)
-    return out
-
-
-def _pack_all(fs: Sequence[LaurentPoly3], degree: int) -> tuple[list[dict[int, int]], int, int, int]:
-    """Integer forms of fs at one scale and p-shift, in a width that fits
-    any product of `degree` of them: (forms, scale, shift, w).  A form of
-    degree d in them is scale**d * p**(d * shift) times that form in fs."""
-    nonzero = [f for f in fs if f.terms]
-    scale = _den_lcm(c for f in nonzero for c in f.terms.values())
-    shift = -min(f.min_p_exponent() for f in nonzero)
-    w = _width(degree * max(max(_max_degree(f.terms, shift)) for f in nonzero))
-    return [_pack(f.terms, scale, shift, w) for f in fs], scale, shift, w
-
-
-def _unpack(a: dict[int, int], scale: Fraction, shift: int, w: int) -> LaurentPoly3:
-    """scale * p**shift * a as a LaurentPoly3, terms in descending order."""
-    mask = (1 << w) - 1
-    num, den = scale.numerator, scale.denominator
-    return _raw({
-        ((k >> 2 * w) + shift, (k >> w) & mask, k & mask): Fraction(a[k] * num, den)
-        for k in sorted(a, reverse=True)
-    })
 
 
 def _mul_sub(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
@@ -379,104 +335,99 @@ def _idiv(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
     return q
 
 
-def _expand_s(q: dict[int, int], w: int) -> tuple[dict[int, int], int]:
-    """q, an integer form in (p, x, s) at width w, in (p, x, y) with
-    s = x**2 + y**2 - 1: (the form, its width), keys in descending order.
-
-    Two binomial expansions: s = r - 1 takes c s**k to the sum of
-    (-1)**(k - j) C(k, j) c r**j, and r = x**2 + y**2 takes c x**b r**j to
-    the sum of C(j, i) c x**(b + 2j - 2i) y**(2i).  The change of variables
-    is unimodular over Z, so the content and the lowest power of p are
-    those of q."""
-    mask = (1 << w) - 1
-    w2 = _width(max(max(k >> 2 * w, ((k >> w) & mask) + 2 * (k & mask)) for k in q))
-    rows = [[1]]  # C(k, 0..k)
-    for _ in range(max(k & mask for k in q)):
-        rows.append([a + b for a, b in zip(rows[-1] + [0], [0] + rows[-1])])
-    r: dict[int, int] = {}  # in (p, x, r), at width w
-    get = r.get
-    for key, c in q.items():
-        k = key & mask
-        base = key - k
-        for j, m in enumerate(rows[k]):
-            r[base + j] = get(base + j, 0) + (-c * m if (k - j) & 1 else c * m)
-    # r**j as (key offset from x**(2j), coefficient) at width w2
-    powers = [[(i * (2 - (2 << w2)), m) for i, m in enumerate(row)] for row in rows]
-    out: dict[int, int] = {}
-    get = out.get
-    for key, c in r.items():
-        if c:
-            j = key & mask
-            base = ((key >> 2 * w) << 2 * w2) | ((((key >> w) & mask) + 2 * j) << w2)
-            for off, m in powers[j]:
-                out[base + off] = get(base + off, 0) + c * m
-    return {k: out[k] for k in sorted(out, reverse=True) if out[k]}, w2
-
-
-def _scaled(a: dict[int, int], m: int) -> dict[int, int]:
-    return {k: c * m for k, c in a.items()}
-
-
 def _top(q: dict[int, int], w: int) -> int:
     """The largest exponent of any variable in the integer form q."""
     mask = (1 << w) - 1
-    return max((max(k >> 2 * w, (k >> w) & mask, k & mask) for k in q), default=0)
+    return max(max(q) >> 2 * w, max((k >> w) & mask for k in q), max(k & mask for k in q)) if q else 0
 
 
 class _IntForm:
-    """A polynomial in (p, x, y) over Q with no negative power of p, as
-    q / den for q in the integer form at width w.  A ring under +, - and *
-    (by a form, an int or a Fraction), with ** through `_power`: every
-    product of forms is one `_mul_sub`, and == cross-multiplies the two
-    denominators.  / is exact division, one `_idiv`, and raises NotDivisible
-    when the divisor does not divide.  deg bounds every exponent in q, so a
-    product whose bound reaches 2**w raises instead of carrying into the
-    next field; a quotient and a p-coefficient carry their own largest
-    exponent."""
+    """p**shift * q / den, a polynomial over Q that is Laurent in p, for q in
+    the integer form at width w in the variables `vars`: _PXY, or _PXS with
+    s = x**2 + y**2 - 1.  Forms at other widths or in other variables do not
+    mix, and only a form in _PXY has a LaurentPoly3 view (`poly`).  A ring
+    under +, - and * (by a form, an int or a Fraction) and ** (`_power`): a
+    product of forms is one `_mul_sub`, and / is one exact `_idiv` that
+    raises NotDivisible.  deg bounds every exponent in q, so a product whose
+    bound reaches 2**w raises instead of carrying into the next field.  A
+    polynomial has many forms; `reduced` and `canonical` pick one."""
 
-    __slots__ = ("q", "den", "deg", "w")
+    __slots__ = ("q", "den", "deg", "w", "shift", "vars")
 
-    def __init__(self, q: dict[int, int], den: int, deg: int, w: int):
-        self.q, self.den, self.deg, self.w = q, den, deg, w
+    def __init__(self, q: dict[int, int], den: int, deg: int, w: int, shift: int = 0, vars=_PXY):
+        self.q, self.den, self.deg, self.w, self.shift, self.vars = q, den, deg, w, shift, vars
 
     @staticmethod
-    def pack(fs: Sequence[LaurentPoly3], degree: int) -> list["_IntForm"]:
-        """Forms of fs at one width that fits any product of `degree` of them."""
-        degs = [max(_max_degree(f.terms, 0)) if f.terms else 0 for f in fs]
+    def pack(fs: Sequence[LaurentPoly3], degree: int, vars=_PXY) -> list["_IntForm"]:
+        """Forms of fs, read in the variables `vars`, at one width that fits
+        any product of `degree` of them.  Each keeps its lowest power of p in
+        its shift, and its terms in the order of f."""
+        boxes = [_degrees(f.terms) if f.terms else (0, 0, 0, 0) for f in fs]
+        degs = [max(hp - lo, hx, hy) for lo, hp, hx, hy in boxes]
         w = _width(degree * max(degs))
         out = []
-        for f, deg in zip(fs, degs):
+        for f, (s, *_), deg in zip(fs, boxes, degs):
             den = _den_lcm(f.terms.values())
-            out.append(_IntForm(_pack(f.terms, den, 0, w), den, deg, w))
+            q = {((((ep - s) << w) | ex) << w) | ey: c.numerator * (den // c.denominator)
+                 for (ep, ex, ey), c in f.terms.items()}
+            out.append(_IntForm(q, den, deg, w, s, vars))
         return out
+
+    def poly(self) -> LaurentPoly3:
+        """The form as a LaurentPoly3, terms in q's order, with an int
+        coefficient where den is 1.  A form in (p, x, s) has none."""
+        if self.vars != _PXY:
+            raise PolycoreError(f"a form in {self.vars} has no LaurentPoly3 view until expand_s")
+        w, shift, den = self.w, self.shift, self.den
+        mask = (1 << w) - 1
+        q = self.q if den == 1 else {k: Fraction(c, den) for k, c in self.q.items()}
+        return _raw({((k >> 2 * w) + shift, (k >> w) & mask, k & mask): c for k, c in q.items()})
+
+    def at_width(self, w: int) -> "_IntForm":
+        """The form re-keyed to w-bit fields, which must fit deg."""
+        if w == self.w:
+            return self
+        if self.deg >> w:
+            raise PolycoreError(f"a form of degree {self.deg} does not fit {w}-bit fields")
+        v, mask = self.w, (1 << self.w) - 1
+        q = {((((k >> 2 * v) << w) | ((k >> v) & mask)) << w) | (k & mask): c for k, c in self.q.items()}
+        return _IntForm(q, self.den, self.deg, w, self.shift, self.vars)
 
     def _lift(self, other) -> "_IntForm":
         if isinstance(other, _IntForm):
-            if other.w != self.w:
-                raise PolycoreError(f"forms of widths {self.w} and {other.w} do not mix")
-            return other
-        c = _as_fraction(other)
-        return _IntForm({0: c.numerator} if c else {}, c.denominator, 0, self.w)
+            if other.w == self.w and other.vars == self.vars:
+                return other
+            raise PolycoreError(f"forms of {self.w} and {other.w} bits in {self.vars} and {other.vars} do not mix")
+        c = other if isinstance(other, (int, Fraction)) else _as_fraction(other)
+        return _IntForm({0: c.numerator} if c else {}, c.denominator, 0, self.w, 0, self.vars)
+
+    def _terms(self, shift: int, den: int) -> dict[int, int]:
+        """q of the same polynomial at a shift <= self.shift and over a
+        multiple den of self.den."""
+        up, m = (self.shift - shift) << 2 * self.w, den // self.den
+        if not up and m == 1:
+            return self.q
+        return {k + up: c * m for k, c in self.q.items()}
 
     def __add__(self, other) -> "_IntForm":
         other = self._lift(other)
-        a, b, den = self.q, other.q, self.den
-        if other.den != den:
-            den = math.lcm(den, other.den)
-            a, b = _scaled(a, den // self.den), _scaled(b, den // other.den)
-        out = dict(a)
-        for k, c in b.items():
+        shift, den = self.shift, self.den
+        if other.shift != shift or other.den != den:
+            shift, den = min(shift, other.shift), math.lcm(den, other.den)
+        out = dict(self._terms(shift, den))
+        for k, c in other._terms(shift, den).items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
                 del out[k]
-        return _IntForm(out, den, max(self.deg, other.deg), self.w)
+        deg = max(self.deg + self.shift, other.deg + other.shift) - shift
+        return _IntForm(out, den, deg, self.w, shift, self.vars)
 
     __radd__ = __add__
 
     def __neg__(self) -> "_IntForm":
-        return _IntForm({k: -c for k, c in self.q.items()}, self.den, self.deg, self.w)
+        return _IntForm({k: -c for k, c in self.q.items()}, self.den, self.deg, self.w, self.shift, self.vars)
 
     def __sub__(self, other) -> "_IntForm":
         return self + -self._lift(other)
@@ -485,49 +436,120 @@ class _IntForm:
         return -self + other
 
     def __mul__(self, other) -> "_IntForm":
-        if isinstance(other, (int, Fraction)):  # a scalar costs no product
+        if not isinstance(other, _IntForm):  # a scalar costs no product
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             num = other.numerator
-            return _IntForm(_scaled(self.q, num) if num else {}, self.den * other.denominator, self.deg, self.w)
+            q = self.q if num == 1 else {k: c * num for k, c in self.q.items()} if num else {}
+            return _IntForm(q, self.den * other.denominator, self.deg, self.w, self.shift, self.vars)
         other = self._lift(other)
         deg = self.deg + other.deg
         if deg >> self.w:
             raise PolycoreError(f"a product of degree {deg} does not fit {self.w}-bit fields")
-        return _IntForm(_mul_sub(self.q, other.q, {}, {}), self.den * other.den, deg, self.w)
+        return _IntForm(_mul_sub(self.q, other.q, {}, {}), self.den * other.den, deg, self.w,
+                        self.shift + other.shift, self.vars)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "_IntForm":
         return _power(self, n, self._lift(1))
 
+    def times_p(self, e: int) -> "_IntForm":
+        """p**e times the form: the shift moves, and no product is made."""
+        return _IntForm(self.q, self.den, self.deg, self.w, self.shift + e, self.vars)
+
     def __truediv__(self, other) -> "_IntForm":
-        # the divisor's content moves into den, so the integer step divides
-        # by a primitive form: exact over Q means exact over Z (Gauss's lemma)
+        # the divisor's lowest power of p moves into the shift, so the
+        # quotient needs no negative one, and its content into den, so the
+        # integer step divides by a primitive form: exact over Q means exact
+        # over Z (Gauss's lemma)
         other = self._lift(other)
         if not other.q:
             raise ZeroDivisionError("division by the zero form")
-        g = math.gcd(*other.q.values())
-        q = _idiv(self.q, {k: c // g for k, c in other.q.items()} if g > 1 else other.q, self.w)
-        return _IntForm(_scaled(q, other.den) if other.den > 1 else q, self.den * g, _top(q, self.w), self.w)
+        w = self.w
+        g, low = math.gcd(*other.q.values()), min(other.q) >> 2 * w
+        q = _idiv(self.q, other._strip(g, low), w)
+        return _IntForm({k: c * other.den for k, c in q.items()} if other.den > 1 else q, self.den * g,
+                        _top(q, w), w, self.shift - other.shift - low, self.vars)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _IntForm):
             return NotImplemented
         other = self._lift(other)
-        if self.den == other.den:
-            return self.q == other.q
-        return _scaled(self.q, other.den) == _scaled(other.q, self.den)
+        shift, den = min(self.shift, other.shift), math.lcm(self.den, other.den)
+        return self._terms(shift, den) == other._terms(shift, den)
 
     __hash__ = None
 
+    def _strip(self, g: int, low: int) -> dict[int, int]:
+        """q over g, which divides its content, and over p**low."""
+        if g == 1 and not low:
+            return self.q
+        off = low << 2 * self.w
+        return {k - off: c // g for k, c in self.q.items()}
+
+    def reduced(self) -> "_IntForm":
+        """The same polynomial with gcd(content, den) divided out of q and
+        den, and q's lowest power of p moved into the shift."""
+        g, low = math.gcd(self.den, *self.q.values()), min(self.q) >> 2 * self.w
+        q = self._strip(g, low)
+        return _IntForm(q, self.den // g, _top(q, self.w), self.w, self.shift + low, self.vars)
+
+    def canonical(self) -> "_IntForm":
+        """The normal form of a nonzero form, as `canonicalize` defines it: q
+        over its content, negated where its leading term is negative, den 1,
+        and the shift that makes the lowest power of p 0.  Terms keep q's
+        order."""
+        g = math.gcd(*self.q.values())
+        if self.q[max(self.q)] < 0:
+            g = -g
+        return _IntForm(self._strip(g, 0), 1, self.deg, self.w, -(min(self.q) >> 2 * self.w), self.vars)
+
     def p_coefficients(self) -> list["_IntForm"]:
-        """The coefficients of p**0 .. p**d, each a form in x and y alone."""
+        """The coefficients of p**shift .. p**(shift + d), each a form in the
+        other two variables alone."""
         shift = 2 * self.w
         low = (1 << shift) - 1
         split: dict[int, dict[int, int]] = {}
         for k, c in self.q.items():
             split.setdefault(k >> shift, {})[k & low] = c
         parts = [split.get(e, {}) for e in range(max(split, default=-1) + 1)]
-        return [_IntForm(a, self.den, _top(a, self.w), self.w) for a in parts]
+        return [_IntForm(a, self.den, _top(a, self.w), self.w, 0, self.vars) for a in parts]
+
+    def expand_s(self) -> "_IntForm":
+        """The form in (p, x, s) as one in (p, x, y), keys in descending
+        order, by two binomial expansions: s = r - 1 takes c s**k to the sum
+        of (-1)**(k - j) C(k, j) c r**j, and r = x**2 + y**2 takes c x**b r**j
+        to the sum of C(j, i) c x**(b + 2j - 2i) y**(2i).  The change is
+        unimodular over Z, so den, shift, content and lowest p-power stay."""
+        if self.vars != _PXS:
+            raise PolycoreError("only a form in (p, x, s) expands")
+        q, w = self.q, self.w
+        mask = (1 << w) - 1
+        deg = max(max(k >> 2 * w, ((k >> w) & mask) + 2 * (k & mask)) for k in q)
+        w2 = _width(deg)
+        rows = [[1]]  # C(k, 0..k)
+        for _ in range(max(k & mask for k in q)):
+            rows.append([a + b for a, b in zip(rows[-1] + [0], [0] + rows[-1])])
+        r: dict[int, int] = {}  # in (p, x, r), at width w
+        get = r.get
+        for key, c in q.items():
+            k = key & mask
+            base = key - k
+            for j, m in enumerate(rows[k]):
+                r[base + j] = get(base + j, 0) + (-c * m if (k - j) & 1 else c * m)
+        # r**j as (key offset from x**(2j), coefficient) at width w2
+        powers = [[(i * (2 - (2 << w2)), m) for i, m in enumerate(row)] for row in rows]
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in r.items():
+            if c:
+                j = key & mask
+                base = ((key >> 2 * w) << 2 * w2) | ((((key >> w) & mask) + 2 * j) << w2)
+                for off, m in powers[j]:
+                    out[base + off] = get(base + off, 0) + c * m
+        out = {k: out[k] for k in sorted(out, reverse=True) if out[k]}
+        return _IntForm(out, self.den, deg, w2, self.shift, _PXY)
 
 
 def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
@@ -539,18 +561,7 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
     """
     if a.is_zero():
         raise ZeroPolynomial("cannot canonicalize the zero polynomial")
-    (ia,), _, _, w = _pack_all([a], 1)
-    return _canonical(ia, w)
-
-
-def _canonical(q: dict[int, int], w: int) -> LaurentPoly3:
-    """canonicalize of nonzero q in integer form, with an int coefficient
-    per term in q's order (descending from _idiv and _unpack)."""
-    g = math.gcd(*q.values())
-    if q[max(q)] < 0:
-        g = -g
-    mask, low = (1 << w) - 1, min(q) >> 2 * w
-    return _raw({((k >> 2 * w) - low, (k >> w) & mask, k & mask): c // g for k, c in q.items()})
+    return _IntForm.pack([a], 1)[0].canonical().poly()
 
 
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
@@ -564,9 +575,9 @@ def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
     y = _as_fraction(y)
     if not a.terms:
         return UniPolyR([])
-    if a.min_p_exponent() < 0:
+    low, dp, dx, dy = _degrees(a.terms)
+    if low < 0:
         raise NegativePExponent("canonicalize before specializing")
-    dp, dx, dy = _max_degree(a.terms, 0)
     den = _den_lcm(a.terms.values())
     u, v = x.numerator, x.denominator
     s, t = y.numerator, y.denominator

@@ -301,8 +301,8 @@ def poly_det(m) -> LaurentPoly3:
     polycore's integer working form: the determinant route of
     `hankel_matrix`, and `resultant`'s.
 
-    The whole matrix is scaled by one lcm of denominators and one p-power,
-    so that its determinant is a known scalar multiple of the original.
+    The whole matrix is brought to one denominator and one p-shift, so that
+    its determinant is a known scalar multiple of the original.
     """
     k = len(m)
     if not k:
@@ -313,8 +313,12 @@ def poly_det(m) -> LaurentPoly3:
     if not any(v.terms for row in rows for v in row):
         return LaurentPoly3()
     # A minor's exponents are at most k times the largest; Bareiss multiplies two.
-    forms, den, shift, w = polycore._pack_all([v for row in rows for v in row], 2 * k)
-    mat = [forms[i * k:(i + 1) * k] for i in range(k)]
+    forms = polycore._IntForm.pack([v for row in rows for v in row], 2 * k)
+    den = math.lcm(*(f.den for f in forms))
+    shift = min(f.shift for f in forms if f.q)
+    w = forms[0].w
+    entries = [f._terms(shift, den) for f in forms]
+    mat = [entries[i * k:(i + 1) * k] for i in range(k)]
     sign = 1
     prev = {0: 1}
     for i in range(k - 1):
@@ -333,7 +337,8 @@ def poly_det(m) -> LaurentPoly3:
                 row[c] = polycore._idiv(polycore._mul_sub(piv, row[c], lead, top[c]), prev, w)
             row[i] = {}
         prev = piv
-    return polycore._unpack(mat[k - 1][k - 1], Fraction(sign, den**k), -k * shift, w)
+    det = mat[k - 1][k - 1]
+    return (polycore._IntForm(det, den**k, polycore._top(det, w), w, k * shift) * sign).poly()
 
 
 def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:

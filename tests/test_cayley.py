@@ -4,6 +4,7 @@ and the group law on the pencil's cubic, and canonical locus polynomials."""
 
 import hashlib
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -208,13 +209,15 @@ def test_s_form_seeds():
     # W_4 = -((s + 1) p + x s) / (2p); expanded back they are the seeds.
     S = LaurentPoly3.var_y()  # the third variable of an s-form
     half = Fraction(1, 2)
-    assert cayley._W_S[:2] == (LaurentPoly3.const(1),) * 2
-    assert cayley._W_S[2] == half * S
-    assert cayley._W_S[3] == -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)
+    one = LaurentPoly3.const(1)
+    closed = tuple(polycore._IntForm.pack([one, one, half * S, -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)],
+                                          1, polycore._PXS))
+    assert all(f.vars == polycore._PXS for f in cayley._W_S)
+    assert cayley._W_S[:2] == closed[:2]
+    assert cayley._W_S[2] == closed[2]
+    assert cayley._W_S[3] == closed[3]
     for j in range(4):
-        (q,), scale, shift, w = polycore._pack_all([cayley._W_S[j]], 1)
-        q, w = polycore._expand_s(q, w)
-        assert polycore._unpack(q, Fraction(1, scale), -shift, w) == cayley._W[j], j
+        assert cayley._W_S[j].expand_s().poly() == cayley._W[j], j
 
 
 def test_hankel_raw_matches_group_law_to_n16():
@@ -332,31 +335,37 @@ def test_locus_equals_fraction_reference():
         assert list(locus(n).canonical.terms.items()) == list(locus_reference(n).terms.items()), n
 
 
-def test_cold_loci_unpack_once_per_hankel(monkeypatch):
-    # A cold locus(3..12) leaves the integer form once per W_n, n = 5..8, in
-    # (p, x, s): the factors that the doubling formulas of n = 9..12 read (W_3
-    # and W_4 are built at import).  Each locus(n), n = 5..12, is expanded to
-    # (p, x, y) once and divides by its divisors' loci in integer form.  The
-    # (p, x, y) route made 4 unpacks too, of W_5..W_8 as the hankel_raw the
-    # formulas read; the Fraction route made 15 unpacks and 7 poly_div_exact
-    # calls.
-    calls = {"unpack": 0, "expand": 0, "div": 0}
-    unpack, expand, div = polycore._unpack, polycore._expand_s, polycore.poly_div_exact
+def test_cold_loci_pack_no_poly_and_view_once_per_locus(monkeypatch):
+    # A cold locus(3..12) stays in integer forms from the seeds, packed at
+    # import, to the canonical polynomial: it packs no LaurentPoly3 and
+    # builds one LaurentPoly3 view per locus(n).  Each locus(n), n = 5..12,
+    # is expanded to (p, x, y) once and divides by its divisors' loci as
+    # forms.  Before the single form type it packed 58 LaurentPoly3s in 12
+    # calls and built 16 views (12 canonical, 4 of W_5..W_8 in (p, x, s));
+    # the Fraction route made 15 unpacks and 7 poly_div_exact calls.
+    calls = {"pack": 0, "view": 0, "expand": 0, "div": 0}
+    form = polycore._IntForm
+    pack, poly, expand, div = form.pack, form.poly, form.expand_s, polycore.poly_div_exact
 
-    def counted_unpack(*args):
-        calls["unpack"] += 1
-        return unpack(*args)
+    def counted_pack(fs, *args):
+        calls["pack"] += len(fs)
+        return pack(fs, *args)
 
-    def counted_expand(*args):
+    def counted_poly(self):
+        calls["view"] += 1
+        return poly(self)
+
+    def counted_expand(self):
         calls["expand"] += 1
-        return expand(*args)
+        return expand(self)
 
     def counted_div(a, b):
         calls["div"] += 1
         return div(a, b)
 
-    monkeypatch.setattr(polycore, "_unpack", counted_unpack)
-    monkeypatch.setattr(polycore, "_expand_s", counted_expand)
+    monkeypatch.setattr(form, "pack", staticmethod(counted_pack))
+    monkeypatch.setattr(form, "poly", counted_poly)
+    monkeypatch.setattr(form, "expand_s", counted_expand)
     monkeypatch.setattr(polycore, "poly_div_exact", counted_div)
     monkeypatch.setattr(cayley, "poly_div_exact", counted_div)
     _clear_caches()
@@ -365,7 +374,20 @@ def test_cold_loci_unpack_once_per_hankel(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert calls == {"unpack": 4, "expand": 8, "div": 0}
+    assert calls == {"pack": 0, "view": 10, "expand": 8, "div": 0}
+
+
+def test_ladder_forms_are_reduced():
+    # Each W_n in the doubling ladder is kept reduced: gcd(content, den) = 1
+    # and its lowest power of p in the shift, so coefficients do not grow
+    # with the doubling depth.  Unreduced, W_8 keeps a factor 2 common to
+    # its content and den, and W_16 a factor 4.
+    _clear_caches()
+    for n in range(5, 13):
+        f = cayley._ws(n)
+        assert f.vars == polycore._PXS, n
+        assert math.gcd(f.den, *f.q.values()) == 1, n
+        assert min(k >> 2 * f.w for k in f.q) == 0, n
 
 
 def test_cold_loci_double_each_w_once(monkeypatch):
@@ -398,7 +420,7 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     # not divide m, so the only divisions are by locus(3) at n = 9 and by
     # locus(4) at n = 12, each through its s-form: s and (s + 1) p + x s.
     raw, read, divisors = [], [], []
-    raw_hankel, ws, idiv = cayley.hankel_raw, cayley._ws, polycore._idiv
+    raw_hankel, ws, divide = cayley.hankel_raw, cayley._ws, polycore._IntForm.__truediv__
 
     def counted_raw(n):
         raw.append(n)
@@ -408,14 +430,14 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
         read.append(n)
         return ws(n)
 
-    def counted_idiv(a, b, w):
-        divisors.append((b, w))
-        return idiv(a, b, w)
+    def counted_divide(a, b):
+        divisors.append(b)
+        return divide(a, b)
 
     _clear_caches()
     monkeypatch.setattr(cayley, "hankel_raw", counted_raw)
     monkeypatch.setattr(cayley, "_ws", counted_ws)
-    monkeypatch.setattr(polycore, "_idiv", counted_idiv)
+    monkeypatch.setattr(polycore._IntForm, "__truediv__", counted_divide)
     try:
         loci = {n: locus(n) for n in range(3, 13)}
     finally:
@@ -423,9 +445,9 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     assert raw == [] and set(read) == set(range(1, 9)), (raw, read)
     assert len(divisors) == 2
     S = LaurentPoly3.var_y()  # the third variable of an s-form
-    for k, (b, w), s_form in zip((3, 4), divisors, (S, (S + 1) * P + X * S)):
-        assert b == polycore._pack(s_form.terms, 1, 0, w), k
-        assert polycore._canonical(*polycore._expand_s(b, w)) == locus(k).canonical, k
+    for k, b, s_form in zip((3, 4), divisors, (S, (S + 1) * P + X * S)):
+        assert b == polycore._IntForm.pack([s_form], 1, polycore._PXS)[0].at_width(b.w), k
+        assert b.expand_s().canonical().poly() == locus(k).canonical, k
     for n, loc in loci.items():
         assert loc.raw_hankel == hankel_raw(n), n
         assert _sha256(loc.raw_hankel) == HANKEL_RAW_SHA256[n], n

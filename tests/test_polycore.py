@@ -90,6 +90,14 @@ def test_laurent_exponents():
     assert a.min_p_exponent() == -2
 
 
+def test_exponents_must_be_integers():
+    # a float or str exponent raises instead of being truncated: (1.5, 0, 0)
+    # would read as p and (0, 0.7, 0) as the constant
+    for e in ((1.5, 0, 0), (0, 0.7, 0), (0, 0, 2.0), ("1", 0, 0)):
+        with pytest.raises(TypeError):
+            LaurentPoly3({e: 1})
+
+
 def test_evaluate_is_exact_at_an_int_p():
     # W_4 has a term in p**-1: an int p must not turn it into a float
     value = hankel_raw(4).evaluate(2, 1, 1)
@@ -192,37 +200,39 @@ def test_expand_s_matches_substitution():
         reference = LaurentPoly3()
         for (ep, ex, es), c in f.terms.items():
             reference = reference + LaurentPoly3.monomial(c, ep, ex) * s**es
-        (q,), _, _, w = polycore._pack_all([f], 1)
-        q, w = polycore._expand_s(q, w)
-        assert list(q) == sorted(q, reverse=True)
-        assert polycore._unpack(q, Fraction(1), 0, w) == reference, f
+        e = _IntForm.pack([f], 1, polycore._PXS)[0].expand_s()
+        assert list(e.q) == sorted(e.q, reverse=True)
+        assert e.poly() == reference, f
 
 
-def _unpacked(f):
-    return polycore._unpack(f.q, Fraction(1, f.den), 0, f.w)
+def _laurent_poly(rng, nterms):
+    # p-exponents -3..3 with a negative one in most draws, or 0..5
+    return LaurentPoly3.var_p(rng.choice((-1, 0, 2))) * _rand_poly(rng, nterms)
 
 
 def test_int_form_ring_matches_laurent_poly3():
     # sums, differences, products, Fraction multiples and powers of packed
-    # forms, on rational coefficients, zero operands and cancelling terms,
-    # unpack to the LaurentPoly3 results
+    # forms, on rational coefficients, Laurent operands, zero operands and
+    # cancelling terms, view as the LaurentPoly3 results
     rng = make_rng(43)
-    count = {"fraction": 0, "zero": 0, "dens differ": 0}
+    count = {"fraction": 0, "zero": 0, "dens differ": 0, "laurent": 0, "shifts differ": 0}
     for _ in range(200):
-        a, b, c = (P**2 * _rand_poly(rng, rng.randint(0, 5)) for _ in range(3))
+        a, b, c = (_laurent_poly(rng, rng.randint(0, 5)) for _ in range(3))
         k, e = rand_fraction(rng, 9, 5), rng.randint(0, 3)
         fa, fb, fc = _IntForm.pack([a, b, c], 3)
         count["fraction"] += any(t.denominator != 1 for t in a.terms.values())
         count["zero"] += a.is_zero()
         count["dens differ"] += fa.den != fb.den
-        assert _unpacked(fa + fb) == a + b
-        assert _unpacked(fa - fb) == a - b
-        assert _unpacked(fa - fa) == LaurentPoly3()
-        assert _unpacked(fa * fb - fc) == a * b - c
-        assert _unpacked(k * fa + fb * k) == k * a + b * k
-        assert _unpacked(3 - fa + k) == 3 - a + k
-        assert _unpacked(fa**e) == a**e
-        assert _unpacked(fa * fb * fc) == a * b * c
+        count["laurent"] += any(t[0] < 0 for t in a.terms)
+        count["shifts differ"] += fa.shift != fb.shift
+        assert (fa + fb).poly() == a + b
+        assert (fa - fb).poly() == a - b
+        assert (fa - fa).poly() == LaurentPoly3()
+        assert (fa * fb - fc).poly() == a * b - c
+        assert (k * fa + fb * k).poly() == k * a + b * k
+        assert (3 - fa + k).poly() == 3 - a + k
+        assert (fa**e).poly() == a**e
+        assert (fa * fb * fc).poly() == a * b * c
     assert min(count.values()) >= 10, count
 
 
@@ -244,18 +254,21 @@ def test_int_form_division_is_exact():
     # a remainder raises NotDivisible, the zero form ZeroDivisionError, and
     # the quotient's degree bound is its own largest exponent
     rng = make_rng(45)
-    count = {"fraction": 0, "content": 0}
+    count = {"fraction": 0, "content": 0, "laurent": 0}
     for _ in range(100):
-        a = P**2 * _rand_poly(rng, rng.randint(1, 5))
-        b = P**2 * _rand_poly(rng, rng.randint(1, 4)) * rand_fraction(rng, 6, 5)
-        if a.is_zero() or b.is_zero() or not any(e != (0, 0, 0) for e in b.terms):
+        a = _laurent_poly(rng, rng.randint(1, 5))
+        b = _laurent_poly(rng, rng.randint(1, 4)) * rand_fraction(rng, 6, 5)
+        if a.is_zero() or b.is_zero() or not any(e[1:] != (0, 0) for e in b.terms):
             continue
         fa, fb, fab, fone = _IntForm.pack([a, b, a * b, LaurentPoly3.const(1)], 3)
         count["fraction"] += any(t.denominator != 1 for t in b.terms.values())
         count["content"] += math.gcd(*fb.q.values()) > 1
+        count["laurent"] += any(t[0] < 0 for t in a.terms) or any(t[0] < 0 for t in b.terms)
         quotient = fab / fb
-        assert quotient == fa and _unpacked(quotient) == a
-        assert quotient.deg == max(max(e) for e in a.terms)
+        assert quotient == fa and quotient.poly() == a
+        low = a.min_p_exponent()
+        assert quotient.shift == low
+        assert quotient.deg == max(max(ep - low, ex, ey) for ep, ex, ey in a.terms)
         with pytest.raises(NotDivisible):
             (fab + fone) / fb
         with pytest.raises(ZeroDivisionError):
@@ -269,14 +282,25 @@ def test_int_form_product_past_the_width_raises():
     fx3, fy = _IntForm.pack([LaurentPoly3.monomial(1, 0, 3, 0), Y], 1)
     assert fx3.w == 2
     wrapped = polycore._mul_sub(fx3.q, fx3.q, {}, {})
-    assert _unpacked(_IntForm(wrapped, 1, 0, 2)) == P * X**2
+    assert _IntForm(wrapped, 1, 0, 2).poly() == P * X**2
     for product in (lambda: fx3 * fx3, lambda: fx3**2):
         with pytest.raises(PolycoreError, match="does not fit 2-bit fields"):
             product()
     with pytest.raises(PolycoreError, match="do not mix"):
         fy + _IntForm.pack([Y], 8)[0]
-    with pytest.raises(PolycoreError, match="does not fit"):
-        _IntForm.pack([LaurentPoly3.var_p(-1)], 1)
+    # forms in (p, x, y) and in (p, x, s) do not mix, and an s-form has no
+    # LaurentPoly3 view until it is expanded
+    _, fs = _IntForm.pack([LaurentPoly3.monomial(1, 0, 3, 0), Y], 1, polycore._PXS)
+    assert fs.w == fy.w
+    for mixed in (lambda: fy + fs, lambda: fy * fs, lambda: fy / fs, lambda: fy == fs):
+        with pytest.raises(PolycoreError, match=r"in \(p, x, y\) and \(p, x, s\) do not mix"):
+            mixed()
+    with pytest.raises(PolycoreError, match="no LaurentPoly3 view"):
+        fs.poly()
+    assert fs.expand_s().poly() == Y**2 + X**2 - 1
+    # a negative power of p goes into the shift: the form round-trips
+    (fp,) = _IntForm.pack([LaurentPoly3.var_p(-1)], 1)
+    assert fp.shift == -1 and fp.poly() == LaurentPoly3.var_p(-1)
 
 
 def test_canonical_forms_hold_int_coefficients():
