@@ -1,15 +1,16 @@
 """Pencil coefficients, the Cayley series, the Hankel determinants W_n and
 canonical locus polynomials for the circle/parabola pencil.
 
-W_n = hankel_raw(n) comes from W_1 = W_2 = 1, W_3 = A_2 and W_4 = A_3
-(A_k = atilde_k / k!) by the doubling formulas of elliptic divisibility
-sequences, products alone.  Every W_n is even in y, so the formulas and
-locus's exact divisions run in (p, x, s), s = x^2 + y^2 - 1, where W_n has
-about 9 times fewer terms, on one integer type, `polycore._IntForm`, from
-the seeds to each public result (`hankel_raw(n)`, `locus(n).canonical`),
-which is expanded to (p, x, y) and viewed as a LaurentPoly3 once.  The Hankel matrix,
-with its Bareiss determinant, the Somos-4 recurrence and the group law on
-the pencil's cubic survive in the tests as independent references."""
+W_n = hankel_raw(n) comes from typed seeds, W_1 = W_2 = 1 and Cayley's
+criterion at n = 3 and 4 (Griffiths and Harris, 1978), by the doubling
+formulas of elliptic divisibility sequences, products alone.  Every W_n is
+even in y, so the seeds, the formulas and locus's exact divisions are in
+(p, x, s), s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms, on
+one integer type, `polycore._IntForm`; each public result (`hankel_raw(n)`,
+`locus(n).canonical`) is expanded to (p, x, y) and viewed once.  The series
+(`atilde_sequence`) is off the library's path, the seeds' reference; the
+Hankel matrix, with its Bareiss determinant, the Somos-4 recurrence and the
+group law on the pencil's cubic survive in the tests as references."""
 
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ class PencilCoeffs:
 
 
 def pencil_coeffs() -> PencilCoeffs:
+    """The pencil's coefficients, read by the series alone: nothing on the
+    library's path calls it."""
     return PencilCoeffs(
         delta1=LaurentPoly3.const(-1),
         theta1=-(_P**2) - 2 * _P * _X + _Y**2 - 1,
@@ -54,7 +57,9 @@ def atilde_sequence(K: int) -> tuple[LaurentPoly3, ...]:
     entry k - 1 of the tuple holds k! * A0 * A_k.
 
     Only A0^2 = delta2 ever enters the recursion, so no square root (and no
-    branch choice) appears in exact computation.
+    branch choice) appears in exact computation.  The reference for the
+    seeds, W_3 = A_2 and W_4 = A_3 with A_k = entry k / k!, and for the
+    tests' Hankel matrix: nothing on the library's path calls it.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -63,8 +68,9 @@ def atilde_sequence(K: int) -> tuple[LaurentPoly3, ...]:
 
 @lru_cache(maxsize=None)
 def _atilde(k: int) -> LaurentPoly3:
-    """Entry k >= 1 of atilde_sequence.  That function asks for the entries
-    in increasing order, so the recursion finds each earlier one cached."""
+    """Entry k >= 1 of atilde_sequence, off the library's path.  That
+    function asks for the entries in increasing order, so the recursion
+    finds each earlier one cached."""
     pc = pencil_coeffs()
     if k == 1:
         return pc.theta2 * Fraction(1, 2)
@@ -77,21 +83,10 @@ def _atilde(k: int) -> LaurentPoly3:
     return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
-_W = (LaurentPoly3.const(1),) * 2 + tuple(a * Fraction(1, k) for a, k in zip(atilde_sequence(3)[1:], (2, 6)))
-
-
-def _s_form(f: LaurentPoly3) -> LaurentPoly3:
-    """f, even in y, in (p, x, s) with s = x**2 + y**2 - 1: y**2 becomes
-    s + 1 - x**2, and the third variable of the result is s."""
-    y2 = _Y + 1 - _X**2
-    return sum((LaurentPoly3.monomial(c, ep, ex) * y2 ** (ey // 2) for (ep, ex, ey), c in f.terms.items()),
-               LaurentPoly3())
-
-
-# The seeds as forms: in (p, x, y) for locus(3) and locus(4), and in (p, x, s),
-# W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p), for the doubling formulas.
-_W_XY = tuple(_IntForm.pack(_W, 1))
-_W_S = tuple(_IntForm.pack([_s_form(f) for f in _W], 1, polycore._PXS))
+# The seeds W_1..W_4 in (p, x, s): 1, 1, s/2 and -((s + 1) p + x s) / (2p).
+_S = _Y  # LaurentPoly3's third variable, read as s by a form in (p, x, s)
+_W_S = tuple(_IntForm.pack([LaurentPoly3.const(1)] * 2 + [Fraction(1, 2) * _S,
+                            Fraction(-1, 2) * (_S + 1 + LaurentPoly3.var_p(-1) * _X * _S)], 1, polycore._PXS))
 
 
 @lru_cache(maxsize=None)
@@ -150,13 +145,12 @@ def hankel_raw(n: int) -> LaurentPoly3:
       W_2m+1 = (2 delta2)^-(m-1) (delta2^[m even] W_m+2 W_m^3 - delta2^[m odd] W_m-1 W_m+1^3).
 
     Every W_n is even in y, so the formulas run in (p, x, s) with
-    s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms (`_doubling`,
-    from the seeds W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p)).  The
-    result is expanded to (p, x, y) and viewed once."""
+    s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms (`_doubling`),
+    from seeds typed in closed form, not the series' A_2 and A_3: W_3 = s/2
+    and W_4 = -((s + 1) p + x s) / (2p).  For every n >= 3 the result is
+    expanded to (p, x, y) and viewed once."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    if n <= 4:
-        return _W[n - 1]
     return _ws(n).expand_s().poly()
 
 
@@ -217,12 +211,10 @@ def locus(n: int) -> LocusPolynomial:
 
     The division runs in (p, x, s), s = x^2 + y^2 - 1 (`_locus_s`).  The
     quotient is expanded to (p, x, y), which keeps content and the lowest
-    power of p, in descending term order, normalized and viewed once.  n = 3
-    and 4 keep the seeds' order."""
+    power of p, in descending term order, normalized and viewed once."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    form = _W_XY[n - 1] if n <= 4 else _locus_s(n).expand_s()
-    return LocusPolynomial(n, tuple(proper_divisors(n)), form.canonical().poly())
+    return LocusPolynomial(n, tuple(proper_divisors(n)), _locus_s(n).expand_s().canonical().poly())
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:

@@ -641,6 +641,8 @@ def parse_poly(text: str) -> LaurentPoly3:
             else:
                 coeff *= Fraction(factor)
         e = (expo[0], expo[1], expo[2])
+        if expo[1] < 0 or expo[2] < 0:
+            raise ValueError(f"x and y exponents must be nonnegative: {tok}")
         c = terms.get(e, _ZERO) + (-coeff if sign == "-" else coeff)
         if c:
             terms[e] = c

@@ -11,7 +11,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .cayley import hankel_raw, locus, locus_at_p
+from .cayley import _ws, locus, locus_at_p
 from .classify import DISCRIMINANT_FACTORS
 from .polycore import (
     LaurentPoly3,
@@ -19,8 +19,6 @@ from .polycore import (
     PolycoreError,
     _discriminant,
     _IntForm,
-    canonicalize,
-    poly_div_exact,
     quartic_D,
     quartic_O,
     quartic_P,
@@ -170,8 +168,9 @@ def checks() -> list[tuple[str, bool]]:
     larger of each pair of exponents keeps the difference.  R and S are not
     zero, so the comparison is exact and equivalent to that of the full
     F(a), for any locus."""
-    try:
-        quotient = canonicalize(poly_div_exact(hankel_raw(6), hankel_raw(3)))
+    try:  # W_6 / W_3 in (p, x, s), expanded and normalized once
+        w6 = _ws(6)
+        quotient = (w6 / _ws(3).at_width(w6.w)).expand_s().canonical().poly()
     except PolycoreError:
         quotient = LaurentPoly3()  # never canonical: an inexact division fails the row
     half = Fraction(1, 2)

@@ -499,8 +499,10 @@ def checks_reference() -> list[tuple[str, bool]]:
     every discriminant and invariant expanded on the full p-coefficients.
     The reference for verify.checks, which compares the same rows in one
     integer form on weight-reduced p-coefficients.  It reads the loci, the
-    printed sides, the factor table and the hexagon division through verify
-    and classify, so a test that patches one of them changes both routes."""
+    printed sides and the factor table through verify and classify, so a
+    test that patches one of them changes both routes.  The hexagon row
+    divides the public hankel_raw(6) by hankel_raw(3), where checks divides
+    W_6 by W_3 in (p, x, s): the two routes differ there."""
     X, Y, R, S = verify.X, verify.Y, verify.R, verify.S
     rows = [
         (f"locus n={n} matches the printed polynomial", verify.locus(n).canonical, verify.paper_locus(n))
@@ -513,7 +515,7 @@ def checks_reference() -> list[tuple[str, bool]]:
          locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
     ]
     try:
-        quotient = polycore.canonicalize(verify.poly_div_exact(hankel_raw(6), hankel_raw(3)))
+        quotient = polycore.canonicalize(polycore.poly_div_exact(hankel_raw(6), hankel_raw(3)))
     except polycore.PolycoreError:
         quotient = None
     rows.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, verify.paper_locus(6)))

@@ -5,6 +5,9 @@ and the group law on the pencil's cubic, and canonical locus polynomials."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -204,9 +207,10 @@ def test_golden_digests_n3_to_12():
 
 
 def test_s_form_seeds():
-    # The seeds in (p, x, s), s = x^2 + y^2 - 1, derived at import from the
-    # (p, x, y) seeds, are the closed forms W_3 = s/2 and
-    # W_4 = -((s + 1) p + x s) / (2p); expanded back they are the seeds.
+    # The seeds, typed in (p, x, s), s = x^2 + y^2 - 1, are the closed forms
+    # W_3 = s/2 and W_4 = -((s + 1) p + x s) / (2p).  Expanded to (p, x, y),
+    # they and hankel_raw(3), hankel_raw(4) are the series' A_k = atilde_k / k!,
+    # which stays their reference.
     S = LaurentPoly3.var_y()  # the third variable of an s-form
     half = Fraction(1, 2)
     one = LaurentPoly3.const(1)
@@ -216,8 +220,12 @@ def test_s_form_seeds():
     assert cayley._W_S[:2] == closed[:2]
     assert cayley._W_S[2] == closed[2]
     assert cayley._W_S[3] == closed[3]
+    a = atilde_sequence(3)
+    series = [one, one, a[1] * Fraction(1, 2), a[2] * Fraction(1, 6)]  # A_k = atilde_k / k!
     for j in range(4):
-        assert cayley._W_S[j].expand_s().poly() == cayley._W[j], j
+        assert cayley._W_S[j].expand_s().poly() == series[j], j
+    assert hankel_raw(3) == series[2]
+    assert hankel_raw(4) == series[3]
 
 
 def test_hankel_raw_matches_group_law_to_n16():
@@ -338,11 +346,12 @@ def test_locus_equals_fraction_reference():
 def test_cold_loci_pack_no_poly_and_view_once_per_locus(monkeypatch):
     # A cold locus(3..12) stays in integer forms from the seeds, packed at
     # import, to the canonical polynomial: it packs no LaurentPoly3 and
-    # builds one LaurentPoly3 view per locus(n).  Each locus(n), n = 5..12,
+    # builds one LaurentPoly3 view per locus(n).  Each locus(n), n = 3..12,
     # is expanded to (p, x, y) once and divides by its divisors' loci as
-    # forms.  Before the single form type it packed 58 LaurentPoly3s in 12
-    # calls and built 16 views (12 canonical, 4 of W_5..W_8 in (p, x, s));
-    # the Fraction route made 15 unpacks and 7 poly_div_exact calls.
+    # forms; with seeds kept in (p, x, y) for n = 3, 4 it made 8 expansions.
+    # Before the single form type it packed 58 LaurentPoly3s in 12 calls and
+    # built 16 views (12 canonical, 4 of W_5..W_8 in (p, x, s)); the
+    # Fraction route made 15 unpacks and 7 poly_div_exact calls.
     calls = {"pack": 0, "view": 0, "expand": 0, "div": 0}
     form = polycore._IntForm
     pack, poly, expand, div = form.pack, form.poly, form.expand_s, polycore.poly_div_exact
@@ -374,7 +383,21 @@ def test_cold_loci_pack_no_poly_and_view_once_per_locus(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert calls == {"pack": 0, "view": 10, "expand": 8, "div": 0}
+    assert calls == {"pack": 0, "view": 10, "expand": 10, "div": 0}
+
+
+def test_library_path_runs_no_series():
+    # A fresh interpreter imports poncelet, builds locus(3..12) and
+    # hankel_raw(3..12) and runs verify.checks() without one call into the
+    # series: the seeds are typed.  Derived from atilde_sequence(3) at
+    # import, they left 3 entries in its cache.
+    code = ("import poncelet\nfrom poncelet import cayley, verify\n"
+            "for n in range(3, 13):\n    cayley.locus(n)\n    cayley.hankel_raw(n)\n"
+            "assert all(ok for _, ok in verify.checks())\nprint(cayley._atilde.cache_info().currsize)")
+    path = os.pathsep.join(filter(None, [str(Path(cayley.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"]
 
 
 def test_ladder_forms_are_reduced():

@@ -371,13 +371,12 @@ def test_verify_identities_exit_code(capsys):
 
 
 def test_verify_inexact_hexagon_division_fails_one_row(capsys, monkeypatch):
-    from poncelet import verify
-    from poncelet.polycore import NotDivisible
+    from poncelet import cayley, verify
 
-    def not_divisible(a, b):
-        raise NotDivisible("forced")
+    def w_not_divisible(n):  # W_6 + 1: W_3 = s/2 divides W_6, not W_6 + 1
+        return cayley._ws(n) + 1 if n == 6 else cayley._ws(n)
 
-    monkeypatch.setattr(verify, "poly_div_exact", not_divisible)
+    monkeypatch.setattr(verify, "_ws", w_not_divisible)
     results = verify.checks()
     assert [name for name, _ in results] == [ln[6:] for ln in VERIFY_STDOUT.splitlines()]
     assert [name for name, passed in results if not passed] == [

@@ -424,6 +424,9 @@ def test_parse_poly_term_syntax():
         assert parse_poly(zero) == LaurentPoly3()
     assert parse_poly("x + 3 - x - 1") == LaurentPoly3.const(2)
     assert parse_poly("3*x*x*y") == 3 * X**2 * Y
+    for bad in ("x^-1", "3*p*y^-2"):  # packed keys would carry across fields
+        with pytest.raises(ValueError):
+            parse_poly(bad)
 
 
 @settings(max_examples=60, deadline=None)
