@@ -14,12 +14,12 @@ group law on the pencil's cubic survive in the tests as references."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from . import polycore
+from ._record import record
 from .geometry import DegenerateParabola
 from .polycore import LaurentPoly3, ZeroPolynomial, _IntForm, canonicalize, poly_div_exact
 
@@ -30,7 +30,7 @@ _X = LaurentPoly3.var_x()
 _Y = LaurentPoly3.var_y()
 
 
-@dataclass(frozen=True)
+@record
 class PencilCoeffs:
     """The four characteristic-polynomial coefficients of the pencil
     det(lambda*circle + parabola) for a unit circle centered at (x, y)."""
@@ -154,7 +154,7 @@ def hankel_raw(n: int) -> LaurentPoly3:
     return _ws(n).expand_s().poly()
 
 
-@dataclass(frozen=True)
+@record
 class LocusPolynomial:
     """Canonical locus of circle centers forming an n-Poncelet pair with the
     parabola of parameter p, with its Hankel provenance."""

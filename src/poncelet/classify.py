@@ -12,9 +12,9 @@ appear only in reported root values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .cayley import locus
 from .polycore import (
     RootList,
@@ -58,14 +58,14 @@ class AtFocus(ClassifyError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Center:
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    def __init__(self, x: Scalar, y: Scalar):
+        object.__setattr__(self, "x", Fraction(x))
+        object.__setattr__(self, "y", Fraction(y))
 
     def norm2(self) -> Fraction:
         return self.x * self.x + self.y * self.y
@@ -88,7 +88,7 @@ def p_polynomial(n: int, e: Center) -> UniPolyR:
 
 # -- Rees quartic classification ---------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class QuarticShape:
     tag: str
     disc_sign: int
@@ -127,33 +127,30 @@ def rees_classify(a4: Scalar, a3: Scalar, a2: Scalar, a1: Scalar, a0: Scalar) ->
     Dq = quartic_D(A, B, C, D, E)
     R = quartic_R(A, B, C, D, E)
     O = quartic_O(A, B, C, D, E)
-    signs = dict(
-        disc_sign=_sign(disc), p_sign=_sign(P), d_sign=_sign(Dq),
-        r_sign=_sign(R), o_sign=_sign(O),
-    )
+    signs = (_sign(disc), _sign(P), _sign(Dq), _sign(R), _sign(O))
     if disc < 0:
-        return QuarticShape("TwoRealTwoComplex", **signs)
+        return QuarticShape("TwoRealTwoComplex", *signs)
     if disc > 0:
         if P < 0 and Dq < 0:
-            return QuarticShape("FourRealSimple", **signs)
-        return QuarticShape("TwoComplexPairs", **signs)
+            return QuarticShape("FourRealSimple", *signs)
+        return QuarticShape("TwoComplexPairs", *signs)
     # disc == 0: a multiple zero exists.
     if Dq == 0:
         if O == 0:
-            return QuarticShape("RealQuadruple", **signs)
+            return QuarticShape("RealQuadruple", *signs)
         if P < 0:
-            return QuarticShape("TwoRealDoubles", **signs)
+            return QuarticShape("TwoRealDoubles", *signs)
         if P > 0 and R == 0:
-            return QuarticShape("ComplexDoublePair", **signs)
+            return QuarticShape("ComplexDoublePair", *signs)
         if P > 0 and O > 0 and R != 0:
-            return QuarticShape("RealDoubleComplexPair", **signs)
+            return QuarticShape("RealDoubleComplexPair", *signs)
         raise ClassifyError("quartic escaped the Rees case table")
     if P < 0 and O == 0:
-        return QuarticShape("RealTripleRealSimple", **signs)
+        return QuarticShape("RealTripleRealSimple", *signs)
     if P < 0 and Dq < 0 and O > 0:
-        return QuarticShape("RealDoubleTwoRealSimple", **signs)
+        return QuarticShape("RealDoubleTwoRealSimple", *signs)
     if (P <= 0 and Dq > 0) or (P > 0 and O > 0 and (Dq < 0 or R != 0)):
-        return QuarticShape("RealDoubleComplexPair", **signs)
+        return QuarticShape("RealDoubleComplexPair", *signs)
     raise ClassifyError("quartic escaped the Rees case table")
 
 
@@ -209,7 +206,7 @@ def isoperiodic_n(e: Center) -> int | None:
 # -- classification driver ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PairClassification:
     n: int
     center: Center

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+
+from ._record import record
 
 CLOSURE_TOL = 1e-9
 ON_CIRCLE_TOL = 1e-10
@@ -39,14 +40,14 @@ class DegenerateParabola(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Circle:
     """The unit circle about `center`."""
 
     center: Point
 
-    def __post_init__(self):
-        cx, cy = self.center
+    def __init__(self, center: Point):
+        cx, cy = center
         object.__setattr__(self, "center", (complex(cx), complex(cy)))
 
     def residual(self, pt: Point) -> float:
@@ -60,17 +61,18 @@ def _tangency(p: complex, t: complex, pt: Point) -> complex:
     return t * t - 2 * y * t + 2 * p * x + p**2
 
 
-@dataclass(frozen=True)
+@record
 class Parabola:
     """y^2 = 2px + p^2, focus at the origin, directrix x = -p."""
 
     p: float
 
-    def __post_init__(self):
-        if self.p == 0:
+    def __init__(self, p: float):
+        if p == 0:
             raise DegenerateParabola("p must be nonzero")
-        if not cmath.isfinite(self.p * self.p):
-            raise ValueError(f"p must be finite with a finite square, not {self.p!r}")
+        if not cmath.isfinite(p * p):
+            raise ValueError(f"p must be finite with a finite square, not {p!r}")
+        object.__setattr__(self, "p", p)
 
     def contact_point(self, t: complex) -> Point:
         return ((t * t - self.p**2) / (2 * self.p), t)
@@ -159,13 +161,22 @@ def next_vertex(circle: Circle, par: Parabola, t: complex, current: Point) -> Po
     return _renormalize(circle, (current[0] + s * dx, current[1] + s * dy))
 
 
-@dataclass(frozen=True)
+@record
 class TraceResult:
     vertices: tuple[Point, ...]
     tangency_params: tuple[complex, ...]
     closure_residual: float
     closed: bool
     steps: int
+
+    def __init__(self, vertices: tuple[Point, ...], tangency_params: tuple[complex, ...],
+                 closure_residual: float, closed: bool, steps: int):
+        store = object.__setattr__
+        store(self, "vertices", vertices)
+        store(self, "tangency_params", tangency_params)
+        store(self, "closure_residual", closure_residual)
+        store(self, "closed", closed)
+        store(self, "steps", steps)
 
 
 def _start_vertex(circle: Circle, par: Parabola, start_t: complex) -> Point:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import cmath
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import record
 
 DERIV_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
@@ -37,7 +38,7 @@ class SingularInput(PainleveError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PVIParams:
     alpha: Fraction
     beta: Fraction
@@ -49,13 +50,19 @@ PICARD_PARAMS = PVIParams(Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2))
 OKAMOTO_PARAMS = PVIParams(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 8), Fraction(3, 8))
 
 
-@dataclass(frozen=True)
+@record
 class Jet2:
     """Order-2 truncated Taylor coefficients (value, d/dp, d^2/dp^2)."""
 
     value: complex
-    d1: complex = 0.0
-    d2: complex = 0.0
+    d1: complex
+    d2: complex
+
+    def __init__(self, value: complex, d1: complex = 0.0, d2: complex = 0.0):
+        store = object.__setattr__
+        store(self, "value", value)
+        store(self, "d1", d1)
+        store(self, "d2", d2)
 
     @staticmethod
     def variable(p: complex) -> "Jet2":
@@ -120,7 +127,7 @@ def _as_jet(v) -> Jet2:
     raise TypeError(f"cannot coerce {type(v).__name__} to Jet2")
 
 
-@dataclass(frozen=True)
+@record
 class PVISolutionPoint:
     family: str  # "N3" | "N4"
     p: complex
@@ -190,18 +197,8 @@ def _point_from_jets(family: str, p: complex, xj: Jet2, y0j: Jet2, yj: Jet2) -> 
                             "(float rounding)") from None
     if not all(map(cmath.isfinite, (xj.value, y0j.value, yj.value, res0, res1))):
         raise OverflowError("non-finite value")
-    return PVISolutionPoint(
-        family=family,
-        p=p,
-        x=xj.value,
-        y0=y0j.value,
-        y=yj.value,
-        dy0_dx=dy0_dx,
-        dy_dx=dy_dx,
-        d2y_dx2=d2y_dx2,
-        residual_y0=res0,
-        residual_y=res1,
-    )
+    return PVISolutionPoint(family, p, xj.value, y0j.value, yj.value,
+                            dy0_dx, dy_dx, d2y_dx2, res0, res1)
 
 
 def solution_n3(p: complex) -> PVISolutionPoint:

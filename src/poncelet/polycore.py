@@ -491,6 +491,8 @@ class _IntForm:
     def reduced(self) -> "_IntForm":
         """The same polynomial with gcd(content, den) divided out of q and
         den, and q's lowest power of p moved into the shift."""
+        if not self.q:
+            raise ZeroPolynomial("cannot reduce the zero polynomial")
         g, low = math.gcd(self.den, *self.q.values()), min(self.q) >> 2 * self.w
         q = self._strip(g, low)
         return _IntForm(q, self.den // g, _top(q, self.w), self.w, self.shift + low, self.vars)
@@ -500,6 +502,8 @@ class _IntForm:
         over its content, negated where its leading term is negative, den 1,
         and the shift that makes the lowest power of p 0.  Terms keep q's
         order."""
+        if not self.q:
+            raise ZeroPolynomial("cannot canonicalize the zero polynomial")
         g = math.gcd(*self.q.values())
         if self.q[max(self.q)] < 0:
             g = -g
@@ -524,6 +528,8 @@ class _IntForm:
         unimodular over Z, so den, shift, content and lowest p-power stay."""
         if self.vars != _PXS:
             raise PolycoreError("only a form in (p, x, s) expands")
+        if not self.q:
+            raise ZeroPolynomial("cannot expand the zero polynomial")
         q, w = self.q, self.w
         mask = (1 << w) - 1
         deg = max(max(k >> 2 * w, ((k >> w) & mask) + 2 * (k & mask)) for k in q)

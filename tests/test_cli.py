@@ -440,6 +440,8 @@ def test_zero_denominator_flag_exit_code(capsys, argv):
     ("cayley", "--n", "99"),
     ("classify", "--n", "8", "--center", "0,2"),
     ("trace", "--center", "0,0", "--p", "1", "--n", "2"),
+    ("trace", "--center", "0,0", "--p", "1", "--n", "10001"),
+    ("locus", "--n", "3", "--p", "1", "--grid", "1025"),
     ("locus", "--n", "3", "--p", "1", "--grid", "-3"),
     ("locus", "--n", "3", "--p", "1", "--grid", "0"),
     ("locus", "--n", "13", "--p", "1"),

@@ -1,13 +1,25 @@
 """The package's public surface."""
 
 import ast
+import copy
 import importlib
+import pickle
 import re
+import subprocess
+import sys
 import types
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import poncelet
 from poncelet import verify
+from poncelet.cayley import LocusPolynomial, PencilCoeffs
+from poncelet.classify import Center, PairClassification, QuarticShape
+from poncelet.geometry import Circle, Parabola, TraceResult
+from poncelet.painleve import Jet2, PVIParams, PVISolutionPoint
+from poncelet.polycore import LaurentPoly3
 
 SRC = Path(poncelet.__file__).parent
 
@@ -109,3 +121,68 @@ def test_perfbench_worker_reads_exist():
     n_checks = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
                     and any(isinstance(t, ast.Name) and t.id == "N_CHECKS" for t in node.targets))
     assert len(verify.checks()) == n_checks
+
+
+_RECORDS = [
+    (PencilCoeffs, (LaurentPoly3.const(-1), LaurentPoly3.var_p(), LaurentPoly3.var_x(), LaurentPoly3.var_y())),
+    (LocusPolynomial, (3, (), LaurentPoly3.var_p())),
+    (Center, (Fraction(1, 3), Fraction(-2))),
+    (QuarticShape, ("FourRealSimple", 1, -1, 1, 0, 1)),
+    # p_roots compares by identity as a RootList, so a tuple stands in
+    (PairClassification, (5, Center(2, 0), ((1.5, 1, (1, 2)),), "outside", 1, False)),
+    (Circle, ((0.5 + 0j, -1j),)),
+    (Parabola, (0.5,)),
+    (TraceResult, (((0j, 1j), (1 + 0j, 0j)), (0.5j, 2 + 0j), 1e-12, True, 2)),
+    (PVIParams, (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 8), Fraction(3, 8))),
+    (Jet2, (1j, 2.0, 3.0)),
+    (PVISolutionPoint, ("N3", 2 + 0j, 1.5 + 0j, 0.5j, 1j, 1 + 0j, 2j, -1 + 0j, 1e-15, 2e-15)),
+]
+
+
+@pytest.mark.parametrize("cls, values", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_frozen_value_types(cls, values):
+    names = list(cls.__annotations__)
+    rec = cls(*values)
+    assert [getattr(rec, k) for k in names] == list(values)
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in zip(names, values))})"
+    # built by keyword, mixed or copied, it is the same value: == by class
+    # and fields, hash of the field tuple
+    kw = dict(zip(names, values))
+    same = [cls(**kw), cls(values[0], **dict(zip(names[1:], values[1:]))),
+            copy.copy(rec), pickle.loads(pickle.dumps(rec))]
+    for other in same:
+        assert type(other) is cls and other == rec and hash(other) == hash(rec) == hash(values)
+    assert rec != values and rec.__eq__(values) is NotImplemented
+    changed = cls.__new__(cls)
+    changed.__dict__.update(kw, **{names[-1]: object()})
+    assert rec != changed
+    for name in names + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    for bad in (lambda: cls(*values, values[0]), lambda: cls(values[0], **kw), lambda: cls(**kw, other=1)):
+        with pytest.raises(TypeError):
+            bad()
+    assert vars(rec) == kw
+
+
+def test_record_defaults_and_conversion():
+    # Circle's and Parabola's checks are in test_geometry
+    assert Jet2(1j) == Jet2(1j, 0.0, 0.0) and Jet2(1j, d2=2.0) == Jet2(1j, 0.0, 2.0)
+    center = Center(1, "1/2")
+    assert (center.x, center.y) == (1, Fraction(1, 2)) and type(center.x) is Fraction
+    with pytest.raises(TypeError):
+        Center(1, None)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are built without dataclasses, whose module imports
+    # inspect, ast, dis and tokenize: that import was most of import poncelet
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "before = set(sys.modules)\n"
+            "import poncelet, poncelet.cli\n"
+            "new = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+            "assert not new, new\n")
+    subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True, capture_output=True)

@@ -30,7 +30,7 @@ from conftest import (
     time_limit,
 )
 from conftest import canonicalize_reference, format_reference
-from poncelet import polycore, verify
+from poncelet import cayley, polycore, verify
 from poncelet.cayley import hankel_raw
 from poncelet.cayley import locus, locus_at_p
 from poncelet.polycore import (
@@ -301,6 +301,14 @@ def test_int_form_product_past_the_width_raises():
     # a negative power of p goes into the shift: the form round-trips
     (fp,) = _IntForm.pack([LaurentPoly3.var_p(-1)], 1)
     assert fp.shift == -1 and fp.poly() == LaurentPoly3.var_p(-1)
+
+
+@pytest.mark.parametrize("method", ["canonical", "expand_s", "reduced"])
+def test_int_form_zero_raises_zero_polynomial(method):
+    zero = cayley._ws(6) * 0
+    assert not zero.q
+    with pytest.raises(ZeroPolynomial):
+        getattr(zero, method)()
 
 
 def test_canonical_forms_hold_int_coefficients():

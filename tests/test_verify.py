@@ -4,12 +4,10 @@ LaurentPoly3 expansions of conftest.checks_reference: row for row, under
 changes to a printed side that must each fail exactly one row, and under
 changes to a computed locus that both routes must judge alike."""
 
-import dataclasses
-
 import pytest
 
 from conftest import checks_reference
-from poncelet import classify, verify
+from poncelet import LocusPolynomial, classify, verify
 from poncelet.polycore import LaurentPoly3
 
 
@@ -67,7 +65,9 @@ def _locus_changed(n, change):
 
         def changed(m):
             found = real(m)
-            return dataclasses.replace(found, canonical=change(found.canonical)) if m == n else found
+            if m != n:
+                return found
+            return LocusPolynomial(found.n, found.divisors_removed, change(found.canonical))
 
         monkeypatch.setattr(verify, "locus", changed)
     return patch
