@@ -2,13 +2,18 @@
 
 Traces tangent-chord polygons in complex coordinates: vertices live on the
 (complexified) unit circle, edges are tangent lines of the parabola
-y^2 = 2px + p^2.  Shares no code path with the exact Cayley machinery.
+y^2 = 2px + p^2.  One private step, `_step`, on bare coordinates moves a
+vertex along its tangent line to the circle's other point; `next_vertex`
+and `poncelet_trace` both take it.  `closes_after` traces from a fixed
+table of starts, the draws of random.Random(7_654_321).  Shares no code
+path with the exact Cayley machinery.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
+from functools import lru_cache
 
 from ._record import record
 
@@ -40,6 +45,12 @@ class DegenerateParabola(GeometryError):
     pass
 
 
+def _off_circle(wx: complex, wy: complex) -> float:
+    """|wx^2 + wy^2 - 1|: how far the point at offset (wx, wy) from a
+    center is off the unit circle about it."""
+    return abs(wx ** 2 + wy ** 2 - 1.0)
+
+
 @record
 class Circle:
     """The unit circle about `center`."""
@@ -52,13 +63,13 @@ class Circle:
 
     def residual(self, pt: Point) -> float:
         cx, cy = self.center
-        return abs((pt[0] - cx) ** 2 + (pt[1] - cy) ** 2 - 1.0)
+        return _off_circle(pt[0] - cx, pt[1] - cy)
 
 
-def _tangency(p: complex, t: complex, pt: Point) -> complex:
-    """t^2 - 2yt + 2px + p^2: zero iff the tangent at parameter t passes through pt = (x, y)."""
-    x, y = pt
-    return t * t - 2 * y * t + 2 * p * x + p**2
+def _tangency(t: complex, y2: complex, px2: complex, pp: float) -> complex:
+    """t^2 - 2yt + 2px + p^2, from y2 = 2y, px2 = 2p*x and pp = p^2: zero iff
+    the tangent at parameter t passes through (x, y)."""
+    return t * t - y2 * t + px2 + pp
 
 
 @record
@@ -78,17 +89,20 @@ class Parabola:
         return ((t * t - self.p**2) / (2 * self.p), t)
 
     def line_residual(self, t: complex, pt: Point) -> float:
-        return abs(_tangency(self.p, t, pt)) / 2
+        x, y = pt
+        return abs(_tangency(t, 2 * y, 2 * self.p * x, self.p**2)) / 2
+
+
+def _tangent_coeffs(y: complex, px2: complex, pp: float) -> tuple[complex, complex]:
+    """(b, c) of t^2 + b*t + c = _tangency(t, 2y, px2, pp)."""
+    return -2 * y, px2 + pp
 
 
 def tangent_params(point: Point, par: Parabola) -> tuple[complex, complex]:
     """Parameters (contact-point y-coordinates) of the two parabola tangents
     through the point; complex solutions allowed."""
     x0, y0 = complex(point[0]), complex(point[1])
-    # _tangency(p, t, point) = t^2 + b*t + c
-    b = -2 * y0
-    c = 2 * par.p * x0 + par.p**2
-    return _solve_quadratic(1.0, b, c)
+    return _solve_quadratic(1.0, *_tangent_coeffs(y0, 2 * par.p * x0, par.p**2))
 
 
 def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -102,14 +116,13 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[complex, compl
     return r1, r2
 
 
-def _chord_quadratic(circle: Circle, direction: Point, base: Point) -> tuple[complex, complex, complex]:
+def _chord_quadratic(dx: complex, dy: complex, dxx: complex, wx: complex,
+                     wy: complex) -> tuple[complex, complex, complex]:
     """Coefficients (a, b, c) of a*s^2 + b*s + c, whose roots s are where the
-    line base + s*direction meets the circle.  An isotropic direction (a = 0)
-    raises DegenerateStep: the other intersection is at infinity."""
-    cx, cy = circle.center
-    dx, dy = direction
-    wx, wy = base[0] - cx, base[1] - cy
-    a = dx * dx + dy * dy  # bilinear, not Hermitian: complex circle
+    line center + (wx, wy) + s*(dx, dy) meets the circle; dxx is dx*dx.  An
+    isotropic direction (a = 0) raises DegenerateStep: the other
+    intersection is at infinity."""
+    a = dxx + dy * dy  # bilinear, not Hermitian: complex circle
     if abs(a) < 1e-12:
         raise DegenerateStep("isotropic chord: the other intersection is at infinity")
     b = 2 * (dx * wx + dy * wy)
@@ -117,14 +130,14 @@ def _chord_quadratic(circle: Circle, direction: Point, base: Point) -> tuple[com
     return a, b, c
 
 
-def _renormalize(circle: Circle, v: Point) -> Point:
-    """Project a near-circle point radially back onto the circle (bilinear
-    norm, so complex points are handled); suppresses drift over many steps."""
-    cx, cy = circle.center
-    wx, wy = v[0] - cx, v[1] - cy
+def _renormalize(cx: complex, cy: complex, x: complex, y: complex) -> Point:
+    """Project a near-circle point radially back onto the circle about
+    (cx, cy) (bilinear norm, so complex points are handled); suppresses
+    drift over many steps."""
+    wx, wy = x - cx, y - cy
     nrm = cmath.sqrt(wx * wx + wy * wy)
     if abs(nrm) < 1e-6:
-        return v  # (near-)isotropic radius: leave untouched
+        return (x, y)  # (near-)isotropic radius: leave untouched
     return (cx + wx / nrm, cy + wy / nrm)
 
 
@@ -134,31 +147,40 @@ def _residual_message(residual: float, p: complex) -> str:
     return f"residual {residual}: the float trace overflows at p = {p!r}"
 
 
+def _step(cx: complex, cy: complex, p: float, pp: float, pc: complex, t: complex,
+          x: complex, y: complex, px2: complex, y2: complex) -> Point:
+    """next_vertex on bare coordinates: the circle's center (cx, cy), p with
+    pp = p**2 and pc = complex(p), the vertex (x, y) with px2 = 2*p*x and
+    y2 = 2*y."""
+    wx, wy = x - cx, y - cy
+    # both guards are relative: coordinates grow like p^2 for steep
+    # tangents, and the residuals scale with them; written as `not <=` so
+    # that a NaN residual fails them
+    scale = max(1.0, abs(wx) ** 2 + abs(wy) ** 2)
+    residual = _off_circle(wx, wy)
+    if not residual <= ON_CIRCLE_TOL * 10 * scale:
+        raise NotOnCircle(_residual_message(residual, p))
+    tt = t * t
+    scale = max(1.0, abs(p * x), abs(t * y), abs(tt + p * p) / 2)
+    residual = abs(_tangency(t, y2, px2, pp)) / 2
+    if not residual <= ON_LINE_TOL * scale:
+        raise NotOnLine(_residual_message(residual, p))
+    # (x, y) is the root near s = 0; keeping the small residual c in the
+    # solve corrects for it being slightly off the circle.
+    r1, r2 = _solve_quadratic(*_chord_quadratic(t, pc, tt, wx, wy))
+    s = r1 if abs(r1) >= abs(r2) else r2
+    return _renormalize(cx, cy, x + s * t, y + s * pc)
+
+
 def next_vertex(circle: Circle, par: Parabola, t: complex, current: Point) -> Point:
     """The other intersection with the circle of the parabola's tangent line
     at parameter t; returns `current` itself when the line is tangent to the
     circle, and raises DegenerateStep when the line is isotropic, so the
     other intersection is at infinity."""
+    cx, cy = circle.center
     p = par.p
-    # both guards are relative: coordinates grow like p^2 for steep
-    # tangents, and the residuals scale with them; written as `not <=` so
-    # that a NaN residual fails them
-    circle_scale = max(
-        1.0, abs(current[0] - circle.center[0]) ** 2 + abs(current[1] - circle.center[1]) ** 2
-    )
-    if not circle.residual(current) <= ON_CIRCLE_TOL * 10 * circle_scale:
-        raise NotOnCircle(_residual_message(circle.residual(current), p))
-    line_scale = max(
-        1.0, abs(p * current[0]), abs(t * current[1]), abs(t * t + p * p) / 2
-    )
-    if not par.line_residual(t, current) <= ON_LINE_TOL * line_scale:
-        raise NotOnLine(_residual_message(par.line_residual(t, current), p))
-    dx, dy = t, complex(p)
-    # current corresponds to the root near s = 0; keeping the small residual
-    # c in the solve corrects for current being slightly off the circle.
-    r1, r2 = _solve_quadratic(*_chord_quadratic(circle, (dx, dy), current))
-    s = r1 if abs(r1) >= abs(r2) else r2
-    return _renormalize(circle, (current[0] + s * dx, current[1] + s * dy))
+    x, y = current
+    return _step(cx, cy, p, p**2, complex(p), t, x, y, 2 * p * x, 2 * y)
 
 
 @record
@@ -169,35 +191,16 @@ class TraceResult:
     closed: bool
     steps: int
 
-    def __init__(self, vertices: tuple[Point, ...], tangency_params: tuple[complex, ...],
-                 closure_residual: float, closed: bool, steps: int):
-        store = object.__setattr__
-        store(self, "vertices", vertices)
-        store(self, "tangency_params", tangency_params)
-        store(self, "closure_residual", closure_residual)
-        store(self, "closed", closed)
-        store(self, "steps", steps)
-
 
 def _start_vertex(circle: Circle, par: Parabola, start_t: complex) -> Point:
-    base = par.contact_point(start_t)
+    bx, by = par.contact_point(start_t)
+    cx, cy = circle.center
     dx, dy = start_t, complex(par.p)
-    v1, v2 = [(base[0] + s * dx, base[1] + s * dy)
-              for s in _solve_quadratic(*_chord_quadratic(circle, (dx, dy), base))]
+    v1, v2 = [(bx + s * dx, by + s * dy)
+              for s in _solve_quadratic(*_chord_quadratic(dx, dy, dx * dx, bx - cx, by - cy))]
     # Convention: larger real part, then larger imaginary part.
     k1, k2 = [(v[0].real, v[0].imag, v[1].real, v[1].imag) for v in (v1, v2)]
     return v1 if k1 >= k2 else v2
-
-
-def _newton_polish(par: Parabola, vertex: Point, t: complex) -> complex:
-    # Two Newton steps on g(t) = _tangency(p, t, vertex).
-    for _ in range(2):
-        g = _tangency(par.p, t, vertex)
-        dg = 2 * t - 2 * vertex[1]
-        if abs(dg) < DEGENERATE_TOL:
-            raise DegenerateStep("tangency parameters collide (vertex on parabola)")
-        t = t - g / dg
-    return t
 
 
 def poncelet_trace(circle: Circle, par: Parabola, start_t: complex, n: int) -> TraceResult:
@@ -205,41 +208,50 @@ def poncelet_trace(circle: Circle, par: Parabola, start_t: complex, n: int) -> T
     start_t; reports closure and the minimal period."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    v0 = _renormalize(circle, _start_vertex(circle, par, start_t))
-    vertices = [v0]
-    params: list[complex] = [complex(start_t)]
-    v = next_vertex(circle, par, complex(start_t), v0)
-    t_in = complex(start_t)
+    cx, cy = circle.center
+    p = par.p
+    pp, p2, pc = p**2, 2 * p, complex(p)
+    x0, y0 = x, y = _renormalize(cx, cy, *_start_vertex(circle, par, start_t))
+    vertices = [(x, y)]
+    t = complex(start_t)
+    params = [t]
+    x, y = _step(cx, cy, p, pp, pc, t, x, y, p2 * x, 2 * y)
     steps = n
     for k in range(1, n):
-        vertices.append(v)
-        r1, r2 = tangent_params(v, par)
+        vertices.append((x, y))
+        y2, px2 = 2 * y, p2 * x
+        r1, r2 = _solve_quadratic(1.0, *_tangent_coeffs(y, px2, pp))
         if abs(r1 - r2) < DEGENERATE_TOL * max(1.0, abs(r1)):
             raise DegenerateStep("vertex lies on the parabola")
-        t_out = r1 if abs(r1 - t_in) >= abs(r2 - t_in) else r2
-        if abs(r1 - t_in) == abs(r2 - t_in):
-            t_out = max(r1, r2, key=lambda z: (z.real, z.imag))
-        t_out = _newton_polish(par, v, t_out)
-        params.append(t_out)
+        # leave along the tangent that is not the one we arrived on
+        d1, d2 = abs(r1 - t), abs(r2 - t)
+        t = r1 if d1 >= d2 else r2
+        if d1 == d2:
+            t = max(r1, r2, key=lambda z: (z.real, z.imag))
+        # two Newton steps on _tangency at this vertex
+        for _ in range(2):
+            dg = 2 * t - y2
+            if abs(dg) < DEGENERATE_TOL:
+                raise DegenerateStep("tangency parameters collide (vertex on parabola)")
+            t = t - _tangency(t, y2, px2, pp) / dg
+        params.append(t)
         # Minimal-period detection: same vertex and same outgoing tangent.
-        if (
-            k >= 3
-            and steps == n
-            and abs(v[0] - v0[0]) + abs(v[1] - v0[1]) < CLOSURE_TOL
-            and abs(t_out - params[0]) < 1e-6
-        ):
+        if (k >= 3 and steps == n and abs(x - x0) + abs(y - y0) < CLOSURE_TOL
+                and abs(t - params[0]) < 1e-6):
             steps = k
-        v = next_vertex(circle, par, t_out, v)
-        t_in = t_out
-    residual = abs(v[0] - v0[0]) + abs(v[1] - v0[1])
+        x, y = _step(cx, cy, p, pp, pc, t, x, y, px2, y2)
+    residual = abs(x - x0) + abs(y - y0)
     closed = residual < CLOSURE_TOL
-    return TraceResult(
-        vertices=tuple(vertices),
-        tangency_params=tuple(params),
-        closure_residual=residual,
-        closed=closed,
-        steps=steps if closed else n,
-    )
+    return TraceResult(tuple(vertices), tuple(params), residual, closed, steps if closed else n)
+
+
+@lru_cache(maxsize=4)
+def _starts(count: int) -> tuple[complex, ...]:
+    """The first `count` draws of closes_after's starts from
+    random.Random(7_654_321), kept for the last few counts asked; a longer
+    table begins with every shorter one."""
+    rng = random.Random(7_654_321)
+    return tuple([complex(rng.uniform(0.2, 2.5), rng.uniform(-0.4, 0.4)) for _ in range(count)])
 
 
 def closes_after(circle: Circle, par: Parabola, n: int, num_starts: int = 8) -> bool:
@@ -251,12 +263,10 @@ def closes_after(circle: Circle, par: Parabola, n: int, num_starts: int = 8) -> 
     """
     if num_starts < 3:
         raise ValueError("need at least 3 starts")
-    rng = random.Random(7_654_321)
     clean = 0
-    tried = 0
-    while clean < num_starts and tried < num_starts * 4:
-        tried += 1
-        t = complex(rng.uniform(0.2, 2.5), rng.uniform(-0.4, 0.4))
+    for t in _starts(num_starts * 4):
+        if clean == num_starts:
+            break
         try:
             result = poncelet_trace(circle, par, t, n)
         except DegenerateStep:

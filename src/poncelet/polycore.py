@@ -618,9 +618,26 @@ def format_poly(a: LaurentPoly3) -> str:
         else:
             parts.append(" + ")
         # str of an int or a Fraction is its text here: "3", "1/2"
-        parts.append(powers[1:] if c == 1 and powers else f"{c}{powers}")
+        try:
+            parts.append(powers[1:] if c == 1 and powers else f"{c}{powers}")
+        except ValueError:  # more digits than str may convert
+            parts.append(_long_decimal(c) + powers)
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
+
+
+def _long_decimal(c: Fraction | int) -> str:
+    """str(c) for c >= 0 past the interpreter's int-to-str digit limit:
+    each int is split at a power of ten until str converts the parts."""
+    if c.denominator != 1:
+        return f"{_long_decimal(c.numerator)}/{_long_decimal(c.denominator)}"
+    c = int(c)
+    try:
+        return str(c)
+    except ValueError:
+        k = c.bit_length() * 3 // 20  # about half of c's decimal digits
+        hi, lo = divmod(c, 10**k)
+        return _long_decimal(hi) + _long_decimal(lo).zfill(k)
 
 
 @lru_cache(maxsize=None)
@@ -894,6 +911,12 @@ class RootList:
 
     def __repr__(self):
         return f"RootList({self.roots!r})"
+
+    def __eq__(self, other):
+        return self.roots == other.roots if type(other) is RootList else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.roots))
 
 
 def _shift1(c: list[int]) -> list[int]:

@@ -5,6 +5,7 @@ import cmath
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from poncelet.classify import (
     rees_classify,
     unique_p_for_4,
 )
-from poncelet.polycore import UniPolyR, specialize, sturm_real_roots
+from poncelet.polycore import RootList, UniPolyR, specialize, sturm_real_roots
 
 F = Fraction
 
@@ -319,6 +320,19 @@ def test_pair_classify_specializes_once(monkeypatch):
             calls[0] = 0
             pair_classify(n, e)
             assert calls[0] == 1, (n, e)
+
+
+def test_pair_classification_is_a_value():
+    # two classifications of one center, and a pickle round trip, are equal
+    # and hash alike: p_roots compares its roots, not its identity
+    a, b = pair_classify(5, Center(F(0), F(2))), pair_classify(5, Center(F(0), F(2)))
+    assert a is not b and a.p_roots is not b.p_roots
+    for other in (b, pickle.loads(pickle.dumps(a))):
+        assert other == a and hash(other) == hash(a) and other.p_roots == a.p_roots
+    roots = a.p_roots.roots
+    assert a.p_roots == RootList(list(roots)) and a.p_roots != RootList(roots[1:])
+    assert a.p_roots != roots and a.p_roots.__eq__(roots) is NotImplemented
+    assert a != pair_classify(5, Center(F(0), F(3)))
 
 
 def test_pair_classify_examples():

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import sys
 from functools import lru_cache
 
 import pytest
 
 from conftest import time_limit
 from poncelet.cayley import locus_at_p
+from poncelet.polycore import format_poly
 from poncelet.cli import VIEW, main, marching_squares, node_values, parse_center, parse_rational
 from fractions import Fraction
 
@@ -56,6 +58,18 @@ def test_cayley_at_p(capsys):
     assert parse_poly(out.strip()) == canonicalize(
         X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)
     )
+
+
+def test_cayley_at_p_past_the_int_str_digit_limit(capsys):
+    # coefficients of 10^20000's powers have more digits than str converts
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "cayley", "--n", "5", "--p", "1e20000")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == format_poly(locus_at_p(5, Fraction(10**20000))) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 CAYLEY_AT_P_SHA256 = {

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,42 @@ def test_oracle_agrees_with_seven_gon_roots():
         assert closes_after(Circle((0.0, 0.5)), Parabola(val), 7)
 
 
+def _count_oracle_work(monkeypatch):
+    """Record each start closes_after traces and each call of the step."""
+    from poncelet import geometry
+
+    starts, steps = [], []
+    step, trace = geometry._step, geometry.poncelet_trace
+    monkeypatch.setattr(geometry, "_step", lambda *a: steps.append(a) or step(*a))
+    monkeypatch.setattr(geometry, "poncelet_trace",
+                        lambda circle, par, t, n: starts.append(t) or trace(circle, par, t, n))
+    return starts, steps
+
+
+def test_closes_after_work_per_root(monkeypatch):
+    starts, steps = _count_oracle_work(monkeypatch)
+    rng = random.Random(7_654_321)
+    draws = [complex(rng.uniform(0.2, 2.5), rng.uniform(-0.4, 0.4)) for _ in range(48)]
+    # an agreeing root: num_starts traces of n steps each, from the first draws
+    val = sturm_real_roots(p_polynomial(7, Center(F(0), F(1, 2))), exclude_zero=True).values()[0]
+    for circle, par, n, num_starts in ((Circle((0.0, 0.5)), Parabola(val), 7, 8),
+                                       (Circle((2.0, 0.0)), Parabola(-1.5), 4, 12)):
+        starts.clear()
+        steps.clear()
+        assert closes_after(circle, par, n, num_starts=num_starts)
+        assert starts == draws[:num_starts] and len(steps) == n * num_starts
+    # a rejecting root stops after its first failing start: here the first
+    for circle, par, n in ((Circle((0.5, 0.0)), Parabola(1.0), 3), (Circle((-1.0, 0.0)), Parabola(1.0), 6)):
+        starts.clear()
+        steps.clear()
+        assert not closes_after(circle, par, n)
+        assert starts == draws[:1] and len(steps) == n
+    # the table is the draws themselves, every count a prefix of a longer one
+    from poncelet.geometry import _starts
+
+    assert _starts(48) == tuple(draws) and _starts(32) == tuple(draws[:32]) and _starts(1) == (draws[0],)
+
+
 # SHA-256 of the traces, closure verdicts and raised exceptions below,
 # captured before the chord quadratic had one definition.  Any change to a
 # float operation of the oracle changes it.  Re-pinned once, when an
@@ -247,3 +284,56 @@ def test_oracle_traces_byte_identical():
         h.update(line.encode())
         h.update(b"\n")
     assert h.hexdigest() == ORACLE_GATE_SHA256
+
+
+# SHA-256, per root, of the closes_after verdict and of one poncelet_trace,
+# each as its repr or as its exception's type and message, at 30 seeded
+# centers of three kinds: small rationals, large-height rationals, and
+# points moved off the unit circle by 1/k.  Captured before the trace took
+# one step function; any change to a float operation of the oracle
+# changes it.
+SEEDED_ORACLE_GATE_SHA256 = "e455aad64c7037417e96439f387a44211c21872e22905e08ada36491d01d7903"
+
+
+def _seeded_gate_centers():
+    rng = random.Random("poncelet-oracle-gate")
+    out = []
+    for i in range(30):
+        n = 8 + i % 5
+        kind = i % 3
+        if kind == 0:
+            x, y = (F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(2))
+        elif kind == 1:
+            d = rng.randint(500_000, 1_000_000)
+            x, y = F(rng.randint(-2 * d, 2 * d), d), F(rng.randint(-2 * d, 2 * d), d + 1)
+        else:
+            t = F(rng.randint(-12, 12), rng.randint(1, 12))
+            s = 1 + F(rng.choice((-1, 1)), rng.randint(20, 2000))
+            x, y = (1 - t * t) / (1 + t * t) * s, 2 * t / (1 + t * t) * s
+        if x * x + y * y not in (0, 1):
+            out.append((n, x, y))
+    return out
+
+
+def _said(call, *args):
+    try:
+        return repr(call(*args))
+    except (GeometryError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_seeded_oracle_verdicts_byte_identical():
+    h = hashlib.sha256()
+    rng = random.Random("poncelet-oracle-gate-starts")
+    roots = 0
+    for n, x, y in _seeded_gate_centers():
+        circle = Circle((float(x), float(y)))
+        for p in sturm_real_roots(p_polynomial(n, Center(x, y)), exclude_zero=True).values():
+            par = Parabola(p)
+            start = complex(rng.uniform(0.2, 2.5), rng.uniform(-0.4, 0.4))
+            for line in (_said(closes_after, circle, par, n), _said(poncelet_trace, circle, par, start, n)):
+                h.update(line.encode())
+                h.update(b"\n")
+            roots += 1
+    assert roots > 100
+    assert h.hexdigest() == SEEDED_ORACLE_GATE_SHA256

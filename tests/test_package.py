@@ -19,7 +19,7 @@ from poncelet.cayley import LocusPolynomial, PencilCoeffs
 from poncelet.classify import Center, PairClassification, QuarticShape
 from poncelet.geometry import Circle, Parabola, TraceResult
 from poncelet.painleve import Jet2, PVIParams, PVISolutionPoint
-from poncelet.polycore import LaurentPoly3
+from poncelet.polycore import LaurentPoly3, RootList
 
 SRC = Path(poncelet.__file__).parent
 
@@ -128,8 +128,7 @@ _RECORDS = [
     (LocusPolynomial, (3, (), LaurentPoly3.var_p())),
     (Center, (Fraction(1, 3), Fraction(-2))),
     (QuarticShape, ("FourRealSimple", 1, -1, 1, 0, 1)),
-    # p_roots compares by identity as a RootList, so a tuple stands in
-    (PairClassification, (5, Center(2, 0), ((1.5, 1, (1, 2)),), "outside", 1, False)),
+    (PairClassification, (5, Center(2, 0), RootList([(1.5, 1, (Fraction(1), Fraction(2)))]), "outside", 1, False)),
     (Circle, ((0.5 + 0j, -1j),)),
     (Parabola, (0.5,)),
     (TraceResult, (((0j, 1j), (1 + 0j, 0j)), (0.5j, 2 + 0j), 1e-12, True, 2)),

@@ -4,6 +4,7 @@ isolation, and discriminants."""
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -395,6 +396,16 @@ def test_format_parse_examples():
     q3 = X**2 + Y**2 - 1
     assert format_poly(q3) == "x^2 + y^2 - 1"
     assert parse_poly(format_poly(q3)) == q3
+
+
+def test_format_poly_past_the_int_str_digit_limit():
+    # str refuses ints of more than 4300 digits by default; format_poly
+    # splits those itself, and leaves the limit as it was
+    limit, c = sys.get_int_max_str_digits(), 10**5000 + 7
+    assert format_poly(LaurentPoly3.const(c)) == "1" + "0" * 4999 + "7"
+    text = format_poly(LaurentPoly3({(1, 0, 2): Fraction(-c, 3 * 10**4400 + 1)}))
+    assert text == "-1" + "0" * 4999 + "7/3" + "0" * 4399 + "1*p*y^2"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_format_poly_matches_reference():
