@@ -5,9 +5,9 @@ W_n = hankel_raw(n) comes from typed seeds, W_1 = W_2 = 1 and Cayley's
 criterion at n = 3 and 4 (Griffiths and Harris, 1978), by the doubling
 formulas of elliptic divisibility sequences, products alone.  Every W_n is
 even in y, so the seeds, the formulas and locus's exact divisions are in
-(p, x, s), s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms, on
-one integer type, `polycore._IntForm`; each public result (`hankel_raw(n)`,
-`locus(n).canonical`) is expanded to (p, x, y) and viewed once.  The series
+(p, x, s), s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms, as
+`LaurentPoly3` values in those variables; each public result
+(`hankel_raw(n)`, `locus(n).canonical`) is expanded to (p, x, y) once.  The series
 (`atilde_sequence`) is off the library's path, the seeds' reference; the
 Hankel matrix, with its Bareiss determinant, the Somos-4 recurrence and the
 group law on the pencil's cubic survive in the tests as references."""
@@ -21,7 +21,7 @@ from math import comb
 from . import polycore
 from ._record import record
 from .geometry import DegenerateParabola
-from .polycore import LaurentPoly3, ZeroPolynomial, _IntForm, canonicalize, poly_div_exact
+from .polycore import LaurentPoly3, ZeroPolynomial, _pxs, canonicalize, poly_div_exact
 
 MAX_N = 12
 
@@ -83,26 +83,25 @@ def _atilde(k: int) -> LaurentPoly3:
     return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
-# The seeds W_1..W_4 in (p, x, s): 1, 1, s/2 and -((s + 1) p + x s) / (2p).
-_S = _Y  # LaurentPoly3's third variable, read as s by a form in (p, x, s)
-_W_S = tuple(_IntForm.pack([LaurentPoly3.const(1)] * 2 + [Fraction(1, 2) * _S,
-                            Fraction(-1, 2) * (_S + 1 + LaurentPoly3.var_p(-1) * _X * _S)], 1, polycore._PXS))
+# The seeds W_1..W_4 in (p, x, s) as {(e_p, e_x, e_s): c}: 1, 1, s/2 and
+# -((s + 1) p + x s) / (2p) = -s/2 - 1/2 - x s / (2p).
+_HALF = Fraction(1, 2)
+_W_S = tuple(map(_pxs, ({(0, 0, 0): 1}, {(0, 0, 0): 1}, {(0, 0, 1): _HALF},
+                        {(0, 0, 1): -_HALF, (0, 0, 0): -_HALF, (-1, 1, 1): -_HALF})))
 
 
 @lru_cache(maxsize=None)
-def _doubling(n: int) -> tuple[_IntForm, ...]:
+def _doubling(n: int) -> tuple[LaurentPoly3, ...]:
     """W_n, n >= 5, in (p, x, s) by a doubling formula of `hankel_raw`, as
-    forms whose product is W_n: (W_n,) for odd n, and (W_m, X'_m) for even
+    factors whose product is W_n: (W_n,) for odd n, and (W_m, X'_m) for even
     n = 2m, with the cofactor X'_m = (2 delta2)^-(m-2) X_m kept apart: `_ws`
     multiplies the two, `_locus_s` reads X'_m alone.  Cached, so each n is
     doubled once for both."""
     m, odd = divmod(n, 2)
-    # W_n is (2 delta2)^-k times a form of degree 4 in the W_j and delta2, at a
-    # width that fits it; k >= 1 for even n, so W_0 is never read.
+    # W_n is (2 delta2)^-k times a form of degree 4 in the W_j and delta2;
+    # k >= 1 for even n, so W_0 is never read.
     k = m - 2 + odd
-    ws = [_ws(j) for j in range(k, m + 3)]
-    w = polycore._width((4 + odd) * max(f.deg for f in ws))
-    W = {j: f.at_width(w) for j, f in enumerate(ws, k)}
+    W = {j: _ws(j) for j in range(k, m + 3)}
     d2 = lambda f, e: f.times_p(2 * e) * (-1) ** (e & 1)  # f * delta2**e, delta2 = -p**2: no product
     if odd:
         t, v = W[m + 2] * W[m] ** 3, W[m - 1] * W[m + 1] ** 3
@@ -114,7 +113,7 @@ def _doubling(n: int) -> tuple[_IntForm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _ws(n: int) -> _IntForm:
+def _ws(n: int) -> LaurentPoly3:
     """W_n in (p, x, s), n >= 1: a seed, or the product of `_doubling`'s
     factors, reduced, kept once per n for the formulas of higher n."""
     if n <= 4:
@@ -148,10 +147,10 @@ def hankel_raw(n: int) -> LaurentPoly3:
     s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms (`_doubling`),
     from seeds typed in closed form, not the series' A_2 and A_3: W_3 = s/2
     and W_4 = -((s + 1) p + x s) / (2p).  For every n >= 3 the result is
-    expanded to (p, x, y) and viewed once."""
+    expanded to (p, x, y) once."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return _ws(n).expand_s().poly()
+    return _ws(n).expand_s()
 
 
 @record
@@ -176,7 +175,7 @@ def proper_divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _locus_s(n: int) -> _IntForm:
+def _locus_s(n: int) -> LaurentPoly3:
     """locus(n) in (p, x, s) before normalization.
 
     For n <= 4 it is the seed.  For odd n, W_n is divided by the locus of
@@ -198,7 +197,7 @@ def _locus_s(n: int) -> _IntForm:
         if n % 2 == 0 and (n // 2) % k == 0:  # a factor of W_m, never multiplied in
             continue
         try:
-            q = q / _locus_s(k).canonical().at_width(q.w)
+            q = q / _locus_s(k).canonical()
         except polycore.NotDivisible as exc:
             raise polycore.NotDivisible(f"W_{n} is not divisible by locus({k}): {exc}") from None
     return q
@@ -211,10 +210,10 @@ def locus(n: int) -> LocusPolynomial:
 
     The division runs in (p, x, s), s = x^2 + y^2 - 1 (`_locus_s`).  The
     quotient is expanded to (p, x, y), which keeps content and the lowest
-    power of p, in descending term order, normalized and viewed once."""
+    power of p, in descending term order, and normalized once."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    return LocusPolynomial(n, tuple(proper_divisors(n)), _locus_s(n).expand_s().canonical().poly())
+    return LocusPolynomial(n, tuple(proper_divisors(n)), _locus_s(n).expand_s().canonical())
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -60,7 +61,13 @@ def _finite_float(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flag errors exit 2 with a one-line message and no usage block."""
+    """Flag errors exit 2 with a one-line message and no usage block.  An
+    argument that starts with "-" and then a digit or "." is a value, such
+    as -1/2 or -1e-1: no option of this CLI starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

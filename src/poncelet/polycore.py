@@ -1,11 +1,13 @@
 """Exact arithmetic kernel: trivariate Laurent polynomials, univariate
 polynomials over Q, real root isolation, discriminants.
 
-Coefficients are exact rationals: `fractions.Fraction`, and `int` in the
-canonical forms (integer polynomials of content 1); products, exact division,
-the normal form, `specialize` (the one exact evaluator at a rational center,
-for the locus and region polynomials) and the root finder run over integers,
-denominators cleared once.
+A trivariate polynomial, `LaurentPoly3`, is one integer form,
+p**shift * q / den with q an integer dict keyed by packed exponents, so its
+products, exact division, normal form and `specialize` (the one exact
+evaluator at a rational center, for the locus and region polynomials) run
+over integers, denominators cleared once.  Its `terms` hold an `int`
+coefficient where den is 1, as in the canonical forms (integer polynomials
+of content 1), and a `fractions.Fraction` otherwise.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
@@ -27,6 +29,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -66,194 +69,14 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
-class LaurentPoly3:
-    """Polynomial in (p, x, y) over Q, Laurent in p.
-
-    Stored sparsely as {(e_p, e_x, e_y): coefficient} with no zero
-    coefficients.  A coefficient is an exact rational: the constructor
-    makes each a Fraction, and a view of an integer form (a canonical form,
-    a product of integer polynomials) holds ints, which compare and hash
-    like the equal Fraction.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Expo, Scalar] | None = None):
-        clean: dict[Expo, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                ep, ex, ey = map(operator.index, e)  # TypeError for 1.5 or "1", not truncation
-                if ex < 0 or ey < 0:
-                    raise ValueError("x and y exponents must be nonnegative")
-                c = _as_fraction(c)
-                if c:
-                    clean[(ep, ex, ey)] = c
-        self.terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(c: Scalar) -> "LaurentPoly3":
-        return LaurentPoly3({(0, 0, 0): c})
-
-    @staticmethod
-    def monomial(c: Scalar, ep: int = 0, ex: int = 0, ey: int = 0) -> "LaurentPoly3":
-        return LaurentPoly3({(ep, ex, ey): c})
-
-    @staticmethod
-    def var_p(power: int = 1) -> "LaurentPoly3":
-        return LaurentPoly3({(power, 0, 0): 1})
-
-    @staticmethod
-    def var_x() -> "LaurentPoly3":
-        return LaurentPoly3({(0, 1, 0): 1})
-
-    @staticmethod
-    def var_y() -> "LaurentPoly3":
-        return LaurentPoly3({(0, 0, 1): 1})
-
-    # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_p_exponent(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no p-degree")
-        return min(e[0] for e in self.terms)
-
-    def leading_term(self) -> tuple[Expo, Scalar]:
-        """Leading term in lexicographic order p > x > y."""
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly3.const(other)
-        if not isinstance(other, LaurentPoly3):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "LaurentPoly3":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly3":
-        return _raw({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly3":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly3":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "LaurentPoly3":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return LaurentPoly3()
-            return _raw({e: k * c for e, k in self.terms.items()})
-        if not isinstance(other, LaurentPoly3):
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly3()
-        fa, fb = _IntForm.pack((self, other), 2)
-        return (fa * fb).poly()
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly3":
-        return _power(self, n, LaurentPoly3.const(1))
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, p, x, y):
-        """Numeric or exact evaluation; works for Fraction, float, complex.
-        With int or Fraction inputs the value is an exact Fraction."""
-        exact = all(isinstance(v, (int, Fraction)) for v in (p, x, y))
-        if exact:
-            p = Fraction(p)  # an int p to a negative power would be a float
-        total = Fraction(0) if exact else 0.0
-        for (ep, ex, ey), c in self.terms.items():
-            coeff = c if exact else float(c)
-            total = total + coeff * p**ep * x**ex * y**ey
-        return total
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly3({format_poly(self)!r})"
-
-
-_ZERO = Fraction(0)
-
-
-def _raw(terms: dict[Expo, Scalar]) -> LaurentPoly3:
-    p = LaurentPoly3.__new__(LaurentPoly3)
-    p.terms = terms
-    return p
-
-
-def _coerce(v) -> LaurentPoly3:
-    if isinstance(v, LaurentPoly3):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return LaurentPoly3.const(v)
-    raise TypeError(f"cannot coerce {type(v).__name__} to LaurentPoly3")
-
-
-def _power(base, n: int, one):
-    """base**n by repeated squaring, for either polynomial class; no factor is `one`."""
-    if n < 0:
-        raise ValueError("negative powers not supported; divide explicitly")
-    result = None
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return one if result is None else result
-
-
-def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
-    """Exact quotient a / b; raises NotDivisible when the remainder is nonzero
-    and ZeroDivisionError when b is zero.
-
-    Division by pure p-powers always succeeds (p is invertible): each form
-    keeps its lowest power of p in its shift, outside the integer division.
-    """
-    fa, fb = _IntForm.pack((a, b), 1)
-    try:
-        return (fa / fb).poly()
-    except NotDivisible:
-        raise NotDivisible(f"{format_poly(a)} is not divisible by {format_poly(b)}") from None
-
-
-# -- integer working form -----------------------------------------------------
+# -- trivariate polynomials ---------------------------------------------------
 #
-# Products, exact division, the normal form, hankel_raw, locus and verify run
-# on one type, _IntForm, around a dict q = {key: int}.  A key packs three
-# exponents, all >= 0, as (e_1 << 2w) | (e_2 << w) | e_3, so int order is lex
-# order and adding keys multiplies monomials as long as no exponent reaches
-# 2**w; _mul_sub and _idiv work on such dicts.
+# A polynomial in three variables is p**shift * q / den for a dict
+# q = {key: int}.  A key packs three exponents, all >= 0, as
+# (e_1 << 2w) | (e_2 << w) | e_3, so int order is lex order and adding keys
+# multiplies monomials as long as the second and third exponents stay below
+# 2**w; the first has the high bits to itself.  _mul_sub and _idiv work on
+# such dicts.
 
 _PXY, _PXS = "(p, x, y)", "(p, x, s)"
 
@@ -268,9 +91,14 @@ def _degrees(terms: Mapping[Expo, Scalar]) -> tuple[int, int, int, int]:
     return min(ps), max(ps), max(xs), max(ys)
 
 
+# The narrowest field: polynomials of low degree then share one width, and
+# a product of two of them needs no re-keying.
+_MIN_WIDTH = 5
+
+
 def _width(bound: int) -> int:
     """Bits per exponent field so that exponents up to `bound` fit."""
-    return max(1, bound.bit_length())
+    return max(_MIN_WIDTH, bound.bit_length())
 
 
 def _mul_sub(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
@@ -336,150 +164,220 @@ def _idiv(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
 
 
 def _top(q: dict[int, int], w: int) -> int:
-    """The largest exponent of any variable in the integer form q."""
+    """The largest second or third exponent in q at w-bit fields."""
     mask = (1 << w) - 1
-    return max(max(q) >> 2 * w, max((k >> w) & mask for k in q), max(k & mask for k in q)) if q else 0
+    return max(max((k >> w) & mask for k in q), max(k & mask for k in q)) if q else 0
 
 
-class _IntForm:
-    """p**shift * q / den, a polynomial over Q that is Laurent in p, for q in
-    the integer form at width w in the variables `vars`: _PXY, or _PXS with
-    s = x**2 + y**2 - 1.  Forms at other widths or in other variables do not
-    mix, and only a form in _PXY has a LaurentPoly3 view (`poly`).  A ring
-    under +, - and * (by a form, an int or a Fraction) and ** (`_power`): a
-    product of forms is one `_mul_sub`, and / is one exact `_idiv` that
-    raises NotDivisible.  deg bounds every exponent in q, so a product whose
-    bound reaches 2**w raises instead of carrying into the next field.  A
-    polynomial has many forms; `reduced` and `canonical` pick one."""
+def _rekey(q: dict[int, int], v: int, w: int, up: int = 0, m: int = 1) -> dict[int, int]:
+    """q at v-bit fields as a dict at w-bit fields, which must fit its
+    exponents, times p**up and the int m."""
+    if v == w:
+        if not up and m == 1:
+            return q
+        up <<= 2 * w
+        return {k + up: c * m for k, c in q.items()}
+    mask = (1 << v) - 1
+    return {((((k >> 2 * v) + up) << w | ((k >> v) & mask)) << w) | (k & mask): c * m for k, c in q.items()}
 
-    __slots__ = ("q", "den", "deg", "w", "shift", "vars")
 
-    def __init__(self, q: dict[int, int], den: int, deg: int, w: int, shift: int = 0, vars=_PXY):
-        self.q, self.den, self.deg, self.w, self.shift, self.vars = q, den, deg, w, shift, vars
+class LaurentPoly3:
+    """Polynomial in (p, x, y) over Q, Laurent in p: p**shift * q / den for
+    an integer dict q keyed by packed exponents at w-bit fields, with no
+    zero value and every exponent of a key >= 0, a positive int den, and
+    deg bounding the x- and y-exponents (below 2**w).  Instances are
+    treated as immutable.
+
+    `terms` is {(e_p, e_x, e_y): coefficient}, in q's order, decoded on
+    first read and kept as a read-only view: an int coefficient where den
+    is 1 and a Fraction otherwise, which compare and hash alike.  A ring
+    under +, - and * (by a polynomial, an int or a Fraction), ** (`_power`)
+    and exact / (NotDivisible when a remainder is left): a product is one
+    `_mul_sub` and a quotient one `_idiv`, each on both operands re-keyed
+    to one width that fits the result.  A polynomial has many such forms;
+    == and hash compare the polynomials, and `reduced` and `canonical` pick
+    one form.
+
+    Privately, a value may be in (p, x, s), s = x**2 + y**2 - 1 (`_pxs`),
+    its third exponent that of s: such a value has no `terms` until
+    `expand_s`, and does not mix with one in (p, x, y).
+    """
+
+    __slots__ = ("q", "den", "w", "deg", "shift", "vars", "_terms")
+
+    def __init__(self, terms: Mapping[Expo, Scalar] | None = None):
+        clean: dict[Expo, Fraction] = {}
+        if terms:
+            for e, c in terms.items():
+                ep, ex, ey = map(operator.index, e)  # TypeError for 1.5 or "1", not truncation
+                if ex < 0 or ey < 0:
+                    raise ValueError("x and y exponents must be nonnegative")
+                c = _as_fraction(c)
+                if c:
+                    clean[(ep, ex, ey)] = c
+        shift = min((e[0] for e in clean), default=0)
+        deg = max((max(ex, ey) for _, ex, ey in clean), default=0)
+        den, w = _den_lcm(clean.values()), _width(deg)
+        q = {((((ep - shift) << w) | ex) << w) | ey: c.numerator * (den // c.denominator)
+             for (ep, ex, ey), c in clean.items()}
+        self.q, self.den, self.w, self.deg, self.shift, self.vars, self._terms = q, den, w, deg, shift, _PXY, None
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def pack(fs: Sequence[LaurentPoly3], degree: int, vars=_PXY) -> list["_IntForm"]:
-        """Forms of fs, read in the variables `vars`, at one width that fits
-        any product of `degree` of them.  Each keeps its lowest power of p in
-        its shift, and its terms in the order of f."""
-        boxes = [_degrees(f.terms) if f.terms else (0, 0, 0, 0) for f in fs]
-        degs = [max(hp - lo, hx, hy) for lo, hp, hx, hy in boxes]
-        w = _width(degree * max(degs))
-        out = []
-        for f, (s, *_), deg in zip(fs, boxes, degs):
-            den = _den_lcm(f.terms.values())
-            q = {((((ep - s) << w) | ex) << w) | ey: c.numerator * (den // c.denominator)
-                 for (ep, ex, ey), c in f.terms.items()}
-            out.append(_IntForm(q, den, deg, w, s, vars))
-        return out
+    def const(c: Scalar) -> "LaurentPoly3":
+        return LaurentPoly3({(0, 0, 0): c})
 
-    def poly(self) -> LaurentPoly3:
-        """The form as a LaurentPoly3, terms in q's order, with an int
-        coefficient where den is 1.  A form in (p, x, s) has none."""
-        if self.vars != _PXY:
-            raise PolycoreError(f"a form in {self.vars} has no LaurentPoly3 view until expand_s")
+    @staticmethod
+    def monomial(c: Scalar, ep: int = 0, ex: int = 0, ey: int = 0) -> "LaurentPoly3":
+        return LaurentPoly3({(ep, ex, ey): c})
+
+    @staticmethod
+    def var_p(power: int = 1) -> "LaurentPoly3":
+        return LaurentPoly3({(power, 0, 0): 1})
+
+    @staticmethod
+    def var_x() -> "LaurentPoly3":
+        return LaurentPoly3({(0, 1, 0): 1})
+
+    @staticmethod
+    def var_y() -> "LaurentPoly3":
+        return LaurentPoly3({(0, 0, 1): 1})
+
+    # -- basic queries -----------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Expo, Scalar]:
+        if self._terms is None:
+            if self.vars != _PXY:
+                raise PolycoreError(f"a polynomial in {self.vars} has no terms until expand_s")
+            self._terms = MappingProxyType(self._decode())
+        return self._terms
+
+    def _decode(self) -> dict[Expo, Scalar]:
         w, shift, den = self.w, self.shift, self.den
         mask = (1 << w) - 1
         q = self.q if den == 1 else {k: Fraction(c, den) for k, c in self.q.items()}
-        return _raw({((k >> 2 * w) + shift, (k >> w) & mask, k & mask): c for k, c in q.items()})
+        return {((k >> 2 * w) + shift, (k >> w) & mask, k & mask): c for k, c in q.items()}
 
-    def at_width(self, w: int) -> "_IntForm":
-        """The form re-keyed to w-bit fields, which must fit deg."""
-        if w == self.w:
-            return self
-        if self.deg >> w:
-            raise PolycoreError(f"a form of degree {self.deg} does not fit {w}-bit fields")
-        v, mask = self.w, (1 << self.w) - 1
-        q = {((((k >> 2 * v) << w) | ((k >> v) & mask)) << w) | (k & mask): c for k, c in self.q.items()}
-        return _IntForm(q, self.den, self.deg, w, self.shift, self.vars)
+    def is_zero(self) -> bool:
+        return not self.q
 
-    def _lift(self, other) -> "_IntForm":
-        if isinstance(other, _IntForm):
-            if other.w == self.w and other.vars == self.vars:
-                return other
-            raise PolycoreError(f"forms of {self.w} and {other.w} bits in {self.vars} and {other.vars} do not mix")
-        c = other if isinstance(other, (int, Fraction)) else _as_fraction(other)
-        return _IntForm({0: c.numerator} if c else {}, c.denominator, 0, self.w, 0, self.vars)
+    def min_p_exponent(self) -> int:
+        if not self.q:
+            raise ZeroPolynomial("zero polynomial has no p-degree")
+        return self.shift + (min(self.q) >> 2 * self.w)
 
-    def _terms(self, shift: int, den: int) -> dict[int, int]:
-        """q of the same polynomial at a shift <= self.shift and over a
-        multiple den of self.den."""
-        up, m = (self.shift - shift) << 2 * self.w, den // self.den
-        if not up and m == 1:
-            return self.q
-        return {k + up: c * m for k, c in self.q.items()}
+    def leading_term(self) -> tuple[Expo, Scalar]:
+        """Leading term in lexicographic order p > x > y."""
+        if not self.q:
+            raise ZeroPolynomial("zero polynomial has no leading term")
+        e = max(self.terms)
+        return e, self.terms[e]
 
-    def __add__(self, other) -> "_IntForm":
+    def __bool__(self) -> bool:
+        return bool(self.q)
+
+    def __hash__(self) -> int:
+        return hash(frozenset((self.terms if self.vars == _PXY else self._decode()).items()))
+
+    def __reduce__(self):
+        return _poly, (self.q, self.den, self.w, self.deg, self.shift, self.vars)
+
+    # -- ring operations ---------------------------------------------------
+
+    def _lift(self, other) -> "LaurentPoly3 | None":
+        """other, a polynomial in this one's variables or a scalar, as a
+        polynomial; None for anything else."""
+        if isinstance(other, LaurentPoly3):
+            if other.vars != self.vars:
+                raise PolycoreError(f"polynomials in {self.vars} and {other.vars} do not mix")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _poly({0: other.numerator} if other else {}, other.denominator, self.w, 0, 0, self.vars)
+        return None
+
+    def _aligned(self, other: "LaurentPoly3") -> tuple[int, int, int, dict[int, int], dict[int, int]]:
+        """(w, shift, den, a, b) with a and b the q of self and other at one
+        w-bit width, over one p**shift and over one den."""
+        w, shift, den = max(self.w, other.w), min(self.shift, other.shift), math.lcm(self.den, other.den)
+        return (w, shift, den, _rekey(self.q, self.w, w, self.shift - shift, den // self.den),
+                _rekey(other.q, other.w, w, other.shift - shift, den // other.den))
+
+    def __eq__(self, other) -> bool:
         other = self._lift(other)
-        shift, den = self.shift, self.den
-        if other.shift != shift or other.den != den:
-            shift, den = min(shift, other.shift), math.lcm(den, other.den)
-        out = dict(self._terms(shift, den))
-        for k, c in other._terms(shift, den).items():
+        if other is None:
+            return NotImplemented
+        *_, a, b = self._aligned(other)
+        return a == b
+
+    def __add__(self, other) -> "LaurentPoly3":
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        w, shift, den, a, b = self._aligned(other)
+        out = dict(a)
+        for k, c in b.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
                 del out[k]
-        deg = max(self.deg + self.shift, other.deg + other.shift) - shift
-        return _IntForm(out, den, deg, self.w, shift, self.vars)
+        return _poly(out, den, w, max(self.deg, other.deg), shift, self.vars)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "_IntForm":
-        return _IntForm({k: -c for k, c in self.q.items()}, self.den, self.deg, self.w, self.shift, self.vars)
+    def __neg__(self) -> "LaurentPoly3":
+        return _poly({k: -c for k, c in self.q.items()}, self.den, self.w, self.deg, self.shift, self.vars)
 
-    def __sub__(self, other) -> "_IntForm":
-        return self + -self._lift(other)
+    def __sub__(self, other) -> "LaurentPoly3":
+        other = self._lift(other)
+        return NotImplemented if other is None else self + -other
 
-    def __rsub__(self, other) -> "_IntForm":
-        return -self + other
+    def __rsub__(self, other) -> "LaurentPoly3":
+        other = self._lift(other)
+        return NotImplemented if other is None else other + -self
 
-    def __mul__(self, other) -> "_IntForm":
-        if not isinstance(other, _IntForm):  # a scalar costs no product
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
+    def __mul__(self, other) -> "LaurentPoly3":
+        if isinstance(other, (int, Fraction)):  # a scalar costs no product
             num = other.numerator
             q = self.q if num == 1 else {k: c * num for k, c in self.q.items()} if num else {}
-            return _IntForm(q, self.den * other.denominator, self.deg, self.w, self.shift, self.vars)
+            return _poly(q, self.den * other.denominator, self.w, self.deg, self.shift, self.vars)
         other = self._lift(other)
-        deg = self.deg + other.deg
-        if deg >> self.w:
-            raise PolycoreError(f"a product of degree {deg} does not fit {self.w}-bit fields")
-        return _IntForm(_mul_sub(self.q, other.q, {}, {}), self.den * other.den, deg, self.w,
-                        self.shift + other.shift, self.vars)
+        if other is None:
+            return NotImplemented
+        deg, w = self.deg + other.deg, max(self.w, other.w)
+        if deg >> w:
+            w = _width(deg)
+        q = _mul_sub(_rekey(self.q, self.w, w), _rekey(other.q, other.w, w), {}, {})
+        return _poly(q, self.den * other.den, w, deg, self.shift + other.shift, self.vars)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "_IntForm":
+    def __pow__(self, n: int) -> "LaurentPoly3":
         return _power(self, n, self._lift(1))
 
-    def times_p(self, e: int) -> "_IntForm":
-        """p**e times the form: the shift moves, and no product is made."""
-        return _IntForm(self.q, self.den, self.deg, self.w, self.shift + e, self.vars)
-
-    def __truediv__(self, other) -> "_IntForm":
+    def __truediv__(self, other) -> "LaurentPoly3":
         # the divisor's lowest power of p moves into the shift, so the
         # quotient needs no negative one, and its content into den, so the
-        # integer step divides by a primitive form: exact over Q means exact
-        # over Z (Gauss's lemma)
+        # integer step divides by a primitive polynomial: exact over Q means
+        # exact over Z (Gauss's lemma)
         other = self._lift(other)
-        if not other.q:
-            raise ZeroDivisionError("division by the zero form")
-        w = self.w
-        g, low = math.gcd(*other.q.values()), min(other.q) >> 2 * w
-        q = _idiv(self.q, other._strip(g, low), w)
-        return _IntForm({k: c * other.den for k, c in q.items()} if other.den > 1 else q, self.den * g,
-                        _top(q, w), w, self.shift - other.shift - low, self.vars)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _IntForm):
+        if other is None:
             return NotImplemented
-        other = self._lift(other)
-        shift, den = min(self.shift, other.shift), math.lcm(self.den, other.den)
-        return self._terms(shift, den) == other._terms(shift, den)
+        if not other.q:
+            raise ZeroDivisionError("division by the zero polynomial")
+        w = max(self.w, other.w)
+        g, low = math.gcd(*other.q.values()), min(other.q) >> 2 * other.w
+        q = _idiv(_rekey(self.q, self.w, w), _rekey(other._strip(g, low), other.w, w), w)
+        return _poly({k: c * other.den for k, c in q.items()} if other.den > 1 else q, self.den * g,
+                     w, _top(q, w), self.shift - other.shift - low, self.vars)
 
-    __hash__ = None
+    # -- normal forms --------------------------------------------------------
+
+    def times_p(self, e: int) -> "LaurentPoly3":
+        """p**e times the polynomial: the shift moves, and no product is made."""
+        return _poly(self.q, self.den, self.w, self.deg, self.shift + e, self.vars)
 
     def _strip(self, g: int, low: int) -> dict[int, int]:
         """q over g, which divides its content, and over p**low."""
@@ -488,51 +386,51 @@ class _IntForm:
         off = low << 2 * self.w
         return {k - off: c // g for k, c in self.q.items()}
 
-    def reduced(self) -> "_IntForm":
+    def reduced(self) -> "LaurentPoly3":
         """The same polynomial with gcd(content, den) divided out of q and
         den, and q's lowest power of p moved into the shift."""
         if not self.q:
             raise ZeroPolynomial("cannot reduce the zero polynomial")
         g, low = math.gcd(self.den, *self.q.values()), min(self.q) >> 2 * self.w
         q = self._strip(g, low)
-        return _IntForm(q, self.den // g, _top(q, self.w), self.w, self.shift + low, self.vars)
+        return _poly(q, self.den // g, self.w, _top(q, self.w), self.shift + low, self.vars)
 
-    def canonical(self) -> "_IntForm":
-        """The normal form of a nonzero form, as `canonicalize` defines it: q
-        over its content, negated where its leading term is negative, den 1,
-        and the shift that makes the lowest power of p 0.  Terms keep q's
-        order."""
+    def canonical(self) -> "LaurentPoly3":
+        """The normal form of a nonzero polynomial, as `canonicalize`
+        defines it: q over its content, negated where its leading term is
+        negative, den 1, and the shift that makes the lowest power of p 0.
+        Terms keep q's order."""
         if not self.q:
             raise ZeroPolynomial("cannot canonicalize the zero polynomial")
         g = math.gcd(*self.q.values())
         if self.q[max(self.q)] < 0:
             g = -g
-        return _IntForm(self._strip(g, 0), 1, self.deg, self.w, -(min(self.q) >> 2 * self.w), self.vars)
+        return _poly(self._strip(g, 0), 1, self.w, self.deg, -(min(self.q) >> 2 * self.w), self.vars)
 
-    def p_coefficients(self) -> list["_IntForm"]:
-        """The coefficients of p**shift .. p**(shift + d), each a form in the
-        other two variables alone."""
+    def p_coefficients(self) -> list["LaurentPoly3"]:
+        """The coefficients of p**shift .. p**(shift + d), each a polynomial
+        in the other two variables alone."""
         shift = 2 * self.w
         low = (1 << shift) - 1
         split: dict[int, dict[int, int]] = {}
         for k, c in self.q.items():
             split.setdefault(k >> shift, {})[k & low] = c
         parts = [split.get(e, {}) for e in range(max(split, default=-1) + 1)]
-        return [_IntForm(a, self.den, _top(a, self.w), self.w, 0, self.vars) for a in parts]
+        return [_poly(a, self.den, self.w, _top(a, self.w), 0, self.vars) for a in parts]
 
-    def expand_s(self) -> "_IntForm":
-        """The form in (p, x, s) as one in (p, x, y), keys in descending
+    def expand_s(self) -> "LaurentPoly3":
+        """A polynomial in (p, x, s) as one in (p, x, y), keys in descending
         order, by two binomial expansions: s = r - 1 takes c s**k to the sum
         of (-1)**(k - j) C(k, j) c r**j, and r = x**2 + y**2 takes c x**b r**j
         to the sum of C(j, i) c x**(b + 2j - 2i) y**(2i).  The change is
         unimodular over Z, so den, shift, content and lowest p-power stay."""
         if self.vars != _PXS:
-            raise PolycoreError("only a form in (p, x, s) expands")
+            raise PolycoreError("only a polynomial in (p, x, s) expands")
         if not self.q:
             raise ZeroPolynomial("cannot expand the zero polynomial")
         q, w = self.q, self.w
         mask = (1 << w) - 1
-        deg = max(max(k >> 2 * w, ((k >> w) & mask) + 2 * (k & mask)) for k in q)
+        deg = max(((k >> w) & mask) + 2 * (k & mask) for k in q)
         w2 = _width(deg)
         rows = [[1]]  # C(k, 0..k)
         for _ in range(max(k & mask for k in q)):
@@ -555,7 +453,65 @@ class _IntForm:
                 for off, m in powers[j]:
                     out[base + off] = get(base + off, 0) + c * m
         out = {k: out[k] for k in sorted(out, reverse=True) if out[k]}
-        return _IntForm(out, self.den, deg, w2, self.shift, _PXY)
+        return _poly(out, self.den, w2, deg, self.shift, _PXY)
+
+    # -- evaluation --------------------------------------------------------
+
+    def evaluate(self, p, x, y):
+        """Numeric or exact evaluation; works for Fraction, float, complex.
+        With int or Fraction inputs the value is an exact Fraction."""
+        exact = all(isinstance(v, (int, Fraction)) for v in (p, x, y))
+        if exact:
+            p = Fraction(p)  # an int p to a negative power would be a float
+        total = Fraction(0) if exact else 0.0
+        for (ep, ex, ey), c in self.terms.items():
+            coeff = c if exact else float(c)
+            total = total + coeff * p**ep * x**ex * y**ey
+        return total
+
+    def __repr__(self) -> str:
+        if self.vars == _PXY:
+            return f"LaurentPoly3({format_poly(self)!r})"
+        return f"LaurentPoly3({_format(self._decode(), 'pxs')!r}, in {self.vars})"
+
+
+_ZERO = Fraction(0)
+
+
+def _poly(q: dict[int, int], den: int, w: int, deg: int, shift: int = 0, vars=_PXY) -> LaurentPoly3:
+    """The LaurentPoly3 p**shift * q / den, q at w-bit fields with x- and
+    y-exponents (s-exponents in _PXS) at most deg."""
+    a = LaurentPoly3.__new__(LaurentPoly3)
+    a.q, a.den, a.w, a.deg, a.shift, a.vars, a._terms = q, den, w, deg, shift, vars, None
+    return a
+
+
+def _pxs(terms: Mapping[Expo, Scalar]) -> LaurentPoly3:
+    """The polynomial with these terms {(e_p, e_x, e_s): c} in (p, x, s)."""
+    a = LaurentPoly3(terms)
+    a.vars = _PXS
+    return a
+
+
+def _power(base, n: int, one):
+    """base**n by repeated squaring, for either polynomial class; no factor is `one`."""
+    if n < 0:
+        raise ValueError("negative powers not supported; divide explicitly")
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
+def poly_div_exact(a: LaurentPoly3, b: LaurentPoly3) -> LaurentPoly3:
+    """Exact quotient a / b; raises NotDivisible when the remainder is
+    nonzero and ZeroDivisionError when b is zero.  Division by pure
+    p-powers always succeeds (p is invertible)."""
+    return a / b
 
 
 def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
@@ -565,9 +521,7 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
     zero, with int coefficients of content 1 and a positive leading
     coefficient in lex order p > x > y.
     """
-    if a.is_zero():
-        raise ZeroPolynomial("cannot canonicalize the zero polynomial")
-    return _IntForm.pack([a], 1)[0].canonical().poly()
+    return a.canonical()
 
 
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
@@ -603,15 +557,20 @@ def format_poly(a: LaurentPoly3) -> str:
     """Canonical text form: terms sorted lex p > x > y descending, each as
     its sign, abs(coefficient) unless that is 1 on a monomial, and the
     powers p^k, x^k, y^k, joined by "*"; a leading "+" is dropped."""
-    terms = a.terms
+    return _format(a.terms, "pxy")
+
+
+def _format(terms: Mapping[Expo, Scalar], names: str) -> str:
+    """format_poly of these terms, the variables named by `names`."""
     if not terms:
         return "0"
     parts = []
+    n1, n2, n3 = names
     for e in sorted(terms, reverse=True):
         c = terms[e]
-        ep, ex, ey = e
-        powers = ((_power_text("p", ep) if ep else "") + (_power_text("x", ex) if ex else "")
-                  + (_power_text("y", ey) if ey else ""))
+        e1, e2, e3 = e
+        powers = ((_power_text(n1, e1) if e1 else "") + (_power_text(n2, e2) if e2 else "")
+                  + (_power_text(n3, e3) if e3 else ""))
         if c < 0:
             c = -c
             parts.append(" - ")
@@ -640,6 +599,29 @@ def _long_decimal(c: Fraction | int) -> str:
         return _long_decimal(hi) + _long_decimal(lo).zfill(k)
 
 
+def _long_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits past the interpreter's
+    int-to-str digit limit, the inverse of _long_decimal: the string is
+    split in halves until int converts the parts."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _long_int(digits[:-k]) * 10**k + _long_int(digits[-k:])
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), and for `num` or `num/den` in decimal digits past the
+    int-to-str digit limit, the same value by _long_int."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
+            raise
+        num, _, den = text.partition("/")
+        return Fraction(_long_int(num), _long_int(den or "1"))
+
+
 @lru_cache(maxsize=None)
 def _power_text(name: str, k: int) -> str:
     """The factor name**k of a term's text, "*" first."""
@@ -662,7 +644,7 @@ def parse_poly(text: str) -> LaurentPoly3:
                 idx = "pxy".index(factor[0])
                 expo[idx] += int(factor[2:]) if "^" in factor else 1
             else:
-                coeff *= Fraction(factor)
+                coeff *= _parse_rational(factor)
         e = (expo[0], expo[1], expo[2])
         if expo[1] < 0 or expo[2] < 0:
             raise ValueError(f"x and y exponents must be nonnegative: {tok}")
@@ -671,7 +653,7 @@ def parse_poly(text: str) -> LaurentPoly3:
             terms[e] = c
         else:
             terms.pop(e, None)
-    return _raw(terms)
+    return LaurentPoly3(terms)
 
 
 # -- univariate polynomials over Q ------------------------------------------
@@ -1126,8 +1108,8 @@ def quartic_disc(A, B, C, D, E):
     I = quartic_O and J of the quartic: (4 I^3 - J^2) / 27, where
     J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2) (Cremona, 1999).
 
-    Works over any commutative ring that holds 1/27 (Fraction, LaurentPoly3
-    or _IntForm entries); int entries give a Fraction.
+    Works over any commutative ring that holds 1/27 (Fraction or
+    LaurentPoly3 entries); int entries give a Fraction.
     """
     I = quartic_O(A, B, C, D, E)
     J = C * (72 * A * E + 9 * B * D - 2 * C * C) - 27 * (A * D * D + E * B * B)

@@ -18,7 +18,6 @@ from .polycore import (
     NotDivisible,
     PolycoreError,
     _discriminant,
-    _IntForm,
     quartic_D,
     quartic_O,
     quartic_P,
@@ -116,7 +115,8 @@ def _degree_weight(formula, d: int) -> tuple[int, int]:
     raise ValueError(f"not homogeneous and isobaric in {d + 1} coefficients: {value}")
 
 
-def _divide_out(a: list[_IntForm], base: _IntForm, weight: Sequence[int]) -> tuple[list[_IntForm], int, int]:
+def _divide_out(a: list[LaurentPoly3], base: LaurentPoly3,
+                weight: Sequence[int]) -> tuple[list[LaurentPoly3], int, int]:
     """(b, c, l) with a_k = base**(c + l*weight[k]) * b_k for every k.
 
     How often base divides each a_k is counted by exact trial division.  The
@@ -127,14 +127,14 @@ def _divide_out(a: list[_IntForm], base: _IntForm, weight: Sequence[int]) -> tup
     chains = []
     for ak in a:
         chain = [ak]
-        if ak.q:
+        if ak:
             try:
                 while True:
                     chain.append(chain[-1] / base)
             except NotDivisible:
                 pass
         chains.append(chain)
-    counts = [(t, len(chain) - 1) for t, chain in zip(weight, chains) if chain[0].q]
+    counts = [(t, len(chain) - 1) for t, chain in zip(weight, chains) if chain[0]]
 
     def low(l: int) -> int:
         return min((v - l * t for t, v in counts), default=0)
@@ -144,7 +144,7 @@ def _divide_out(a: list[_IntForm], base: _IntForm, weight: Sequence[int]) -> tup
     c = low(l)
     b = []
     for t, chain in zip(weight, chains):
-        e = c + l * t if chain[0].q else 0  # a zero a_k stays 0
+        e = c + l * t if chain[0] else 0  # a zero a_k stays 0
         b.append(chain[e] if e >= 0 else chain[0] * base**-e)
     return b, c, l
 
@@ -152,11 +152,9 @@ def _divide_out(a: list[_IntForm], base: _IntForm, weight: Sequence[int]) -> tup
 def checks() -> list[tuple[str, bool]]:
     """Each identity as (name, computed == printed), in a fixed order.
 
-    Every computed side is packed once into one integer form (`_IntForm`),
-    and every printed side and formula is built in that form, with no
-    Fraction per term.  Its width fits a product of 6 packed sides, the
-    degree of the quartic discriminant in its coefficients; a product beyond
-    it raises.
+    Every side is a LaurentPoly3, the integer form the loci are built in:
+    the computed sides as cayley returns them, and every printed side and
+    formula built there, with no Fraction per term.
 
     The discriminant and invariant rows run their formula on the
     weight-reduced p-coefficients.  Each locus n = 5, 6, 7 is split once
@@ -169,30 +167,26 @@ def checks() -> list[tuple[str, bool]]:
     zero, so the comparison is exact and equivalent to that of the full
     F(a), for any locus."""
     try:  # W_6 / W_3 in (p, x, s), expanded and normalized once
-        w6 = _ws(6)
-        quotient = (w6 / _ws(3).at_width(w6.w)).expand_s().canonical().poly()
+        quotient = (_ws(6) / _ws(3)).expand_s().canonical()
     except PolycoreError:
         quotient = LaurentPoly3()  # never canonical: an inexact division fails the row
     half = Fraction(1, 2)
     rp = region_polys()
-    p, x, y, r, s, quotient, at3, at4, *rest = _IntForm.pack(
-        [P, X, Y, R, S, quotient, locus_at_p(3, half), locus_at_p(4, half),
-         *(locus(n).canonical for n in range(3, 8)), *rp.values()], 6)
-    loci, rp = dict(zip(range(3, 8), rest)), dict(zip(rp, rest[5:]))
+    loci = {n: locus(n).canonical for n in range(3, 8)}
 
-    printed_loci = {n: _printed_locus(n, p, x, y, r, s) for n in range(3, 8)}
-    rows: list[tuple[str, _IntForm, _IntForm]] = [
+    printed_loci = {n: _printed_locus(n, P, X, Y, R, S) for n in range(3, 8)}
+    rows: list[tuple[str, LaurentPoly3, LaurentPoly3]] = [
         (f"locus n={n} matches the printed polynomial", loci[n], printed_loci[n]) for n in range(3, 8)
     ]
     rows += [
-        ("worked example: 3-gon locus at p=1/2", at3, x**2 + y**2 - 1),
-        ("worked example: 4-gon locus at p=1/2", at4, x**2 + y**2 + 2 * x * (x**2 + y**2 - 1)),
+        ("worked example: 3-gon locus at p=1/2", locus_at_p(3, half), X**2 + Y**2 - 1),
+        ("worked example: 4-gon locus at p=1/2", locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
         ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, printed_loci[6]),
     ]
 
-    def times(f: _IntForm, i: int, j: int) -> _IntForm:
+    def times(f: LaurentPoly3, i: int, j: int) -> LaurentPoly3:
         # f * R**i * S**j for the positive exponents, with no product by a power 0
-        for base, k in ((r, i), (s, j)):
+        for base, k in ((R, i), (S, j)):
             if k > 0:
                 f = f * base**k
         return f
@@ -201,11 +195,11 @@ def checks() -> list[tuple[str, bool]]:
     for n in DISCRIMINANT_FACTORS:
         a = loci[n].p_coefficients()
         d = len(a) - 1
-        b, c, l = _divide_out(a, r, range(d + 1))
-        b, c2, m = _divide_out(b, s, range(d, -1, -1))
+        b, c, l = _divide_out(a, R, range(d + 1))
+        b, c2, m = _divide_out(b, S, range(d, -1, -1))
         reduced[n] = b, c, l, c2, m
 
-    def row(n: int, formula, printed: _IntForm, kr: int, ks: int) -> tuple[_IntForm, _IntForm]:
+    def row(n: int, formula, printed: LaurentPoly3, kr: int, ks: int) -> tuple[LaurentPoly3, LaurentPoly3]:
         b, c, l, c2, m = reduced[n]
         d = len(b) - 1
         deg, w = _degree_weight(formula, d)
@@ -221,7 +215,7 @@ def checks() -> list[tuple[str, bool]]:
         ("P", -256 * rp["psi2"], 4, 2),
         ("D", -65536 * rp["psi3"], 8, 4),
         ("O", -16 * rp["psi4"], 2, 5),
-        ("R", -4096 * x * rp["psi5"], 6, 3),
+        ("R", -4096 * X * rp["psi5"], 6, 3),
     ):
         rows.append((f"{label} of the 7-gon quartic factors as printed",
                      *row(7, _QUARTIC_INVARIANTS[label], printed, kr, ks)))

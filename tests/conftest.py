@@ -297,30 +297,17 @@ def rand_quartic(rng: random.Random) -> UniPolyR:
 
 
 def poly_det(m) -> LaurentPoly3:
-    """Exact determinant by fraction-free Bareiss elimination over Z, on
-    polycore's integer working form: the determinant route of
-    `hankel_matrix`, and `resultant`'s.
-
-    The whole matrix is brought to one denominator and one p-shift, so that
-    its determinant is a known scalar multiple of the original.
-    """
+    """Exact determinant by fraction-free Bareiss elimination: each entry
+    of a minor is (pivot * entry - lead * top) / previous pivot, an exact
+    LaurentPoly3 quotient.  The determinant route of `hankel_matrix`."""
     k = len(m)
     if not k:
         return LaurentPoly3.const(1)
-    rows = [[polycore._coerce(v) for v in row] for row in m]
-    if any(len(row) != k for row in rows):
+    mat = [[v if isinstance(v, LaurentPoly3) else LaurentPoly3.const(v) for v in row] for row in m]
+    if any(len(row) != k for row in mat):
         raise ValueError("matrix must be square")
-    if not any(v.terms for row in rows for v in row):
-        return LaurentPoly3()
-    # A minor's exponents are at most k times the largest; Bareiss multiplies two.
-    forms = polycore._IntForm.pack([v for row in rows for v in row], 2 * k)
-    den = math.lcm(*(f.den for f in forms))
-    shift = min(f.shift for f in forms if f.q)
-    w = forms[0].w
-    entries = [f._terms(shift, den) for f in forms]
-    mat = [entries[i * k:(i + 1) * k] for i in range(k)]
     sign = 1
-    prev = {0: 1}
+    prev = LaurentPoly3.const(1)
     for i in range(k - 1):
         if not mat[i][i]:
             for r in range(i + 1, k):
@@ -334,11 +321,9 @@ def poly_det(m) -> LaurentPoly3:
         for r in range(i + 1, k):
             row, lead = mat[r], mat[r][i]
             for c in range(i + 1, k):
-                row[c] = polycore._idiv(polycore._mul_sub(piv, row[c], lead, top[c]), prev, w)
-            row[i] = {}
+                row[c] = (piv * row[c] - lead * top[c]) / prev
         prev = piv
-    det = mat[k - 1][k - 1]
-    return (polycore._IntForm(det, den**k, polycore._top(det, w), w, k * shift) * sign).poly()
+    return mat[k - 1][k - 1] * sign
 
 
 def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
@@ -354,13 +339,13 @@ def det_laplace(m: list[list[LaurentPoly3]]) -> LaurentPoly3:
 
 
 def resultant(f: UniPolyR, g: UniPolyR) -> Fraction:
-    """Res(f, g): poly_det of the Sylvester matrix, whose entries are
-    constants; the reference for `discriminant`."""
+    """Res(f, g): the determinant of the Sylvester matrix, whose entries
+    are constants, by `fraction_det`; the reference for `discriminant`."""
     n, m = f.degree(), g.degree()
     fc, gc = f.coeffs[::-1], g.coeffs[::-1]
     rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
     rows += [[0] * i + gc + [0] * (n - 1 - i) for i in range(n)]
-    return poly_det(rows).terms.get((0, 0, 0), Fraction(0))
+    return fraction_det([[Fraction(v) for v in row] for row in rows])
 
 
 def hankel_matrix(n: int, coeff=None) -> list[list]:
@@ -475,10 +460,11 @@ def canonicalize_reference(a: LaurentPoly3) -> LaurentPoly3:
 
 
 def locus_reference(n: int) -> LaurentPoly3:
-    """The canonical n-locus by the Fraction route: hankel_raw(n) divided
+    """The canonical n-locus by the (p, x, y) route: hankel_raw(n) divided
     by poly_div_exact by each proper divisor's reference locus, then
-    canonicalize_reference.  The reference for cayley.locus, which stays in
-    one integer form from the packed W_n to the canonical polynomial."""
+    canonicalize_reference, which scales term by term in Fractions.  The
+    reference for cayley.locus, which divides in (p, x, s) only what the
+    doubling formulas leave and normalizes in integers."""
     q = hankel_raw(n)
     for k in proper_divisors(n):
         q = poly_div_exact(q, locus_reference(k))
@@ -494,11 +480,10 @@ def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
 
 
 def checks_reference() -> list[tuple[str, bool]]:
-    """verify.checks() by the LaurentPoly3 route: every computed and printed
-    side a LaurentPoly3, each product packed and unpacked on its own, and
-    every discriminant and invariant expanded on the full p-coefficients.
-    The reference for verify.checks, which compares the same rows in one
-    integer form on weight-reduced p-coefficients.  It reads the loci, the
+    """verify.checks() by the expanded route: every discriminant and
+    invariant expanded on the full p-coefficients, and the printed sides
+    multiplied out.  The reference for verify.checks, which compares the
+    same rows on weight-reduced p-coefficients.  It reads the loci, the
     printed sides and the factor table through verify and classify, so a
     test that patches one of them changes both routes.  The hexagon row
     divides the public hankel_raw(6) by hankel_raw(3), where checks divides

@@ -214,8 +214,7 @@ def test_s_form_seeds():
     S = LaurentPoly3.var_y()  # the third variable of an s-form
     half = Fraction(1, 2)
     one = LaurentPoly3.const(1)
-    closed = tuple(polycore._IntForm.pack([one, one, half * S, -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)],
-                                          1, polycore._PXS))
+    closed = tuple(polycore._pxs(f.terms) for f in [one, one, half * S, -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)])
     assert all(f.vars == polycore._PXS for f in cayley._W_S)
     assert cayley._W_S[:2] == closed[:2]
     assert cayley._W_S[2] == closed[2]
@@ -223,7 +222,7 @@ def test_s_form_seeds():
     a = atilde_sequence(3)
     series = [one, one, a[1] * Fraction(1, 2), a[2] * Fraction(1, 6)]  # A_k = atilde_k / k!
     for j in range(4):
-        assert cayley._W_S[j].expand_s().poly() == series[j], j
+        assert cayley._W_S[j].expand_s() == series[j], j
     assert hankel_raw(3) == series[2]
     assert hankel_raw(4) == series[3]
 
@@ -337,32 +336,26 @@ def test_cold_loci_kernel_work(monkeypatch):
 
 
 def test_locus_equals_fraction_reference():
-    # the integer route equals the Fraction route, coefficients and term
+    # the (p, x, s) route equals the (p, x, y) route, coefficients and term
     # order (descending) alike
     for n in range(3, 13):
         assert list(locus(n).canonical.terms.items()) == list(locus_reference(n).terms.items()), n
 
 
-def test_cold_loci_pack_no_poly_and_view_once_per_locus(monkeypatch):
-    # A cold locus(3..12) stays in integer forms from the seeds, packed at
-    # import, to the canonical polynomial: it packs no LaurentPoly3 and
-    # builds one LaurentPoly3 view per locus(n).  Each locus(n), n = 3..12,
-    # is expanded to (p, x, y) once and divides by its divisors' loci as
-    # forms; with seeds kept in (p, x, y) for n = 3, 4 it made 8 expansions.
-    # Before the single form type it packed 58 LaurentPoly3s in 12 calls and
-    # built 16 views (12 canonical, 4 of W_5..W_8 in (p, x, s)); the
-    # Fraction route made 15 unpacks and 7 poly_div_exact calls.
-    calls = {"pack": 0, "view": 0, "expand": 0, "div": 0}
-    form = polycore._IntForm
-    pack, poly, expand, div = form.pack, form.poly, form.expand_s, polycore.poly_div_exact
+def test_cold_loci_expand_once_and_decode_no_terms(monkeypatch):
+    # A cold locus(3..12) stays in one integer form from the seeds, typed at
+    # import, to the canonical polynomial: it decodes no terms view, and
+    # each locus(n), n = 3..12, is expanded to (p, x, y) once and divides by
+    # its divisors' loci in (p, x, s); with seeds kept in (p, x, y) for
+    # n = 3, 4 it made 8 expansions.  With two polynomial types it packed
+    # 58 LaurentPoly3s in 12 calls and built 16 views; the Fraction route
+    # made 15 unpacks and 7 poly_div_exact calls.
+    calls = {"decode": 0, "expand": 0, "div": 0}
+    decode, expand, div = LaurentPoly3._decode, LaurentPoly3.expand_s, polycore.poly_div_exact
 
-    def counted_pack(fs, *args):
-        calls["pack"] += len(fs)
-        return pack(fs, *args)
-
-    def counted_poly(self):
-        calls["view"] += 1
-        return poly(self)
+    def counted_decode(self):
+        calls["decode"] += 1
+        return decode(self)
 
     def counted_expand(self):
         calls["expand"] += 1
@@ -372,9 +365,8 @@ def test_cold_loci_pack_no_poly_and_view_once_per_locus(monkeypatch):
         calls["div"] += 1
         return div(a, b)
 
-    monkeypatch.setattr(form, "pack", staticmethod(counted_pack))
-    monkeypatch.setattr(form, "poly", counted_poly)
-    monkeypatch.setattr(form, "expand_s", counted_expand)
+    monkeypatch.setattr(LaurentPoly3, "_decode", counted_decode)
+    monkeypatch.setattr(LaurentPoly3, "expand_s", counted_expand)
     monkeypatch.setattr(polycore, "poly_div_exact", counted_div)
     monkeypatch.setattr(cayley, "poly_div_exact", counted_div)
     _clear_caches()
@@ -383,7 +375,7 @@ def test_cold_loci_pack_no_poly_and_view_once_per_locus(monkeypatch):
             locus(n)
     finally:
         _clear_caches()
-    assert calls == {"pack": 0, "view": 10, "expand": 10, "div": 0}
+    assert calls == {"decode": 0, "expand": 10, "div": 0}
 
 
 def test_library_path_runs_no_series():
@@ -443,7 +435,7 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     # not divide m, so the only divisions are by locus(3) at n = 9 and by
     # locus(4) at n = 12, each through its s-form: s and (s + 1) p + x s.
     raw, read, divisors = [], [], []
-    raw_hankel, ws, divide = cayley.hankel_raw, cayley._ws, polycore._IntForm.__truediv__
+    raw_hankel, ws, divide = cayley.hankel_raw, cayley._ws, LaurentPoly3.__truediv__
 
     def counted_raw(n):
         raw.append(n)
@@ -460,7 +452,7 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(cayley, "hankel_raw", counted_raw)
     monkeypatch.setattr(cayley, "_ws", counted_ws)
-    monkeypatch.setattr(polycore._IntForm, "__truediv__", counted_divide)
+    monkeypatch.setattr(LaurentPoly3, "__truediv__", counted_divide)
     try:
         loci = {n: locus(n) for n in range(3, 13)}
     finally:
@@ -469,8 +461,8 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     assert len(divisors) == 2
     S = LaurentPoly3.var_y()  # the third variable of an s-form
     for k, b, s_form in zip((3, 4), divisors, (S, (S + 1) * P + X * S)):
-        assert b == polycore._IntForm.pack([s_form], 1, polycore._PXS)[0].at_width(b.w), k
-        assert b.expand_s().canonical().poly() == locus(k).canonical, k
+        assert b == polycore._pxs(s_form.terms), k
+        assert b.expand_s().canonical() == locus(k).canonical, k
     for n, loc in loci.items():
         assert loc.raw_hankel == hankel_raw(n), n
         assert _sha256(loc.raw_hankel) == HANKEL_RAW_SHA256[n], n

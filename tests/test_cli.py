@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import shlex
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,14 @@ def test_cayley_at_p_past_the_int_str_digit_limit(capsys):
         assert out == format_poly(locus_at_p(5, Fraction(10**20000))) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_cayley_json_past_the_int_str_digit_limit_round_trips(capsys):
+    code, out = run(capsys, "cayley", "--n", "5", "--p", "1e20000", "--format", "json")
+    assert code == 0
+    from poncelet.polycore import parse_poly
+
+    assert parse_poly(json.loads(out)["canonical"]) == locus_at_p(5, 10**20000)
 
 
 CAYLEY_AT_P_SHA256 = {
@@ -475,6 +485,39 @@ def test_out_of_range_flag_exit_code(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: argument --" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("cayley", "--n", "4"), "--p", "-1/2"),
+    (("cayley", "--n", "5", "--format", "json"), "--p", "-3"),
+    (("locus", "--n", "4", "--grid", "16"), "--p", "-1/2"),
+    (("classify", "--n", "5"), "--center", "-1/2,1/3"),
+    (("isoperiodic",), "--center", "-3/5,-4/5"),
+    (("trace", "--p", "1", "--n", "4"), "--center", "-1/2,0"),
+    (("trace", "--center", "0,0", "--n", "4"), "--p", "-1e-1"),
+    (("trace", "--center", "0,0", "--p", "1", "--n", "4"), "--start", "-.5"),
+])
+def test_negative_value_after_a_space(capsys, argv, flag, value):
+    # a negative rational or float after a space is the flag's value, as
+    # after "=": argparse alone reads -1/2, -1e-1 and -.5 as options
+    spaced = run(capsys, *argv, flag, value)
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert spaced[0] == 0 and spaced == joined
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    # every command of README's CLI block exits 0, its files written in a
+    # temporary directory
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("poncelet ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _ = run(capsys, *argv[1:])
+        assert code == 0, argv
 
 
 def test_degenerate_p_exit_code(capsys):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -59,11 +60,9 @@ from poncelet.polycore import (
 from poncelet.polycore import (
     _SQUAREFREE_PRIME,
     _discriminant,
-    _IntForm,
     _horner,
     _int_coeffs,
     _isolate,
-    _raw,
     _refine,
     _squarefree_mod,
 )
@@ -189,21 +188,21 @@ def test_product_matches_fraction_reference():
 
 
 def test_expand_s_matches_substitution():
-    # forms in (p, x, s), with cancelling terms and s-degrees past what the
-    # input width holds after doubling, expand to the LaurentPoly3
+    # polynomials in (p, x, s), with cancelling terms and s-degrees past
+    # what the input width holds after doubling, expand to the LaurentPoly3
     # substitution s = x^2 + y^2 - 1, keys in descending order
     rng = make_rng(44)
     s = X**2 + Y**2 - 1
-    cases = [LaurentPoly3.monomial(1, 0, 0, 9), X**2 * Y**3 - Y**4, 3 * P**2 * Y + 1]
+    cases = [LaurentPoly3.monomial(1, 0, 0, 9), X**2 * Y**3 - Y**4, 3 * P**2 * Y + 1, Y**20 - X**3 * Y**2]
     cases += [P**2 * _rand_poly(rng, rng.randint(1, 6)) for _ in range(100)]
     for f in filter(None, cases):
         f = canonicalize(f)
         reference = LaurentPoly3()
         for (ep, ex, es), c in f.terms.items():
             reference = reference + LaurentPoly3.monomial(c, ep, ex) * s**es
-        e = _IntForm.pack([f], 1, polycore._PXS)[0].expand_s()
+        e = polycore._pxs(f.terms).expand_s()
         assert list(e.q) == sorted(e.q, reverse=True)
-        assert e.poly() == reference, f
+        assert e == reference, f
 
 
 def _laurent_poly(rng, nterms):
@@ -211,29 +210,73 @@ def _laurent_poly(rng, nterms):
     return LaurentPoly3.var_p(rng.choice((-1, 0, 2))) * _rand_poly(rng, nterms)
 
 
-def test_int_form_ring_matches_laurent_poly3():
-    # sums, differences, products, Fraction multiples and powers of packed
-    # forms, on rational coefficients, Laurent operands, zero operands and
-    # cancelling terms, view as the LaurentPoly3 results
+def _sum_reference(a, b, sign=1):
+    # the term-by-term Fraction sum a + sign * b
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        s = out.get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _form_of(rng, a):
+    # the polynomial a in another form: q times k over den times k, its
+    # keys at a wider width, or its lowest power of p left in q
+    how = rng.randrange(3)
+    if how == 0:
+        k = rng.randint(2, 9)
+        return a * k * Fraction(1, k)
+    if how == 1:
+        return a * X**40 / X**40
+    return a * P**2 / P**2
+
+
+def test_ring_matches_fraction_reference():
+    # +, -, *, /, ** and == of values at different key widths (x^40 and
+    # y^70 need 6 and 7 bits), denominators and p-shifts, negative
+    # p-exponents included, against term-by-term Fraction references; equal
+    # polynomials in other forms compare and hash alike
     rng = make_rng(43)
-    count = {"fraction": 0, "zero": 0, "dens differ": 0, "laurent": 0, "shifts differ": 0}
+    count = Counter()
+    wide = [LaurentPoly3.const(1)] * 3 + [X**40, Y**70]
     for _ in range(200):
-        a, b, c = (_laurent_poly(rng, rng.randint(0, 5)) for _ in range(3))
+        a, b, c = (_laurent_poly(rng, rng.randint(0, 5)) * rng.choice(wide) for _ in range(3))
         k, e = rand_fraction(rng, 9, 5), rng.randint(0, 3)
-        fa, fb, fc = _IntForm.pack([a, b, c], 3)
         count["fraction"] += any(t.denominator != 1 for t in a.terms.values())
         count["zero"] += a.is_zero()
-        count["dens differ"] += fa.den != fb.den
-        count["laurent"] += any(t[0] < 0 for t in a.terms)
-        count["shifts differ"] += fa.shift != fb.shift
-        assert (fa + fb).poly() == a + b
-        assert (fa - fb).poly() == a - b
-        assert (fa - fa).poly() == LaurentPoly3()
-        assert (fa * fb - fc).poly() == a * b - c
-        assert (k * fa + fb * k).poly() == k * a + b * k
-        assert (3 - fa + k).poly() == 3 - a + k
-        assert (fa**e).poly() == a**e
-        assert (fa * fb * fc).poly() == a * b * c
+        count["widths differ"] += a.w != b.w
+        count["dens differ"] += a.den != b.den
+        count["shifts differ"] += a.shift != b.shift
+        count["negative p"] += any(t[0] < 0 for t in a.terms)
+        assert (a + b).terms == _sum_reference(a, b)
+        assert (a - b).terms == _sum_reference(a, b, -1)
+        assert (a - a).is_zero() and a - a == 0
+        assert (a * b).terms == _product_reference(a, b)
+        assert (a * b - c).terms == _sum_reference(LaurentPoly3(_product_reference(a, b)), c, -1)
+        assert (k * a + b * k).terms == _sum_reference(LaurentPoly3({t: k * v for t, v in a.terms.items()}),
+                                                       LaurentPoly3({t: k * v for t, v in b.terms.items()}))
+        assert 3 - a + k == LaurentPoly3(_sum_reference(LaurentPoly3.const(3 + k), a, -1))
+        power = LaurentPoly3.const(1)
+        for _ in range(e):
+            power = LaurentPoly3(_product_reference(power, a))
+        assert (a**e).terms == power.terms
+        if not b.is_zero():
+            assert (a * b) / b == a
+            if any(t[1:] != (0, 0) for t in b.terms):
+                with pytest.raises(NotDivisible):
+                    (a * b + 1) / b
+        with pytest.raises(ZeroDivisionError):
+            a / (b - b)
+        twin = _form_of(rng, a)
+        count["forms differ"] += (twin.q, twin.den, twin.w, twin.shift) != (a.q, a.den, a.w, a.shift)
+        assert twin == a and hash(twin) == hash(a) and twin.terms == a.terms
+        assert a == LaurentPoly3({t: Fraction(v) for t, v in a.terms.items()})
+        assert a + LaurentPoly3.monomial(Fraction(1, 7), 0, 1, 1) != a
+        if a:
+            assert list(canonicalize(a).terms.items()) == list(canonicalize_reference(a).terms.items())
     assert min(count.values()) >= 10, count
 
 
@@ -243,17 +286,17 @@ def test_int_form_equality_cross_multiplies():
         a = P**2 * _rand_poly(rng, rng.randint(1, 5)) + Fraction(1, 3)
         e = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
         changed = a + LaurentPoly3.monomial(Fraction(1, 7), *e)
-        fa, fchanged = _IntForm.pack([a, changed], 1)
         half = Fraction(1, 2)
-        assert (2 * fa) * half == fa and fa == half * (fa * 2)
-        assert (fa * Fraction(3, 7)) * Fraction(7, 3) == fa
-        assert fchanged != fa and (2 * fchanged) * half != fa
+        assert (2 * a) * half == a and a == half * (a * 2)
+        assert (a * Fraction(3, 7)) * Fraction(7, 3) == a
+        assert changed != a and (2 * changed) * half != a
 
 
 def test_int_form_division_is_exact():
     # (a*b)/b == a with rational coefficients and content on either side;
-    # a remainder raises NotDivisible, the zero form ZeroDivisionError, and
-    # the quotient's degree bound is its own largest exponent
+    # a remainder raises NotDivisible, the zero polynomial
+    # ZeroDivisionError, and the quotient's degree bound is its own largest
+    # x- or y-exponent
     rng = make_rng(45)
     count = {"fraction": 0, "content": 0, "laurent": 0}
     for _ in range(100):
@@ -261,47 +304,63 @@ def test_int_form_division_is_exact():
         b = _laurent_poly(rng, rng.randint(1, 4)) * rand_fraction(rng, 6, 5)
         if a.is_zero() or b.is_zero() or not any(e[1:] != (0, 0) for e in b.terms):
             continue
-        fa, fb, fab, fone = _IntForm.pack([a, b, a * b, LaurentPoly3.const(1)], 3)
         count["fraction"] += any(t.denominator != 1 for t in b.terms.values())
-        count["content"] += math.gcd(*fb.q.values()) > 1
+        count["content"] += math.gcd(*b.q.values()) > 1
         count["laurent"] += any(t[0] < 0 for t in a.terms) or any(t[0] < 0 for t in b.terms)
-        quotient = fab / fb
-        assert quotient == fa and quotient.poly() == a
-        low = a.min_p_exponent()
-        assert quotient.shift == low
-        assert quotient.deg == max(max(ep - low, ex, ey) for ep, ex, ey in a.terms)
+        quotient = (a * b) / b
+        assert quotient == a
+        assert quotient.deg == max(max(ex, ey) for ep, ex, ey in a.terms)
         with pytest.raises(NotDivisible):
-            (fab + fone) / fb
+            (a * b + 1) / b
         with pytest.raises(ZeroDivisionError):
-            fa / (fb - fb)
+            a / (b - b)
     assert min(count.values()) >= 10, count
 
 
-def test_int_form_product_past_the_width_raises():
-    # x^3 fits 2-bit fields; x^6 would carry into the p field, as the raw
-    # kernel shows: the form raises instead
-    fx3, fy = _IntForm.pack([LaurentPoly3.monomial(1, 0, 3, 0), Y], 1)
-    assert fx3.w == 2
-    wrapped = polycore._mul_sub(fx3.q, fx3.q, {}, {})
-    assert _IntForm(wrapped, 1, 0, 2).poly() == P * X**2
-    for product in (lambda: fx3 * fx3, lambda: fx3**2):
-        with pytest.raises(PolycoreError, match="does not fit 2-bit fields"):
-            product()
-    with pytest.raises(PolycoreError, match="do not mix"):
-        fy + _IntForm.pack([Y], 8)[0]
-    # forms in (p, x, y) and in (p, x, s) do not mix, and an s-form has no
-    # LaurentPoly3 view until it is expanded
-    _, fs = _IntForm.pack([LaurentPoly3.monomial(1, 0, 3, 0), Y], 1, polycore._PXS)
-    assert fs.w == fy.w
-    for mixed in (lambda: fy + fs, lambda: fy * fs, lambda: fy / fs, lambda: fy == fs):
-        with pytest.raises(PolycoreError, match=r"in \(p, x, y\) and \(p, x, s\) do not mix"):
+def test_product_past_the_width_re_keys():
+    # x^20 fits 5-bit fields; x^40 would carry into the p field, as the raw
+    # kernel shows: the product re-keys both factors to 6-bit fields
+    x20 = LaurentPoly3.monomial(1, 0, 20, 0)
+    assert x20.w == 5
+    wrapped = polycore._mul_sub(x20.q, x20.q, {}, {})
+    assert polycore._poly(wrapped, 1, 5, 0).terms == {(1, 8, 0): 1}
+    for product, expected in ((x20 * x20, {(0, 40, 0): 1}), (x20**2, {(0, 40, 0): 1}),
+                              (x20 * (x20 + Y), {(0, 40, 0): 1, (0, 20, 1): 1})):
+        assert product.w == 6 and product.terms == expected
+    assert (x20 * x20) / x20 == x20
+    # a negative power of p goes into the shift, and back out in terms
+    pinv = LaurentPoly3.var_p(-1)
+    assert pinv.shift == -1 and dict(pinv.terms) == {(-1, 0, 0): 1}
+
+
+def test_values_in_s_have_no_terms():
+    # a polynomial in (p, x, s) has no terms and no text until expand_s,
+    # its repr still returns, and it does not mix with one in (p, x, y)
+    fs = polycore._pxs({(0, 0, 1): 1})
+    assert fs.vars == polycore._PXS
+    for read in (lambda: fs.terms, lambda: format_poly(fs), lambda: fs.evaluate(1, 1, 1)):
+        with pytest.raises(PolycoreError, match="no terms until expand_s"):
+            read()
+    assert repr(fs) == "LaurentPoly3('s', in (p, x, s))"
+    assert repr(cayley._ws(4)) == "LaurentPoly3('-1/2*s - 1/2 - 1/2*p^-1*x*s', in (p, x, s))"
+    for mixed in (lambda: Y + fs, lambda: fs + Y, lambda: Y * fs, lambda: Y / fs, lambda: Y == fs, lambda: fs - Y):
+        with pytest.raises(PolycoreError, match="do not mix"):
             mixed()
-    with pytest.raises(PolycoreError, match="no LaurentPoly3 view"):
-        fs.poly()
-    assert fs.expand_s().poly() == Y**2 + X**2 - 1
-    # a negative power of p goes into the shift: the form round-trips
-    (fp,) = _IntForm.pack([LaurentPoly3.var_p(-1)], 1)
-    assert fp.shift == -1 and fp.poly() == LaurentPoly3.var_p(-1)
+    assert fs * 2 + 1 == polycore._pxs({(0, 0, 1): 2, (0, 0, 0): 1})
+    assert fs.expand_s() == Y**2 + X**2 - 1
+    assert hash(fs) == hash(polycore._pxs({(0, 0, 1): Fraction(1)}))
+    with pytest.raises(PolycoreError, match="only a polynomial in"):
+        Y.expand_s()
+
+
+def test_terms_is_a_cached_read_only_view():
+    a = Fraction(1, 2) * X - 3 * LaurentPoly3.var_p(-1) * Y
+    assert a.terms is a.terms
+    assert list(a.terms.items()) == [((0, 1, 0), Fraction(1, 2)), ((-1, 0, 1), -3)]
+    assert all(type(c) is Fraction for c in a.terms.values())
+    assert all(type(c) is int for c in canonicalize(a).terms.values())
+    with pytest.raises(TypeError):
+        a.terms[(0, 0, 0)] = 1
 
 
 @pytest.mark.parametrize("method", ["canonical", "expand_s", "reduced"])
@@ -313,9 +372,10 @@ def test_int_form_zero_raises_zero_polynomial(method):
 
 
 def test_canonical_forms_hold_int_coefficients():
-    # A canonical form keeps an int per term.  It equals and hashes like its
-    # Fraction-valued twin, and sums and products with Fraction-valued
-    # polynomials and scalars stay exact.
+    # A canonical form keeps an int per term, as does any value with
+    # denominator 1.  It equals and hashes like its text's parse and like
+    # the value with a Fraction per term, and sums and products with
+    # Fraction-valued polynomials and scalars stay exact.
     rng = make_rng(23)
     forms = [locus(n).canonical for n in range(3, 13)]
     forms += [locus_at_p(n, p) for n in (3, 5, 8, 12) for p in (Fraction(1, 3), Fraction(-7, 2), Fraction(5))]
@@ -324,8 +384,11 @@ def test_canonical_forms_hold_int_coefficients():
     for a in forms:
         assert all(type(c) is int for c in a.terms.values()), a
         twin = parse_poly(format_poly(a))
-        assert all(type(c) is Fraction for c in twin.terms.values())
-        assert a == twin and hash(a) == hash(twin)
+        assert all(type(c) is int for c in twin.terms.values())
+        fractions = LaurentPoly3({e: Fraction(c, 3) for e, c in a.terms.items()}) * 3
+        assert all(type(c) is Fraction for c in fractions.terms.values())
+        for other in (twin, fractions):
+            assert a == other and hash(a) == hash(other)
         for value in (a + b, a * b, a * Fraction(-3, 4), Fraction(5, 7) + a):
             assert all(isinstance(c, (int, Fraction)) for c in value.terms.values())
         assert a + b - b == twin
@@ -408,6 +471,18 @@ def test_format_poly_past_the_int_str_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_parse_poly_past_the_int_str_digit_limit():
+    # parse_poly reads back what format_poly prints past the limit, and
+    # leaves the limit as it was
+    limit, c = sys.get_int_max_str_digits(), 10**5000 + 7
+    for a in (LaurentPoly3.const(c), LaurentPoly3.const(-c),
+              LaurentPoly3({(1, 0, 2): Fraction(-c, 3 * 10**4400 + 1), (0, 0, 0): 1})):
+        assert parse_poly(format_poly(a)) == a
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        parse_poly("1" * 5000 + ".5*x")  # not digits alone: Fraction's own error stands
+
+
 def test_format_poly_matches_reference():
     edge = ["0", "1", "-1", "p", "-p", "1/2*p^-2", "-3/7*x*y^2", "p^-1 - x + 1/3"]
     for text in edge:
@@ -418,7 +493,7 @@ def test_format_poly_matches_reference():
         canonicalize(parse_poly(text))
         for text in ("p - x", "-p*x + 3*y", "x - 1", "-x*y - 1", "2*x - 6", "-4", "2/3*p^-2*x - 4/3*p^-1 + 2")
     ]
-    canonical += [_raw({(ep - 2, ex, ey): c for (ep, ex, ey), c in a.terms.items()}) for a in canonical]
+    canonical += [a.times_p(-2) for a in canonical]
     for a in canonical:
         assert all(type(c) is int for c in a.terms.values()), a
         assert format_poly(a) == format_reference(a), format_reference(a)
