@@ -210,7 +210,8 @@ def locus(n: int) -> LocusPolynomial:
 
     The division runs in (p, x, s), s = x^2 + y^2 - 1 (`_locus_s`).  The
     quotient is expanded to (p, x, y), which keeps content and the lowest
-    power of p, in descending term order, and normalized once."""
+    power of p, in descending term order, and normalized once; the result
+    keeps its (p, x, s) form, which `specialize` sums at a center."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
     return LocusPolynomial(n, tuple(proper_divisors(n)), _locus_s(n).expand_s().canonical())

@@ -18,7 +18,7 @@ from .cayley import MAX_N, locus, locus_at_p
 from .classify import CLASSIFY_N, Center, isoperiodic_n, pair_classify
 from .geometry import Circle, Parabola, poncelet_trace
 from .painleve import RESIDUAL_TOL, hitchin_residual, n4_relation_residual, sample_family
-from .polycore import format_poly
+from .polycore import _parse_rational, format_poly
 
 VIEW = 3.0  # SVG viewport is [-3, 3]^2
 PARABOLA_SAMPLES = 400
@@ -26,14 +26,43 @@ PARABOLA_SAMPLES = 400
 # 0.9 MB of JSON, and locus --n 12 --p 1/3 --grid 1024 takes 2.5 to 3 s.
 MAX_TRACE_N = 10_000
 MAX_GRID = 1024
+# Bit heights (the longer of numerator and denominator) of rational flags:
+# every --center and locus --p, where classify --n 7 takes about 0.5 s at
+# the bound, and cayley --p, whose output is the polynomial at p itself
+# and which takes --p 1e20000 (66,439 bits).
+MAX_BITS = 4096
+MAX_CAYLEY_P_BITS = 1 << 17
 
 
-def parse_rational(text: str) -> Fraction:
-    """`num/den` or a decimal string, converted exactly."""
+def parse_rational(text: str, max_bits: int = MAX_BITS) -> Fraction:
+    """`num/den` or a decimal string, converted exactly, of bit height at
+    most max_bits; digits past the int-to-str limit are read in parts.  The
+    text is checked before an int is built (1e2000000 is a short string for
+    a 6.6-Mbit int): its length plus its exponent bounds the decimal digits
+    of every int built, and more than max_bits of them is refused.  No value
+    within the bound needs them: its numerator and denominator take about
+    0.6 max_bits digits."""
+    digits = len(text)
+    if digits <= max_bits:
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+        if exponent:
+            digits += abs(int(exponent[1])) if len(exponent[1]) <= 20 else max_bits
+    if digits > max_bits:
+        raise argparse.ArgumentTypeError(f"too long for {max_bits} bits in numerator and denominator")
     try:
-        return Fraction(text)
+        value = _parse_rational(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    if max(abs(value.numerator).bit_length(), value.denominator.bit_length()) > max_bits:
+        raise argparse.ArgumentTypeError(f"more than {max_bits} bits in numerator or denominator")
+    return value
+
+
+def _rational(max_bits: int):
+    """An argparse type for a rational of bit height at most max_bits."""
+    return lambda text: parse_rational(text, max_bits)
 
 
 def _int_in(lo: int, hi: int):
@@ -282,27 +311,31 @@ def cmd_verify(args) -> int:
     return 0 if all(passed for _, passed in results) else 1
 
 
+_CENTER_HELP = f"x,y: two rationals, each at most {MAX_BITS} bits in numerator and denominator"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="poncelet")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("cayley", help="print the canonical locus polynomial")
     c.add_argument("--n", type=_int_in(3, MAX_N), required=True)
-    c.add_argument("--p", type=parse_rational)
+    c.add_argument("--p", type=_rational(MAX_CAYLEY_P_BITS),
+                   help=f"a rational, at most {MAX_CAYLEY_P_BITS} bits in numerator and denominator")
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.set_defaults(func=cmd_cayley)
 
     c = sub.add_parser("classify", help="pair classification for a center")
     c.add_argument("--n", type=_int_in(CLASSIFY_N[0], CLASSIFY_N[-1]), required=True)
-    c.add_argument("--center", type=parse_center, required=True)
+    c.add_argument("--center", type=parse_center, required=True, help=_CENTER_HELP)
     c.set_defaults(func=cmd_classify)
 
     c = sub.add_parser("isoperiodic", help="isoperiodic n for a center, if any")
-    c.add_argument("--center", type=parse_center, required=True)
+    c.add_argument("--center", type=parse_center, required=True, help=_CENTER_HELP)
     c.set_defaults(func=cmd_isoperiodic)
 
     c = sub.add_parser("trace", help="numeric tangent-chord trace")
-    c.add_argument("--center", type=_float_center, required=True)
+    c.add_argument("--center", type=_float_center, required=True, help=_CENTER_HELP)
     c.add_argument("--p", type=_finite_float, required=True)
     c.add_argument("--n", type=_int_in(3, MAX_TRACE_N), required=True,
                    help=f"steps, 3..{MAX_TRACE_N}")
@@ -312,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("locus", help="rasterize the locus curve at fixed p")
     c.add_argument("--n", type=_int_in(3, MAX_N), required=True)
-    c.add_argument("--p", type=parse_rational, required=True)
+    c.add_argument("--p", type=parse_rational, required=True,
+                   help=f"a rational, at most {MAX_BITS} bits in numerator and denominator")
     c.add_argument("--grid", type=_int_in(1, MAX_GRID), default=512,
                    help=f"grid cells per side, 1..{MAX_GRID} (default 512)")
     c.add_argument("--format", choices=("csv", "svg"), default="csv")

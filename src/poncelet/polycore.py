@@ -4,7 +4,8 @@ polynomials over Q, real root isolation, discriminants.
 A trivariate polynomial, `LaurentPoly3`, is one integer form,
 p**shift * q / den with q an integer dict keyed by packed exponents, so its
 products, exact division, normal form and `specialize` (the one exact
-evaluator at a rational center, for the locus and region polynomials) run
+evaluator at a rational center, for the locus and region polynomials; a
+locus is summed in (p, x, s), where s = x**2 + y**2 - 1 is one number) run
 over integers, denominators cleared once.  Its `terms` hold an `int`
 coefficient where den is 1, as in the canonical forms (integer polynomials
 of content 1), and a `fractions.Fraction` otherwise.
@@ -83,12 +84,6 @@ _PXY, _PXS = "(p, x, y)", "(p, x, s)"
 
 def _den_lcm(coeffs: Iterable[Scalar]) -> int:
     return math.lcm(1, *(c.denominator for c in coeffs))
-
-
-def _degrees(terms: Mapping[Expo, Scalar]) -> tuple[int, int, int, int]:
-    """The lowest p-exponent and the highest p-, x- and y-exponents."""
-    ps, xs, ys = zip(*terms)
-    return min(ps), max(ps), max(xs), max(ys)
 
 
 # The narrowest field: polynomials of low degree then share one width, and
@@ -200,10 +195,13 @@ class LaurentPoly3:
 
     Privately, a value may be in (p, x, s), s = x**2 + y**2 - 1 (`_pxs`),
     its third exponent that of s: such a value has no `terms` until
-    `expand_s`, and does not mix with one in (p, x, y).
+    `expand_s`, and does not mix with one in (p, x, y).  The value that
+    `expand_s` returns, and its `canonical` form, keep that (p, x, s) form
+    of themselves in `_src`, which `specialize` reads; the slot is unset on
+    every other value, so no other operation carries or builds one.
     """
 
-    __slots__ = ("q", "den", "w", "deg", "shift", "vars", "_terms")
+    __slots__ = ("q", "den", "w", "deg", "shift", "vars", "_terms", "_src")
 
     def __init__(self, terms: Mapping[Expo, Scalar] | None = None):
         clean: dict[Expo, Fraction] = {}
@@ -399,13 +397,19 @@ class LaurentPoly3:
         """The normal form of a nonzero polynomial, as `canonicalize`
         defines it: q over its content, negated where its leading term is
         negative, den 1, and the shift that makes the lowest power of p 0.
-        Terms keep q's order."""
+        Terms keep q's order.  A (p, x, s) source (`expand_s`) is scaled
+        alike: it has the same content, and its own keys give its lowest
+        power of p."""
         if not self.q:
             raise ZeroPolynomial("cannot canonicalize the zero polynomial")
         g = math.gcd(*self.q.values())
         if self.q[max(self.q)] < 0:
             g = -g
-        return _poly(self._strip(g, 0), 1, self.w, self.deg, -(min(self.q) >> 2 * self.w), self.vars)
+        out = _poly(self._strip(g, 0), 1, self.w, self.deg, -(min(self.q) >> 2 * self.w), self.vars)
+        src = getattr(self, "_src", None)
+        if src is not None:
+            out._src = _poly(src._strip(g, 0), 1, src.w, src.deg, -(min(src.q) >> 2 * src.w), _PXS)
+        return out
 
     def p_coefficients(self) -> list["LaurentPoly3"]:
         """The coefficients of p**shift .. p**(shift + d), each a polynomial
@@ -423,7 +427,9 @@ class LaurentPoly3:
         order, by two binomial expansions: s = r - 1 takes c s**k to the sum
         of (-1)**(k - j) C(k, j) c r**j, and r = x**2 + y**2 takes c x**b r**j
         to the sum of C(j, i) c x**(b + 2j - 2i) y**(2i).  The change is
-        unimodular over Z, so den, shift, content and lowest p-power stay."""
+        unimodular over Z, so den, shift, content and lowest p-power stay.
+        The result keeps this polynomial as its source, for `canonical` and
+        `specialize`."""
         if self.vars != _PXS:
             raise PolycoreError("only a polynomial in (p, x, s) expands")
         if not self.q:
@@ -453,7 +459,9 @@ class LaurentPoly3:
                 for off, m in powers[j]:
                     out[base + off] = get(base + off, 0) + c * m
         out = {k: out[k] for k in sorted(out, reverse=True) if out[k]}
-        return _poly(out, self.den, w2, deg, self.shift, _PXY)
+        a = _poly(out, self.den, w2, deg, self.shift, _PXY)
+        a._src = self
+        return a
 
     # -- evaluation --------------------------------------------------------
 
@@ -527,27 +535,38 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
     """Substitute a rational center (x, y), leaving a polynomial in p.
 
-    With x = u/v and y = s/t, den * v**dx * t**dy times each coefficient is
-    a sum of integers (den clears a's denominators; dx, dy are its degrees
-    in x and y), so one Fraction is built per power of p.
+    The sum runs over the packed keys of a's (p, x, s) source where it has
+    one (`expand_s`), 4 to 14 times fewer terms for a locus, with the one
+    number s = x**2 + y**2 - 1, and over a's own keys otherwise.  With
+    x = u/v and the third variable m/t (y, or s over (v t)**2),
+    den * v**dx * t**dz times each coefficient is a sum of integers (dx, dz
+    the degrees in x and the third variable), so one Fraction is built per
+    power of p.
     """
     x = _as_fraction(x)
     y = _as_fraction(y)
-    if not a.terms:
+    a = getattr(a, "_src", a)
+    q, w, shift = a.q, a.w, a.shift
+    if not q:
         return UniPolyR([])
-    low, dp, dx, dy = _degrees(a.terms)
-    if low < 0:
+    ww, mask = 2 * w, (1 << w) - 1
+    if shift + (min(q) >> ww) < 0:
         raise NegativePExponent("canonicalize before specializing")
-    den = _den_lcm(a.terms.values())
+    dx, dz = max(map((mask << w).__and__, q)) >> w, max(map(mask.__and__, q))
     u, v = x.numerator, x.denominator
-    s, t = y.numerator, y.denominator
+    m, t = y.numerator, y.denominator
+    if a.vars == _PXS:
+        m, t = (u * t) ** 2 + (m * v) ** 2 - (v * t) ** 2, (v * t) ** 2
+        g = math.gcd(m, t)
+        m, t = m // g, t // g
     xs = [u**i * v ** (dx - i) for i in range(dx + 1)]
-    ys = [s**j * t ** (dy - j) for j in range(dy + 1)]
-    sums = [0] * (dp + 1)
-    for (ep, ex, ey), c in a.terms.items():
-        sums[ep] += c.numerator * (den // c.denominator) * xs[ex] * ys[ey]
-    scale = den * v**dx * t**dy
-    return UniPolyR([Fraction(c, scale) for c in sums])
+    zs = [m**j * t ** (dz - j) for j in range(dz + 1)]
+    sums = [0] * ((max(q) >> ww) + 1)
+    for k, c in q.items():
+        sums[k >> ww] += c * xs[(k >> w) & mask] * zs[k & mask]
+    scale = a.den * v**dx * t**dz
+    coeffs = [Fraction(c, scale) for c in sums]
+    return UniPolyR(coeffs[-shift:] if shift < 0 else [_ZERO] * shift + coeffs)
 
 
 # -- text form -------------------------------------------------------------
@@ -611,15 +630,16 @@ def _long_int(digits: str) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """Fraction(text), and for `num` or `num/den` in decimal digits past the
-    int-to-str digit limit, the same value by _long_int."""
+    """Fraction(text), and for a signed `num` or `num/den` in decimal digits
+    past the int-to-str digit limit, the same value by _long_int."""
     try:
         return Fraction(text)
     except ValueError:
-        if not re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
+        m = re.fullmatch(r"([-+]?)([0-9]+)(?:/([0-9]+))?", text)
+        if not m:
             raise
-        num, _, den = text.partition("/")
-        return Fraction(_long_int(num), _long_int(den or "1"))
+        value = Fraction(_long_int(m[2]), _long_int(m[3] or "1"))
+        return -value if m[1] == "-" else value
 
 
 @lru_cache(maxsize=None)
@@ -901,20 +921,34 @@ class RootList:
         return hash(tuple(self.roots))
 
 
-def _shift1(c: list[int]) -> list[int]:
-    """Coefficients of P(x + 1) from those of P, in place."""
+def _shift1(c: list[int], cap: int = 0) -> int:
+    """Shift c in place from the coefficients of P to those of P(x + 1).
+
+    Pass i finishes c[i] (the last pass adds nothing), so they are finished
+    from index 0 upward.  With cap > 0 the sign variations among the
+    finished coefficients are counted, and the shift stops once there are
+    cap of them, c then only partly shifted.  Returns that count, 0 where
+    cap is 0."""
     n = len(c)
-    for i in range(n - 1):
+    count = last = 0
+    for i in range(n):
         for j in range(n - 2, i - 1, -1):
             c[j] += c[j + 1]
-    return c
+        ci = c[i]
+        if ci and cap:
+            if last and (ci ^ last) < 0:  # opposite signs
+                count += 1
+                if count == cap:
+                    return count
+            last = ci
+    return count
 
 
 def _descartes(p: Sequence[int]) -> int:
-    """Sign variations of (x + 1)^d P(1/(x + 1)): an upper bound, of the
-    same parity, on the number of roots of P in (0, 1)."""
-    signs = [c > 0 for c in _shift1(p[::-1]) if c]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+    """Sign variations of (x + 1)^d P(1/(x + 1)), counted up to 2: an upper
+    bound, of the same parity, on the number of roots of P in (0, 1).
+    `_isolate` asks only whether it is 0, 1 or more."""
+    return _shift1(p[::-1], 2)
 
 
 def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
@@ -943,7 +977,8 @@ def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
     # P(x) = g(h x) times h.denominator**d, and P(x - 1), which is Q(x + 1)
     # at -x for Q(x) = P(-x)
     right = [c * h.numerator**j * h.denominator ** (d - j) for j, c in enumerate(g)]
-    left = _shift1([-c if j % 2 else c for j, c in enumerate(right)])
+    left = [-c if j % 2 else c for j, c in enumerate(right)]
+    _shift1(left)
     left = [-c if j % 2 else c for j, c in enumerate(left)]
     leaves: list[tuple[int, int]] = []  # (depth, index) of nodes with one root
     stack = [(k, 1 << (k - 1), right), (k, (1 << (k - 1)) - 1, left)]
@@ -954,7 +989,9 @@ def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
             leaves.append((k, i))
         elif n > 1:
             left = [c << (d - j) for j, c in enumerate(p)]
-            stack.append((k + 1, 2 * i + 1, _shift1(left[:])))
+            right = left[:]
+            _shift1(right)
+            stack.append((k + 1, 2 * i + 1, right))
             stack.append((k + 1, 2 * i, left))
     # Report each root on the largest node that holds no other root, however
     # deep Descartes' bound went: _refine returns an interval already

@@ -46,6 +46,46 @@ def rand_center_off_sigma(rng: random.Random) -> tuple[Fraction, Fraction]:
             return x, y
 
 
+def bench_center(rng: random.Random, kind: str) -> tuple[Fraction, Fraction]:
+    """A center of one of the benchmark's three kinds: "small" (numerators
+    up to 12, denominators up to 6), "large" (numerators and denominators
+    around 10**6) and "near" (a rational point of the unit circle moved
+    radially by 1/k, k in 20..2000); never the focus or the unit circle."""
+    while True:
+        if kind == "small":
+            x, y = rand_fraction(rng), rand_fraction(rng)
+        elif kind == "large":
+            dx, dy = rng.randint(500_000, 1_000_000), rng.randint(500_000, 1_000_000)
+            x, y = Fraction(rng.randint(-2 * dx, 2 * dx), dx), Fraction(rng.randint(-2 * dy, 2 * dy), dy)
+        else:
+            t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+            s = 1 + Fraction(rng.choice((-1, 1)), rng.randint(20, 2000))
+            x, y = (1 - t * t) / (1 + t * t) * s, 2 * t / (1 + t * t) * s
+        if x * x + y * y not in (0, 1):
+            return x, y
+
+
+def jordan_j2(n: int) -> int:
+    """Jordan's totient J_2(n) = n^2 prod(1 - 1/q^2) over the primes q | n."""
+    out, m, q = n * n, n, 2
+    while m > 1:
+        if m % q == 0:
+            out = out // (q * q) * (q * q - 1)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out
+
+
+def specialize_reference(a: LaurentPoly3, x, y) -> UniPolyR:
+    """specialize(a, x, y) from a's terms in (p, x, y): one Fraction product
+    per term, summed per power of p."""
+    coeffs = {}
+    for (ep, ex, ey), c in a.terms.items():
+        coeffs[ep] = coeffs.get(ep, 0) + c * Fraction(x) ** ex * Fraction(y) ** ey
+    return UniPolyR([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)])
+
+
 def region_value(name: str, x: Fraction, y: Fraction) -> Fraction:
     """Exact value at (x, y) of the printed region polynomial `name`, the
     reference the region labels of `pair_classify` are checked against."""
@@ -153,7 +193,9 @@ def cauchy_isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
             leaves.append((k, i))
         elif n > 1:
             left = [c << (d - j) for j, c in enumerate(p)]
-            stack.append((k + 1, 2 * i + 1, polycore._shift1(left[:])))
+            right = left[:]
+            polycore._shift1(right)
+            stack.append((k + 1, 2 * i + 1, right))
             stack.append((k + 1, 2 * i, left))
     # A leaf's ancestor at depth m < k has index i >> (k - m); two leaves
     # part one level below their last common ancestor.

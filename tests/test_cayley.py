@@ -21,6 +21,7 @@ from conftest import (
     fraction_det,
     hankel_matrix,
     int_evaluator,
+    jordan_j2,
     locus_reference,
     make_rng,
     poly_det,
@@ -145,33 +146,21 @@ def test_divisors_removed_bookkeeping():
         assert lead > 0
 
 
-def _jordan_j2(n: int) -> int:
-    """Jordan's totient J_2(n) = n^2 prod(1 - 1/q^2) over the primes q | n."""
-    out, m, q = n * n, n, 2
-    while m > 1:
-        if m % q == 0:
-            out = out // (q * q) * (q * q - 1)
-            while m % q == 0:
-                m //= q
-        q += 1
-    return out
-
-
 def test_locus_p_degree_is_jordan_j2_over_12():
     # the degree law: the p-degree of the n-gon locus counts the points of
     # exact order n in E[n] (Silverman, III.6), twelve to one
     degrees = [max(e[0] for e in locus(n).canonical.terms) for n in range(4, 13)]
-    assert [_jordan_j2(n) for n in (1, 2, 3, 4, 6, 12)] == [1, 3, 8, 12, 24, 96]
-    assert degrees == [_jordan_j2(n) // 12 for n in range(4, 13)]
+    assert [jordan_j2(n) for n in (1, 2, 3, 4, 6, 12)] == [1, 3, 8, 12, 24, 96]
+    assert degrees == [jordan_j2(n) // 12 for n in range(4, 13)]
     assert degrees == [1, 2, 2, 4, 4, 6, 6, 10, 8]
-    assert all(_jordan_j2(n) % 12 == 0 for n in range(4, 13))
+    assert all(jordan_j2(n) % 12 == 0 for n in range(4, 13))
 
 
 def test_locus_xy_degree_is_jordan_j2_over_4():
     # the companion law: the total degree of the n-gon locus in the center
     # (x, y) is J_2(n)/4, three times its p-degree for n >= 4
     degrees = [max(ex + ey for _, ex, ey in locus(n).canonical.terms) for n in range(3, 13)]
-    assert degrees == [_jordan_j2(n) // 4 for n in range(3, 13)]
+    assert degrees == [jordan_j2(n) // 4 for n in range(3, 13)]
     assert degrees == [2, 3, 6, 6, 12, 12, 18, 18, 30, 24]
 
 

@@ -11,8 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, rand_center_off_sigma, rand_quartic, real_root_profile, region_value
-from poncelet import classify, polycore, verify
+from conftest import (
+    bench_center,
+    jordan_j2,
+    make_rng,
+    rand_center_off_sigma,
+    rand_quartic,
+    real_root_profile,
+    region_value,
+)
+from poncelet import cayley, classify, polycore, verify
 from poncelet.classify import (
     AtFocus,
     Center,
@@ -48,6 +56,42 @@ def test_p_polynomial_examples():
     # equal up to scalar
     scale = f7.coeffs[-1] / ref.coeffs[-1]
     assert f7 == ref.scale(scale)
+
+
+def test_p_polynomial_degree_is_jordan_j2_over_12_at_centers():
+    # The p-degree law holds at every center but the focus: p_polynomial(n, e)
+    # has degree J_2(n)/12 for n = 4..12 at 120 seeded centers of the
+    # benchmark's three kinds and at rational points of the unit circle,
+    # where the n = 3 polynomial vanishes.
+    rng = make_rng(41)
+    centers = [bench_center(rng, kind) for _ in range(40) for kind in ("small", "large", "near")]
+    circle = [(F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13)), (F(8, 17), F(-15, 17)), (F(0), F(-1))]
+    for x, y in centers + circle:
+        e = Center(x, y)
+        for n in range(4, 13):
+            assert p_polynomial(n, e).degree() == jordan_j2(n) // 12, (n, x, y)
+    assert all(p_polynomial(3, Center(x, y)).is_zero() for x, y in circle)
+
+
+def test_cold_p_polynomial_decodes_no_terms(monkeypatch):
+    # Work, not wall clock: from cold caches, p_polynomial(n, e) for
+    # n = 5..12 builds each locus and evaluates it through its (p, x, s)
+    # source without decoding one terms view; the (p, x, y) route decoded
+    # one per locus.
+    decoded = []
+    decode = polycore.LaurentPoly3._decode
+    monkeypatch.setattr(polycore.LaurentPoly3, "_decode", lambda self: decoded.append(self) or decode(self))
+    caches = (cayley._doubling, cayley._ws, cayley._locus_s, cayley.hankel_raw, cayley.locus)
+    for f in caches:
+        f.cache_clear()
+    try:
+        e = Center(F(3, 7), F(-2, 5))
+        for n in range(5, 13):
+            assert not p_polynomial(n, e).is_zero()
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert decoded == []
 
 
 def test_p_polynomial_degree_bounds():

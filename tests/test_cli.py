@@ -12,7 +12,19 @@ import pytest
 from conftest import time_limit
 from poncelet.cayley import locus_at_p
 from poncelet.polycore import format_poly
-from poncelet.cli import VIEW, main, marching_squares, node_values, parse_center, parse_rational
+from poncelet import cli
+from poncelet.cli import (
+    MAX_BITS,
+    MAX_CAYLEY_P_BITS,
+    VIEW,
+    build_parser,
+    main,
+    marching_squares,
+    node_values,
+    parse_center,
+    parse_rational,
+)
+from poncelet.polycore import _long_decimal
 from fractions import Fraction
 
 
@@ -485,6 +497,63 @@ def test_out_of_range_flag_exit_code(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: argument --" in err
+
+
+_RATIONAL_FLAGS = [
+    (("cayley", "--n", "5", "--p"), "{}", MAX_CAYLEY_P_BITS),
+    (("locus", "--n", "3", "--p"), "{}", MAX_BITS),
+    (("classify", "--n", "7", "--center"), "{},1/3", MAX_BITS),
+    (("isoperiodic", "--center"), "1/3,{}", MAX_BITS),
+    (("trace", "--p", "1", "--n", "4", "--center"), "0,{}", MAX_BITS),
+]
+
+
+@pytest.mark.parametrize("argv, form, bound", _RATIONAL_FLAGS)
+def test_rational_flags_are_bounded_in_bits(capsys, argv, form, bound):
+    # The parser alone, never the command: a numerator or denominator of
+    # `bound` bits, written out in digits past the int-to-str limit where
+    # it needs them, parses; one of bound + 1 bits exits 2 with one line.
+    # --help states the bound.
+    parser = build_parser()
+    top = (1 << bound) - 1
+    for value in (Fraction(-1, top), Fraction(top, top - 2)):
+        text = ("-" if value < 0 else "") + "/".join(map(_long_decimal, (abs(value.numerator), value.denominator)))
+        args = parser.parse_args([*argv, form.format(text)])
+        assert value in ((args.center.x, args.center.y) if hasattr(args, "center") else (args.p,))
+    for text in (_long_decimal(1 << bound), "1/" + _long_decimal(1 << bound)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, form.format(text)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"more than {bound} bits" in err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"at most {bound} bits" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("cayley", "--n", "5", "--p", "1e2000000"),
+    ("cayley", "--n", "5", "--p", "-1e-2000000"),
+    ("cayley", "--n", "5", "--p", "1" * (MAX_CAYLEY_P_BITS + 1)),
+    ("locus", "--n", "3", "--p", "1e5000"),
+    ("classify", "--n", "7", "--center", "1e20000,1/3"),
+    ("classify", "--n", "7", "--center", "1/3,1e99999999999999999999999"),
+    ("isoperiodic", "--center", "1e2000000,0"),
+    ("isoperiodic", "--center", "0,1E\u0669\u0669\u0669\u0669\u0669\u0669"),  # Arabic-Indic digits
+    ("trace", "--center", "1e2000000,0", "--p", "1", "--n", "4"),
+])
+def test_rational_flag_text_past_the_bound_builds_no_int(capsys, monkeypatch, argv):
+    # A short text can name a huge int: each of these is refused from its
+    # text, before an int is built from it, and exits 2 with one line.
+    built = []
+    convert = cli._parse_rational
+    monkeypatch.setattr(cli, "_parse_rational", lambda text: built.append(text) or convert(text))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too long for" in err and len(err) < 200
+    assert set(built) <= {"0", "1/3"}
 
 
 @pytest.mark.parametrize("argv, flag, value", [

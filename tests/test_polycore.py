@@ -3,6 +3,7 @@ isolation, and discriminants."""
 
 import hashlib
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -31,7 +32,7 @@ from conftest import (
     sturm_isolate,
     time_limit,
 )
-from conftest import canonicalize_reference, format_reference
+from conftest import bench_center, canonicalize_reference, format_reference, specialize_reference
 from poncelet import cayley, polycore, verify
 from poncelet.cayley import hankel_raw
 from poncelet.cayley import locus, locus_at_p
@@ -559,14 +560,6 @@ def test_specialize():
         specialize(LaurentPoly3(), 1, 0.5)
 
 
-def _specialize_reference(a, x, y):
-    # one Fraction product per term, summed per power of p
-    coeffs = {}
-    for (ep, ex, ey), c in a.terms.items():
-        coeffs[ep] = coeffs.get(ep, 0) + c * Fraction(x) ** ex * Fraction(y) ** ey
-    return UniPolyR([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
-
-
 def test_specialize_matches_fraction_reference():
     # the cleared-denominator sum on non-integer coefficients and several
     # powers of p, at centers whose x and y denominators differ (a power of
@@ -584,7 +577,80 @@ def test_specialize_matches_fraction_reference():
         x = Fraction(2 * rng.randint(-top, top) + 1, 2 ** rng.randint(1, k))
         y = Fraction(3 * rng.randint(-top, top) + 1, 3 ** rng.randint(1, k))
         for cx, cy in ((x, y), (0, y), (x, 0), (-1, y)):
-            assert specialize(a, cx, cy) == _specialize_reference(a, cx, cy), (a, cx, cy)
+            assert specialize(a, cx, cy) == specialize_reference(a, cx, cy), (a, cx, cy)
+
+
+def test_specialize_through_the_source_matches_reference():
+    # A locus and a canonical W_n evaluate through their (p, x, s) source, s
+    # one number at the center, and agree with the Fraction sum over their
+    # terms in (p, x, y), as do their source-less twins (parse_poly, and
+    # the twin over den 3 whose terms are Fractions) at the benchmark's
+    # three center kinds, at rational points of the unit circle (s = 0) and
+    # at the focus.
+    rng = make_rng(37)
+    centers = [bench_center(rng, kind) for _ in range(3) for kind in ("small", "large", "near")]
+    centers += [(Fraction(3, 5), Fraction(4, 5)), (0, -1), (0, 0)]
+    for n in range(3, 13):
+        for a in (locus(n).canonical, hankel_raw(n).canonical()):
+            assert a._src.vars == polycore._PXS and len(a._src.q) < len(a.q), n
+            twins = (parse_poly(format_poly(a)), (3 * a) * Fraction(1, 3))
+            assert all(getattr(t, "_src", None) is None and t == a for t in twins)
+            for x, y in centers:
+                want = specialize_reference(a, x, y)
+                assert specialize(a, x, y) == want, (n, x, y)
+                assert all(specialize(t, x, y) == want for t in twins), (n, x, y)
+
+
+def test_specialize_shifts_and_zero_on_both_forms():
+    # A source with a p-shift of either sign, den > 1, a lowest power of p
+    # above 0, NegativePExponent below it, and the zero polynomial.
+    s_form = polycore._pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
+    rng = make_rng(38)
+    for e in (-2, 0, 3):
+        a = s_form.times_p(e)
+        b = a.expand_s()
+        assert b._src is a and b.den == 12
+        for x, y in [bench_center(rng, kind) for kind in ("small", "large", "near")]:
+            if e < 0:
+                for v in (a, b):
+                    with pytest.raises(NegativePExponent):
+                        specialize(v, x, y)
+                continue
+            want = specialize_reference(b, x, y)
+            assert want.coeffs[:e] == [0] * e and len(want.coeffs) == e + 3
+            assert specialize(b, x, y) == specialize(a, x, y) == want
+    zero = locus(7).canonical * 0
+    assert not zero.q and specialize(zero, Fraction(1, 3), 2) == UniPolyR([])
+    assert specialize(polycore._pxs({}), 1, 2) == UniPolyR([])
+
+
+def test_only_expand_s_and_canonical_carry_a_source():
+    # the source rides on expand_s's value and its canonical form alone:
+    # sums, products, scalar multiples, shifts, quotients, reductions and
+    # p-coefficients of such a value carry none
+    a = locus(7).canonical
+    src = a._src
+    assert src.vars == polycore._PXS and src.den == 1 and src.min_p_exponent() == 0
+    assert src.expand_s() == a and a.canonical()._src.q == src.q
+    raw = cayley._locus_s(7).expand_s()
+    assert raw._src is cayley._locus_s(7) and raw.canonical() == a
+    derived = [a + 1, a + a, a * a, a * 2, a * Fraction(1, 3), -a, a - 1, a.times_p(1), a.times_p(0),
+               (a * X) / X, a.reduced(), raw.reduced(), *a.p_coefficients()]
+    for d in derived:
+        assert getattr(d, "_src", None) is None, d
+
+
+def test_source_leaves_equality_hash_and_pickle_alone():
+    # a value with a source compares, hashes and pickles as its source-less
+    # twin; the pickle round trip drops the source and keeps the value
+    for n in (5, 11, 12):
+        a = locus(n).canonical
+        twin = parse_poly(format_poly(a))
+        back = pickle.loads(pickle.dumps(a))
+        assert a == twin == back and hash(a) == hash(twin) == hash(back)
+        assert getattr(back, "_src", None) is None
+        assert list(back.terms.items()) == list(a.terms.items())
+        assert specialize(back, 2, Fraction(1, 3)) == specialize(a, 2, Fraction(1, 3))
 
 
 # -- Sturm isolation -----------------------------------------------------------
