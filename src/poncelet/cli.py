@@ -32,6 +32,13 @@ MAX_GRID = 1024
 # and which takes --p 1e20000 (66,439 bits).
 MAX_BITS = 4096
 MAX_CAYLEY_P_BITS = 1 << 17
+SHOWN_CHARS = 40  # of a flag's text quoted in its error message
+
+
+def _shown(text: str) -> str:
+    """A flag's text as its error message quotes it: the repr of at most
+    SHOWN_CHARS characters, so the message stays short for any text."""
+    return repr(text) if len(text) <= SHOWN_CHARS else repr(text[:SHOWN_CHARS]) + "..."
 
 
 def parse_rational(text: str, max_bits: int = MAX_BITS) -> Fraction:
@@ -52,9 +59,9 @@ def parse_rational(text: str, max_bits: int = MAX_BITS) -> Fraction:
     try:
         value = _parse_rational(text)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {_shown(text)}") from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid rational value: {_shown(text)}") from None
     if max(abs(value.numerator).bit_length(), value.denominator.bit_length()) > max_bits:
         raise argparse.ArgumentTypeError(f"more than {max_bits} bits in numerator or denominator")
     return value
@@ -71,9 +78,9 @@ def _int_in(lo: int, hi: int):
         try:
             v = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
         if not lo <= v <= hi:
-            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, not {v}")
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, not {_shown(text)}")
         return v
     return parse
 
@@ -83,9 +90,9 @@ def _finite_float(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {_shown(text)}") from None
     if not math.isfinite(v * v):
-        raise argparse.ArgumentTypeError(f"must be finite with a finite square, not {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite with a finite square, not {_shown(text)}")
     return v
 
 
@@ -103,18 +110,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_center(text: str) -> Center:
+    """`x,y`, two rationals as parse_rational reads them; an error names the
+    center's text, or else the coordinate's, once."""
     try:
         xs, ys = text.split(",")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad center {_shown(text)}: not two coordinates x,y") from None
+    try:
         return Center(parse_rational(xs), parse_rational(ys))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad center {text!r}: {exc}") from exc
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad center: {exc}") from exc
 
 
 def _float_center(text: str) -> Center:
     """parse_center for a flag whose coordinates are used as floats."""
     e = parse_center(text)
     if max(abs(e.x), abs(e.y)) > sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"bad center {text!r}: beyond the float range")
+        raise argparse.ArgumentTypeError(f"bad center {_shown(text)}: beyond the float range")
     return e
 
 
@@ -354,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_locus)
 
     c = sub.add_parser("painleve", help="evaluate and verify PVI solution points")
-    c.add_argument("--family", type=int, choices=(3, 4), required=True)
+    c.add_argument("--family", type=_int_in(3, 4), required=True, help="3 or 4")
     c.add_argument("--p", type=_finite_float, nargs="+", required=True)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.set_defaults(func=cmd_painleve)

@@ -2,22 +2,25 @@
 p = 1/2 example, the divisor factorization, and the symbolic discriminant
 factorizations.  All comparisons are exact.  The printed sides are typed
 here once; the discriminants' factors come from
-`classify.DISCRIMINANT_FACTORS`, the table the region labels read."""
+`classify.DISCRIMINANT_FACTORS`, the table the region labels read.  The
+factorizations are checked on each locus's (p, x, s) form, s = x^2 + y^2 -
+1, where their powers of R = s + 1 and S = s divide out exactly."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .cayley import _ws, locus, locus_at_p
 from .classify import DISCRIMINANT_FACTORS
 from .polycore import (
     LaurentPoly3,
-    NotDivisible,
     PolycoreError,
     _discriminant,
+    _pxs,
     quartic_D,
     quartic_O,
     quartic_P,
@@ -33,11 +36,6 @@ S = R - 1  # vanishes when the circle passes through the focus
 
 def paper_locus(n: int) -> LaurentPoly3:
     """The locus polynomials exactly as printed, n = 3..7."""
-    return _printed_locus(n, P, X, Y, R, S)
-
-
-def _printed_locus(n: int, P, X, Y, R, S):
-    """paper_locus(n) over the generators P, X, Y, R, S of any ring."""
     if n == 3:
         return R - 1
     if n == 4:
@@ -99,54 +97,22 @@ _QUARTIC_INVARIANTS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _degree_weight(formula, d: int) -> tuple[int, int]:
-    """(deg, w) of a formula in the coefficients a_0..a_d, constant first,
-    that is homogeneous of degree deg and isobaric of weight w: each of its
-    monomials a_k1 ... a_kdeg has k1 + ... + kdeg = w.  Read off its value
-    at a_k = p**k * x**(d - k), which is then one term c * p**w *
-    x**(d*deg - w); any other value raises ValueError."""
-    value = formula([LaurentPoly3.monomial(1, k, d - k) for k in range(d + 1)])
-    if len(value.terms) == 1:
-        (w, v, _), = value.terms
-        deg, odd = divmod(w + v, d)
-        if not odd:
-            return deg, w
-    raise ValueError(f"not homogeneous and isobaric in {d + 1} coefficients: {value}")
-
-
-def _divide_out(a: list[LaurentPoly3], base: LaurentPoly3,
-                weight: Sequence[int]) -> tuple[list[LaurentPoly3], int, int]:
-    """(b, c, l) with a_k = base**(c + l*weight[k]) * b_k for every k.
-
-    How often base divides each a_k is counted by exact trial division.  The
-    exponents c + l*weight[k] are the affine ones under those counts with the
-    largest sum, for l in 0..the largest count, ties to the smaller l; a zero
-    a_k bounds nothing.  b_k is read off the trial quotients, or is
-    a_k * base**-e where the exponent e is negative."""
-    chains = []
-    for ak in a:
-        chain = [ak]
-        if ak:
-            try:
-                while True:
-                    chain.append(chain[-1] / base)
-            except NotDivisible:
-                pass
-        chains.append(chain)
-    counts = [(t, len(chain) - 1) for t, chain in zip(weight, chains) if chain[0]]
-
-    def low(l: int) -> int:
-        return min((v - l * t for t, v in counts), default=0)
-
-    total = sum(weight)
-    l = max(range(max((v for _, v in counts), default=0) + 1), key=lambda j: len(a) * low(j) + j * total)
-    c = low(l)
-    b = []
-    for t, chain in zip(weight, chains):
-        e = c + l * t if chain[0] else 0  # a zero a_k stays 0
-        b.append(chain[e] if e >= 0 else chain[0] * base**-e)
-    return b, c, l
+def _factored(formula, poly: LaurentPoly3, kr: int, ks: int) -> LaurentPoly3 | None:
+    """formula(a) / (R**kr * S**ks) in (x, y), a the p-coefficients of
+    poly, or None where that is 0 or not a polynomial, or poly has no
+    (p, x, s) form.  Computed on that form, where R = s + 1 and S = s:
+    putting s = x**2 + y**2 - 1 is an injective ring map that commutes with
+    the formula, so the quotient exists there exactly when it does in
+    (x, y), and expands to it."""
+    src = getattr(poly, "_src", None)
+    if src is None:
+        return None
+    # R**kr * S**ks is the sum of C(kr, j) s**(ks + j)
+    factor = _pxs({(0, 0, ks + j): math.comb(kr, j) for j in range(kr + 1)})
+    try:
+        return (formula(src.p_coefficients()) / factor).expand_s()
+    except PolycoreError:  # NotDivisible, or ZeroPolynomial for a zero quotient
+        return None
 
 
 def checks() -> list[tuple[str, bool]]:
@@ -156,26 +122,19 @@ def checks() -> list[tuple[str, bool]]:
     the computed sides as cayley returns them, and every printed side and
     formula built there, with no Fraction per term.
 
-    The discriminant and invariant rows run their formula on the
-    weight-reduced p-coefficients.  Each locus n = 5, 6, 7 is split once
-    into a_0..a_d and written a_k = R**(c + l*k) * S**(c' + m*(d - k)) * b_k
-    (`_divide_out`).  A formula F homogeneous of degree deg and isobaric of
-    weight w (`_degree_weight`) then has F(a) = R**(deg*c + w*l) *
-    S**(deg*c' + (d*deg - w)*m) * F(b), so F(a) == rest * R**kr * S**ks is
-    checked as F(b) == rest with the common powers of R and S cancelled: the
-    larger of each pair of exponents keeps the difference.  R and S are not
-    zero, so the comparison is exact and equivalent to that of the full
-    F(a), for any locus."""
+    The discriminant and invariant rows check formula(a) == c * R**kr *
+    S**ks * printed as formula(a) / (R**kr * S**ks) == c * printed, the
+    quotient taken in (p, x, s) (`_factored`), where R and S are powers of
+    one variable.  A locus with no (p, x, s) form fails these rows."""
     try:  # W_6 / W_3 in (p, x, s), expanded and normalized once
         quotient = (_ws(6) / _ws(3)).expand_s().canonical()
     except PolycoreError:
         quotient = LaurentPoly3()  # never canonical: an inexact division fails the row
     half = Fraction(1, 2)
-    rp = region_polys()
     loci = {n: locus(n).canonical for n in range(3, 8)}
 
-    printed_loci = {n: _printed_locus(n, P, X, Y, R, S) for n in range(3, 8)}
-    rows: list[tuple[str, LaurentPoly3, LaurentPoly3]] = [
+    printed_loci = {n: paper_locus(n) for n in range(3, 8)}
+    rows: list[tuple[str, LaurentPoly3 | None, LaurentPoly3]] = [
         (f"locus n={n} matches the printed polynomial", loci[n], printed_loci[n]) for n in range(3, 8)
     ]
     rows += [
@@ -184,32 +143,11 @@ def checks() -> list[tuple[str, bool]]:
         ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, printed_loci[6]),
     ]
 
-    def times(f: LaurentPoly3, i: int, j: int) -> LaurentPoly3:
-        # f * R**i * S**j for the positive exponents, with no product by a power 0
-        for base, k in ((R, i), (S, j)):
-            if k > 0:
-                f = f * base**k
-        return f
-
-    reduced = {}
-    for n in DISCRIMINANT_FACTORS:
-        a = loci[n].p_coefficients()
-        d = len(a) - 1
-        b, c, l = _divide_out(a, R, range(d + 1))
-        b, c2, m = _divide_out(b, S, range(d, -1, -1))
-        reduced[n] = b, c, l, c2, m
-
-    def row(n: int, formula, printed: LaurentPoly3, kr: int, ks: int) -> tuple[LaurentPoly3, LaurentPoly3]:
-        b, c, l, c2, m = reduced[n]
-        d = len(b) - 1
-        deg, w = _degree_weight(formula, d)
-        er, es = deg * c + w * l, deg * c2 + (d * deg - w) * m
-        return times(formula(b), er - kr, es - ks), times(printed, kr - er, ks - es)
-
+    rp = region_polys()
     for n, (_, name, c, kr, ks) in DISCRIMINANT_FACTORS.items():
-        shape = {3: "quadratic", 5: "quartic"}[len(reduced[n][0])]
+        shape = {3: "quadratic", 5: "quartic"}[len(printed_loci[n].p_coefficients())]
         rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
-                     *row(n, _discriminant, c * rp[name], kr, ks)))
+                     _factored(_discriminant, loci[n], kr, ks), c * rp[name]))
 
     for label, printed, kr, ks in (
         ("P", -256 * rp["psi2"], 4, 2),
@@ -218,6 +156,6 @@ def checks() -> list[tuple[str, bool]]:
         ("R", -4096 * X * rp["psi5"], 6, 3),
     ):
         rows.append((f"{label} of the 7-gon quartic factors as printed",
-                     *row(7, _QUARTIC_INVARIANTS[label], printed, kr, ks)))
+                     _factored(_QUARTIC_INVARIANTS[label], loci[7], kr, ks), printed))
 
     return [(name, computed == printed) for name, computed, printed in rows]

@@ -524,10 +524,11 @@ def p_coefficients(a: LaurentPoly3) -> dict[int, LaurentPoly3]:
 def checks_reference() -> list[tuple[str, bool]]:
     """verify.checks() by the expanded route: every discriminant and
     invariant expanded on the full p-coefficients, and the printed sides
-    multiplied out.  The reference for verify.checks, which compares the
-    same rows on weight-reduced p-coefficients.  It reads the loci, the
-    printed sides and the factor table through verify and classify, so a
-    test that patches one of them changes both routes.  The hexagon row
+    multiplied out, in (x, y).  The reference for verify.checks, which
+    divides those rows by their powers of R and S in (p, x, s).  It reads
+    the loci, the printed sides and the factor table through verify and
+    classify, so a test that patches one of them changes both routes, and
+    it reads no (p, x, s) form.  The hexagon row
     divides the public hankel_raw(6) by hankel_raw(3), where checks divides
     W_6 by W_3 in (p, x, s): the two routes differ there."""
     X, Y, R, S = verify.X, verify.Y, verify.R, verify.S

@@ -1,6 +1,8 @@
 """Command-line interface: flag handling, output formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shlex
 import sys
@@ -8,6 +10,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import time_limit
 from poncelet.cayley import locus_at_p
@@ -554,6 +558,82 @@ def test_rational_flag_text_past_the_bound_builds_no_int(capsys, monkeypatch, ar
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "too long for" in err and len(err) < 200
     assert set(built) <= {"0", "1/3"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n", "5", "--center", "1/3," + "x" * 3000),
+    ("classify", "--n", "5", "--center", "x" * 3000),
+    ("trace", "--p", "1", "--n", "4", "--center", "0," + "1" * 400),
+    ("cayley", "--n", "9" * 4000),
+    ("locus", "--n", "3", "--p", "1/" + "0" * 3000),
+    ("painleve", "--family", "3", "--p", "1" * 400),
+])
+def test_a_long_bad_flag_text_gives_one_short_line(capsys, argv):
+    # the message quotes a short prefix of the text, once
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+_PARSER = build_parser()
+# (argv ending in the flag, the flag's text around the drawn one, bound):
+# a bound in bits for a rational, (lo, hi) for an int
+_FUZZED_FLAGS = [(argv, form, bound) for argv, form, bound in _RATIONAL_FLAGS] + [
+    (("cayley", "--n"), "{}", (3, cli.MAX_N)),
+    (("classify", "--center", "0,2", "--n"), "{}", (cli.CLASSIFY_N[0], cli.CLASSIFY_N[-1])),
+    (("trace", "--center", "0,0", "--p", "1", "--n"), "{}", (3, cli.MAX_TRACE_N)),
+    (("locus", "--p", "1", "--n"), "{}", (3, cli.MAX_N)),
+    (("locus", "--n", "3", "--p", "1", "--grid"), "{}", (1, cli.MAX_GRID)),
+    (("painleve", "--p", "1", "--family"), "{}", (3, 4)),
+]
+
+
+@lru_cache(maxsize=None)
+def _edge_texts(bound) -> tuple[str, ...]:
+    """Texts at a flag's bound and one past it."""
+    if isinstance(bound, tuple):
+        lo, hi = bound
+        return tuple(map(str, (lo - 1, lo, hi, hi + 1)))
+    inside, past = _long_decimal((1 << bound) - 1), _long_decimal(1 << bound)
+    return inside, past, "1/" + inside, "1/" + past, f"1e{bound * 3 // 10}", f"1e{bound // 3}"
+
+
+_BODIES = st.one_of(
+    st.sampled_from(["0", "1/0", "0/0", "nan", "inf", "infinity", "1e99999999999999999999999",
+                     "1E-4096", "1e+1233", "1e1234", "", "1/", "/1", "1//2", "1,2", "1_0", "0x10",
+                     " 3 ", "4.", ".5", "1.5e3", "\u0669", "\x00"]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.fractions(max_denominator=10**6).map(str),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_flags_parse_in_bounds_or_exit_2_with_one_short_line(data):
+    # Parse time only: argparse runs each flag's type, never the command.
+    # The text after "=" reaches the type even where it starts with "-".
+    argv, form, bound = data.draw(st.sampled_from(_FUZZED_FLAGS))
+    *head, flag = argv
+    sign = data.draw(st.sampled_from(["", "-", "+"]))
+    body = data.draw(st.one_of(_BODIES, st.sampled_from(_edge_texts(bound))))
+    exponent = data.draw(st.sampled_from(["", "", "e5", "e-7", "E4096", "e-1233"]))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = _PARSER.parse_args([*head, f"{flag}={form.format(sign + body + exponent)}"])
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 200
+        return
+    assert not err.getvalue()
+    if isinstance(bound, tuple):
+        assert bound[0] <= getattr(args, flag[2:]) <= bound[1]
+    else:
+        values = (args.center.x, args.center.y) if flag == "--center" else (args.p,)
+        for v in values:
+            assert max(abs(v.numerator).bit_length(), v.denominator.bit_length()) <= bound
 
 
 @pytest.mark.parametrize("argv, flag, value", [

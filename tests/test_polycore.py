@@ -60,7 +60,6 @@ from poncelet.polycore import (
 )
 from poncelet.polycore import (
     _SQUAREFREE_PRIME,
-    _discriminant,
     _horner,
     _int_coeffs,
     _isolate,
@@ -1348,8 +1347,8 @@ def test_quartic_disc_product_work(monkeypatch):
     # Work, not wall clock: term products len(a) len(b) + len(c) len(d) in
     # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
     # quartic against 102481 for the expansion.  A warm verify.checks()
-    # measured 37733 with the invariants of the full p-coefficients and
-    # 1596 with those of the weight-reduced ones; the lower bound catches a
+    # measured 37733 with the invariants of the full p-coefficients in
+    # (x, y) and 1210 with those in (x, s); the lower bound catches a
     # checks() that makes its products outside polycore._mul_sub.
     quartic = _locus7_quartic()
     verify.checks()
@@ -1371,12 +1370,14 @@ def test_quartic_disc_product_work(monkeypatch):
 
 
 def test_warm_checks_product_work(monkeypatch):
-    # The discriminant and invariant rows run on the weight-reduced
-    # p-coefficients, a factor R**0 or 1 must not cost a product, and the
-    # printed 6-gon locus is built once for its two rows.
-    # Measured 96 products (1596 term pairs) and 50 exact divisions
-    # (1026 = the sum of len(a) len(b)), against 141 products (37588 pairs)
-    # and one division on the full p-coefficients.  The lower bounds catch a
+    # The discriminant and invariant rows run on the (p, x, s) form of each
+    # locus, and each divides once by R**kr * S**ks, a sum of powers of s
+    # built with no product.
+    # Measured 91 products (1210 term pairs) and 8 exact divisions, one per
+    # row with a quotient (599 = the sum of len(a) len(b)), against 96
+    # products (1596 pairs) and 50 divisions (958 pairs, 22 of them
+    # failing) with the weight-reduced (x, y) coefficients, and 141
+    # products (37588 pairs) with the full ones.  The lower bounds catch a
     # checks() that multiplies or divides outside polycore._mul_sub and
     # polycore._idiv, which the upper bounds alone would let pass at 0.
     verify.checks()
@@ -1395,38 +1396,10 @@ def test_warm_checks_product_work(monkeypatch):
     monkeypatch.setattr(polycore, "_mul_sub", counted)
     monkeypatch.setattr(polycore, "_idiv", counted_div)
     verify.checks()
-    assert 80 <= work[0] <= 96
-    assert 1_400 <= work[1] <= 1_596
-    assert 40 <= work[2] <= 50
-    assert 850 <= work[3] <= 1_026
-
-
-def test_isobaric_law_at_the_derived_weights():
-    # F(c lam**k mu**(d-k) b_k) = c**deg lam**w mu**(d deg - w) F(b) at the
-    # (deg, w) that verify reads off each formula, which the reduced
-    # discriminant and invariant rows rest on
-    formulas = [(_discriminant, 2), (_discriminant, 4),
-                *((verify._QUARTIC_INVARIANTS[label], 4) for label in "PDOR")]
-    weights = [verify._degree_weight(f, d) for f, d in formulas]
-    assert weights == [(2, 2), (6, 12), (2, 6), (4, 12), (2, 4), (3, 9)]
-    rng = make_rng(2103)
-
-    def nonzero():
-        return rand_fraction(rng) or Fraction(1, 7)
-
-    for _ in range(50):
-        c, lam, mu = nonzero(), nonzero(), nonzero()
-        for (formula, d), (deg, w) in zip(formulas, weights):
-            b = [rand_fraction(rng) for _ in range(d + 1)]
-            a = [c * lam**k * mu ** (d - k) * bk for k, bk in enumerate(b)]
-            assert formula(a) == c**deg * lam**w * mu ** (d * deg - w) * formula(b)
-
-
-def test_degree_weight_refuses_a_formula_that_is_not_isobaric():
-    with pytest.raises(ValueError, match="not homogeneous and isobaric"):
-        verify._degree_weight(lambda a: a[0] * a[2] + a[1], 2)
-    with pytest.raises(ValueError, match="not homogeneous and isobaric"):
-        verify._degree_weight(lambda a: a[0] * a[1] + a[1] * a[1], 2)
+    assert 80 <= work[0] <= 91
+    assert 1_050 <= work[1] <= 1_210
+    assert work[2] == 8
+    assert 500 <= work[3] <= 599
 
 
 def test_root_beyond_float_range_is_named():

@@ -1,14 +1,15 @@
 """verify.checks() in the integer working form, its discriminant and
-invariant rows on the weight-reduced p-coefficients, against the full
-LaurentPoly3 expansions of conftest.checks_reference: row for row, under
-changes to a printed side that must each fail exactly one row, and under
-changes to a computed locus that both routes must judge alike."""
+invariant rows computed in (p, x, s), against the full (x, y) expansions
+of conftest.checks_reference: row for row, under changes to a printed side
+that must each fail exactly one row, under changes to a computed locus
+that both routes must judge alike, and for a locus with no (p, x, s) form,
+whose factor rows must fail closed."""
 
 import pytest
 
 from conftest import checks_reference
-from poncelet import LocusPolynomial, classify, verify
-from poncelet.polycore import LaurentPoly3
+from poncelet import LocusPolynomial, classify, polycore, verify
+from poncelet.polycore import LaurentPoly3, format_poly, parse_poly
 
 
 def test_checks_equal_reference_row_for_row():
@@ -53,13 +54,20 @@ def test_a_changed_printed_side_fails_its_own_row(monkeypatch, route, change, ro
     assert [name for name, passed in results if not passed] == [row]
 
 
+# p, x and s = x^2 + y^2 - 1, in (p, x, s)
+P_, X_, S_ = (polycore._pxs({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def _coefficient(a: LaurentPoly3, k: int) -> LaurentPoly3:
-    return LaurentPoly3({e: c for e, c in a.terms.items() if e[0] == k})
+    """The p**k term of a, whose lowest power of p is p**0."""
+    return a.p_coefficients()[k].times_p(k)
 
 
 def _locus_changed(n, change):
     """Patch verify.locus, which checks() and checks_reference() both read,
-    so that locus(n).canonical becomes change(locus(n).canonical)."""
+    so that locus(n).canonical becomes change(a), a its (p, x, s) form:
+    expanded, and so keeping that form, where change(a) is in (p, x, s),
+    and as it is where change(a) is in (p, x, y)."""
     def patch(monkeypatch):
         real = verify.locus
 
@@ -67,7 +75,10 @@ def _locus_changed(n, change):
             found = real(m)
             if m != n:
                 return found
-            return LocusPolynomial(found.n, found.divisors_removed, change(found.canonical))
+            a = change(found.canonical._src)
+            if a.vars == polycore._PXS:
+                a = a.expand_s()
+            return LocusPolynomial(found.n, found.divisors_removed, a)
 
         monkeypatch.setattr(verify, "locus", changed)
     return patch
@@ -79,26 +90,25 @@ _QUARTIC_ROWS = [f"{label} of the 7-gon quartic factors as printed" for label in
 
 
 @pytest.mark.parametrize("change, failing", [
-    # a_1 of the 7-gon quartic loses its factor S**3, so no S-exponents
-    # are taken out; P reads only a_2..a_4 and still holds
-    (_locus_changed(7, lambda a: a + LaurentPoly3.monomial(1, 1, 1, 2)),
+    # p*x*y^2 = p*x*(s + 1 - x^2): P reads only a_2..a_4 and still holds
+    (_locus_changed(7, lambda a: a + P_ * X_ * (S_ + 1 - X_**2)),
      [_LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS[1:]]),
-    # a_0 and a_1 gain a factor R: the R-exponents 1, 1, 1, 2, 3 fit
-    # 1 + 0*k, which takes R**2 less out of P than it prints, and P holds
-    (_locus_changed(7, lambda a: a + (_coefficient(a, 0) + _coefficient(a, 1)) * (verify.R - 1)),
+    # a_0 and a_1 times R: a + (a_0 + a_1) * (R - 1), R - 1 = s
+    (_locus_changed(7, lambda a: a + (_coefficient(a, 0) + _coefficient(a, 1)) * S_),
      [_LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS[1:]]),
     (_locus_changed(7, lambda a: a - _coefficient(a, 2)),
      [_LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]),
-    (_locus_changed(5, lambda a: a + LaurentPoly3.monomial(1, 0, 1, 1)),
+    # odd in y, so with no (p, x, s) form: the discriminant row fails closed
+    (_locus_changed(5, lambda a: a.expand_s() + LaurentPoly3.monomial(1, 0, 1, 1)),
      [_LOCUS_ROW.format(5), _DISC_ROW.format(5, "quadratic")]),
-    # a_2 = 4R**2: slope 1 in the R-exponents ties slope 0, and the tie
-    # keeps slope 0
-    (_locus_changed(5, lambda a: a + _coefficient(a, 2) * (verify.R - 1)),
+    # a_2 times R, as above
+    (_locus_changed(5, lambda a: a + _coefficient(a, 2) * S_),
      [_LOCUS_ROW.format(5), _DISC_ROW.format(5, "quadratic")]),
-    # a_1 keeps a factor S after the slope-1 fit of the S-exponents
-    (_locus_changed(6, lambda a: a + _coefficient(a, 1) * (verify.S - 1)),
+    # a_1 times S: a + a_1 * (S - 1), S - 1 = s - 1
+    (_locus_changed(6, lambda a: a + _coefficient(a, 1) * (S_ - 1)),
      [_LOCUS_ROW.format(6), _DISC_ROW.format(6, "quadratic")]),
-    (_locus_changed(6, lambda a: a + LaurentPoly3.monomial(-1, 2, 0, 2)),
+    # -p^2*y^2
+    (_locus_changed(6, lambda a: a - P_**2 * (S_ + 1 - X_**2)),
      [_LOCUS_ROW.format(6), _DISC_ROW.format(6, "quadratic")]),
 ], ids=["p*x*y^2-at-7", "a0-a1-times-R-at-7", "a2-zero-at-7", "x*y-at-5", "a2-times-R-at-5", "a1-times-S-at-6", "p^2*y^2-at-6"])
 def test_a_changed_locus_gets_the_reference_verdicts(monkeypatch, change, failing):
@@ -106,3 +116,14 @@ def test_a_changed_locus_gets_the_reference_verdicts(monkeypatch, change, failin
     reference = checks_reference()
     assert verify.checks() == reference
     assert [name for name, passed in reference if not passed] == failing
+
+
+def test_a_locus_without_its_s_form_fails_its_factor_rows_closed(monkeypatch):
+    # the 7-gon locus read back from its text: the same polynomial, which
+    # the reference passes, with no (p, x, s) form to factor in
+    _locus_changed(7, lambda a: parse_poly(format_poly(a.expand_s())))(monkeypatch)
+    assert verify.locus(7).canonical == verify.paper_locus(7)
+    assert all(passed for _, passed in checks_reference())
+    results = verify.checks()
+    assert len(results) == 15
+    assert [name for name, passed in results if not passed] == [_DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]
