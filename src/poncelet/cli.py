@@ -33,6 +33,7 @@ MAX_GRID = 1024
 MAX_BITS = 4096
 MAX_CAYLEY_P_BITS = 1 << 17
 SHOWN_CHARS = 40  # of a flag's text quoted in its error message
+MESSAGE_CHARS = 150  # of an error message after "<prog>: error: "
 
 
 def _shown(text: str) -> str:
@@ -106,7 +107,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[0-9.]")
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        """argparse quotes whole the text it refuses (an invalid choice, stray
+        arguments, an ambiguous option): a line break in it is escaped, and a
+        message past MESSAGE_CHARS has each word cut to SHOWN_CHARS, then
+        itself cut to MESSAGE_CHARS."""
+        line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+        if len(line) > MESSAGE_CHARS:
+            line = " ".join(w if len(w) <= SHOWN_CHARS else w[:SHOWN_CHARS] + "..."
+                            for w in line.split(" "))
+        if len(line) > MESSAGE_CHARS:
+            line = line[:MESSAGE_CHARS] + "..."
+        self.exit(2, f"{self.prog}: error: {line}\n")
 
 
 def parse_center(text: str) -> Center:

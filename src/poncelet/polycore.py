@@ -605,17 +605,35 @@ def _format(terms: Mapping[Expo, Scalar], names: str) -> str:
 
 
 def _long_decimal(c: Fraction | int) -> str:
-    """str(c) for c >= 0 past the interpreter's int-to-str digit limit:
-    each int is split at a power of ten until str converts the parts."""
+    """str(c) for c >= 0 past the interpreter's int-to-str digit limit, in
+    subquadratic time.  Each int is split into binary halves, whose exact
+    `decimal` values are joined as hi * 2^w + lo: libmpdec multiplies large
+    numbers in subquadratic time, where splitting at a power of ten costs
+    CPython 3.11's quadratic divmod.  `decimal` is imported only here."""
     if c.denominator != 1:
         return f"{_long_decimal(c.numerator)}/{_long_decimal(c.denominator)}"
     c = int(c)
     try:
         return str(c)
     except ValueError:
-        k = c.bit_length() * 3 // 20  # about half of c's decimal digits
-        hi, lo = divmod(c, 10**k)
-        return _long_decimal(hi) + _long_decimal(lo).zfill(k)
+        pass
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}  # 2^h, each h once
+
+    def exact(v: int, w: int) -> decimal.Decimal:  # 0 <= v < 2^w
+        if w <= 256:
+            return decimal.Decimal(v)
+        h = w >> 1
+        hi = v >> h
+        if h not in powers:
+            powers[h] = decimal.Decimal(2) ** h
+        return exact(hi, w - h) * powers[h] + exact(v - (hi << h), h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(exact(c, c.bit_length()))
 
 
 def _long_int(digits: str) -> int:

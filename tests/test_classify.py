@@ -112,6 +112,32 @@ def test_rees_worked_examples():
     assert s.tag == "RealQuadruple"
 
 
+def _quartic(lead, *factors):
+    """Coefficients a4..a0 of lead times the product of the factors, each a
+    list of coefficients from the constant term up."""
+    f = UniPolyR([lead])
+    for c in factors:
+        f = f * UniPolyR(c)
+    return list(reversed(f.coeffs))
+
+
+@pytest.mark.parametrize("coeffs, tag, d_sign", [
+    # every Rees case with disc = 0, from products of its roots
+    (_quartic(3, [-F(1, 2), 1], [-F(1, 2), 1], [-F(1, 2), 1], [-F(1, 2), 1]), "RealQuadruple", 0),
+    (_quartic(-2, [-1, 1], [-1, 1], [3, 1], [3, 1]), "TwoRealDoubles", 0),
+    (_quartic(5, [2, -2, 1], [2, -2, 1]), "ComplexDoublePair", 0),  # (p - 1 -+ i)^2
+    # a real double r and p^2 + bp + c with 4c = 3b^2 + 8br + 8r^2: D = 0
+    (_quartic(1, [0, 1], [0, 1], [3, 2, 1]), "RealDoubleComplexPair", 0),
+    (_quartic(-7, [-1, 1], [-1, 1], [F(19, 4), 1, 1]), "RealDoubleComplexPair", 0),
+    (_quartic(2, [-1, 1], [-1, 1], [1, 0, 1]), "RealDoubleComplexPair", 1),
+    (_quartic(1, [-2, 1], [-2, 1], [-2, 1], [5, 1]), "RealTripleRealSimple", -1),
+    (_quartic(4, [1, 1], [1, 1], [-2, 1], [-F(1, 3), 1]), "RealDoubleTwoRealSimple", -1),
+])
+def test_rees_every_case_with_a_multiple_root(coeffs, tag, d_sign):
+    shape = rees_classify(*coeffs)
+    assert (shape.tag, shape.disc_sign, shape.d_sign) == (tag, 0, d_sign)
+
+
 def test_rees_constructed_shapes():
     # (p-1)^2 (p-2)(p-3)
     coeffs = list(reversed((UniPolyR([-1, 1]) ** 2 * UniPolyR([-2, 1]) * UniPolyR([-3, 1])).coeffs))

@@ -636,6 +636,80 @@ def test_fuzzed_flags_parse_in_bounds_or_exit_2_with_one_short_line(data):
             assert max(abs(v.numerator).bit_length(), v.denominator.bit_length()) <= bound
 
 
+_CHOICE_FLAGS = [
+    (("cayley", "--n", "5", "--format"), ("text", "json")),
+    (("locus", "--n", "3", "--p", "1", "--format"), ("csv", "svg")),
+    (("painleve", "--family", "3", "--p", "1", "--format"), ("csv", "json")),
+]
+
+# argparse quotes these whole: long runs, spaces, line breaks, quotes
+_FREE_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.builds(lambda head, piece, k: head + piece * k,
+              st.sampled_from(["", "-", "--", "--=", "--f", "--format=", "cayley"]),
+              st.sampled_from(["x", "y ", "\n", "'\"", "\r\x00", "٩", "é "]),
+              st.integers(1, 3000)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_choices_and_stray_arguments_exit_2_with_one_short_line(data):
+    # Parse time only.  Here argparse writes the message itself: an invalid
+    # choice of --format or of the subcommand, stray arguments, an ambiguous
+    # or unknown option.
+    kind = data.draw(st.sampled_from(["choice", "subcommand", "stray"]))
+    choices = ()
+    if kind == "choice":
+        (*head, flag), choices = data.draw(st.sampled_from(_CHOICE_FLAGS))
+        argv = [*head, f"{flag}={data.draw(_FREE_TEXTS)}"]
+    elif kind == "subcommand":
+        argv = [data.draw(_FREE_TEXTS)]
+    else:
+        argv = ["cayley", "--n", "5", *data.draw(st.lists(_FREE_TEXTS, min_size=1, max_size=40))]
+    err, out = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # a stray -h or --help
+            assert not err.getvalue() and out.getvalue().startswith("usage:")
+            return
+        assert exc.code == 2
+        assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 200, err.getvalue()
+        return
+    assert not err.getvalue()
+    if kind == "choice":
+        assert args.format in choices
+
+
+@pytest.mark.parametrize("argv", [
+    ("cayley", "--n", "5", "--format", "x" * 300),
+    ("cayley", "--n", "5", "y" * 300),
+    ("cayley", "--n", "5", *"y" * 300),
+    ("z" * 300,),
+    ("cayley", "--n", "5", "a\nb"),
+])
+def test_argparse_messages_are_one_short_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("k", [60, 120, 300])
+def test_a_long_invalid_choice_is_cut_past_the_message_bound(capsys, k):
+    # quoted whole while the message fits in MESSAGE_CHARS; past that, the
+    # quoted word is cut to SHOWN_CHARS characters, its quote the first
+    with pytest.raises(SystemExit):
+        main(["cayley", "--n", "5", "--format", "x" * k])
+    whole = f"argument --format: invalid choice: '{'x' * k}' (choose from 'text', 'json')"
+    cut = "argument --format: invalid choice: '" + "x" * 39 + "... (choose from 'text', 'json')"
+    assert capsys.readouterr().err == f"poncelet cayley: error: {whole if k == 60 else cut}\n"
+    assert (len(whole) <= cli.MESSAGE_CHARS) == (k == 60)
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (("cayley", "--n", "4"), "--p", "-1/2"),
     (("cayley", "--n", "5", "--format", "json"), "--p", "-3"),

@@ -9,6 +9,7 @@ import pytest
 
 from poncelet.classify import Center, p_polynomial
 from poncelet.geometry import (
+    ON_CIRCLE_TOL,
     Circle,
     DegenerateParabola,
     DegenerateStep,
@@ -115,6 +116,47 @@ def test_next_vertex_guards():
         poncelet_trace(Circle((1e308, 0.0)), par, 0.8, 4)
 
 
+def test_on_circle_guard_allows_ten_tolerances():
+    # a vertex 9.5 ON_CIRCLE_TOL off the unit circle steps; one 10.5 off raises
+    circle, par = Circle((0.0, 0.0)), Parabola(1.0)
+    for k, ok in ((9.5, True), (10.5, False)):
+        vertex = (math.sqrt(1.0 + k * ON_CIRCLE_TOL), 0.0)
+        assert abs(circle.residual(vertex) / ON_CIRCLE_TOL - k) < 1e-3
+        t, _ = tangent_params(vertex, par)
+        if ok:
+            assert circle.residual(next_vertex(circle, par, t, vertex)) < 1e-12
+        else:
+            with pytest.raises(NotOnCircle):
+                next_vertex(circle, par, t, vertex)
+
+
+def test_on_line_guard_scales_with_the_tangency_terms():
+    # at (-1000, 1000) with p = 2000 the tangent at t = 2000 passes exactly;
+    # there |t^2 + p^2| / 2 = 4e6 is twice |px| and |ty|, so it sets the
+    # guard's scale.  Moving t by d leaves a residual of about 1000 d, which
+    # is d / 4e-6 of ON_LINE_TOL * 4e6.
+    circle, par, vertex = Circle((-1001.0, 1000.0)), Parabola(2000.0), (-1000.0, 1000.0)
+    assert par.line_residual(2000.0, vertex) == 0.0
+    nxt = next_vertex(circle, par, 2000.0 + 0.85 * 4e-6, vertex)
+    assert circle.residual(nxt) < 1e-9
+    with pytest.raises(NotOnLine):
+        next_vertex(circle, par, 2000.0 + 1.15 * 4e-6, vertex)
+
+
+def test_vertex_on_the_parabola_raises():
+    # the second vertex lands on the parabola, where the two tangents through
+    # it coincide, so the trace cannot turn to the other one
+    with pytest.raises(DegenerateStep, match="^vertex lies on the parabola$"):
+        poncelet_trace(Circle((1.0, -1.0)), Parabola(1.0), -1.0, 4)
+
+
+def test_closes_after_takes_three_starts():
+    circle, par = Circle((2.0, 0.0)), Parabola(-1.5)
+    assert closes_after(circle, par, 4, num_starts=3)
+    with pytest.raises(ValueError, match="at least 3 starts"):
+        closes_after(circle, par, 4, num_starts=2)
+
+
 def test_isotropic_chord_raises():
     # with p = 1 the start 1j gives an isotropic chord direction (1j, 1),
     # whose other intersection with the circle is at infinity, so the trace
@@ -207,14 +249,22 @@ def test_oracle_agrees_with_seven_gon_roots():
 
 
 def _count_oracle_work(monkeypatch):
-    """Record each start closes_after traces and each call of the step."""
+    """Record each start closes_after traces and each step the trace loop
+    begins: the loop runs with a keep list, whose filled slots are its steps."""
     from poncelet import geometry
 
     starts, steps = [], []
-    step, trace = geometry._step, geometry.poncelet_trace
-    monkeypatch.setattr(geometry, "_step", lambda *a: steps.append(a) or step(*a))
-    monkeypatch.setattr(geometry, "poncelet_trace",
-                        lambda circle, par, t, n: starts.append(t) or trace(circle, par, t, n))
+    trace = geometry._trace
+
+    def counted(cx, cy, p, t, x, y, n, keep):
+        starts.append(t)
+        kept = [None] * n if keep is None else keep
+        try:
+            return trace(cx, cy, p, t, x, y, n, kept)
+        finally:
+            steps.extend(k for k in kept if k is not None)
+
+    monkeypatch.setattr(geometry, "_trace", counted)
     return starts, steps
 
 

@@ -471,6 +471,27 @@ def test_format_poly_past_the_int_str_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_long_decimal_is_str_on_both_sides_of_the_limit():
+    # seeded ints and fractions from one digit to 20,000, on both sides of
+    # the default 4300-digit limit and of the 256-bit split, converted under
+    # that limit and compared with str under a raised one
+    from poncelet.polycore import _long_decimal
+
+    rng = random.Random("poncelet-long-decimal")
+    values = [rng.getrandbits(bits) for bits in (1, 64, 255, 256, 257, 513, 14_000, 14_284, 14_290,
+                                                 30_001, 66_439) for _ in range(3)]
+    values += [10**k + d for k in (4299, 4300) for d in (-1, 0, 1)] + [0, 1 << 20_000]
+    fractions = [Fraction(rng.getrandbits(20_000), rng.getrandbits(15_000) | 1) for _ in range(3)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = [_long_decimal(v) for v in values + fractions]
+        sys.set_int_max_str_digits(0)
+        assert got == [str(v) for v in values + fractions]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_parse_poly_past_the_int_str_digit_limit():
     # parse_poly reads back what format_poly prints past the limit, and
     # leaves the limit as it was
