@@ -19,7 +19,9 @@ from .cayley import locus
 from .polycore import (
     RootList,
     UniPolyR,
+    _as_fraction,
     _discriminant,
+    _discriminant_sign,
     _int_coeffs,
     _root_float,
     quartic_D,
@@ -60,18 +62,27 @@ class AtFocus(ClassifyError):
 
 @record
 class Center:
+    """A rational center; x and y must be int or Fraction (TypeError
+    otherwise), so no float or text reaches an exact decision."""
+
     x: Fraction
     y: Fraction
 
     def __init__(self, x: Scalar, y: Scalar):
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "x", _as_fraction(x))
+        object.__setattr__(self, "y", _as_fraction(y))
 
     def norm2(self) -> Fraction:
         return self.x * self.x + self.y * self.y
 
+    def _s_num(self) -> int:
+        """S = x^2 + y^2 - 1 times the positive square of the product of
+        the denominators, in integers: S's sign, 0 on the unit circle."""
+        a, b, c, d = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
+        return (a * d) ** 2 + (c * b) ** 2 - (b * d) ** 2
+
     def on_unit_circle(self) -> bool:
-        return self.norm2() == 1
+        return not self._s_num()
 
     def is_focus(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -246,23 +257,22 @@ DISCRIMINANT_FACTORS = {
 
 
 def _region_label(n: int, e: Center, f: UniPolyR) -> str:
+    s = e._s_num()  # S's sign, computed once
     if n == 3:
-        return "S1" if e.on_unit_circle() else "offS1"
+        return "offS1" if s else "S1"
     if n == 4:
         if e.is_focus():
             return "focus"
         if e.x == 0:
             return "latus-rectum"
-        if e.on_unit_circle():
-            return "S1"
-        return "generic"
-    if e.in_sigma():
+        return "generic" if s else "S1"
+    if not s or e.is_focus():
         return "Excluded"
     # Off Sigma R > 0, S != 0 and the leading coefficient 4R, 4R(R + 1) or
     # 16R^3 is not 0.  f's integer form is f times a positive scale, which
     # multiplies the discriminant by a positive power of it.
-    label, _, c, _, s = DISCRIMINANT_FACTORS[n]
-    sign = _sign(_discriminant(_int_coeffs(f))) * _sign(c) * _sign(e.norm2() - 1) ** s
+    label, _, c, _, k = DISCRIMINANT_FACTORS[n]
+    sign = _discriminant_sign(_int_coeffs(f)) * _sign(c) * _sign(s) ** k
     return label + {1: "+", 0: "", -1: "-"}[sign]
 
 

@@ -9,6 +9,12 @@ locus is summed in (p, x, s), where s = x**2 + y**2 - 1 is one number) run
 over integers, denominators cleared once.  Its `terms` hold an `int`
 coefficient where den is 1, as in the canonical forms (integer polynomials
 of content 1), and a `fractions.Fraction` otherwise.
+A univariate polynomial, `UniPolyR`, is one value with two views, each
+built on first read: a Fraction per coefficient, and a primitive integer
+list times a positive rational content.  `specialize` fills the integer
+view from its sums and the root finder reads it; an isolating interval is
+the integer triple (a, diff, v), (a/v, (a + diff)/v], and Fractions are
+built only for the two ends of each reported root.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
 decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
@@ -540,8 +546,8 @@ def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
     number s = x**2 + y**2 - 1, and over a's own keys otherwise.  With
     x = u/v and the third variable m/t (y, or s over (v t)**2),
     den * v**dx * t**dz times each coefficient is a sum of integers (dx, dz
-    the degrees in x and the third variable), so one Fraction is built per
-    power of p.
+    the degrees in x and the third variable).  Those sums over their gcd
+    are the result's integer view (`UniPolyR`), so no Fraction is built.
     """
     x = _as_fraction(x)
     y = _as_fraction(y)
@@ -564,9 +570,7 @@ def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
     sums = [0] * ((max(q) >> ww) + 1)
     for k, c in q.items():
         sums[k >> ww] += c * xs[(k >> w) & mask] * zs[k & mask]
-    scale = a.den * v**dx * t**dz
-    coeffs = [Fraction(c, scale) for c in sums]
-    return UniPolyR(coeffs[-shift:] if shift < 0 else [_ZERO] * shift + coeffs)
+    return _uni(sums[-shift:] if shift < 0 else [0] * shift + sums, a.den * v**dx * t**dz)
 
 
 # -- text form -------------------------------------------------------------
@@ -698,31 +702,58 @@ def parse_poly(text: str) -> LaurentPoly3:
 
 
 class UniPolyR:
-    """Dense univariate polynomial over Q; index = degree in p."""
+    """Dense univariate polynomial over Q; index = degree in p.
 
-    __slots__ = ("coeffs",)
+    One value with two views, each built on first read and kept: `coeffs`,
+    a Fraction per coefficient, and `_int_form()`, (prim, num, den) for the
+    primitive integer list prim (lowest degree first, [] for zero) times
+    the content num/den, positive but 0 for zero.  The constructor fills
+    `coeffs` and `specialize` the integer view (`_uni`); == compares
+    integer views, and hash, repr and pickling read `coeffs`.
+    """
+
+    __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = cs
+        self._coeffs, self._ints = cs, None
+
+    @property
+    def coeffs(self) -> list[Fraction]:
+        if self._coeffs is None:
+            prim, num, den = self._ints
+            self._coeffs = [Fraction(c * num, den) for c in prim]
+        return self._coeffs
+
+    def _int_form(self) -> tuple[list[int], int, int]:
+        if self._ints is None:
+            den = _den_lcm(self._coeffs)
+            self._ints = _primitive([c.numerator * (den // c.denominator) for c in self._coeffs], den)
+        return self._ints
+
+    def _len(self) -> int:
+        return len(self._coeffs if self._ints is None else self._ints[0])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._len()
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return self._len() - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPolyR):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._int_form() == other._int_form()
 
     def __hash__(self):
         return hash(tuple(self.coeffs))
+
+    def __reduce__(self):
+        return UniPolyR, (self.coeffs,)
 
     def __call__(self, v):
         total = 0 if isinstance(v, (int, Fraction)) else type(v)(0)
@@ -779,6 +810,22 @@ class UniPolyR:
 
     def __repr__(self):
         return f"UniPolyR({self.coeffs!r})"
+
+
+def _primitive(c: list[int], den: int) -> tuple[list[int], int, int]:
+    """c / den, den > 0 and c without a trailing zero, as `_int_form`."""
+    g = math.gcd(*c)
+    h = math.gcd(g, den)
+    return [x // g for x in c] if g > 1 else c, g // h, den // h
+
+
+def _uni(c: list[int], den: int) -> UniPolyR:
+    """The UniPolyR c / den for integers c and den > 0, integer view kept."""
+    while c and not c[-1]:
+        c.pop()
+    f = UniPolyR.__new__(UniPolyR)
+    f._coeffs, f._ints = None, _primitive(c, den)
+    return f
 
 
 def poly_gcd(a: UniPolyR, b: UniPolyR) -> UniPolyR:
@@ -838,10 +885,8 @@ _SQUAREFREE_PRIME = 2**61 - 1
 
 
 def _int_coeffs(g: UniPolyR) -> list[int]:
-    den = _den_lcm(g.coeffs)
-    out = [c.numerator * (den // c.denominator) for c in g.coeffs] or [0]
-    content = math.gcd(*out)
-    return [c // content for c in out] if content > 1 else out
+    """g's kept primitive integer list, [0] for zero; not to be changed."""
+    return g._int_form()[0] or [0]
 
 
 def _horner(c: Sequence[int], u: int, v: int) -> int:
@@ -969,9 +1014,10 @@ def _descartes(p: Sequence[int]) -> int:
     return _shift1(p[::-1], 2)
 
 
-def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
+def _isolate(g: list[int]) -> list[tuple[int, int, int]]:
     """Isolating intervals (lo, hi] for all real roots of square-free g,
-    given by its integer coefficients, by Descartes' rule of signs.
+    given by its integer coefficients, by Descartes' rule of signs; each as
+    the integer triple (a, diff, v), lo = a/v and hi = (a + diff)/v.
 
     The dyadic tree is that of (-B, B], B = 1 + max|c|/|lead|; the node at
     depth k and index i is (lo, hi] = (-B + 2iB/2**k, -B + 2(i + 1)B/2**k].
@@ -985,16 +1031,18 @@ def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
     """
     d = len(g) - 1
     lead = abs(g[-1])
-    bound = Fraction(lead + max(abs(c) for c in g), lead)
-    top, den = bound.numerator, bound.denominator
+    top = lead + max(abs(c) for c in g)
+    r = math.gcd(top, lead)
+    top, den = top // r, lead // r  # B = top/den
     # |c_(d-i)/lead| < 2**(bits(c_(d-i)) - bits(lead) + 1), so |z| < 2**e
     drop = [lead.bit_length() - 1 - abs(c).bit_length() for c in reversed(g[:-1])]
     e = 1 - min((x // i for i, x in enumerate(drop, 1)), default=0)
     k = max(1, (top // den).bit_length() - e)
-    h = Fraction(top, den << (k - 1))
-    # P(x) = g(h x) times h.denominator**d, and P(x - 1), which is Q(x + 1)
-    # at -x for Q(x) = P(-x)
-    right = [c * h.numerator**j * h.denominator ** (d - j) for j, c in enumerate(g)]
+    r = math.gcd(top, den << (k - 1))
+    hn, hd = top // r, (den << (k - 1)) // r  # h = hn/hd
+    # P(x) = g(h x) times hd**d, and P(x - 1), which is Q(x + 1) at -x for
+    # Q(x) = P(-x)
+    right = [c * hn**j * hd ** (d - j) for j, c in enumerate(g)]
     left = [-c if j % 2 else c for j, c in enumerate(right)]
     _shift1(left)
     left = [-c if j % 2 else c for j, c in enumerate(left)]
@@ -1023,16 +1071,16 @@ def _isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
         for k2, i2 in leaves[max(j - 1, 0):j] + leaves[j + 1:j + 2]:
             m = min(k, k2)
             depth = max(depth, m + 1 - ((i >> (k - m)) ^ (i2 >> (k2 - m))).bit_length())
-        a, v = top * (2 * (i >> (k - depth)) - (1 << depth)), den << depth
-        out.append((Fraction(a, v), Fraction(a + 2 * top, v)))
+        out.append((top * (2 * (i >> (k - depth)) - (1 << depth)), 2 * top, den << depth))
     return out
 
 
-def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _refine(g: Sequence[int], iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
     """Refine the half-open isolating interval (lo, hi] of square-free g,
     given by its integer coefficients, to the interval bisection gives: the
     dyadic cell at the first depth K narrower than `width`, or a symmetric
-    interval about a bisection point where g vanishes.
+    interval about a bisection point where g vanishes.  Both intervals are
+    integer triples (a, diff, v) as `_isolate` returns them.
 
     Quadratic interval refinement (Abbott, 2014) takes the cell at depth k
     as m = 2**s cells of depth k + s, tests the grid point nearest the
@@ -1044,19 +1092,22 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
     An interval with g(lo) and g(hi) of one nonzero sign raises
     PolycoreError unless its midpoint is a root."""
     # lo = a/v and hi = (a + diff)/v over one denominator v, which a cell at
-    # depth k multiplies by 2**k; diff stays fixed.
-    v = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (v // lo.denominator)
-    diff = hi.numerator * (v // hi.denominator) - a
+    # depth k multiplies by 2**k; diff stays fixed.  Over their gcd, v is the
+    # lcm of the denominators of lo and hi in lowest terms.
+    a, diff, v = iv
+    r = math.gcd(a, diff, v)
+    if r > 1:
+        a, diff, v = a // r, diff // r, v // r
+    a0, v0 = a, v
+    wn, wd = width.numerator, width.denominator
     # The secant guess reads w**d g(u/w) from _horner, so an end value kept
     # for a finer cell is multiplied by m**d, or ~2**prec g(u/w), filtered.
-    prec = _GUARD_BITS + (width.denominator // width.numerator).bit_length()
+    prec = _GUARD_BITS + (wd // wn).bit_length()
     horner, scale = (_filtered_horner(prec), 0) if v.bit_length() > prec else (_horner, len(g) - 1)
     hb = horner(g, a + diff, v)
     if not hb:
         # Root hit exactly; recenter a symmetric interval around it.
-        eps = width / 4
-        return hi - eps, hi + eps
+        return _centred(a + diff, v, wn, wd)
     if hb < 0:
         g, hb = [-c for c in g], -hb
     # The one root in (lo, hi] is simple, so g < 0 just right of lo and
@@ -1065,7 +1116,7 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
     # loop refines again, may have g(lo) > 0; the first test, at its
     # midpoint, must hit that root.
     ha = horner(g, a, v)
-    depth = (diff * width.denominator // (width.numerator * v)).bit_length()
+    depth = (diff * wd // (wn * v)).bit_length()
     k, s = 0, 1
     while k < depth:
         s = min(s, depth - k)
@@ -1086,10 +1137,10 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
             # Grid point j is a root.  Bisection hits it at its coarsest
             # depth e = k + s - (trailing zeros of j) and returns it with
             # eps from the half cell there, diff / (v * 2**(e - k)).
-            mid = Fraction(a * m + j * diff, vm)
-            eps = min(width, Fraction(diff, v << (s + 1 - (j & -j).bit_length()))) / 4
-            return mid - eps, mid + eps
+            half = v << (s + 1 - (j & -j).bit_length())
+            return _centred(a * m + j * diff, vm, *((wn, wd) if wn * half <= diff * wd else (diff, half)))
         if ha > 0:
+            lo, hi = Fraction(a0, v0), Fraction(a0 + diff, v0)
             raise PolycoreError(f"({lo}, {hi}] does not isolate one simple root")
         if (hn > 0) != (h > 0):
             # the root lies in the cell between j and n
@@ -1099,20 +1150,28 @@ def _refine(g: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> tu
             # ha <= 0 < hb holds here, so a test at s = 1, whose neighbour
             # is an end, always moves: s never reaches 0.
             s //= 2
-    return Fraction(a, v), Fraction(a + diff, v)
+    return a, diff, v
+
+
+def _centred(u: int, w: int, en: int, ed: int) -> tuple[int, int, int]:
+    """The interval about u/w, w > 0, of half-width en/(4 ed) as a triple."""
+    return 4 * ed * u - en * w, 2 * en * w, 4 * ed * w
 
 
 def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     """All real roots with multiplicities and isolating intervals refined
     below 1e-15 width.
 
-    f is scaled once to primitive integer coefficients.  When a modular gcd
-    with its derivative proves it square-free (_squarefree_mod), that list
-    is isolated as it is; otherwise Yun's square-free decomposition splits
-    it first.  Each square-free factor is isolated by Descartes' rule of
-    signs on integer Taylor shifts from a Fujiwara start node (_isolate) and
-    refined by quadratic interval refinement with filtered signs (_refine)
-    to the interval bisection from (-B, B] would give."""
+    The root search reads f's integer view, its primitive integer
+    coefficients.  When a modular gcd with its derivative proves it
+    square-free (_squarefree_mod), that list is isolated as it is;
+    otherwise Yun's square-free decomposition splits it first.  Each
+    square-free factor is isolated by Descartes' rule of signs on integer
+    Taylor shifts from a Fujiwara start node (_isolate) and refined by
+    quadratic interval refinement with filtered signs (_refine) to the
+    interval bisection from (-B, B] would give.  Intervals stay integer
+    triples; the two Fraction ends of each reported root are the only
+    Fractions built, and its float is one int true division."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     c = _int_coeffs(f)
@@ -1120,29 +1179,33 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
         factors = [(c, 1)]
     else:
         factors = [(_int_coeffs(g), mult) for g, mult in squarefree_decomposition(f)]
-    found: list[tuple[Fraction, Fraction, int, list[int]]] = []
-    for c, mult in factors:
-        for lo, hi in _isolate(c):
-            found.append((*_refine(c, lo, hi, ROOT_WIDTH), mult, c))
+    # (a, diff, v, mult, c): the interval (a/v, (a + diff)/v] of a root of
+    # multiplicity mult of the square-free factor c
+    found = [(*_refine(c, iv, ROOT_WIDTH), mult, c) for c, mult in factors for iv in _isolate(c)]
     # Roots of distinct square-free factors are distinct; shrink any
     # intervals that still overlap.  A refined interval can move past its
-    # neighbour, so each round sorts again.
-    changed = True
+    # neighbour, so each round sorts again.  One factor's intervals come in
+    # order, so a round runs only where two roots lie within ROOT_WIDTH or
+    # Yun's split gave several factors.
+    changed = any((a + d) * w > b * v for (a, d, v, *_), (b, _, w, *_) in zip(found, found[1:]))
     while changed:
         changed = False
-        found.sort(key=lambda r: r[0] + r[1])
+        found.sort(key=lambda r: Fraction(2 * r[0] + r[1], r[2]))
         for i in range(len(found) - 1):
-            if found[i][1] > found[i + 1][0]:
-                lo, hi, mult, c = found[i]
-                found[i] = (*_refine(c, lo, hi, (hi - lo) / 4), mult, c)
-                lo, hi, mult, c = found[i + 1]
-                found[i + 1] = (*_refine(c, lo, hi, (hi - lo) / 4), mult, c)
+            (a, d, v, mult, c), (b, e, w, mult2, c2) = found[i], found[i + 1]
+            if (a + d) * w > b * v:
+                found[i] = (*_refine(c, (a, d, v), Fraction(d, 4 * v)), mult, c)
+                found[i + 1] = (*_refine(c2, (b, e, w), Fraction(e, 4 * w)), mult2, c2)
                 changed = True
     roots = []
-    for lo, hi, mult, c in found:
-        if exclude_zero and lo <= 0 <= hi and not c[0]:
+    for a, d, v, mult, c in found:
+        if exclude_zero and not c[0] and a <= 0 <= a + d:
             continue
-        roots.append((_root_float((lo + hi) / 2), mult, (lo, hi)))
+        try:
+            value = (2 * a + d) / (2 * v)  # correctly rounded, as float(Fraction) is
+        except OverflowError:
+            value = _root_float(Fraction(2 * a + d, 2 * v))
+        roots.append((value, mult, (Fraction(a, v), Fraction(a + d, v))))
     return RootList(roots)
 
 
@@ -1166,9 +1229,14 @@ def quartic_disc(A, B, C, D, E):
     Works over any commutative ring that holds 1/27 (Fraction or
     LaurentPoly3 entries); int entries give a Fraction.
     """
+    return _quartic_disc27(A, B, C, D, E) * Fraction(1, 27)
+
+
+def _quartic_disc27(A, B, C, D, E):
+    """27 times quartic_disc, 4 I^3 - J^2: an int for int entries."""
     I = quartic_O(A, B, C, D, E)
     J = C * (72 * A * E + 9 * B * D - 2 * C * C) - 27 * (A * D * D + E * B * B)
-    return (4 * I * I * I - J * J) * Fraction(1, 27)
+    return 4 * I * I * I - J * J
 
 
 def quartic_P(A, B, C, D, E):
@@ -1219,3 +1287,10 @@ def _discriminant(c: Sequence):
     if deg == 4:
         return quartic_disc(c[4], c[3], c[2], c[1], c[0])
     raise UnsupportedDegree(f"degree {deg} not supported")
+
+
+def _discriminant_sign(c: Sequence[int]) -> int:
+    """The sign of _discriminant(c) for integer c, with no Fraction: at
+    degree 4 it is read from 27 times the discriminant."""
+    d = _quartic_disc27(c[4], c[3], c[2], c[1], c[0]) if len(c) == 5 else _discriminant(c)
+    return (d > 0) - (d < 0)

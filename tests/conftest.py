@@ -109,6 +109,25 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
+@contextmanager
+def fraction_count():
+    """Count the Fractions built in the block: a list that grows by one per
+    call of Fraction.__new__, which every constructor and every arithmetic
+    result of CPython 3.11's fractions module goes through."""
+    new = vars(Fraction)["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = new
+
+
 def cauchy_bound(g: UniPolyR) -> Fraction:
     lead = g.coeffs[-1]
     return 1 + max(abs(c / lead) for c in g.coeffs)

@@ -169,10 +169,16 @@ def test_records_are_frozen_value_types(cls, values):
 def test_record_defaults_and_conversion():
     # Circle's and Parabola's checks are in test_geometry
     assert Jet2(1j) == Jet2(1j, 0.0, 0.0) and Jet2(1j, d2=2.0) == Jet2(1j, 0.0, 2.0)
-    center = Center(1, "1/2")
-    assert (center.x, center.y) == (1, Fraction(1, 2)) and type(center.x) is Fraction
-    with pytest.raises(TypeError):
-        Center(1, None)
+    # Center takes int or Fraction only: a float or a text would reach an
+    # exact decision as some other rational (Center(0.1, 0.3) classified
+    # 3602879701896397/2**55).  A Fraction is kept, not copied.
+    half = Fraction(1, 2)
+    center = Center(1, half)
+    assert (center.x, center.y) == (1, half) and type(center.x) is Fraction and center.y is half
+    for bad in (None, "1/2", 0.1, 1j):
+        for args in ((bad, 1), (1, bad)):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                Center(*args)
 
 
 def test_import_loads_no_dataclasses_or_inspect():

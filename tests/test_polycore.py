@@ -18,6 +18,7 @@ from conftest import (
     cauchy_bound,
     cauchy_isolate,
     det_laplace,
+    fraction_count,
     large_height_product,
     make_rng,
     p_coefficients,
@@ -36,6 +37,7 @@ from conftest import bench_center, canonicalize_reference, format_reference, spe
 from poncelet import cayley, polycore, verify
 from poncelet.cayley import hankel_raw
 from poncelet.cayley import locus, locus_at_p
+from poncelet.classify import Center, pair_classify
 from poncelet.polycore import (
     ROOT_WIDTH,
     LaurentPoly3,
@@ -673,6 +675,35 @@ def test_source_leaves_equality_hash_and_pickle_alone():
         assert specialize(back, 2, Fraction(1, 3)) == specialize(a, 2, Fraction(1, 3))
 
 
+def test_specialize_views_agree():
+    # specialize keeps a polynomial's integer view and UniPolyR(coeffs) its
+    # Fraction view.  On specialize results, shifted, source-less and zero
+    # ones too, the two agree in every reading, and is_zero and degree
+    # decode no Fraction.
+    rng = make_rng(39)
+    s_form = polycore._pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
+    values = [locus(n).canonical for n in (3, 4, 5, 7, 12)]
+    values += [parse_poly(format_poly(locus(7).canonical)), s_form.times_p(3), s_form.times_p(3).expand_s(),
+               locus(5).canonical * 0]
+    centers = [bench_center(rng, kind) for kind in ("small", "large", "near")]
+    centers += [(Fraction(3, 5), Fraction(4, 5)), (0, 0), (Fraction(1, 2), -3)]
+    zeros = 0
+    for a in values:
+        for x, y in centers:
+            f = specialize(a, x, y)
+            with fraction_count() as built:
+                zero = f.is_zero()
+                deg = None if zero else f.degree()
+            assert not built, (a, x, y)
+            g = UniPolyR(f.coeffs)
+            back = pickle.loads(pickle.dumps(f))
+            assert f == g == back and hash(f) == hash(g) == hash(back) and repr(f) == repr(g) == repr(back)
+            assert g.is_zero() == zero and _int_coeffs(f) == _int_coeffs(g)
+            assert zero or g.degree() == deg
+            zeros += zero
+    assert zeros >= 3
+
+
 # -- Sturm isolation -----------------------------------------------------------
 
 
@@ -751,6 +782,20 @@ def _squarefree_sample(rng):
             return f
 
 
+def _pair(iv):
+    """An interval triple (a, diff, v) of _isolate and _refine as its
+    Fraction ends (a/v, (a + diff)/v)."""
+    a, diff, v = iv
+    return Fraction(a, v), Fraction(a + diff, v)
+
+
+def _triple(lo, hi):
+    """The interval (lo, hi] as a triple over one denominator."""
+    v = Fraction(lo).denominator * Fraction(hi).denominator
+    a = int(lo * v)
+    return a, int(hi * v) - a, v
+
+
 def test_descartes_isolation_matches_sturm_reference():
     # _isolate must return the nodes that bisection by Sturm counts stops
     # at, including roots at a node's hi end and roots so close that
@@ -761,7 +806,7 @@ def test_descartes_isolation_matches_sturm_reference():
         f = _squarefree_sample(rng)
         c = _int_coeffs(f)
         ref = sturm_isolate(f)
-        assert _isolate(c) == ref
+        assert [_pair(iv) for iv in _isolate(c)] == ref
         at_hi += any(sign_at(c, hi.numerator, hi.denominator) == 0 for _, hi in ref)
         narrow += any(hi - lo < ROOT_WIDTH for lo, hi in ref)
         roots = sturm_real_roots(f)
@@ -802,7 +847,7 @@ def test_refine_keeps_root_when_left_end_is_a_root():
     # 2p - p^3 vanishes at p = 0, just outside (0, 2], and is positive
     # right of it; its one root in the interval is sqrt(2).
     g = UniPolyR([0, 2, 0, -1])
-    lo, hi = _refine([0, 2, 0, -1], Fraction(0), Fraction(2), ROOT_WIDTH)
+    lo, hi = _pair(_refine([0, 2, 0, -1], _triple(0, 2), ROOT_WIDTH))
     assert hi - lo < ROOT_WIDTH
     assert g(lo) > 0 > g(hi)
     assert lo * lo < 2 < hi * hi
@@ -821,7 +866,7 @@ def test_refine_raises_without_one_simple_root():
     # p^2 - 2.  Each must raise; the alarm turns a hang into a failure.
     for c, lo, hi in (([1, 0, 1], 0, 1), ([1, 0, 1], -1, 1), ([-2, 0, 1], -2, 2)):
         with time_limit(5), pytest.raises(PolycoreError, match="does not isolate"):
-            _refine(c, Fraction(lo), Fraction(hi), ROOT_WIDTH)
+            _refine(c, _triple(lo, hi), ROOT_WIDTH)
 
 
 def _dyadic_roots(rng):
@@ -850,7 +895,7 @@ def test_refine_matches_bisection():
         for r in roots:
             f = f * UniPolyR([-r, 1])
         c = _int_coeffs(f)
-        ivals = [(lo, hi, None) for lo, hi in _isolate(c)]
+        ivals = [(*_pair(iv), None) for iv in _isolate(c)]
         for r0, r1, r2 in zip(roots, roots[1:], roots[2:] + [roots[-1] + 2]):
             ivals.append((r0, (2 * r1 + r2) / 3, None))
         for r in roots:
@@ -862,7 +907,7 @@ def test_refine_matches_bisection():
             ivals.append((lo, lo + size, e))
         for lo, hi, e in ivals:
             for width in (ROOT_WIDTH, (hi - lo) / 4, Fraction(1, 2**70)):
-                assert _refine(c, lo, hi, width) == bisect_refine(c, lo, hi, width)
+                assert _pair(_refine(c, _triple(lo, hi), width)) == bisect_refine(c, lo, hi, width)
                 if e:
                     depth = ((hi - lo) * width.denominator // width.numerator).bit_length()
                     below += e <= depth
@@ -896,9 +941,9 @@ def test_refine_halves_the_horner_count(monkeypatch):
         c = _int_coeffs(f)
         factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
         for c in factors:
-            for lo, hi in _isolate(c):
+            for lo, hi in map(_pair, _isolate(c)):
                 calls.clear()
-                got = _refine(c, lo, hi, ROOT_WIDTH)
+                got = _pair(_refine(c, _triple(lo, hi), ROOT_WIDTH))
                 qir += len(calls)
                 calls.clear()
                 assert got == bisect_refine(c, lo, hi, ROOT_WIDTH)
@@ -926,11 +971,11 @@ def test_large_height_roots_match_references():
     # sign can send refinement round forever; the alarm makes that a failure.
     for c in _large_height_samples():
         with time_limit(10):
-            ivals = _isolate(c)
+            ivals = [_pair(iv) for iv in _isolate(c)]
             assert ivals == cauchy_isolate(c)
             assert len(ivals) == len(c) - 1
             for lo, hi in ivals:
-                assert _refine(c, lo, hi, ROOT_WIDTH) == bisect_refine(c, lo, hi, ROOT_WIDTH)
+                assert _pair(_refine(c, _triple(lo, hi), ROOT_WIDTH)) == bisect_refine(c, lo, hi, ROOT_WIDTH)
 
 
 def test_isolate_degree_zero():
@@ -953,7 +998,7 @@ def test_isolate_root_next_to_start_node_end(b, d):
         bound = cauchy_bound(UniPolyR(c))
         k = max(kk for kk in range(1, 2000) if 2 * bound / 2**kk >= 2**e)
         h = 2 * bound / 2**k
-        assert _isolate(c) == cauchy_isolate(c)
+        assert [_pair(iv) for iv in _isolate(c)] == cauchy_isolate(c)
         roots = sturm_real_roots(UniPolyR(c)).values()
         assert max(abs(r) for r in roots) > 0.99 * h
 
@@ -981,7 +1026,7 @@ def test_filtered_sign_test_falls_back_at_dyadic_roots(monkeypatch):
         lo = r - size * Fraction(rng.randrange(1, 2**e, 2), 2**e)
         calls.clear()
         with time_limit(10):
-            got = _refine(c, lo, lo + size, ROOT_WIDTH)
+            got = _pair(_refine(c, _triple(lo, lo + size), ROOT_WIDTH))
         assert calls and (got[0] + got[1]) / 2 == r
         assert got == bisect_refine(c, lo, lo + size, ROOT_WIDTH)
         hits += 1
@@ -1019,6 +1064,28 @@ def test_filtered_sign_test_at_its_error_bound(monkeypatch):
     assert len(calls) >= 200
 
 
+# Fractions that pair_classify may build per call beyond the two ends of
+# each reported root's isolating interval.
+EXTRA_FRACTIONS_PER_CALL = 0
+
+
+def test_classify_builds_fractions_only_for_interval_ends():
+    # Work, not wall clock: at the 60 n = 5 and 7 gate centers, specialize,
+    # the square-free test, isolation, refinement, the region label and the
+    # float of each root run in integers; a call builds the two Fraction
+    # ends of each reported root's interval and EXTRA_FRACTIONS_PER_CALL
+    # more.  The route through a Fraction per coefficient built 28 a call.
+    cases = [(n, Center(x, y)) for n, x, y in _gate_classify_centers(random.Random(20261018))]
+    locus(5), locus(7)
+    roots = 0
+    for n, e in cases:
+        with fraction_count() as built:
+            r = pair_classify(n, e)
+        assert len(built) <= 2 * len(r.p_roots) + EXTRA_FRACTIONS_PER_CALL, (n, e)
+        roots += len(r.p_roots)
+    assert roots >= 100
+
+
 def test_start_node_cuts_taylor_shifts(monkeypatch):
     # Work, not wall clock: Taylor shifts (one per Descartes node and one per
     # split) from the start nodes against the search from the root of the
@@ -1049,16 +1116,16 @@ def test_filter_cuts_exact_horner(monkeypatch):
             c = _int_coeffs(f)
             factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
             for c in factors:
-                for lo, hi in _isolate(c):
-                    _refine(c, lo, hi, ROOT_WIDTH)
+                for iv in _isolate(c):
+                    _refine(c, iv, ROOT_WIDTH)
     assert len(calls) == 649
-    cases = [(c, lo, hi) for c in _large_height_samples() for lo, hi in _isolate(c)]
+    cases = [(c, iv) for c in _large_height_samples() for iv in _isolate(c)]
     calls.clear()
-    filtered = [_refine(c, lo, hi, ROOT_WIDTH) for c, lo, hi in cases]
+    filtered = [_pair(_refine(c, iv, ROOT_WIDTH)) for c, iv in cases]
     count = len(calls)
     monkeypatch.setattr(polycore, "_GUARD_BITS", 10**9)
     calls.clear()
-    assert [_refine(c, lo, hi, ROOT_WIDTH) for c, lo, hi in cases] == filtered
+    assert [_pair(_refine(c, iv, ROOT_WIDTH)) for c, iv in cases] == filtered
     assert 3 * count <= len(calls)
 
 
@@ -1178,15 +1245,17 @@ def _gate_poly(rng):
     return f
 
 
+def _gate_classify_centers(rng):
+    """The gate's 60 (n, x, y) at n = 5 and 7, drawn from rng."""
+    return [(5 + 2 * (i % 2), *_gate_center(rng, big=i % 3 == 2)) for i in range(60)]
+
+
 def _gate_inputs():
     """(f, exclude_zero) pairs: 60 centers at n = 5 and 7, 10 at n = 8..12,
     the root p = 0 case at n = 12, and 80 products of random factors with
     repeats.  Fixed seed, so PONCELET_SEED does not move the digest."""
     rng = random.Random(20261018)
-    out = []
-    for i in range(60):
-        x, y = _gate_center(rng, big=i % 3 == 2)
-        out.append((specialize(locus(5 + 2 * (i % 2)).canonical, x, y), True))
+    out = [(specialize(locus(n).canonical, x, y), True) for n, x, y in _gate_classify_centers(rng)]
     for i in range(10):
         x, y = _gate_center(rng, big=i % 3 == 2)
         out.append((specialize(locus(8 + i % 5).canonical, x, y), True))
