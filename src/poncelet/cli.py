@@ -28,10 +28,12 @@ MAX_TRACE_N = 10_000
 MAX_GRID = 1024
 # Bit heights (the longer of numerator and denominator) of rational flags:
 # every --center and locus --p, where classify --n 7 takes about 0.5 s at
-# the bound, and cayley --p, whose output is the polynomial at p itself
-# and which takes --p 1e20000 (66,439 bits).
+# the bound, and cayley --p, whose output is the polynomial at p itself:
+# cayley --n 12 at (2**8192 - 1)/(2**8192 - 3) prints 3.1 MB in about
+# 0.8 s, and --p 1e2400 (7,973 bits) prints coefficients past the
+# int-to-str digit limit.
 MAX_BITS = 4096
-MAX_CAYLEY_P_BITS = 1 << 17
+MAX_CAYLEY_P_BITS = 1 << 13
 SHOWN_CHARS = 40  # of a flag's text quoted in its error message
 MESSAGE_CHARS = 150  # of an error message after "<prog>: error: "
 

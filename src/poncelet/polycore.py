@@ -20,8 +20,9 @@ decomposition is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
 2004) from the nodes of the Cauchy-bound tree that a power-of-2 Fujiwara
 bound picks, and refines each root to the dyadic cell that bisection
-reaches, by quadratic interval refinement (Abbott, 2014): secant guesses
-checked by exact integer signs, on long operands by a fixed-point Horner
+reaches, by quadratic interval refinement (Abbott, 2014): a float Newton
+seed and then secant guesses (Kerber and Sagraloff, 2011), each checked
+by exact integer signs, on long operands by a fixed-point Horner
 with a rigorous error bound (Kobel, Rouillier and Sagraloff, 2016) and by
 exact Horner where it does not decide.  Polynomials in the three variables
 (p, x, y) allow negative exponents in p only; x and y exponents are always
@@ -1085,12 +1086,18 @@ def _refine(g: Sequence[int], iv: tuple[int, int, int], width: Fraction) -> tupl
     Quadratic interval refinement (Abbott, 2014) takes the cell at depth k
     as m = 2**s cells of depth k + s, tests the grid point nearest the
     secant root and its neighbour on the root's side, and on success moves
-    to the cell between them and doubles s; otherwise s halves.  s starts
-    at 1, plain bisection, so the first test is the midpoint, and never
-    passes K - k.  Signs are exact: from _filtered_horner when v (below) is
-    longer than prec = _GUARD_BITS + log2(1/width) bits, else _horner.
-    An interval with g(lo) and g(hi) of one nonzero sign raises
-    PolycoreError unless its midpoint is a root."""
+    to the cell between them and doubles s; otherwise s halves, and s never
+    passes K - k.  As in approximate QIR (Kerber and Sagraloff, 2011),
+    floats may choose where to test but never decide: a proper bracket,
+    g(lo) <= 0 < g(hi) once g's sign is set, starts at the level and grid
+    point of _seed's float Newton estimate, and the secant guess picks
+    every later test (and the first where there is no seed).  Any other
+    interval, one centred on a root as an exact hit returns, starts at
+    s = 1, so its first test is the midpoint.  Signs are exact: from
+    _filtered_horner when v (below) is longer than
+    prec = _GUARD_BITS + log2(1/width) bits, else _horner.  An interval
+    with g(lo) and g(hi) of one nonzero sign raises PolycoreError unless
+    its midpoint is a root."""
     # lo = a/v and hi = (a + diff)/v over one denominator v, which a cell at
     # depth k multiplies by 2**k; diff stays fixed.  Over their gcd, v is the
     # lcm of the denominators of lo and hi in lowest terms.
@@ -1117,14 +1124,19 @@ def _refine(g: Sequence[int], iv: tuple[int, int, int], width: Fraction) -> tupl
     # midpoint, must hit that root.
     ha = horner(g, a, v)
     depth = (diff * wd // (wn * v)).bit_length()
-    k, s = 0, 1
+    k, s, guess = 0, 1, 0
+    if ha <= 0 < depth:
+        s, guess = _seed(g, a, diff, v, ha, hb, depth) or (1, 0)
     while k < depth:
         s = min(s, depth - k)
         m, vm = 1 << s, v << s
-        # the grid point nearest the secant root, strictly inside the cell;
-        # a poor guess costs a step, never the result
-        den = ha - hb
-        j = min(max((2 * m * ha + den) // (2 * den), 1), m - 1) if ha <= 0 else 1
+        if guess:
+            j, guess = guess, 0
+        else:
+            # the grid point nearest the secant root, strictly inside the
+            # cell; a poor guess costs a step, never the result
+            den = ha - hb
+            j = min(max((2 * m * ha + den) // (2 * den), 1), m - 1) if ha <= 0 else 1
         h = horner(g, a * m + j * diff, vm)
         n = j - 1 if h > 0 else j + 1  # the neighbour on the root's side
         if h and 0 < n < m:
@@ -1153,6 +1165,93 @@ def _refine(g: Sequence[int], iv: tuple[int, int, int], width: Fraction) -> tupl
     return a, diff, v
 
 
+# Float Newton steps of _seed at most, and the unit roundoff of a float.
+_SEED_STEPS = 24
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _seed(g: Sequence[int], a: int, diff: int, v: int, ha: int, hb: int, depth: int) -> tuple[int, int] | None:
+    """Where _refine first tests in (lo, hi] = (a/v, (a + diff)/v), for
+    integer coefficients g with g(lo) <= 0 < g(hi), ha and hb on one
+    positive scale: (s, j), grid point j of the cell's 2**s parts nearest a
+    float estimate of the root, at the deepest level s <= depth whose cells
+    are at least twice as wide as the estimate's error bound.  None where a
+    value is not finite or s would be 0.
+
+    The estimate is safeguarded Newton on g's coefficients as floats, all
+    over one power of 2 where one would overflow, from the secant point (the
+    midpoint where ha is 0).  A step that leaves the float bracket, or does
+    not halve the last one, bisects it, by the geometric mean where it lies
+    on one side of 0; past _SEED_STEPS the bracket's middle stands.  The
+    error bound is twice the last step (dx**3 / step**2 once the steps shrink
+    quadratically), the rounding of the estimate, and 2 (d + 1) unit
+    roundoffs of the Horner sum of |c_i| over |g'|, which also ends the
+    steps where |g| is no larger.  j is read exactly from the float, and no
+    Fraction is built.  The seed only chooses where to test: _refine tests j
+    and its neighbour by exact signs, so a wrong seed costs steps, never the
+    result."""
+    try:
+        try:
+            top, *rest = map(float, reversed(g))
+        except OverflowError:
+            unit = 1 << max(map(abs, g)).bit_length()
+            top, *rest = [c / unit for c in reversed(g)]
+        roundoff = 2 * len(g) * _UNIT_ROUNDOFF
+        lo, hi = a / v, (a + diff) / v
+        width = hi - lo
+        cell = math.ldexp(width, -depth - 4)  # a sixteenth of the last cell
+        x = lo + width * (ha / (ha - hb) or 0.5)
+        step = math.inf
+        for _ in range(_SEED_STEPS):
+            p, dp = top, 0.0
+            for c in rest:
+                dp = dp * x + p
+                p = p * x + c
+            if p < 0:
+                lo = x
+            elif p > 0:
+                hi = x
+            y = x - p / dp if dp else lo
+            dx = abs(y - x)
+            if not dx:
+                break
+            if lo < y < hi and dx <= step / 2:
+                # Newton converges: stop where the next step would be
+                # below a sixteenth of a last cell or 4 ulps
+                if step < math.inf and dx * dx * dx <= max(cell, 4 * math.ulp(y)) * step * step:
+                    dx = dx * dx * dx / (step * step)
+                    break
+            else:
+                # stop where p is within its rounding error, else bisect
+                size, ax = abs(top), abs(x)
+                for c in rest:
+                    size = size * ax + abs(c)
+                if abs(p) <= roundoff * size:
+                    y, dx = x, abs(p / dp)
+                    break
+                y = (math.sqrt(lo) * math.sqrt(hi) if lo > 0 else -math.sqrt(-lo) * math.sqrt(-hi) if hi < 0
+                     else lo + 0.5 * (hi - lo))
+                dx = math.inf
+            step, x = dx, y
+        else:
+            y, dx = lo + 0.5 * (hi - lo), 0.5 * (hi - lo)
+        size, ax = abs(top), abs(x)
+        for c in rest:
+            size = size * ax + abs(c)
+        err = 2 * dx + roundoff * size / abs(dp) + math.ulp(y)
+        if not math.isfinite(err):
+            return None
+        s = min(depth, math.frexp(width / (2 * err))[1] - 1)
+        if s < 1:
+            return None
+        # the grid point nearest y = yn/yd: round((y - a/v) 2**s v / diff)
+        yn, yd = y.as_integer_ratio()
+        j = ((yn * v - a * yd << (s + 1)) + diff * yd) // (2 * diff * yd)
+        return s, min(max(j, 1), (1 << s) - 1)
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 def _centred(u: int, w: int, en: int, ed: int) -> tuple[int, int, int]:
     """The interval about u/w, w > 0, of half-width en/(4 ed) as a triple."""
     return 4 * ed * u - en * w, 2 * en * w, 4 * ed * w
@@ -1169,7 +1268,9 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     square-free factor is isolated by Descartes' rule of signs on integer
     Taylor shifts from a Fujiwara start node (_isolate) and refined by
     quadratic interval refinement with filtered signs (_refine) to the
-    interval bisection from (-B, B] would give.  Intervals stay integer
+    interval bisection from (-B, B] would give; a float Newton estimate
+    (_seed) picks its first test, and exact signs decide every step, so
+    the intervals do not depend on the floats.  Intervals stay integer
     triples; the two Fraction ends of each reported root are the only
     Fractions built, and its float is one int true division."""
     if f.is_zero():

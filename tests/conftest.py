@@ -128,6 +128,36 @@ def fraction_count():
         Fraction.__new__ = new
 
 
+def count_sign_tests(monkeypatch) -> list:
+    """A list that grows by one per sign test of polycore._refine: each
+    exact _horner call and each call of a _filtered_horner closure, whose
+    own fall back to exact Horner is not counted again."""
+    tests, inside = [], []
+    horner, filtered = polycore._horner, polycore._filtered_horner
+
+    def counted_horner(*args):
+        if not inside:
+            tests.append(1)
+        return horner(*args)
+
+    def counted_filtered(prec):
+        sign_test = filtered(prec)
+
+        def counted(*args):
+            tests.append(1)
+            inside.append(1)
+            try:
+                return sign_test(*args)
+            finally:
+                inside.pop()
+
+        return counted
+
+    monkeypatch.setattr(polycore, "_horner", counted_horner)
+    monkeypatch.setattr(polycore, "_filtered_horner", counted_filtered)
+    return tests
+
+
 def cauchy_bound(g: UniPolyR) -> Fraction:
     lead = g.coeffs[-1]
     return 1 + max(abs(c / lead) for c in g.coeffs)

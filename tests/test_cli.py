@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 import sys
 from functools import lru_cache
@@ -79,23 +80,25 @@ def test_cayley_at_p(capsys):
 
 
 def test_cayley_at_p_past_the_int_str_digit_limit(capsys):
-    # coefficients of 10^20000's powers have more digits than str converts
+    # coefficients of 10^2400's powers have more digits than str converts:
+    # the longest has 4,801
     limit = sys.get_int_max_str_digits()
-    code, out = run(capsys, "cayley", "--n", "5", "--p", "1e20000")
+    code, out = run(capsys, "cayley", "--n", "5", "--p", "1e2400")
     assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert max(map(len, re.findall(r"\d+", out))) > limit
     sys.set_int_max_str_digits(0)
     try:
-        assert out == format_poly(locus_at_p(5, Fraction(10**20000))) + "\n"
+        assert out == format_poly(locus_at_p(5, Fraction(10**2400))) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_cayley_json_past_the_int_str_digit_limit_round_trips(capsys):
-    code, out = run(capsys, "cayley", "--n", "5", "--p", "1e20000", "--format", "json")
+    code, out = run(capsys, "cayley", "--n", "5", "--p", "1e2400", "--format", "json")
     assert code == 0
     from poncelet.polycore import parse_poly
 
-    assert parse_poly(json.loads(out)["canonical"]) == locus_at_p(5, 10**20000)
+    assert parse_poly(json.loads(out)["canonical"]) == locus_at_p(5, 10**2400)
 
 
 CAYLEY_AT_P_SHA256 = {
@@ -533,6 +536,25 @@ def test_rational_flags_are_bounded_in_bits(capsys, argv, form, bound):
     with pytest.raises(SystemExit):
         main([argv[0], "--help"])
     assert f"at most {bound} bits" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cayley_p_one_bit_past_its_bound_exits_before_any_work(capsys, monkeypatch):
+    # The bound keeps cayley --n 12 --p under 1 s.  A numerator or
+    # denominator one bit past it, written out in full, exits 2 with one
+    # line from the parser: no locus is built or evaluated and nothing is
+    # formatted.
+    work = []
+    monkeypatch.setattr(cli, "locus", lambda n: work.append(n))
+    monkeypatch.setattr(cli, "locus_at_p", lambda n, p: work.append((n, p)))
+    monkeypatch.setattr(cli, "format_poly", lambda poly: work.append(poly))
+    over = _long_decimal((1 << MAX_CAYLEY_P_BITS) + 1)
+    for text in (over, "-" + over, "1/" + over, over + "/3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cayley", "--n", "12", "--p", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"more than {MAX_CAYLEY_P_BITS} bits" in err and len(err) < 200
+    assert work == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,6 +17,7 @@ from conftest import (
     bisect_refine,
     cauchy_bound,
     cauchy_isolate,
+    count_sign_tests,
     det_laplace,
     fraction_count,
     large_height_product,
@@ -882,13 +883,12 @@ def _dyadic_roots(rng):
     return sorted(roots)
 
 
-def test_refine_matches_bisection():
-    # _refine must return bisection's interval, byte for byte: on the
-    # isolating intervals (roots at hi, pairs closer than ROOT_WIDTH), with
-    # a root at lo outside the interval, and with the root on the interval's
-    # own dyadic grid at a depth e above and below bisection's last depth K
+def _bisection_cases():
+    """(c, lo, hi, e): square-free products of dyadic roots with their
+    isolating intervals, intervals with a root at lo outside, and intervals
+    (lo, lo + size] holding their root on their own dyadic grid at depth e."""
     rng = make_rng(10)
-    below = above = 0
+    cases = []
     for _ in range(40):
         roots = _dyadic_roots(rng)
         f = UniPolyR([rng.choice([1, -1, 3])])
@@ -905,14 +905,138 @@ def test_refine_matches_bisection():
             e = rng.randint(1, 60)
             lo = r - size * Fraction(rng.randrange(1, 2**e, 2), 2**e)
             ivals.append((lo, lo + size, e))
-        for lo, hi, e in ivals:
-            for width in (ROOT_WIDTH, (hi - lo) / 4, Fraction(1, 2**70)):
-                assert _pair(_refine(c, _triple(lo, hi), width)) == bisect_refine(c, lo, hi, width)
-                if e:
-                    depth = ((hi - lo) * width.denominator // width.numerator).bit_length()
-                    below += e <= depth
-                    above += e > depth
+        cases += [(c, lo, hi, e) for lo, hi, e in ivals]
+    return cases
+
+
+def test_refine_matches_bisection():
+    # _refine must return bisection's interval, byte for byte: on the
+    # isolating intervals (roots at hi, pairs closer than ROOT_WIDTH), with
+    # a root at lo outside the interval, and with the root on the interval's
+    # own dyadic grid at a depth e above and below bisection's last depth K
+    below = above = 0
+    for c, lo, hi, e in _bisection_cases():
+        for width in (ROOT_WIDTH, (hi - lo) / 4, Fraction(1, 2**70)):
+            assert _pair(_refine(c, _triple(lo, hi), width)) == bisect_refine(c, lo, hi, width)
+            if e:
+                depth = ((hi - lo) * width.denominator // width.numerator).bit_length()
+                below += e <= depth
+                above += e > depth
     assert below >= 100 and above >= 100
+
+
+def _random_seed(rng):
+    def seed(g, a, diff, v, ha, hb, depth):
+        s = rng.randint(1, depth)
+        return s, rng.randint(1, (1 << s) - 1)
+    return seed
+
+
+# Stand-ins for polycore._seed: none at all, the worst grid points of the
+# last depth (next to either end of the interval), and random ones.
+SEED_STAND_INS = {
+    "none": lambda rng: lambda *args: None,
+    "first": lambda rng: lambda *args: (args[-1], 1),
+    "last": lambda rng: lambda *args: (args[-1], (1 << args[-1]) - 1),
+    "random": _random_seed,
+}
+
+
+@pytest.mark.parametrize("stand_in", sorted(SEED_STAND_INS))
+def test_seed_never_decides(monkeypatch, stand_in):
+    # The float seed only picks where refinement tests first.  With any
+    # other pick, or none, _refine returns bisection's intervals and the
+    # Sturm gate keeps its digest.  Ends are compared as Fractions: an
+    # interval centred on an exact hit can come back over a larger
+    # denominator, the same interval as another triple.
+    seeds = []
+    seed = SEED_STAND_INS[stand_in](make_rng(33))
+    monkeypatch.setattr(polycore, "_seed", lambda *args: seeds.append(1) or seed(*args))
+    for c, lo, hi, _ in _bisection_cases():
+        for width in (ROOT_WIDTH, (hi - lo) / 4, Fraction(1, 2**70)):
+            assert _pair(_refine(c, _triple(lo, hi), width)) == bisect_refine(c, lo, hi, width)
+    h = hashlib.sha256()
+    for f, exclude_zero in _gate_inputs():
+        h.update(repr(sturm_real_roots(f, exclude_zero=exclude_zero)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == STURM_GATE_SHA256
+    assert len(seeds) > 1000
+
+
+def _checked_seeds(monkeypatch):
+    """Wrap polycore._seed so that each result must be None or a grid point
+    (s, j) of the cell, 1 <= s <= depth and 0 < j < 2**s; the results, in
+    order, fill the list returned."""
+    seeds = []
+    seed = polycore._seed
+
+    def checked(*args):
+        out = seed(*args)
+        assert out is None or (1 <= out[0] <= args[-1] and 0 < out[1] < 1 << out[0]), out
+        seeds.append(out)
+        return out
+
+    monkeypatch.setattr(polycore, "_seed", checked)
+    return seeds
+
+
+def _refine_checked(c, ivals):
+    """Refine each interval of c, as Fraction ends, and compare with
+    bisection."""
+    for lo, hi in ivals:
+        with time_limit(10):
+            assert _pair(_refine(c, _triple(lo, hi), ROOT_WIDTH)) == bisect_refine(c, lo, hi, ROOT_WIDTH)
+
+
+def test_seed_at_its_edges(monkeypatch):
+    # The seed raises nothing and returns None or a grid point of the cell,
+    # and the intervals stay those of the references, where its floats are
+    # stretched: coefficients past the float range, roots past it, roots on
+    # a dyadic grid or closer than ROOT_WIDTH, and the oracle sweep's
+    # centers at n = 8..12.
+    seeds = _checked_seeds(monkeypatch)
+    rng = make_rng(33)
+    # coefficients past 2**1024, which no float holds: the floats are all
+    # over one power of 2
+    for _ in range(5):
+        roots = {rand_fraction(rng) for _ in range(rng.randint(2, 6))}
+        f = UniPolyR([1])
+        for r in roots:
+            f = f * UniPolyR([-r, 1])
+        c = [x << 1100 for x in _int_coeffs(f)]
+        assert max(map(abs, c)) > 2**1024
+        ivals = [_pair(iv) for iv in _isolate(c)]
+        assert ivals == cauchy_isolate(c) and len(ivals) == len(roots)
+        seeds.clear()
+        _refine_checked(c, ivals)
+        assert all(seeds)
+    # roots past the float range: no float for the interval, so no seed
+    for c in ([-(10**400), 1], [10**400, 10**400 - 1, -1]):
+        ivals = [_pair(iv) for iv in _isolate(c)]
+        assert ivals == cauchy_isolate(c)
+        seeds.clear()
+        _refine_checked(c, ivals)
+        assert None in seeds
+    # roots on a dyadic grid, some pairs closer than ROOT_WIDTH
+    seeds.clear()
+    for _ in range(20):
+        f = UniPolyR([rng.choice([1, -1, 3])])
+        for r in _dyadic_roots(rng):
+            f = f * UniPolyR([-r, 1])
+        c = _int_coeffs(f)
+        ivals = [_pair(iv) for iv in _isolate(c)]
+        assert ivals == cauchy_isolate(c)
+        _refine_checked(c, ivals)
+    # ten oracle-sweep centers, n = 8..12, each kind of center
+    for i in range(10):
+        n, kind = 8 + i % 5, ("small", "large", "near")[i % 3]
+        f = specialize(locus(n).canonical, *bench_center(rng, kind))
+        for g, _ in squarefree_decomposition(f):
+            c = _int_coeffs(g)
+            ivals = [_pair(iv) for iv in _isolate(c)]
+            assert ivals == cauchy_isolate(c)
+            _refine_checked(c, ivals)
+    assert len(seeds) >= 80 and sum(map(bool, seeds)) >= 0.9 * len(seeds)
 
 
 def test_refine_first_test_is_the_midpoint():
@@ -932,7 +1056,7 @@ def test_refine_first_test_is_the_midpoint():
 def test_refine_halves_the_horner_count(monkeypatch):
     # Work, not wall clock: over the isolating intervals of the 60 n = 5
     # and 7 gate centers, quadratic interval refinement evaluates g at most
-    # half as often as bisection (about a third in practice).
+    # half as often as bisection (a tenth from the float seed).
     calls = []
     horner = polycore._horner
     monkeypatch.setattr(polycore, "_horner", lambda *a: calls.append(1) or horner(*a))
@@ -949,6 +1073,81 @@ def test_refine_halves_the_horner_count(monkeypatch):
                 assert got == bisect_refine(c, lo, hi, ROOT_WIDTH)
                 bisect += len(calls)
     assert bisect > 2000 and 2 * qir <= bisect
+
+
+def test_seed_halves_the_sign_tests(monkeypatch):
+    # Work, not wall clock: over the isolating intervals of the 60 n = 5
+    # and 7 gate centers, refinement from the float seed makes at most half
+    # the sign tests per root, exact and filtered, of refinement from the
+    # secant guess alone (_seed returning None), which is what it was
+    # before the seed: 5.7 against 18.3 tests per root.  A seed that picks
+    # worse points costs only steps, so this is the test that sees it.
+    tests = count_sign_tests(monkeypatch)
+    cases = []
+    for f, _ in _gate_inputs()[:60]:
+        c = _int_coeffs(f)
+        factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+        cases += [(c, iv) for c in factors for iv in _isolate(c)]
+    seeded = [_pair(_refine(c, iv, ROOT_WIDTH)) for c, iv in cases]
+    count = len(tests)
+    monkeypatch.setattr(polycore, "_seed", lambda *args: None)
+    tests.clear()
+    assert [_pair(_refine(c, iv, ROOT_WIDTH)) for c, iv in cases] == seeded
+    assert len(cases) == 120 and 2 * count <= len(tests)
+
+
+def _bench_cases(rng, count):
+    """(c, iv): each square-free factor of p_polynomial(n, e) at n = 5 and 7
+    and each of its isolating intervals, at `count` benchmark centers of
+    each kind."""
+    cases = []
+    for i in range(3 * count):
+        x, y = bench_center(rng, ("small", "large", "near")[i % 3])
+        for n in (5, 7):
+            f = specialize(locus(n).canonical, x, y)
+            c = _int_coeffs(f)
+            factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+            cases += [(c, iv) for c in factors for iv in _isolate(c)]
+    return cases
+
+
+# Sign tests of _refine over _bench_cases(make_rng(33), 20), 248 roots: the
+# seeded count, and the count with _seed returning None.
+SEEDED_SIGN_TESTS, SECANT_SIGN_TESTS = 1312, 4216
+
+
+def test_seed_work_at_benchmark_centers(monkeypatch):
+    # Work, not wall clock, where the benchmark's classify batch refines:
+    # small, large and near centers (the near ones have clusters of roots
+    # that slow Newton).  The counts are pinned: a change to the seed that
+    # costs no correctness shows here as a change of work, 5.3 sign tests
+    # per root against 17.0 from the secant alone.
+    tests = count_sign_tests(monkeypatch)
+    cases = _bench_cases(make_rng(33), 20)
+    for c, iv in cases:
+        _refine(c, iv, ROOT_WIDTH)
+    count = len(tests)
+    monkeypatch.setattr(polycore, "_seed", lambda *args: None)
+    tests.clear()
+    for c, iv in cases:
+        _refine(c, iv, ROOT_WIDTH)
+    assert (len(cases), count, len(tests)) == (248, SEEDED_SIGN_TESTS, SECANT_SIGN_TESTS)
+
+
+def test_seed_starts_a_bracket_whose_lo_is_a_root(monkeypatch):
+    # 2p - p^3 vanishes at lo = 0, outside (0, 2]: still a proper bracket,
+    # g(lo) <= 0 < g(hi).  The seed starts Newton at the midpoint, not at
+    # the secant point lo, and finds sqrt(2) to within two levels of the
+    # last: six sign tests, where the secant alone takes 17.
+    seeds = _checked_seeds(monkeypatch)
+    tests = count_sign_tests(monkeypatch)
+    got = _pair(_refine([0, 2, 0, -1], _triple(0, 2), ROOT_WIDTH))
+    assert len(seeds) == 1 and seeds[0] and len(tests) == 6
+    assert got == bisect_refine([0, 2, 0, -1], Fraction(0), Fraction(2), ROOT_WIDTH)
+    monkeypatch.setattr(polycore, "_seed", lambda *args: None)
+    tests.clear()
+    assert _pair(_refine([0, 2, 0, -1], _triple(0, 2), ROOT_WIDTH)) == got
+    assert len(tests) == 17
 
 
 def _large_height_samples():
@@ -1106,11 +1305,13 @@ def test_start_node_cuts_taylor_shifts(monkeypatch):
 
 def test_filter_cuts_exact_horner(monkeypatch):
     # Work, not wall clock: exact Horner calls of _refine.  The size rule
-    # keeps the small-coefficient n = 5 gate centers exact: 649 calls, as
-    # before the filter.  On the large-height samples the filter leaves at
-    # most a third of the calls that every test exact takes (a guard longer
-    # than any denominator); none at all on the default seed's samples.
+    # keeps the small-coefficient n = 5 gate centers exact: 233 calls and no
+    # filtered sign test (649 before the float seed, as before the filter).
+    # On the large-height samples the filter leaves at most a third of the
+    # calls that every test exact takes (a guard longer than any
+    # denominator); none at all on the default seed's samples.
     calls = _count_calls(monkeypatch, "_horner")
+    filters = _count_calls(monkeypatch, "_filtered_horner")
     for i, (f, _) in enumerate(_gate_inputs()[:60]):
         if i % 2 == 0 and i % 3 != 2:
             c = _int_coeffs(f)
@@ -1118,7 +1319,7 @@ def test_filter_cuts_exact_horner(monkeypatch):
             for c in factors:
                 for iv in _isolate(c):
                     _refine(c, iv, ROOT_WIDTH)
-    assert len(calls) == 649
+    assert len(calls) == 233 and not filters
     cases = [(c, iv) for c in _large_height_samples() for iv in _isolate(c)]
     calls.clear()
     filtered = [_pair(_refine(c, iv, ROOT_WIDTH)) for c, iv in cases]
