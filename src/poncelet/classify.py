@@ -24,11 +24,7 @@ from .polycore import (
     _discriminant_sign,
     _int_coeffs,
     _root_float,
-    quartic_D,
-    quartic_O,
-    quartic_P,
-    quartic_R,
-    quartic_disc,
+    quartic_invariants,
     specialize,
     sturm_real_roots,
 )
@@ -133,11 +129,7 @@ def rees_classify(a4: Scalar, a3: Scalar, a2: Scalar, a1: Scalar, a0: Scalar) ->
     A, B, C, D, E = (Fraction(v) for v in (a4, a3, a2, a1, a0))
     if A == 0:
         raise NotQuartic("leading coefficient must be nonzero")
-    disc = quartic_disc(A, B, C, D, E)
-    P = quartic_P(A, B, C, D, E)
-    Dq = quartic_D(A, B, C, D, E)
-    R = quartic_R(A, B, C, D, E)
-    O = quartic_O(A, B, C, D, E)
+    disc, P, Dq, O, R = quartic_invariants(A, B, C, D, E)
     signs = (_sign(disc), _sign(P), _sign(Dq), _sign(R), _sign(O))
     if disc < 0:
         return QuarticShape("TwoRealTwoComplex", *signs)

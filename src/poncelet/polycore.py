@@ -508,6 +508,19 @@ def _pxs(terms: Mapping[Expo, Scalar]) -> LaurentPoly3:
     return a
 
 
+def _over_s(a: LaurentPoly3, k: int, r: int = 0) -> LaurentPoly3:
+    """a / (s**k * (s + 1)**r) for a in (p, x, s): s**k by lowering every
+    s-exponent by k, with no product, and (s + 1)**r by one exact division
+    by the sum of C(r, j) s**j, built in integer form.  NotDivisible where
+    the quotient is not a polynomial.  The least s-exponent of a's keys is
+    the largest k that divides."""
+    mask = (1 << a.w) - 1
+    if any(key & mask < k for key in a.q):
+        raise NotDivisible(f"s**{k} does not divide")
+    a = _poly({key - k: c for key, c in a.q.items()} if k else a.q, a.den, a.w, a.deg, a.shift, _PXS)
+    return a / _poly({j: math.comb(r, j) for j in range(r + 1)}, 1, _width(r), r, 0, _PXS) if r else a
+
+
 def _power(base, n: int, one):
     """base**n by repeated squaring, for either polynomial class; no factor is `one`."""
     if n < 0:
@@ -1361,6 +1374,18 @@ def quartic_R(A, B, C, D, E):
 
 def quartic_O(A, B, C, D, E):
     return C * C + 12 * A * E - 3 * B * D
+
+
+def quartic_invariants(A, B, C, D, E):
+    """(disc, P, D, O, R) of A t^4 + B t^3 + C t^2 + D t + E, each as
+    quartic_disc, quartic_P, quartic_D, quartic_O and quartic_R give it,
+    from one set of products: I = O and P enter both disc and D, and
+    A^2, B^2, A C, A E, B D and C^2 are made once."""
+    AA, BB, AC, AE, BD, CC = A * A, B * B, A * C, A * E, B * D, C * C
+    I, P = CC + 12 * AE - 3 * BD, 8 * AC - 3 * BB
+    J = C * (72 * AE + 9 * BD - 2 * CC) - 27 * (A * D * D + E * BB)
+    disc, Dq = (4 * I * I * I - J * J) * Fraction(1, 27), (16 * AA * I - P * P) * Fraction(1, 3)
+    return disc, P, Dq, I, B * (BB - 4 * AC) + 8 * AA * D
 
 
 def discriminant(f: UniPolyR) -> Fraction:

@@ -3,12 +3,12 @@ p = 1/2 example, the divisor factorization, and the symbolic discriminant
 factorizations.  All comparisons are exact.  The printed sides are typed
 here once; the discriminants' factors come from
 `classify.DISCRIMINANT_FACTORS`, the table the region labels read.  The
-factorizations are checked on each locus's (p, x, s) form, s = x^2 + y^2 -
-1, where their powers of R = s + 1 and S = s divide out exactly."""
+factorizations are checked in (x, s), s = x^2 + y^2 - 1, on the (p, x, s)
+forms the loci and the printed region polynomials keep, where the powers
+of R = s + 1 and S = s divide out: no side is expanded to (x, y)."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -18,13 +18,12 @@ from .cayley import _ws, locus, locus_at_p
 from .classify import DISCRIMINANT_FACTORS
 from .polycore import (
     LaurentPoly3,
+    NotDivisible,
     PolycoreError,
     _discriminant,
+    _over_s,
     _pxs,
-    quartic_D,
-    quartic_O,
-    quartic_P,
-    quartic_R,
+    quartic_invariants,
 )
 
 P = LaurentPoly3.var_p()
@@ -59,6 +58,10 @@ def paper_locus(n: int) -> LaurentPoly3:
     raise ValueError("printed loci cover n = 3..7")
 
 
+# x and s = x^2 + y^2 - 1 in (p, x, s), where R = s + 1 and S = s
+X_S, S_S = _pxs({(0, 1, 0): 1}), _pxs({(0, 0, 1): 1})
+
+
 @lru_cache(maxsize=None)
 def region_polys() -> Mapping[str, LaurentPoly3]:
     """The polynomials in (x, y) whose signs split the plane of centers, as
@@ -66,11 +69,15 @@ def region_polys() -> Mapping[str, LaurentPoly3]:
     discriminants of the 5- and 6-gon quadratics in p; psi1..psi5 those of
     the discriminant and of the invariants P, D, O, R of the 7-gon quartic.
 
-    Built on first use: building them costs milliseconds, which importing
-    the package should not.
+    Typed once, textually as printed, over x, R = s + 1 and y^2 = s + 1 -
+    x^2 in (x, s), and returned as their `expand_s`, so each value keeps
+    that (x, s) form as its source, as `locus(n).canonical` does: checks()
+    compares against the source.  Built on first use: building them costs
+    milliseconds, which importing the package should not.
     """
-    x2, y2 = X**2, Y**2
-    return MappingProxyType({
+    R, x2 = S_S + 1, X_S**2
+    y2 = R - x2
+    return MappingProxyType({name: f.expand_s() for name, f in {
         "gamma5": R**2 - y2,
         "gamma6": R**3 - y2,
         "psi1": (
@@ -86,32 +93,17 @@ def region_polys() -> Mapping[str, LaurentPoly3]:
         # 12*x^2, not 12*y^2: forced by the O invariant of the n=7 quartic.
         "psi4": 12 * R**2 - 13 * R + 12 * x2 + 1,
         "psi5": 2 * x2 + y2 - 1,
-    })
+    }.items()})
 
 
-# The invariants of A t^4 + B t^3 + C t^2 + D t + E as functions of the
-# coefficients constant first, as `_discriminant` takes them.
-_QUARTIC_INVARIANTS = {
-    label: (lambda a, f=f: f(*a[::-1]))
-    for label, f in zip("PDOR", (quartic_P, quartic_D, quartic_O, quartic_R))
-}
-
-
-def _factored(formula, poly: LaurentPoly3, kr: int, ks: int) -> LaurentPoly3 | None:
-    """formula(a) / (R**kr * S**ks) in (x, y), a the p-coefficients of
-    poly, or None where that is 0 or not a polynomial, or poly has no
-    (p, x, s) form.  Computed on that form, where R = s + 1 and S = s:
-    putting s = x**2 + y**2 - 1 is an injective ring map that commutes with
-    the formula, so the quotient exists there exactly when it does in
-    (x, y), and expands to it."""
-    src = getattr(poly, "_src", None)
-    if src is None:
-        return None
-    # R**kr * S**ks is the sum of C(kr, j) s**(ks + j)
-    factor = _pxs({(0, 0, ks + j): math.comb(kr, j) for j in range(kr + 1)})
+def _factored(value: LaurentPoly3 | None, kr: int, ks: int) -> LaurentPoly3 | None:
+    """value / (R**kr * S**ks) in (p, x, s) (`polycore._over_s`), or None
+    where value is None or the quotient is not a polynomial.  Putting
+    s = x**2 + y**2 - 1 is an injective ring map, so the quotient exists
+    there exactly when it does in (x, y), and expands to it."""
     try:
-        return (formula(src.p_coefficients()) / factor).expand_s()
-    except PolycoreError:  # NotDivisible, or ZeroPolynomial for a zero quotient
+        return None if value is None else _over_s(value, ks, kr)
+    except NotDivisible:
         return None
 
 
@@ -123,9 +115,12 @@ def checks() -> list[tuple[str, bool]]:
     formula built there, with no Fraction per term.
 
     The discriminant and invariant rows check formula(a) == c * R**kr *
-    S**ks * printed as formula(a) / (R**kr * S**ks) == c * printed, the
-    quotient taken in (p, x, s) (`_factored`), where R and S are powers of
-    one variable.  A locus with no (p, x, s) form fails these rows."""
+    S**ks * printed as formula(a) / (R**kr * S**ks) == c * printed, all in
+    (p, x, s) (`_factored`): a the p-coefficients of the locus's (p, x, s)
+    form, taken once per locus, the 7-gon quartic's five invariants from
+    one `quartic_invariants`, and printed the (x, s) source that
+    `region_polys` keeps.  A locus or a printed side with no (x, s) form,
+    a None side, fails its row."""
     try:  # W_6 / W_3 in (p, x, s), expanded and normalized once
         quotient = (_ws(6) / _ws(3)).expand_s().canonical()
     except PolycoreError:
@@ -134,7 +129,7 @@ def checks() -> list[tuple[str, bool]]:
     loci = {n: locus(n).canonical for n in range(3, 8)}
 
     printed_loci = {n: paper_locus(n) for n in range(3, 8)}
-    rows: list[tuple[str, LaurentPoly3 | None, LaurentPoly3]] = [
+    rows: list[tuple[str, LaurentPoly3 | None, LaurentPoly3 | None]] = [
         (f"locus n={n} matches the printed polynomial", loci[n], printed_loci[n]) for n in range(3, 8)
     ]
     rows += [
@@ -143,19 +138,21 @@ def checks() -> list[tuple[str, bool]]:
         ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, printed_loci[6]),
     ]
 
-    rp = region_polys()
-    for n, (_, name, c, kr, ks) in DISCRIMINANT_FACTORS.items():
-        shape = {3: "quadratic", 5: "quartic"}[len(printed_loci[n].p_coefficients())]
-        rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
-                     _factored(_discriminant, loci[n], kr, ks), c * rp[name]))
+    src = {name: getattr(f, "_src", None) for name, f in region_polys().items()}
+    a = {n: form.p_coefficients() for n in (5, 6, 7) if (form := getattr(loci[n], "_src", None)) is not None}
+    quartic = quartic_invariants(*a[7][::-1]) if len(a.get(7, ())) == 5 else (None,) * 5
+    discs = {n: _discriminant(c) for n, c in a.items() if n < 7} | {7: quartic[0]}
+    factors = [(f"discriminant of the {n}-gon {'quartic' if n == 7 else 'quadratic'}", discs.get(n), *row[1:])
+               for n, row in DISCRIMINANT_FACTORS.items()]
+    factors += [
+        ("P of the 7-gon quartic", quartic[1], "psi2", -256, 4, 2),
+        ("D of the 7-gon quartic", quartic[2], "psi3", -65536, 8, 4),
+        ("O of the 7-gon quartic", quartic[3], "psi4", -16, 2, 5),
+        ("R of the 7-gon quartic", quartic[4], "psi5", -4096 * X_S, 6, 3),
+    ]
+    for label, value, name, c, kr, ks in factors:
+        printed = None if src[name] is None else c * src[name]
+        rows.append((f"{label} factors as printed", _factored(value, kr, ks), printed))
 
-    for label, printed, kr, ks in (
-        ("P", -256 * rp["psi2"], 4, 2),
-        ("D", -65536 * rp["psi3"], 8, 4),
-        ("O", -16 * rp["psi4"], 2, 5),
-        ("R", -4096 * X * rp["psi5"], 6, 3),
-    ):
-        rows.append((f"{label} of the 7-gon quartic factors as printed",
-                     _factored(_QUARTIC_INVARIANTS[label], loci[7], kr, ks), printed))
-
-    return [(name, computed == printed) for name, computed, printed in rows]
+    return [(name, computed is not None and printed is not None and computed == printed)
+            for name, computed, printed in rows]

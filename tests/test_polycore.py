@@ -56,6 +56,10 @@ from poncelet.polycore import (
     poly_gcd,
     quartic_D,
     quartic_disc,
+    quartic_invariants,
+    quartic_O,
+    quartic_P,
+    quartic_R,
     specialize,
     squarefree_decomposition,
     sturm_chain,
@@ -1634,13 +1638,60 @@ def test_quartic_invariants_match_expansions():
     assert isinstance(quartic_D(1, 0, -5, 0, 4), Fraction)
 
 
+def _five_formulas(q):
+    return quartic_disc(*q), quartic_P(*q), quartic_D(*q), quartic_O(*q), quartic_R(*q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5)
+       | st.lists(st.fractions(max_denominator=10**4).filter(lambda v: abs(v) < 10**6), min_size=5, max_size=5))
+def test_quartic_invariants_equal_the_five_formulas(q):
+    # disc, P, D, O and R from shared products, against each formula alone,
+    # value and type: int entries give a Fraction disc and D
+    shared = quartic_invariants(*q)
+    alone = _five_formulas(q)
+    assert shared == alone
+    assert [type(v) for v in shared] == [type(v) for v in alone]
+
+
+def test_quartic_invariants_on_the_7_gon_quartic_in_x_s():
+    # the p-coefficients of locus(7)'s (p, x, s) form, a4 first, as
+    # verify.checks() reads them
+    quartic = locus(7).canonical._src.p_coefficients()[::-1]
+    assert len(quartic) == 5
+    assert quartic_invariants(*quartic) == _five_formulas(quartic)
+
+
+def test_over_s_divides_out_powers_of_s_and_of_s_plus_1():
+    # f * s**k * (s + 1)**r over s**k and (s + 1)**r is f; one more power
+    # of s than the least s-exponent, or of s + 1 where f is not 0 at
+    # s = -1, does not divide
+    rng = make_rng(34)
+    s = polycore._pxs({(0, 0, 1): 1})
+    for _ in range(40):
+        f = polycore._pxs(_rand_poly(rng, rng.randint(1, 5)).terms)
+        k, r = rng.randint(0, 4), rng.randint(0, 8)
+        a = f * s**k * (s + 1) ** r
+        assert polycore._over_s(a, k, r) == f
+        with pytest.raises(NotDivisible):
+            polycore._over_s(a, min(e for _, _, e in a._decode()) + 1, r)
+        at_minus_1 = Counter()
+        for (ep, ex, es), c in f._decode().items():
+            at_minus_1[ep, ex] += c * (-1) ** es
+        if any(at_minus_1.values()):
+            with pytest.raises(NotDivisible):
+                polycore._over_s(a, k, r + 1)
+    assert polycore._over_s(polycore._pxs({}), 3, 2).is_zero()
+
+
 def test_quartic_disc_product_work(monkeypatch):
     # Work, not wall clock: term products len(a) len(b) + len(c) len(d) in
     # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
     # quartic against 102481 for the expansion.  A warm verify.checks()
     # measured 37733 with the invariants of the full p-coefficients in
-    # (x, y) and 1210 with those in (x, s); the lower bound catches a
-    # checks() that makes its products outside polycore._mul_sub.
+    # (x, y), 1210 with those in (x, s) and 1053 with the invariants
+    # sharing their products; the lower bound catches a checks() that
+    # makes its products outside polycore._mul_sub.
     quartic = _locus7_quartic()
     verify.checks()
     mul_sub, work = polycore._mul_sub, [0]
@@ -1661,18 +1712,22 @@ def test_quartic_disc_product_work(monkeypatch):
 
 
 def test_warm_checks_product_work(monkeypatch):
-    # The discriminant and invariant rows run on the (p, x, s) form of each
-    # locus, and each divides once by R**kr * S**ks, a sum of powers of s
-    # built with no product.
-    # Measured 91 products (1210 term pairs) and 8 exact divisions, one per
-    # row with a quotient (599 = the sum of len(a) len(b)), against 96
-    # products (1596 pairs) and 50 divisions (958 pairs, 22 of them
-    # failing) with the weight-reduced (x, y) coefficients, and 141
-    # products (37588 pairs) with the full ones.  The lower bounds catch a
-    # checks() that multiplies or divides outside polycore._mul_sub and
-    # polycore._idiv, which the upper bounds alone would let pass at 0.
+    # The discriminant and invariant rows are compared in (p, x, s): each
+    # locus's p-coefficients are split once, the 7-gon quartic's five
+    # invariants share their products (quartic_invariants), powers of S
+    # leave by an exponent shift and powers of R by one exact division, by
+    # a sum of powers of s built with no product, and no quotient or
+    # printed side is expanded to (x, y).
+    # Measured 75 products (1053 term pairs), 6 exact divisions (592 =
+    # the sum of len(a) len(b)), one per row with a power of R and one for
+    # the hexagon, and one expand_s, for the hexagon quotient, against 91
+    # products (1210 pairs), 8 divisions (599 pairs) and 8 expand_s calls
+    # with the quotients expanded to (x, y) and each invariant alone.  The
+    # lower bounds catch a checks() that multiplies or divides outside
+    # polycore._mul_sub and polycore._idiv, which the upper bounds alone
+    # would let pass at 0.
     verify.checks()
-    mul_sub, idiv, work = polycore._mul_sub, polycore._idiv, [0, 0, 0, 0]
+    mul_sub, idiv, expand_s, work = polycore._mul_sub, polycore._idiv, LaurentPoly3.expand_s, [0, 0, 0, 0, 0]
 
     def counted(a, b, c, d):
         work[0] += 1
@@ -1684,13 +1739,19 @@ def test_warm_checks_product_work(monkeypatch):
         work[3] += len(a) * len(b)
         return idiv(a, b, w)
 
+    def counted_expand_s(self):
+        work[4] += 1
+        return expand_s(self)
+
     monkeypatch.setattr(polycore, "_mul_sub", counted)
     monkeypatch.setattr(polycore, "_idiv", counted_div)
+    monkeypatch.setattr(LaurentPoly3, "expand_s", counted_expand_s)
     verify.checks()
-    assert 80 <= work[0] <= 91
-    assert 1_050 <= work[1] <= 1_210
-    assert work[2] == 8
-    assert 500 <= work[3] <= 599
+    assert 65 <= work[0] <= 75
+    assert 900 <= work[1] <= 1_053
+    assert work[2] == 6
+    assert 500 <= work[3] <= 592
+    assert work[4] == 1
 
 
 def test_root_beyond_float_range_is_named():

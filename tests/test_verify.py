@@ -1,9 +1,9 @@
 """verify.checks() in the integer working form, its discriminant and
-invariant rows computed in (p, x, s), against the full (x, y) expansions
+invariant rows compared in (p, x, s), against the full (x, y) expansions
 of conftest.checks_reference: row for row, under changes to a printed side
 that must each fail exactly one row, under changes to a computed locus
-that both routes must judge alike, and for a locus with no (p, x, s) form,
-whose factor rows must fail closed."""
+that both routes must judge alike, and for a locus or a printed side with
+no (p, x, s) form, whose factor rows must fail closed."""
 
 import pytest
 
@@ -16,6 +16,10 @@ def test_checks_equal_reference_row_for_row():
     reference = checks_reference()
     assert len(reference) == 15 and all(passed for _, passed in reference)
     assert verify.checks() == reference
+
+
+# p, x and s = x^2 + y^2 - 1, in (p, x, s)
+P_, X_, S_ = (polycore._pxs({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def _with_factor(monkeypatch, n, index, value):
@@ -33,20 +37,58 @@ def _c_sign_flipped_at_5(monkeypatch):
     _with_factor(monkeypatch, 5, 2, -classify.DISCRIMINANT_FACTORS[5][2])
 
 
+def _s_power_past_the_quotient_at_5(monkeypatch):
+    # S**3 does not divide the discriminant 16 S**2 gamma5, though its
+    # undivided value is 16 times this printed side, S**2 gamma5 in (x, s)
+    _with_factor(monkeypatch, 5, 4, 3)
+    rp = dict(verify.region_polys())
+    rp["gamma5"] = (S_**2 * rp["gamma5"]._src).expand_s()
+    monkeypatch.setattr(verify, "region_polys", lambda: rp)
+
+
 def _psi1_coefficient_changed(monkeypatch):
-    # the coefficient of x^2 y^4 goes from -2 to -1
+    # the coefficient of x^2 y^4 goes from -2 to -1, in (x, y): the sum
+    # keeps no (x, s) form, so checks() fails the row closed
     rp = dict(verify.region_polys())
     assert rp["psi1"].terms[0, 2, 4] == -2
     rp["psi1"] = rp["psi1"] + LaurentPoly3.monomial(1, 0, 2, 4)
     monkeypatch.setattr(verify, "region_polys", lambda: rp)
 
 
+def _printed_changed(name):
+    """Add 1 to the coefficient of the leading term of the printed region
+    polynomial `name` in its (x, s) typing, and expand the sum, which then
+    keeps the changed (x, s) form as its source, as region_polys() does."""
+    def change(monkeypatch):
+        rp = dict(verify.region_polys())
+        src = rp[name]._src
+        key = max(src._decode())
+        rp[name] = (src + polycore._pxs({key: 1})).expand_s()
+        assert rp[name]._src is not None and rp[name] != verify.region_polys()[name]
+        monkeypatch.setattr(verify, "region_polys", lambda: rp)
+    return change
+
+
+_FACTOR_ROWS = {
+    "gamma5": "discriminant of the 5-gon quadratic factors as printed",
+    "gamma6": "discriminant of the 6-gon quadratic factors as printed",
+    "psi1": "discriminant of the 7-gon quartic factors as printed",
+    "psi2": "P of the 7-gon quartic factors as printed",
+    "psi3": "D of the 7-gon quartic factors as printed",
+    "psi4": "O of the 7-gon quartic factors as printed",
+    "psi5": "R of the 7-gon quartic factors as printed",
+}
+
+
 @pytest.mark.parametrize("route", [verify.checks, checks_reference], ids=["checks", "reference"])
 @pytest.mark.parametrize("change, row", [
     (_s_power_14_at_7, "discriminant of the 7-gon quartic factors as printed"),
     (_c_sign_flipped_at_5, "discriminant of the 5-gon quadratic factors as printed"),
+    (_s_power_past_the_quotient_at_5, "discriminant of the 5-gon quadratic factors as printed"),
     (_psi1_coefficient_changed, "discriminant of the 7-gon quartic factors as printed"),
-], ids=["S-power-at-7", "c-sign-at-5", "psi1-coefficient"])
+    *((_printed_changed(name), row) for name, row in _FACTOR_ROWS.items()),
+], ids=["S-power-at-7", "c-sign-at-5", "S-power-past-the-quotient-at-5", "psi1-coefficient",
+        *(f"{name}-in-x-s" for name in _FACTOR_ROWS)])
 def test_a_changed_printed_side_fails_its_own_row(monkeypatch, route, change, row):
     change(monkeypatch)
     results = route()
@@ -54,8 +96,18 @@ def test_a_changed_printed_side_fails_its_own_row(monkeypatch, route, change, ro
     assert [name for name, passed in results if not passed] == [row]
 
 
-# p, x and s = x^2 + y^2 - 1, in (p, x, s)
-P_, X_, S_ = (polycore._pxs({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+@pytest.mark.parametrize("name", sorted(_FACTOR_ROWS))
+def test_a_printed_side_without_its_s_form_fails_its_row_closed(monkeypatch, name):
+    # the same polynomial read back from its text, which the reference
+    # passes, with no (x, s) form to compare in
+    rp = dict(verify.region_polys())
+    rp[name] = parse_poly(format_poly(rp[name]))
+    assert rp[name] == verify.region_polys()[name] and getattr(rp[name], "_src", None) is None
+    monkeypatch.setattr(verify, "region_polys", lambda: rp)
+    assert all(passed for _, passed in checks_reference())
+    results = verify.checks()
+    assert len(results) == 15
+    assert [row for row, passed in results if not passed] == [_FACTOR_ROWS[name]]
 
 
 def _coefficient(a: LaurentPoly3, k: int) -> LaurentPoly3:
@@ -127,3 +179,25 @@ def test_a_locus_without_its_s_form_fails_its_factor_rows_closed(monkeypatch):
     results = verify.checks()
     assert len(results) == 15
     assert [name for name, passed in results if not passed] == [_DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]
+
+
+def test_a_zero_invariant_against_a_printed_side_without_its_s_form_fails(monkeypatch):
+    # a_3 = a_2 = 0 makes P = 8 a_4 a_2 - 3 a_3^2 zero; its printed side,
+    # read back from its text, has no (x, s) form: the row fails, and
+    # checks() judges every row as the reference does
+    _locus_changed(7, lambda a: a - _coefficient(a, 3) - _coefficient(a, 2))(monkeypatch)
+    rp = dict(verify.region_polys())
+    rp["psi2"] = parse_poly(format_poly(rp["psi2"]))
+    monkeypatch.setattr(verify, "region_polys", lambda: rp)
+    reference = checks_reference()
+    assert verify.checks() == reference
+    assert _QUARTIC_ROWS[0] in [name for name, passed in reference if not passed]
+
+
+def test_a_7_gon_locus_of_another_p_degree_fails_its_factor_rows(monkeypatch):
+    # a cubic in p has no quartic invariants: the rows fail, and raise nothing
+    _locus_changed(7, lambda a: a - _coefficient(a, 4))(monkeypatch)
+    results = verify.checks()
+    assert len(results) == 15
+    assert [name for name, passed in results if not passed] == [
+        _LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]
