@@ -1337,7 +1337,7 @@ def _root_float(v: Fraction) -> float:
 
 def quartic_disc(A, B, C, D, E):
     """Discriminant of A t^4 + B t^3 + C t^2 + D t + E from the invariants
-    I = quartic_O and J of the quartic: (4 I^3 - J^2) / 27, where
+    I = C^2 + 12 A E - 3 B D and J of the quartic: (4 I^3 - J^2) / 27, where
     J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2) (Cremona, 1999).
 
     Works over any commutative ring that holds 1/27 (Fraction or
@@ -1348,39 +1348,18 @@ def quartic_disc(A, B, C, D, E):
 
 def _quartic_disc27(A, B, C, D, E):
     """27 times quartic_disc, 4 I^3 - J^2: an int for int entries."""
-    I = quartic_O(A, B, C, D, E)
+    I = C * C + 12 * A * E - 3 * B * D
     J = C * (72 * A * E + 9 * B * D - 2 * C * C) - 27 * (A * D * D + E * B * B)
     return 4 * I * I * I - J * J
 
 
-def quartic_P(A, B, C, D, E):
-    return 8 * A * C - 3 * B * B
-
-
-def quartic_D(A, B, C, D, E):
-    """The invariant D = (16 A^2 I - P^2) / 3 of the quartic, with
-    I = quartic_O and P = quartic_P.
-
-    Works over any commutative ring that holds 1/3; int entries give a
-    Fraction.
-    """
-    P = quartic_P(A, B, C, D, E)
-    return (16 * A * A * quartic_O(A, B, C, D, E) - P * P) * Fraction(1, 3)
-
-
-def quartic_R(A, B, C, D, E):
-    return B * B * B + 8 * A * A * D - 4 * A * B * C
-
-
-def quartic_O(A, B, C, D, E):
-    return C * C + 12 * A * E - 3 * B * D
-
-
 def quartic_invariants(A, B, C, D, E):
-    """(disc, P, D, O, R) of A t^4 + B t^3 + C t^2 + D t + E, each as
-    quartic_disc, quartic_P, quartic_D, quartic_O and quartic_R give it,
-    from one set of products: I = O and P enter both disc and D, and
-    A^2, B^2, A C, A E, B D and C^2 are made once."""
+    """(disc, P, D, O, R) of A t^4 + B t^3 + C t^2 + D t + E, from one set
+    of products: disc as quartic_disc gives it, P = 8 A C - 3 B^2,
+    D = (16 A^2 I - P^2) / 3, O = I = C^2 + 12 A E - 3 B D and
+    R = B^3 + 8 A^2 D - 4 A B C.  I and P enter both disc and D, and
+    A^2, B^2, A C, A E, B D and C^2 are made once.  Over any commutative
+    ring that holds 1/27; int entries give a Fraction disc and D."""
     AA, BB, AC, AE, BD, CC = A * A, B * B, A * C, A * E, B * D, C * C
     I, P = CC + 12 * AE - 3 * BD, 8 * AC - 3 * BB
     J = C * (72 * AE + 9 * BD - 2 * CC) - 27 * (A * D * D + E * BB)

@@ -1,7 +1,9 @@
 """Golden polynomial identities: the printed locus polynomials, the worked
-p = 1/2 example, the divisor factorization, and the symbolic discriminant
+p = 1/2 examples, the divisor factorization, and the symbolic discriminant
 factorizations.  All comparisons are exact.  The printed sides are typed
-here once; the discriminants' factors come from
+here once, and built on first use and kept (`paper_locus`,
+`worked_example`, `region_polys`): a warm `checks()` computes only the
+library's side.  The discriminants' factors come from
 `classify.DISCRIMINANT_FACTORS`, the table the region labels read.  The
 factorizations are checked in (x, s), s = x^2 + y^2 - 1, on the (p, x, s)
 forms the loci and the printed region polynomials keep, where the powers
@@ -33,8 +35,13 @@ R = X**2 + Y**2  # squared distance of the center from the focus
 S = R - 1  # vanishes when the circle passes through the focus
 
 
+@lru_cache(maxsize=None)
 def paper_locus(n: int) -> LaurentPoly3:
-    """The locus polynomials exactly as printed, n = 3..7."""
+    """The locus polynomials exactly as printed, n = 3..7, in (x, y).
+
+    Built on first use and kept, as `region_polys()` is: they are
+    constants, and rebuilding them checks nothing new.  ValueError outside
+    3..7, on every call (lru_cache keeps no exception)."""
     if n == 3:
         return R - 1
     if n == 4:
@@ -56,6 +63,17 @@ def paper_locus(n: int) -> LaurentPoly3:
             - S**6
         )
     raise ValueError("printed loci cover n = 3..7")
+
+
+@lru_cache(maxsize=None)
+def worked_example(n: int) -> LaurentPoly3:
+    """The worked examples' loci at p = 1/2 exactly as printed, n = 3 and
+    4, in (x, y); built on first use and kept, as `paper_locus` is."""
+    if n == 3:
+        return X**2 + Y**2 - 1
+    if n == 4:
+        return X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)
+    raise ValueError("printed worked examples cover n = 3 and 4")
 
 
 # x and s = x^2 + y^2 - 1 in (p, x, s), where R = s + 1 and S = s
@@ -112,7 +130,8 @@ def checks() -> list[tuple[str, bool]]:
 
     Every side is a LaurentPoly3, the integer form the loci are built in:
     the computed sides as cayley returns them, and every printed side and
-    formula built there, with no Fraction per term.
+    formula built there, with no Fraction per term.  The computed sides are
+    built on every call; the printed sides once, on first use.
 
     The discriminant and invariant rows check formula(a) == c * R**kr *
     S**ks * printed as formula(a) / (R**kr * S**ks) == c * printed, all in
@@ -128,15 +147,11 @@ def checks() -> list[tuple[str, bool]]:
     half = Fraction(1, 2)
     loci = {n: locus(n).canonical for n in range(3, 8)}
 
-    printed_loci = {n: paper_locus(n) for n in range(3, 8)}
     rows: list[tuple[str, LaurentPoly3 | None, LaurentPoly3 | None]] = [
-        (f"locus n={n} matches the printed polynomial", loci[n], printed_loci[n]) for n in range(3, 8)
+        (f"locus n={n} matches the printed polynomial", loci[n], paper_locus(n)) for n in range(3, 8)
     ]
-    rows += [
-        ("worked example: 3-gon locus at p=1/2", locus_at_p(3, half), X**2 + Y**2 - 1),
-        ("worked example: 4-gon locus at p=1/2", locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
-        ("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, printed_loci[6]),
-    ]
+    rows += [(f"worked example: {n}-gon locus at p=1/2", locus_at_p(n, half), worked_example(n)) for n in (3, 4)]
+    rows.append(("hankel(6) / hankel(3) canonicalizes to the 6-gon locus", quotient, paper_locus(6)))
 
     src = {name: getattr(f, "_src", None) for name, f in region_polys().items()}
     a = {n: form.p_coefficients() for n in (5, 6, 7) if (form := getattr(loci[n], "_src", None)) is not None}

@@ -285,7 +285,7 @@ def quartic_disc_expanded(A, B, C, D, E):
 
 def quartic_D_expanded(A, B, C, D, E):
     """The quartic's invariant D as its 5 expanded terms: the reference for
-    polycore.quartic_D, which builds it from P and I."""
+    quartic_D, which builds it from P and I."""
     return (
         -3 * B * B * B * B
         - 16 * A * A * C * C
@@ -293,6 +293,34 @@ def quartic_D_expanded(A, B, C, D, E):
         + 16 * A * B * B * C
         - 16 * A * A * B * D
     )
+
+
+# The invariants P, D, O and R of A t^4 + B t^3 + C t^2 + D t + E, each on
+# its own: the references for polycore.quartic_invariants, which makes the
+# five invariants from shared products.
+
+
+def quartic_P(A, B, C, D, E):
+    return 8 * A * C - 3 * B * B
+
+
+def quartic_D(A, B, C, D, E):
+    """The invariant D = (16 A^2 I - P^2) / 3 of the quartic, with
+    I = quartic_O and P = quartic_P.
+
+    Works over any commutative ring that holds 1/3; int entries give a
+    Fraction.
+    """
+    P = quartic_P(A, B, C, D, E)
+    return (16 * A * A * quartic_O(A, B, C, D, E) - P * P) * Fraction(1, 3)
+
+
+def quartic_R(A, B, C, D, E):
+    return B * B * B + 8 * A * A * D - 4 * A * B * C
+
+
+def quartic_O(A, B, C, D, E):
+    return C * C + 12 * A * E - 3 * B * D
 
 
 def large_height_product(rng: random.Random) -> list[int]:
@@ -580,16 +608,14 @@ def checks_reference() -> list[tuple[str, bool]]:
     it reads no (p, x, s) form.  The hexagon row
     divides the public hankel_raw(6) by hankel_raw(3), where checks divides
     W_6 by W_3 in (p, x, s): the two routes differ there."""
-    X, Y, R, S = verify.X, verify.Y, verify.R, verify.S
+    X, R, S = verify.X, verify.R, verify.S
     rows = [
         (f"locus n={n} matches the printed polynomial", verify.locus(n).canonical, verify.paper_locus(n))
         for n in range(3, 8)
     ]
     half = Fraction(1, 2)
     rows += [
-        ("worked example: 3-gon locus at p=1/2", locus_at_p(3, half), X**2 + Y**2 - 1),
-        ("worked example: 4-gon locus at p=1/2",
-         locus_at_p(4, half), X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)),
+        (f"worked example: {n}-gon locus at p=1/2", locus_at_p(n, half), verify.worked_example(n)) for n in (3, 4)
     ]
     try:
         quotient = polycore.canonicalize(polycore.poly_div_exact(hankel_raw(6), hankel_raw(3)))
@@ -601,7 +627,8 @@ def checks_reference() -> list[tuple[str, bool]]:
     for n, (_, name, printed, r, s) in classify.DISCRIMINANT_FACTORS.items():
         printed = printed * R**r * S**s * rp[name]
         coeffs = p_coefficients(verify.locus(n).canonical)
-        shape = {2: "quadratic", 4: "quartic"}[max(coeffs)]
+        # the shape the paper prints, whatever the p-degree of the locus
+        shape = "quartic" if n == 7 else "quadratic"
         rows.append((f"discriminant of the {n}-gon {shape} factors as printed",
                      polycore._discriminant([coeffs.get(k, LaurentPoly3()) for k in range(max(coeffs) + 1)]),
                      printed))
@@ -609,10 +636,10 @@ def checks_reference() -> list[tuple[str, bool]]:
     coeffs = p_coefficients(verify.locus(7).canonical)
     quartic = [coeffs.get(k, LaurentPoly3()) for k in (4, 3, 2, 1, 0)]
     for label, formula, printed in (
-        ("P", polycore.quartic_P, -256 * R**4 * S**2 * rp["psi2"]),
-        ("D", polycore.quartic_D, -65536 * R**8 * S**4 * rp["psi3"]),
-        ("O", polycore.quartic_O, -16 * R**2 * S**5 * rp["psi4"]),
-        ("R", polycore.quartic_R, -4096 * X * R**6 * S**3 * rp["psi5"]),
+        ("P", quartic_P, -256 * R**4 * S**2 * rp["psi2"]),
+        ("D", quartic_D, -65536 * R**8 * S**4 * rp["psi3"]),
+        ("O", quartic_O, -16 * R**2 * S**5 * rp["psi4"]),
+        ("R", quartic_R, -4096 * X * R**6 * S**3 * rp["psi5"]),
     ):
         rows.append((f"{label} of the 7-gon quartic factors as printed", formula(*quartic), printed))
     return [(name, computed == printed) for name, computed, printed in rows]

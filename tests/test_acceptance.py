@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     ACCEPTANCE_REPORT,
     make_rng,
+    quartic_D,
+    quartic_P,
     rand_center_off_sigma,
     rand_quartic,
     real_root_profile,
@@ -30,8 +32,6 @@ from poncelet.polycore import (
     LaurentPoly3,
     canonicalize,
     poly_div_exact,
-    quartic_D,
-    quartic_P,
     quartic_disc,
     sturm_real_roots,
 )

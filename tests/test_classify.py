@@ -515,7 +515,8 @@ def test_isoperiodic_consistency_with_polynomials():
 
 def test_lemma_d_negative_off_sigma():
     rng = make_rng(23)
-    from poncelet.polycore import quartic_D, quartic_P, quartic_disc
+    from conftest import quartic_D, quartic_P
+    from poncelet.polycore import quartic_disc
 
     for _ in range(100):
         x, y = rand_center_off_sigma(rng)

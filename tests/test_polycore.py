@@ -24,8 +24,12 @@ from conftest import (
     make_rng,
     p_coefficients,
     poly_det,
+    quartic_D,
     quartic_D_expanded,
     quartic_disc_expanded,
+    quartic_O,
+    quartic_P,
+    quartic_R,
     rand_fraction,
     real_root_profile,
     resultant,
@@ -54,12 +58,8 @@ from poncelet.polycore import (
     parse_poly,
     poly_div_exact,
     poly_gcd,
-    quartic_D,
     quartic_disc,
     quartic_invariants,
-    quartic_O,
-    quartic_P,
-    quartic_R,
     specialize,
     squarefree_decomposition,
     sturm_chain,
@@ -1689,9 +1689,10 @@ def test_quartic_disc_product_work(monkeypatch):
     # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
     # quartic against 102481 for the expansion.  A warm verify.checks()
     # measured 37733 with the invariants of the full p-coefficients in
-    # (x, y), 1210 with those in (x, s) and 1053 with the invariants
-    # sharing their products; the lower bound catches a checks() that
-    # makes its products outside polycore._mul_sub.
+    # (x, y), 1210 with those in (x, s), 1053 with the invariants sharing
+    # their products and 619 with the printed sides built once and kept;
+    # the lower bound catches a checks() that makes its products outside
+    # polycore._mul_sub.
     quartic = _locus7_quartic()
     verify.checks()
     mul_sub, work = polycore._mul_sub, [0]
@@ -1708,7 +1709,7 @@ def test_quartic_disc_product_work(monkeypatch):
         counts.append(work[0])
     invariant, expanded, checks = counts
     assert invariant <= 0.3 * expanded
-    assert 1_000 <= checks <= 2_000
+    assert 540 <= checks <= 619
 
 
 def test_warm_checks_product_work(monkeypatch):
@@ -1717,15 +1718,17 @@ def test_warm_checks_product_work(monkeypatch):
     # invariants share their products (quartic_invariants), powers of S
     # leave by an exponent shift and powers of R by one exact division, by
     # a sum of powers of s built with no product, and no quotient or
-    # printed side is expanded to (x, y).
-    # Measured 75 products (1053 term pairs), 6 exact divisions (592 =
+    # printed side is expanded to (x, y).  The printed sides are built on
+    # the first call and kept, so a warm call makes only the computed ones.
+    # Measured 22 products (619 term pairs), 6 exact divisions (592 =
     # the sum of len(a) len(b)), one per row with a power of R and one for
-    # the hexagon, and one expand_s, for the hexagon quotient, against 91
-    # products (1210 pairs), 8 divisions (599 pairs) and 8 expand_s calls
-    # with the quotients expanded to (x, y) and each invariant alone.  The
-    # lower bounds catch a checks() that multiplies or divides outside
-    # polycore._mul_sub and polycore._idiv, which the upper bounds alone
-    # would let pass at 0.
+    # the hexagon, and one expand_s, for the hexagon quotient, against 75
+    # products (1053 pairs) with the five printed loci and the two worked
+    # examples rebuilt on every call, and 91 products (1210 pairs), 8
+    # divisions (599 pairs) and 8 expand_s calls with the quotients
+    # expanded to (x, y) and each invariant alone.  The lower bounds catch
+    # a checks() that multiplies or divides outside polycore._mul_sub and
+    # polycore._idiv, which the upper bounds alone would let pass at 0.
     verify.checks()
     mul_sub, idiv, expand_s, work = polycore._mul_sub, polycore._idiv, LaurentPoly3.expand_s, [0, 0, 0, 0, 0]
 
@@ -1747,8 +1750,8 @@ def test_warm_checks_product_work(monkeypatch):
     monkeypatch.setattr(polycore, "_idiv", counted_div)
     monkeypatch.setattr(LaurentPoly3, "expand_s", counted_expand_s)
     verify.checks()
-    assert 65 <= work[0] <= 75
-    assert 900 <= work[1] <= 1_053
+    assert 19 <= work[0] <= 22
+    assert 540 <= work[1] <= 619
     assert work[2] == 6
     assert 500 <= work[3] <= 592
     assert work[4] == 1

@@ -1,14 +1,20 @@
 """verify.checks() in the integer working form, its discriminant and
 invariant rows compared in (p, x, s), against the full (x, y) expansions
 of conftest.checks_reference: row for row, under changes to a printed side
-that must each fail exactly one row, under changes to a computed locus
+that must each fail exactly its own rows, under changes to a computed locus
 that both routes must judge alike, and for a locus or a printed side with
-no (p, x, s) form, whose factor rows must fail closed."""
+no (p, x, s) form, whose factor rows must fail closed.  The printed sides
+are built once and kept; the computed sides are built on every call."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import checks_reference
-from poncelet import LocusPolynomial, classify, polycore, verify
+from poncelet import LocusPolynomial, cayley, classify, polycore, verify
 from poncelet.polycore import LaurentPoly3, format_poly, parse_poly
 
 
@@ -55,6 +61,21 @@ def _psi1_coefficient_changed(monkeypatch):
     monkeypatch.setattr(verify, "region_polys", lambda: rp)
 
 
+def _kept_side_changed(name, n):
+    """Add 1 to the coefficient of the leading term of verify.name(n), a
+    printed side kept after its first build, at the one definition both
+    routes read."""
+    def change(monkeypatch):
+        real = getattr(verify, name)
+
+        def changed(m):
+            a = real(m)
+            return a + LaurentPoly3.monomial(1, *max(a.terms)) if m == n else a
+
+        monkeypatch.setattr(verify, name, changed)
+    return change
+
+
 def _printed_changed(name):
     """Add 1 to the coefficient of the leading term of the printed region
     polynomial `name` in its (x, s) typing, and expand the sum, which then
@@ -80,20 +101,57 @@ _FACTOR_ROWS = {
 }
 
 
+_LOCUS_ROW = "locus n={} matches the printed polynomial"
+_DISC_ROW = "discriminant of the {}-gon {} factors as printed"
+_QUARTIC_ROWS = [f"{label} of the 7-gon quartic factors as printed" for label in "PDOR"]
+_HEXAGON_ROW = "hankel(6) / hankel(3) canonicalizes to the 6-gon locus"
+
+
 @pytest.mark.parametrize("route", [verify.checks, checks_reference], ids=["checks", "reference"])
-@pytest.mark.parametrize("change, row", [
-    (_s_power_14_at_7, "discriminant of the 7-gon quartic factors as printed"),
-    (_c_sign_flipped_at_5, "discriminant of the 5-gon quadratic factors as printed"),
-    (_s_power_past_the_quotient_at_5, "discriminant of the 5-gon quadratic factors as printed"),
-    (_psi1_coefficient_changed, "discriminant of the 7-gon quartic factors as printed"),
-    *((_printed_changed(name), row) for name, row in _FACTOR_ROWS.items()),
+@pytest.mark.parametrize("change, rows", [
+    (_s_power_14_at_7, ["discriminant of the 7-gon quartic factors as printed"]),
+    (_c_sign_flipped_at_5, ["discriminant of the 5-gon quadratic factors as printed"]),
+    (_s_power_past_the_quotient_at_5, ["discriminant of the 5-gon quadratic factors as printed"]),
+    (_psi1_coefficient_changed, ["discriminant of the 7-gon quartic factors as printed"]),
+    *((_printed_changed(name), [row]) for name, row in _FACTOR_ROWS.items()),
+    # the printed 6-gon locus is the printed side of the hexagon row too
+    *((_kept_side_changed("paper_locus", n), [_LOCUS_ROW.format(n)] + [_HEXAGON_ROW] * (n == 6))
+      for n in range(3, 8)),
+    *((_kept_side_changed("worked_example", n), [f"worked example: {n}-gon locus at p=1/2"]) for n in (3, 4)),
 ], ids=["S-power-at-7", "c-sign-at-5", "S-power-past-the-quotient-at-5", "psi1-coefficient",
-        *(f"{name}-in-x-s" for name in _FACTOR_ROWS)])
-def test_a_changed_printed_side_fails_its_own_row(monkeypatch, route, change, row):
+        *(f"{name}-in-x-s" for name in _FACTOR_ROWS),
+        *(f"printed-locus-{n}" for n in range(3, 8)), "worked-example-3", "worked-example-4"])
+def test_a_changed_printed_side_fails_its_own_row(monkeypatch, route, change, rows):
+    route()  # warm: a printed side kept from an earlier call is still read at its definition
     change(monkeypatch)
     results = route()
     assert len(results) == 15
-    assert [name for name, passed in results if not passed] == [row]
+    assert [name for name, passed in results if not passed] == rows
+
+
+def test_the_printed_sides_are_built_once():
+    assert all(verify.paper_locus(n) is verify.paper_locus(n) for n in range(3, 8))
+    assert all(verify.worked_example(n) is verify.worked_example(n) for n in (3, 4))
+    assert verify.region_polys() is verify.region_polys()
+
+
+@pytest.mark.parametrize("printed, bad", [(verify.paper_locus, (2, 8)), (verify.worked_example, (2, 5))],
+                         ids=["paper_locus", "worked_example"])
+def test_a_printed_side_out_of_range_raises_on_every_call(printed, bad):
+    # lru_cache keeps no exception: each call raises anew
+    for n in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                printed(n)
+
+
+def test_importing_verify_builds_no_printed_side():
+    code = ("import poncelet.verify as v\n"
+            "print(*(f.cache_info().currsize for f in (v.paper_locus, v.worked_example, v.region_polys)))")
+    path = os.pathsep.join(filter(None, [str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("name", sorted(_FACTOR_ROWS))
@@ -134,11 +192,6 @@ def _locus_changed(n, change):
 
         monkeypatch.setattr(verify, "locus", changed)
     return patch
-
-
-_LOCUS_ROW = "locus n={} matches the printed polynomial"
-_DISC_ROW = "discriminant of the {}-gon {} factors as printed"
-_QUARTIC_ROWS = [f"{label} of the 7-gon quartic factors as printed" for label in "PDOR"]
 
 
 @pytest.mark.parametrize("change, failing", [
@@ -195,9 +248,46 @@ def test_a_zero_invariant_against_a_printed_side_without_its_s_form_fails(monkey
 
 
 def test_a_7_gon_locus_of_another_p_degree_fails_its_factor_rows(monkeypatch):
-    # a cubic in p has no quartic invariants: the rows fail, and raise nothing
+    # a cubic in p has no quartic invariants: the rows fail, and raise
+    # nothing, by both routes
     _locus_changed(7, lambda a: a - _coefficient(a, 4))(monkeypatch)
-    results = verify.checks()
-    assert len(results) == 15
-    assert [name for name, passed in results if not passed] == [
-        _LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]
+    for route in (verify.checks, checks_reference):
+        results = route()
+        assert len(results) == 15
+        assert [name for name, passed in results if not passed] == [
+            _LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]
+
+
+def _quotient_changed(monkeypatch):
+    # W_6 + p W_3 over W_3 is the hexagon quotient plus p
+    real = verify._ws
+    monkeypatch.setattr(verify, "_ws", lambda m: real(m) + P_ * real(3) if m == 6 else real(m))
+
+
+def _worked_locus_changed(monkeypatch):
+    # locus_at_p reads cayley.locus, which the locus rows do not: the 3-gon
+    # locus plus p changes the worked example's computed side alone
+    real = cayley.locus
+
+    def changed(m):
+        found = real(m)
+        if m != 3:
+            return found
+        return LocusPolynomial(found.n, found.divisors_removed, (found.canonical._src + P_).expand_s())
+
+    monkeypatch.setattr(cayley, "locus", changed)
+
+
+@pytest.mark.parametrize("change, failing", [
+    (_locus_changed(7, lambda a: a - _coefficient(a, 2)),
+     [_LOCUS_ROW.format(7), _DISC_ROW.format(7, "quartic"), *_QUARTIC_ROWS]),
+    (_locus_changed(5, lambda a: a + _coefficient(a, 2) * S_),
+     [_LOCUS_ROW.format(5), _DISC_ROW.format(5, "quadratic")]),
+    (_worked_locus_changed, ["worked example: 3-gon locus at p=1/2"]),
+    (_quotient_changed, [_HEXAGON_ROW]),
+], ids=["a2-zero-at-7", "a2-times-R-at-5", "worked-locus-3", "hexagon-quotient"])
+def test_a_changed_computed_side_fails_its_rows_after_a_warm_call(monkeypatch, change, failing):
+    # only the printed sides are kept: every computed side is built again
+    assert all(passed for _, passed in verify.checks())
+    change(monkeypatch)
+    assert [name for name, passed in verify.checks() if not passed] == failing
