@@ -208,28 +208,25 @@ def locus(n: int) -> LocusPolynomial:
     """Canonical locus polynomial: W_n with the lower-period divisor factors
     removed by exact division.
 
-    The division runs in (p, x, s), s = x^2 + y^2 - 1 (`_locus_s`).  The
-    quotient is expanded to (p, x, y), which keeps content and the lowest
-    power of p, in descending term order, and normalized once; the result
-    keeps its (p, x, s) form, which `specialize` sums at a center."""
+    The division runs in (p, x, s), s = x^2 + y^2 - 1 (`_locus_s`), where
+    the quotient is normalized and then expanded to (p, x, y) once
+    (`canonicalize`); the result keeps its (p, x, s) form, which
+    `specialize` sums at a center."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in 3..{MAX_N}")
-    return LocusPolynomial(n, tuple(proper_divisors(n)), _locus_s(n).expand_s().canonical())
+    return LocusPolynomial(n, tuple(proper_divisors(n)), canonicalize(_locus_s(n)))
 
 
 def locus_at_p(n: int, p: Fraction) -> LaurentPoly3:
-    """The locus curve in (x, y) at a fixed parabola parameter p = a/b, from one
-    integer sum per (e_x, e_y) over a**e * b**(d - e), d its degree in p."""
+    """The locus curve in (x, y) at a fixed parabola parameter p = a/b, d its
+    degree in p: the sum of a**e * b**(d - e) times the packed p**e coefficient."""
     p = Fraction(p)
     if p == 0:
         raise DegenerateParabola("p = 0 is a degenerate parabola")
-    terms = locus(n).canonical.terms
-    d = max(e[0] for e in terms)
-    ps = [p.numerator**e * p.denominator ** (d - e) for e in range(d + 1)]
-    sums: dict[polycore.Expo, int] = {}
-    for (ep, ex, ey), c in terms.items():
-        sums[0, ex, ey] = sums.get((0, ex, ey), 0) + c.numerator * ps[ep]
-    curve = LaurentPoly3(sums)
+    canonical = locus(n).canonical
+    parts = canonical.p_coefficients()[-canonical.shift:]  # p**0 .. p**d
+    a, b, d = p.numerator, p.denominator, len(parts) - 1
+    curve = sum((c * (a**e * b ** (d - e)) for e, c in enumerate(parts)), LaurentPoly3())
     if curve.is_zero():
         raise ZeroPolynomial(f"locus for n={n} vanished at p={p}")
     return canonicalize(curve)

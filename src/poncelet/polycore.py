@@ -6,9 +6,9 @@ p**shift * q / den with q an integer dict keyed by packed exponents, so its
 products, exact division, normal form and `specialize` (the one exact
 evaluator at a rational center, for the locus and region polynomials; a
 locus is summed in (p, x, s), where s = x**2 + y**2 - 1 is one number) run
-over integers, denominators cleared once.  Its `terms` hold an `int`
-coefficient where den is 1, as in the canonical forms (integer polynomials
-of content 1), and a `fractions.Fraction` otherwise.
+over integers, denominators cleared once, and its text is read from the
+packed keys.  Its `terms` hold an `int` coefficient where den is 1, as in
+the canonical forms, and a `fractions.Fraction` otherwise.
 A univariate polynomial, `UniPolyR`, is one value with two views, each
 built on first read: a Fraction per coefficient, and a primitive integer
 list times a positive rational content.  `specialize` fills the integer
@@ -36,7 +36,6 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -203,9 +202,9 @@ class LaurentPoly3:
     Privately, a value may be in (p, x, s), s = x**2 + y**2 - 1 (`_pxs`),
     its third exponent that of s: such a value has no `terms` until
     `expand_s`, and does not mix with one in (p, x, y).  The value that
-    `expand_s` returns, and its `canonical` form, keep that (p, x, s) form
-    of themselves in `_src`, which `specialize` reads; the slot is unset on
-    every other value, so no other operation carries or builds one.
+    `expand_s` returns (and so `canonicalize` of a (p, x, s) value) keeps
+    that form of itself in `_src`, which `specialize` reads; the slot is
+    unset on every other value, so no other operation builds one.
     """
 
     __slots__ = ("q", "den", "w", "deg", "shift", "vars", "_terms", "_src")
@@ -404,19 +403,16 @@ class LaurentPoly3:
         """The normal form of a nonzero polynomial, as `canonicalize`
         defines it: q over its content, negated where its leading term is
         negative, den 1, and the shift that makes the lowest power of p 0.
-        Terms keep q's order.  A (p, x, s) source (`expand_s`) is scaled
-        alike: it has the same content, and its own keys give its lowest
-        power of p."""
+        Terms keep q's order.  A value with a (p, x, s) source (`expand_s`)
+        has the normal form `canonicalize` gives that source."""
         if not self.q:
             raise ZeroPolynomial("cannot canonicalize the zero polynomial")
+        if getattr(self, "_src", None) is not None:
+            return canonicalize(self._src)
         g = math.gcd(*self.q.values())
         if self.q[max(self.q)] < 0:
             g = -g
-        out = _poly(self._strip(g, 0), 1, self.w, self.deg, -(min(self.q) >> 2 * self.w), self.vars)
-        src = getattr(self, "_src", None)
-        if src is not None:
-            out._src = _poly(src._strip(g, 0), 1, src.w, src.deg, -(min(src.q) >> 2 * src.w), _PXS)
-        return out
+        return _poly(self._strip(g, 0), 1, self.w, self.deg, -(min(self.q) >> 2 * self.w), self.vars)
 
     def p_coefficients(self) -> list["LaurentPoly3"]:
         """The coefficients of p**shift .. p**(shift + d), each a polynomial
@@ -431,42 +427,45 @@ class LaurentPoly3:
 
     def expand_s(self) -> "LaurentPoly3":
         """A polynomial in (p, x, s) as one in (p, x, y), keys in descending
-        order, by two binomial expansions: s = r - 1 takes c s**k to the sum
-        of (-1)**(k - j) C(k, j) c r**j, and r = x**2 + y**2 takes c x**b r**j
-        to the sum of C(j, i) c x**(b + 2j - 2i) y**(2i).  The change is
-        unimodular over Z, so den, shift, content and lowest p-power stay.
-        The result keeps this polynomial as its source, for `canonical` and
-        `specialize`."""
+        order, by two binomial expansions summed on lists: s = r - 1 takes
+        c s**k to (-1)**(k - j) C(k, j) c r**j, per (p, x) row, and
+        r = x**2 + y**2 takes c x**b r**j to C(j, i) c x**(b + 2j - 2i) y**(2i),
+        per p and b + 2j.  The change is unimodular over Z, so den, shift,
+        content and lowest p-power stay.  The result keeps this polynomial as
+        its source, for `canonical` and `specialize`."""
         if self.vars != _PXS:
             raise PolycoreError("only a polynomial in (p, x, s) expands")
         if not self.q:
             raise ZeroPolynomial("cannot expand the zero polynomial")
-        q, w = self.q, self.w
-        mask = (1 << w) - 1
+        q, w, mask = self.q, self.w, (1 << self.w) - 1
         deg = max(((k >> w) & mask) + 2 * (k & mask) for k in q)
         w2 = _width(deg)
-        rows = [[1]]  # C(k, 0..k)
-        for _ in range(max(k & mask for k in q)):
-            rows.append([a + b for a, b in zip(rows[-1] + [0], [0] + rows[-1])])
-        r: dict[int, int] = {}  # in (p, x, r), at width w
-        get = r.get
+        top = max(k & mask for k in q) + 1
+        binom = [[1]]  # C(k, 0..k)
+        for _ in range(top - 1):
+            binom.append([a + b for a, b in zip(binom[-1] + [0], [0] + binom[-1])])
+        signed = [[-m if (k - j) & 1 else m for j, m in enumerate(row)] for k, row in enumerate(binom)]
+        rows: dict[int, list[int]] = {}  # (p, x) row: coefficients of r**0..
         for key, c in q.items():
-            k = key & mask
-            base = key - k
-            for j, m in enumerate(rows[k]):
-                r[base + j] = get(base + j, 0) + (-c * m if (k - j) & 1 else c * m)
-        # r**j as (key offset from x**(2j), coefficient) at width w2
-        powers = [[(i * (2 - (2 << w2)), m) for i, m in enumerate(row)] for row in rows]
+            row = rows.setdefault(key >> w, [0] * top)
+            for j, m in enumerate(signed[key & mask]):
+                row[j] += c * m
+        sums: dict[int, list[int]] = {}  # keys of x**(b + 2j) at width w2: y**(2i) coefficients
+        for px, row in rows.items():
+            base = ((px >> w) << 2 * w2) | ((px & mask) << w2)
+            for j, c in enumerate(row):
+                if c:
+                    acc = sums.setdefault(base + (j << w2 + 1), [0] * top)
+                    for i, m in enumerate(binom[j]):
+                        acc[i] += c * m
         out: dict[int, int] = {}
-        get = out.get
-        for key, c in r.items():
-            if c:
-                j = key & mask
-                base = ((key >> 2 * w) << 2 * w2) | ((((key >> w) & mask) + 2 * j) << w2)
-                for off, m in powers[j]:
-                    out[base + off] = get(base + off, 0) + c * m
-        out = {k: out[k] for k in sorted(out, reverse=True) if out[k]}
-        a = _poly(out, self.den, w2, deg, self.shift, _PXY)
+        step = (2 << w2) - 2  # one more y**2, one less x**2
+        for key, acc in sums.items():
+            for c in acc:
+                if c:
+                    out[key] = c
+                key -= step
+        a = _poly({k: out[k] for k in sorted(out, reverse=True)}, self.den, w2, deg, self.shift, _PXY)
         a._src = self
         return a
 
@@ -485,9 +484,8 @@ class LaurentPoly3:
         return total
 
     def __repr__(self) -> str:
-        if self.vars == _PXY:
-            return f"LaurentPoly3({format_poly(self)!r})"
-        return f"LaurentPoly3({_format(self._decode(), 'pxs')!r}, in {self.vars})"
+        where = "" if self.vars == _PXY else f", in {self.vars}"
+        return f"LaurentPoly3({_text(self)!r}{where})"
 
 
 _ZERO = Fraction(0)
@@ -547,9 +545,16 @@ def canonicalize(a: LaurentPoly3) -> LaurentPoly3:
 
     The result is a true polynomial in (p, x, y) whose lowest p-degree is
     zero, with int coefficients of content 1 and a positive leading
-    coefficient in lex order p > x > y.
+    coefficient in lex order p > x > y.  A value in (p, x, s) stands for
+    its `expand_s`, normalized before that one expansion (content and lowest
+    power of p are alike in both forms) but for the sign, read after it.
     """
-    return a.canonical()
+    if a.vars == _PXY:
+        return a.canonical()
+    out = a.canonical().expand_s()
+    if out.q[next(iter(out.q))] < 0:  # negated with its source, not expanded again
+        out, out._src = -out, -out._src
+    return out
 
 
 def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
@@ -594,32 +599,35 @@ def format_poly(a: LaurentPoly3) -> str:
     """Canonical text form: terms sorted lex p > x > y descending, each as
     its sign, abs(coefficient) unless that is 1 on a monomial, and the
     powers p^k, x^k, y^k, joined by "*"; a leading "+" is dropped."""
-    return _format(a.terms, "pxy")
+    if a.vars != _PXY:
+        raise PolycoreError(f"a polynomial in {a.vars} has no terms until expand_s")
+    return _text(a)
 
 
-def _format(terms: Mapping[Expo, Scalar], names: str) -> str:
-    """format_poly of these terms, the variables named by `names`."""
-    if not terms:
+def _text(a: LaurentPoly3) -> str:
+    """format_poly of a in its own variables, from the packed keys (int order
+    is lex order) and a Fraction per term only where den > 1."""
+    q, w, den = a.q, a.w, a.den
+    if not q:
         return "0"
+    keys, ww, mask = sorted(q, reverse=True), 2 * w, (1 << w) - 1
+    # the text of each power, "*" first, by field value
+    p1, p2, p3 = ([f"*{n}" if e == 1 else f"*{n}^{e}" if e else "" for e in range(lo, hi)]
+                  for n, lo, hi in zip(a.vars.strip("()").split(", "), (a.shift, 0, 0),
+                                       (a.shift + (keys[0] >> ww) + 1, a.deg + 1, a.deg + 1)))
     parts = []
-    n1, n2, n3 = names
-    for e in sorted(terms, reverse=True):
-        c = terms[e]
-        e1, e2, e3 = e
-        powers = ((_power_text(n1, e1) if e1 else "") + (_power_text(n2, e2) if e2 else "")
-                  + (_power_text(n3, e3) if e3 else ""))
-        if c < 0:
-            c = -c
-            parts.append(" - ")
-        else:
-            parts.append(" + ")
+    for k in keys:
+        c = q[k]
+        sign = " - " if c < 0 else " + "
+        c = Fraction(abs(c), den) if den > 1 else abs(c)
+        powers = p1[k >> ww] + p2[(k >> w) & mask] + p3[k & mask]
         # str of an int or a Fraction is its text here: "3", "1/2"
         try:
-            parts.append(powers[1:] if c == 1 and powers else f"{c}{powers}")
+            parts.append(sign + powers[1:] if c == 1 and powers else f"{sign}{c}{powers}")
         except ValueError:  # more digits than str may convert
-            parts.append(_long_decimal(c) + powers)
-    parts[0] = "-" if parts[0] == " - " else ""
-    return "".join(parts)
+            parts.append(sign + _long_decimal(c) + powers)
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _long_decimal(c: Fraction | int) -> str:
@@ -676,12 +684,6 @@ def _parse_rational(text: str) -> Fraction:
             raise
         value = Fraction(_long_int(m[2]), _long_int(m[3] or "1"))
         return -value if m[1] == "-" else value
-
-
-@lru_cache(maxsize=None)
-def _power_text(name: str, k: int) -> str:
-    """The factor name**k of a term's text, "*" first."""
-    return f"*{name}" if k == 1 else f"*{name}^{k}"
 
 
 def parse_poly(text: str) -> LaurentPoly3:

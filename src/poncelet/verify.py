@@ -25,6 +25,7 @@ from .polycore import (
     _discriminant,
     _over_s,
     _pxs,
+    canonicalize,
     quartic_invariants,
 )
 
@@ -138,10 +139,10 @@ def checks() -> list[tuple[str, bool]]:
     (p, x, s) (`_factored`): a the p-coefficients of the locus's (p, x, s)
     form, taken once per locus, the 7-gon quartic's five invariants from
     one `quartic_invariants`, and printed the (x, s) source that
-    `region_polys` keeps.  A locus or a printed side with no (x, s) form,
-    a None side, fails its row."""
-    try:  # W_6 / W_3 in (p, x, s), expanded and normalized once
-        quotient = (_ws(6) / _ws(3)).expand_s().canonical()
+    `region_polys` keeps.  A None side, from a locus or a printed side with
+    no (x, s) form or a locus not of the printed p-degree, fails its row."""
+    try:  # W_6 / W_3 in (p, x, s), normalized and expanded once
+        quotient = canonicalize(_ws(6) / _ws(3))
     except PolycoreError:
         quotient = LaurentPoly3()  # never canonical: an inexact division fails the row
     half = Fraction(1, 2)
@@ -156,7 +157,7 @@ def checks() -> list[tuple[str, bool]]:
     src = {name: getattr(f, "_src", None) for name, f in region_polys().items()}
     a = {n: form.p_coefficients() for n in (5, 6, 7) if (form := getattr(loci[n], "_src", None)) is not None}
     quartic = quartic_invariants(*a[7][::-1]) if len(a.get(7, ())) == 5 else (None,) * 5
-    discs = {n: _discriminant(c) for n, c in a.items() if n < 7} | {7: quartic[0]}
+    discs = {n: _discriminant(c) for n, c in a.items() if n < 7 and len(c) == 3} | {7: quartic[0]}
     factors = [(f"discriminant of the {n}-gon {'quartic' if n == 7 else 'quadratic'}", discs.get(n), *row[1:])
                for n, row in DISCRIMINANT_FACTORS.items()]
     factors += [

@@ -338,7 +338,8 @@ def test_cold_loci_expand_once_and_decode_no_terms(monkeypatch):
     # its divisors' loci in (p, x, s); with seeds kept in (p, x, y) for
     # n = 3, 4 it made 8 expansions.  With two polynomial types it packed
     # 58 LaurentPoly3s in 12 calls and built 16 views; the Fraction route
-    # made 15 unpacks and 7 poly_div_exact calls.
+    # made 15 unpacks and 7 poly_div_exact calls.  Its text reads the
+    # packed keys, so format_poly decodes nothing either.
     calls = {"decode": 0, "expand": 0, "div": 0}
     decode, expand, div = LaurentPoly3._decode, LaurentPoly3.expand_s, polycore.poly_div_exact
 
@@ -361,10 +362,24 @@ def test_cold_loci_expand_once_and_decode_no_terms(monkeypatch):
     _clear_caches()
     try:
         for n in range(3, 13):
-            locus(n)
+            polycore.format_poly(locus(n).canonical)
+        found = {n: (locus(n).canonical, cayley._locus_s(n)) for n in range(3, 13)}
     finally:
         _clear_caches()
     assert calls == {"decode": 0, "expand": 10, "div": 0}
+    # The normal form comes out in (p, x, s), before the one expansion, and
+    # is the one the (p, x, y) route gives, key order, widths and shifts
+    # too; its source, which specialize and the gates read, is the quotient
+    # in (p, x, s) at the same scale, with the same keys.
+    for n, (a, raw) in found.items():
+        reference = locus_reference(n)
+        assert list(a.q.items()) == list(reference.q.items()), n
+        assert (a.w, a.shift, a.den) == (reference.w, reference.shift, 1) == (5, 0, 1), n
+        (ep, ex, ey), c = reference.leading_term()
+        scale = c / raw.expand_s().terms[ep + raw.min_p_exponent(), ex, ey] / raw.den
+        src = a._src
+        assert list(src.q.items()) == [(k, c * scale) for k, c in raw.q.items()], n
+        assert (src.w, src.shift, src.den) == (raw.w, -(min(raw.q) >> 2 * raw.w), 1) == (5, 0, 1), n
 
 
 def test_library_path_runs_no_series():
@@ -531,6 +546,16 @@ def test_locus_at_p_matches_fraction_substitution():
         canonical = locus(n).canonical
         for p in ps:
             assert locus_at_p(n, p) == canonicalize(_substitute_p_reference(canonical, p)), (n, p)
+
+
+def test_locus_at_p_reads_the_packed_form(monkeypatch):
+    # locus_at_p sums the canonical form's packed p-coefficients: it reads
+    # no terms view, the locus's or its own
+    for n in range(3, 13):
+        locus(n)
+    monkeypatch.setattr(LaurentPoly3, "terms", property(lambda self: pytest.fail("read a terms view")))
+    for n in range(3, 13):
+        assert locus_at_p(n, Fraction(-3, 7)).q
 
 
 def test_numeric_evaluation_consistency():

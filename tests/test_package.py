@@ -191,3 +191,18 @@ def test_import_loads_no_dataclasses_or_inspect():
             "new = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
             "assert not new, new\n")
     subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True, capture_output=True)
+
+
+def test_cold_locus_text_imports_nothing():
+    # a cold locus(3..12) with its text (the cold `poncelet cayley --n 12`)
+    # imports no module once poncelet is imported: an import inside that
+    # path, such as a lazy decimal, is paid by every cold call
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "import poncelet\n"
+            "before = set(sys.modules)\n"
+            "texts = [poncelet.format_poly(poncelet.locus(n).canonical) for n in range(3, 13)]\n"
+            "new = set(sys.modules) - before\n"
+            "assert not new, sorted(new)\n"
+            "assert len(texts) == 10 and all(texts)\n")
+    subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True, capture_output=True)

@@ -350,6 +350,8 @@ def test_values_in_s_have_no_terms():
             read()
     assert repr(fs) == "LaurentPoly3('s', in (p, x, s))"
     assert repr(cayley._ws(4)) == "LaurentPoly3('-1/2*s - 1/2 - 1/2*p^-1*x*s', in (p, x, s))"
+    s_form = polycore._pxs({(0, 1, 2): Fraction(3, 4), (-2, 0, 1): -1, (1, 0, 0): 1, (0, 0, 0): -1})
+    assert repr(s_form) == "LaurentPoly3('p + 3/4*x*s^2 - 1 - p^-2*s', in (p, x, s))"
     for mixed in (lambda: Y + fs, lambda: fs + Y, lambda: Y * fs, lambda: Y / fs, lambda: Y == fs, lambda: fs - Y):
         with pytest.raises(PolycoreError, match="do not mix"):
             mixed()
@@ -512,7 +514,7 @@ def test_parse_poly_past_the_int_str_digit_limit():
 
 
 def test_format_poly_matches_reference():
-    edge = ["0", "1", "-1", "p", "-p", "1/2*p^-2", "-3/7*x*y^2", "p^-1 - x + 1/3"]
+    edge = ["0", "1", "-1", "p", "-p", "1/2*p^-2", "-3/7*x*y^2", "p^-1 - x + 1/3", "-1 + 1/2*p^-2*x^33 + p*y^40"]
     for text in edge:
         assert format_poly(parse_poly(text)) == format_reference(parse_poly(text)), text
     # int coefficients, from canonicalize: +-1 on a monomial, +-1 and other
@@ -568,6 +570,35 @@ def test_format_parse_roundtrip(term_data):
     a = LaurentPoly3()
     for ep, ex, ey, c in term_data:
         a = a + LaurentPoly3.monomial(c, ep, ex, ey)
+    assert parse_poly(format_poly(a)) == a
+
+
+@st.composite
+def _packed_polys(draw):
+    """A LaurentPoly3 whose packed keys come in shuffled order: negative
+    powers of p, den > 1, +-1 on monomials and on the constant, and, times
+    a second such value, a product re-keyed to fields wider than 5 bits."""
+    def one():
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(-4, 4), st.integers(0, 7), st.integers(0, 7)) | st.just((0, 0, 0)),
+            st.sampled_from([1, -1]) | st.integers(-10**25, 10**25).filter(bool), max_size=7))
+        den = draw(st.sampled_from([1, 1, 2, 6, 7**20]))
+        items = draw(st.permutations([(e, Fraction(c, den)) for e, c in terms.items()]))
+        return LaurentPoly3(dict(items))
+
+    a = one()
+    if draw(st.booleans()):
+        a = a * (one() + LaurentPoly3.monomial(draw(st.sampled_from([1, -1])), draw(st.integers(-2, 2)),
+                                                draw(st.integers(0, 40)), draw(st.integers(20, 40))))
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packed_polys())
+def test_format_poly_from_packed_keys_matches_reference(a):
+    # format_poly reads the packed keys, fields by shift and mask: the same
+    # text as the reference over the decoded terms, which parses back
+    assert format_poly(a) == format_reference(a)
     assert parse_poly(format_poly(a)) == a
 
 
@@ -665,6 +696,27 @@ def test_only_expand_s_and_canonical_carry_a_source():
                (a * X) / X, a.reduced(), raw.reduced(), *a.p_coefficients()]
     for d in derived:
         assert getattr(d, "_src", None) is None, d
+
+
+def test_canonicalize_in_s_reads_the_sign_after_the_expansion(monkeypatch):
+    # s - x leads with -x in (p, x, s), but its expansion x^2 + y^2 - x - 1
+    # leads with +x^2: normalized in (p, x, s) first, the sign still comes
+    # from the expansion, and the source follows it, with one expansion
+    # whatever the sign; content and a power of p come out in (p, x, s) as
+    # in (p, x, y)
+    expand, calls = LaurentPoly3.expand_s, []
+    monkeypatch.setattr(LaurentPoly3, "expand_s", lambda self: calls.append(self) or expand(self))
+    a = polycore._pxs({(0, 0, 1): 1, (0, 1, 0): -1})
+    for scale in (1, -1, Fraction(-6, 5)):
+        for e in (-3, 0, 2):
+            calls.clear()
+            b = canonicalize((a * scale).times_p(e))
+            assert len(calls) == 1
+            assert b == X**2 + Y**2 - X - 1 and b.shift == 0 and b.den == 1
+            assert list(b.q) == sorted(b.q, reverse=True)
+            assert b._src.vars == polycore._PXS and b._src.expand_s() == b
+            assert b._src.q == a.q and b._src.shift == 0
+            assert b == canonicalize_reference((a * scale).times_p(e).expand_s())
 
 
 def test_source_leaves_equality_hash_and_pickle_alone():

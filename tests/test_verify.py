@@ -215,7 +215,14 @@ def _locus_changed(n, change):
     # -p^2*y^2
     (_locus_changed(6, lambda a: a - P_**2 * (S_ + 1 - X_**2)),
      [_LOCUS_ROW.format(6), _DISC_ROW.format(6, "quadratic")]),
-], ids=["p*x*y^2-at-7", "a0-a1-times-R-at-7", "a2-zero-at-7", "x*y-at-5", "a2-times-R-at-5", "a1-times-S-at-6", "p^2*y^2-at-6"])
+    # linear in p, with no printed discriminant: the rows fail, and raise
+    # no UnsupportedDegree
+    (_locus_changed(5, lambda a: a - _coefficient(a, 2)),
+     [_LOCUS_ROW.format(5), _DISC_ROW.format(5, "quadratic")]),
+    (_locus_changed(6, lambda a: a - _coefficient(a, 2)),
+     [_LOCUS_ROW.format(6), _DISC_ROW.format(6, "quadratic")]),
+], ids=["p*x*y^2-at-7", "a0-a1-times-R-at-7", "a2-zero-at-7", "x*y-at-5", "a2-times-R-at-5", "a1-times-S-at-6",
+        "p^2*y^2-at-6", "a2-zero-at-5", "a2-zero-at-6"])
 def test_a_changed_locus_gets_the_reference_verdicts(monkeypatch, change, failing):
     change(monkeypatch)
     reference = checks_reference()
