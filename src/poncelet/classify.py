@@ -23,8 +23,8 @@ from .polycore import (
     _discriminant,
     _discriminant_sign,
     _int_coeffs,
+    _quartic_forms,
     _root_float,
-    quartic_invariants,
     specialize,
     sturm_real_roots,
 )
@@ -125,11 +125,11 @@ def _sign(v: Fraction) -> int:
 
 def rees_classify(a4: Scalar, a3: Scalar, a2: Scalar, a1: Scalar, a0: Scalar) -> QuarticShape:
     """Root structure of a real quartic from exact signs of its discriminant
-    and the auxiliary quantities P, D, R, O."""
+    and the auxiliary quantities P, D, R, O (`_quartic_forms`: 27 disc, 3 D)."""
     A, B, C, D, E = (Fraction(v) for v in (a4, a3, a2, a1, a0))
     if A == 0:
         raise NotQuartic("leading coefficient must be nonzero")
-    disc, P, Dq, O, R = quartic_invariants(A, B, C, D, E)
+    disc, P, Dq, O, R = _quartic_forms(A, B, C, D, E)
     signs = (_sign(disc), _sign(P), _sign(Dq), _sign(R), _sign(O))
     if disc < 0:
         return QuarticShape("TwoRealTwoComplex", *signs)

@@ -26,7 +26,8 @@ by exact integer signs, on long operands by a fixed-point Horner
 with a rigorous error bound (Kobel, Rouillier and Sagraloff, 2016) and by
 exact Horner where it does not decide.  Polynomials in the three variables
 (p, x, y) allow negative exponents in p only; x and y exponents are always
-nonnegative.
+nonnegative.  One undivided definition, `_quartic_forms`, gives the quartic's
+discriminant and invariants, and the cubic's discriminant as the quartic's at A = 0 over B^2.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _as_fraction(c) -> Fraction:
 # q = {key: int}.  A key packs three exponents, all >= 0, as
 # (e_1 << 2w) | (e_2 << w) | e_3, so int order is lex order and adding keys
 # multiplies monomials as long as the second and third exponents stay below
-# 2**w; the first has the high bits to itself.  _mul_sub and _idiv work on
+# 2**w; the first has the high bits to itself.  _mul and _idiv work on
 # such dicts.
 
 _PXY, _PXS = "(p, x, y)", "(p, x, s)"
@@ -102,18 +103,14 @@ def _width(bound: int) -> int:
     return max(_MIN_WIDTH, bound.bit_length())
 
 
-def _mul_sub(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
-    """a*b - c*d in integer form."""
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a*b in integer form."""
     out: dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    for kc, cc in c.items():
-        for kd, cd in d.items():
-            k = kc + kd
-            out[k] = get(k, 0) - cc * cd
     return {k: v for k, v in out.items() if v}
 
 
@@ -194,7 +191,7 @@ class LaurentPoly3:
     is 1 and a Fraction otherwise, which compare and hash alike.  A ring
     under +, - and * (by a polynomial, an int or a Fraction), ** (`_power`)
     and exact / (NotDivisible when a remainder is left): a product is one
-    `_mul_sub` and a quotient one `_idiv`, each on both operands re-keyed
+    `_mul` and a quotient one `_idiv`, each on both operands re-keyed
     to one width that fits the result.  A polynomial has many such forms;
     == and hash compare the polynomials, and `reduced` and `canonical` pick
     one form.
@@ -353,7 +350,7 @@ class LaurentPoly3:
         deg, w = self.deg + other.deg, max(self.w, other.w)
         if deg >> w:
             w = _width(deg)
-        q = _mul_sub(_rekey(self.q, self.w, w), _rekey(other.q, other.w, w), {}, {})
+        q = _mul(_rekey(self.q, self.w, w), _rekey(other.q, other.w, w))
         return _poly(q, self.den * other.den, w, deg, self.shift + other.shift, self.vars)
 
     __rmul__ = __mul__
@@ -1337,67 +1334,49 @@ def _root_float(v: Fraction) -> float:
 # -- discriminants -----------------------------------------------------------
 
 
-def quartic_disc(A, B, C, D, E):
-    """Discriminant of A t^4 + B t^3 + C t^2 + D t + E from the invariants
-    I = C^2 + 12 A E - 3 B D and J of the quartic: (4 I^3 - J^2) / 27, where
-    J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2) (Cremona, 1999).
-
-    Works over any commutative ring that holds 1/27 (Fraction or
-    LaurentPoly3 entries); int entries give a Fraction.
-    """
-    return _quartic_disc27(A, B, C, D, E) * Fraction(1, 27)
-
-
-def _quartic_disc27(A, B, C, D, E):
-    """27 times quartic_disc, 4 I^3 - J^2: an int for int entries."""
-    I = C * C + 12 * A * E - 3 * B * D
-    J = C * (72 * A * E + 9 * B * D - 2 * C * C) - 27 * (A * D * D + E * B * B)
-    return 4 * I * I * I - J * J
-
-
-def quartic_invariants(A, B, C, D, E):
-    """(disc, P, D, O, R) of A t^4 + B t^3 + C t^2 + D t + E, from one set
-    of products: disc as quartic_disc gives it, P = 8 A C - 3 B^2,
-    D = (16 A^2 I - P^2) / 3, O = I = C^2 + 12 A E - 3 B D and
-    R = B^3 + 8 A^2 D - 4 A B C.  I and P enter both disc and D, and
-    A^2, B^2, A C, A E, B D and C^2 are made once.  Over any commutative
-    ring that holds 1/27; int entries give a Fraction disc and D."""
+def _quartic_forms(A, B, C, D, E):
+    """(27 disc, P, 3 D, O, R) of A t^4 + B t^3 + C t^2 + D t + E, typed
+    once and undivided, so int entries give ints (Cremona, 1999):
+    27 disc = 4 I^3 - J^2 with O = I = C^2 + 12 A E - 3 B D and
+    J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2), P = 8 A C - 3 B^2,
+    3 D = 16 A^2 I - P^2 and R = B^3 + 8 A^2 D - 4 A B C, over any ring."""
     AA, BB, AC, AE, BD, CC = A * A, B * B, A * C, A * E, B * D, C * C
     I, P = CC + 12 * AE - 3 * BD, 8 * AC - 3 * BB
     J = C * (72 * AE + 9 * BD - 2 * CC) - 27 * (A * D * D + E * BB)
-    disc, Dq = (4 * I * I * I - J * J) * Fraction(1, 27), (16 * AA * I - P * P) * Fraction(1, 3)
-    return disc, P, Dq, I, B * (BB - 4 * AC) + 8 * AA * D
+    return 4 * I * I * I - J * J, P, 16 * AA * I - P * P, I, B * (BB - 4 * AC) + 8 * AA * D
+
+
+def quartic_invariants(A, B, C, D, E):
+    """(disc, P, D, O, R) of A t^4 + B t^3 + C t^2 + D t + E: `_quartic_forms`
+    with 27 disc over 27 and 3 D over 3.  Over any commutative ring that
+    holds 1/27; int entries give a Fraction disc and D."""
+    disc27, P, D3, O, R = _quartic_forms(A, B, C, D, E)
+    return disc27 * Fraction(1, 27), P, D3 * Fraction(1, 3), O, R
 
 
 def discriminant(f: UniPolyR) -> Fraction:
-    """Exact discriminant for degrees 2-4, by closed formulas."""
+    """Exact discriminant for degrees 2-4: B^2 - 4 A C, and the cubic and
+    the quartic from the quartic's formulas (`quartic_invariants`)."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     return _discriminant(f.coeffs)
 
 
 def _discriminant(c: Sequence):
-    """discriminant() of the coefficients c, constant first, in any ring."""
+    """discriminant() of the coefficients c, constant first, in any ring; the
+    cubic's is Disc_4(0, B, C, D, E) / B^2, as that is B^2 Disc_3(B, C, D, E)."""
     deg = len(c) - 1
     if deg == 2:
-        A, B, C = c[2], c[1], c[0]
-        return B * B - 4 * A * C
+        return c[1] * c[1] - 4 * c[2] * c[0]
     if deg == 3:
-        a, b, cc, d = c[3], c[2], c[1], c[0]
-        return (
-            18 * a * b * cc * d
-            - 4 * b**3 * d
-            + b * b * cc * cc
-            - 4 * a * cc**3
-            - 27 * a * a * d * d
-        )
+        return quartic_invariants(0, *c[::-1])[0] / (c[3] * c[3])
     if deg == 4:
-        return quartic_disc(c[4], c[3], c[2], c[1], c[0])
+        return quartic_invariants(*c[::-1])[0]
     raise UnsupportedDegree(f"degree {deg} not supported")
 
 
 def _discriminant_sign(c: Sequence[int]) -> int:
     """The sign of _discriminant(c) for integer c, with no Fraction: at
     degree 4 it is read from 27 times the discriminant."""
-    d = _quartic_disc27(c[4], c[3], c[2], c[1], c[0]) if len(c) == 5 else _discriminant(c)
+    d = _quartic_forms(*c[::-1])[0] if len(c) == 5 else _discriminant(c)
     return (d > 0) - (d < 0)

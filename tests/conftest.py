@@ -12,6 +12,8 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from poncelet import classify, polycore, verify
 from poncelet.cayley import atilde_sequence, hankel_raw, locus_at_p, pencil_coeffs, proper_divisors
 from poncelet.polycore import (
@@ -126,6 +128,38 @@ def fraction_count():
         yield built
     finally:
         Fraction.__new__ = new
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
+    """The integer kernel's calls in a test, by size: "mul" gets
+    (len(a), len(b), len(product)) per polycore._mul, "div"
+    (len(a), len(b), len(quotient)) per polycore._idiv and "expand"
+    (len(q) in (p, x, s), len(q) in (p, x, y)) per LaurentPoly3.expand_s.
+    A test clears the lists to measure one step and reads the measure it
+    pins."""
+    calls = {"mul": [], "div": [], "expand": []}
+    mul, idiv, expand_s = polycore._mul, polycore._idiv, LaurentPoly3.expand_s
+
+    def counted_mul(a, b):
+        out = mul(a, b)
+        calls["mul"].append((len(a), len(b), len(out)))
+        return out
+
+    def counted_idiv(a, b, w):
+        out = idiv(a, b, w)
+        calls["div"].append((len(a), len(b), len(out)))
+        return out
+
+    def counted_expand_s(self):
+        out = expand_s(self)
+        calls["expand"].append((len(self.q), len(out.q)))
+        return out
+
+    monkeypatch.setattr(polycore, "_mul", counted_mul)
+    monkeypatch.setattr(polycore, "_idiv", counted_idiv)
+    monkeypatch.setattr(LaurentPoly3, "expand_s", counted_expand_s)
+    return calls
 
 
 def count_sign_tests(monkeypatch) -> list:
@@ -261,8 +295,8 @@ def cauchy_isolate(g: list[int]) -> list[tuple[Fraction, Fraction]]:
 
 def quartic_disc_expanded(A, B, C, D, E):
     """The discriminant of A t^4 + B t^3 + C t^2 + D t + E as its 16
-    expanded terms: the reference for polycore.quartic_disc, which builds
-    it from the invariants I and J."""
+    expanded terms: the reference for the discriminant that
+    polycore._quartic_forms builds from the invariants I and J."""
     return (
         B * B * C * C * D * D
         - 4 * A * C * C * C * D * D
@@ -296,8 +330,8 @@ def quartic_D_expanded(A, B, C, D, E):
 
 
 # The invariants P, D, O and R of A t^4 + B t^3 + C t^2 + D t + E, each on
-# its own: the references for polycore.quartic_invariants, which makes the
-# five invariants from shared products.
+# its own: the references for polycore._quartic_forms and
+# quartic_invariants, which make the five invariants from shared products.
 
 
 def quartic_P(A, B, C, D, E):

@@ -11,6 +11,7 @@ from conftest import (
     ACCEPTANCE_REPORT,
     make_rng,
     quartic_D,
+    quartic_disc_expanded,
     quartic_P,
     rand_center_off_sigma,
     rand_quartic,
@@ -32,7 +33,6 @@ from poncelet.polycore import (
     LaurentPoly3,
     canonicalize,
     poly_div_exact,
-    quartic_disc,
     sturm_real_roots,
 )
 
@@ -198,7 +198,7 @@ def test_criterion_09_seven_gon_global_signs():
         E_, D_, C_, B_, A_ = f.coeffs
         if quartic_D(A_, B_, C_, D_, E_) >= 0:
             ok = False
-        if quartic_disc(A_, B_, C_, D_, E_) >= 0 and quartic_P(A_, B_, C_, D_, E_) >= 0:
+        if quartic_disc_expanded(A_, B_, C_, D_, E_) >= 0 and quartic_P(A_, B_, C_, D_, E_) >= 0:
             ok = False
     report("criterion 9: 7-gon quartic has D < 0 (and P < 0 when Disc >= 0)", ok)
 

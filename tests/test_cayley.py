@@ -293,33 +293,21 @@ def _clear_caches():
         f.cache_clear()
 
 
-def test_cold_loci_kernel_work(monkeypatch):
+def test_cold_loci_kernel_work(kernel_calls):
     # Work, not wall clock: term pairs in the integer kernel for a cold
-    # locus(3..12).  Products count len(a) len(b) + len(c) len(d) per
-    # _mul_sub, division len(quotient) len(divisor) per _idiv.  Measured
-    # 2005 and 203 in (p, x, s); the same route in (p, x, y) made 43278 and
-    # 2650, dividing the whole W_n by every divisor's locus 60391 and 20475,
-    # the Somos-4 quotient 622912 and 244337.
-    work = {"mul": 0, "div": 0}
-    mul_sub, idiv = polycore._mul_sub, polycore._idiv
-
-    def counted_mul_sub(a, b, c, d):
-        work["mul"] += len(a) * len(b) + len(c) * len(d)
-        return mul_sub(a, b, c, d)
-
-    def counted_idiv(a, b, w):
-        q = idiv(a, b, w)
-        work["div"] += len(q) * len(b)
-        return q
-
-    monkeypatch.setattr(polycore, "_mul_sub", counted_mul_sub)
-    monkeypatch.setattr(polycore, "_idiv", counted_idiv)
+    # locus(3..12).  Products count len(a) len(b) per _mul, division
+    # len(quotient) len(divisor) per _idiv.  Measured 2005 and 203 in
+    # (p, x, s); the same route in (p, x, y) made 43278 and 2650, dividing
+    # the whole W_n by every divisor's locus 60391 and 20475, the Somos-4
+    # quotient 622912 and 244337.
     _clear_caches()
     try:
         for n in range(3, 13):
             locus(n)
     finally:
         _clear_caches()
+    work = {"mul": sum(a * b for a, b, _ in kernel_calls["mul"]),
+            "div": sum(q * b for _, b, q in kernel_calls["div"])}
     assert 0 < work["mul"] <= 2_100, work
     assert 0 < work["div"] <= 220, work
 

@@ -515,8 +515,7 @@ def test_isoperiodic_consistency_with_polynomials():
 
 def test_lemma_d_negative_off_sigma():
     rng = make_rng(23)
-    from conftest import quartic_D, quartic_P
-    from poncelet.polycore import quartic_disc
+    from conftest import quartic_D, quartic_disc_expanded, quartic_P
 
     for _ in range(100):
         x, y = rand_center_off_sigma(rng)
@@ -524,7 +523,7 @@ def test_lemma_d_negative_off_sigma():
         assert f.degree() == 4
         A, B, C, D, E = reversed(f.coeffs)
         assert quartic_D(A, B, C, D, E) < 0
-        if quartic_disc(A, B, C, D, E) >= 0:
+        if quartic_disc_expanded(A, B, C, D, E) >= 0:
             assert quartic_P(A, B, C, D, E) < 0
 
 

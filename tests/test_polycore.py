@@ -58,7 +58,6 @@ from poncelet.polycore import (
     parse_poly,
     poly_div_exact,
     poly_gcd,
-    quartic_disc,
     quartic_invariants,
     specialize,
     squarefree_decomposition,
@@ -329,7 +328,7 @@ def test_product_past_the_width_re_keys():
     # kernel shows: the product re-keys both factors to 6-bit fields
     x20 = LaurentPoly3.monomial(1, 0, 20, 0)
     assert x20.w == 5
-    wrapped = polycore._mul_sub(x20.q, x20.q, {}, {})
+    wrapped = polycore._mul(x20.q, x20.q)
     assert polycore._poly(wrapped, 1, 5, 0).terms == {(1, 8, 0): 1}
     for product, expected in ((x20 * x20, {(0, 40, 0): 1}), (x20**2, {(0, 40, 0): 1}),
                               (x20 * (x20 + Y), {(0, 40, 0): 1, (0, 20, 1): 1})):
@@ -1651,8 +1650,11 @@ def test_quartic_disc_double_route_agreement():
 
 
 def test_discriminant_low_degree_double_route_agreement():
-    # the closed formulas of discriminant() at degrees 2 and 3 against
-    # (-1)**(d (d - 1) / 2) Res(f, f') / lc, the Sylvester determinant
+    # discriminant() at degrees 2 and 3 (the cubic as the quartic with
+    # A = 0 over B^2) against (-1)**(d (d - 1) / 2) Res(f, f') / lc, the
+    # Sylvester determinant, on Fraction entries; at degree 3 also on
+    # LaurentPoly3 entries, against the same determinant evaluated at a
+    # point, so the exact division by B^2 runs in that ring too
     rng = make_rng(6)
     for d in (2, 3):
         for _ in range(300):
@@ -1661,7 +1663,23 @@ def test_discriminant_low_degree_double_route_agreement():
                 lead = rand_fraction(rng, 9, 5)
             f = UniPolyR([rand_fraction(rng, 9, 5) for _ in range(d)] + [lead])
             sign = -1 if d * (d - 1) // 2 % 2 else 1
-            assert discriminant(f) == sign * resultant(f, f.derivative()) / lead
+            disc = discriminant(f)
+            assert disc == sign * resultant(f, f.derivative()) / lead
+            assert type(disc) is Fraction
+            assert polycore._discriminant(f.coeffs) == disc
+    for _ in range(30):
+        c = [_rand_poly(rng, rng.randint(1, 3)) for _ in range(3)] + [_rand_poly(rng, rng.randint(1, 3))]
+        if c[3].is_zero():
+            continue
+        disc = polycore._discriminant(c)
+        assert isinstance(disc, LaurentPoly3)
+        for _ in range(2):
+            p, x, y = (rand_fraction(rng, 7, 4) for _ in range(3))
+            if p == 0:
+                continue
+            f = UniPolyR([v.evaluate(p, x, y) for v in c])
+            if f.degree() == 3:
+                assert disc.evaluate(p, x, y) == -resultant(f, f.derivative()) / f.coeffs[3]
 
 
 def _locus7_quartic():
@@ -1682,28 +1700,36 @@ def test_quartic_invariants_match_expansions():
     quartics += [_locus7_quartic()]
     quartics += [[_rand_poly(rng, rng.randint(0, 3)) for _ in range(5)] for _ in range(20)]
     for q in quartics:
-        assert quartic_disc(*q) == quartic_disc_expanded(*q)
-        assert quartic_D(*q) == quartic_D_expanded(*q)
-    # the ring must hold 1/27 and 1/3, so int entries give a Fraction
-    assert quartic_disc(1, 0, -5, 0, 4) == 5184
-    assert isinstance(quartic_disc(1, 0, -5, 0, 4), Fraction)
+        disc, _, D, _, _ = quartic_invariants(*q)
+        assert disc == quartic_disc_expanded(*q)
+        assert D == quartic_D(*q) == quartic_D_expanded(*q)
+    assert quartic_invariants(1, 0, -5, 0, 4)[0] == 5184
     assert isinstance(quartic_D(1, 0, -5, 0, 4), Fraction)
 
 
 def _five_formulas(q):
-    return quartic_disc(*q), quartic_P(*q), quartic_D(*q), quartic_O(*q), quartic_R(*q)
+    # each on its own, none through polycore
+    return quartic_disc_expanded(*q), quartic_P(*q), quartic_D(*q), quartic_O(*q), quartic_R(*q)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5)
        | st.lists(st.fractions(max_denominator=10**4).filter(lambda v: abs(v) < 10**6), min_size=5, max_size=5))
 def test_quartic_invariants_equal_the_five_formulas(q):
-    # disc, P, D, O and R from shared products, against each formula alone,
-    # value and type: int entries give a Fraction disc and D
-    shared = quartic_invariants(*q)
+    # disc, P, D, O and R from shared products, against each formula alone;
+    # the undivided forms are 27 disc, P, 3 D, O and R.  Types: int entries
+    # give ints from _quartic_forms, and a Fraction disc and D (the ring
+    # must hold 1/27 and 1/3) with int P, O and R from quartic_invariants
     alone = _five_formulas(q)
+    shared = quartic_invariants(*q)
+    forms = polycore._quartic_forms(*q)
     assert shared == alone
-    assert [type(v) for v in shared] == [type(v) for v in alone]
+    assert forms == (27 * alone[0], alone[1], 3 * alone[2], *alone[3:])
+    if all(type(v) is int for v in q):
+        assert [type(v) for v in forms] == [int] * 5
+        assert [type(v) for v in shared] == [Fraction, int, Fraction, int, int]
+    else:
+        assert [type(v) for v in forms] == [type(v) for v in shared] == [Fraction] * 5
 
 
 def test_quartic_invariants_on_the_7_gon_quartic_in_x_s():
@@ -1736,35 +1762,28 @@ def test_over_s_divides_out_powers_of_s_and_of_s_plus_1():
     assert polycore._over_s(polycore._pxs({}), 3, 2).is_zero()
 
 
-def test_quartic_disc_product_work(monkeypatch):
-    # Work, not wall clock: term products len(a) len(b) + len(c) len(d) in
-    # the integer kernel.  Measured 24292 for quartic_disc on the 7-gon
-    # quartic against 102481 for the expansion.  A warm verify.checks()
-    # measured 37733 with the invariants of the full p-coefficients in
-    # (x, y), 1210 with those in (x, s), 1053 with the invariants sharing
-    # their products and 619 with the printed sides built once and kept;
-    # the lower bound catches a checks() that makes its products outside
-    # polycore._mul_sub.
+def test_quartic_invariants_and_warm_checks_term_pairs(kernel_calls):
+    # Work, not wall clock: term pairs len(a) len(b) in the integer
+    # kernel's products.  Measured 25220 for quartic_invariants on the
+    # 7-gon quartic (24292 for the discriminant alone) against 102481 for
+    # the expansion.  A warm verify.checks() measured 37733 with the
+    # invariants of the full p-coefficients in (x, y), 1210 with those in
+    # (x, s), 1053 with the invariants sharing their products and 619 with
+    # the printed sides built once and kept; the lower bound catches a
+    # checks() that makes its products outside polycore._mul.
     quartic = _locus7_quartic()
     verify.checks()
-    mul_sub, work = polycore._mul_sub, [0]
-
-    def counted(a, b, c, d):
-        work[0] += len(a) * len(b) + len(c) * len(d)
-        return mul_sub(a, b, c, d)
-
-    monkeypatch.setattr(polycore, "_mul_sub", counted)
     counts = []
-    for run in (lambda: quartic_disc(*quartic), lambda: quartic_disc_expanded(*quartic), verify.checks):
-        work[0] = 0
+    for run in (lambda: quartic_invariants(*quartic), lambda: quartic_disc_expanded(*quartic), verify.checks):
+        kernel_calls["mul"].clear()
         run()
-        counts.append(work[0])
+        counts.append(sum(a * b for a, b, _ in kernel_calls["mul"]))
     invariant, expanded, checks = counts
     assert invariant <= 0.3 * expanded
     assert 540 <= checks <= 619
 
 
-def test_warm_checks_product_work(monkeypatch):
+def test_warm_checks_product_work(kernel_calls):
     # The discriminant and invariant rows are compared in (p, x, s): each
     # locus's p-coefficients are split once, the 7-gon quartic's five
     # invariants share their products (quartic_invariants), powers of S
@@ -1779,34 +1798,18 @@ def test_warm_checks_product_work(monkeypatch):
     # examples rebuilt on every call, and 91 products (1210 pairs), 8
     # divisions (599 pairs) and 8 expand_s calls with the quotients
     # expanded to (x, y) and each invariant alone.  The lower bounds catch
-    # a checks() that multiplies or divides outside polycore._mul_sub and
+    # a checks() that multiplies or divides outside polycore._mul and
     # polycore._idiv, which the upper bounds alone would let pass at 0.
     verify.checks()
-    mul_sub, idiv, expand_s, work = polycore._mul_sub, polycore._idiv, LaurentPoly3.expand_s, [0, 0, 0, 0, 0]
-
-    def counted(a, b, c, d):
-        work[0] += 1
-        work[1] += len(a) * len(b) + len(c) * len(d)
-        return mul_sub(a, b, c, d)
-
-    def counted_div(a, b, w):
-        work[2] += 1
-        work[3] += len(a) * len(b)
-        return idiv(a, b, w)
-
-    def counted_expand_s(self):
-        work[4] += 1
-        return expand_s(self)
-
-    monkeypatch.setattr(polycore, "_mul_sub", counted)
-    monkeypatch.setattr(polycore, "_idiv", counted_div)
-    monkeypatch.setattr(LaurentPoly3, "expand_s", counted_expand_s)
+    for calls in kernel_calls.values():
+        calls.clear()
     verify.checks()
-    assert 19 <= work[0] <= 22
-    assert 540 <= work[1] <= 619
-    assert work[2] == 6
-    assert 500 <= work[3] <= 592
-    assert work[4] == 1
+    mul, div = kernel_calls["mul"], kernel_calls["div"]
+    assert 19 <= len(mul) <= 22
+    assert 540 <= sum(a * b for a, b, _ in mul) <= 619
+    assert len(div) == 6
+    assert 500 <= sum(a * b for a, b, _ in div) <= 592
+    assert len(kernel_calls["expand"]) == 1
 
 
 def test_root_beyond_float_range_is_named():
