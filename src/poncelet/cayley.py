@@ -7,10 +7,13 @@ formulas of elliptic divisibility sequences, products alone.  Every W_n is
 even in y, so the seeds, the formulas and locus's exact divisions are in
 (p, x, s), s = x^2 + y^2 - 1, where W_n has about 9 times fewer terms, as
 `LaurentPoly3` values in those variables; each public result
-(`hankel_raw(n)`, `locus(n).canonical`) is expanded to (p, x, y) once.  The series
-(`atilde_sequence`) is off the library's path, the seeds' reference; the
-Hankel matrix, with its Bareiss determinant, the Somos-4 recurrence and the
-group law on the pencil's cubic survive in the tests as references."""
+(`hankel_raw(n)`, `locus(n).canonical`) is expanded to (p, x, y) once.
+The pencil and the seeds are typed over polycore's (p, x, s) variables,
+the one set every hand-typed polynomial of the library is written over.
+The series (`atilde_sequence`) is off the library's path, the seeds'
+reference; the Hankel matrix, with its Bareiss determinant, the Somos-4
+recurrence and the group law on the pencil's cubic survive in the tests
+as references."""
 
 from __future__ import annotations
 
@@ -21,13 +24,9 @@ from math import comb
 from . import polycore
 from ._record import record
 from .geometry import DegenerateParabola
-from .polycore import LaurentPoly3, ZeroPolynomial, _pxs, canonicalize, poly_div_exact
+from .polycore import P, S, X, Y2, LaurentPoly3, ZeroPolynomial, canonicalize, poly_div_exact
 
 MAX_N = 12
-
-_P = LaurentPoly3.var_p()
-_X = LaurentPoly3.var_x()
-_Y = LaurentPoly3.var_y()
 
 
 @record
@@ -42,14 +41,15 @@ class PencilCoeffs:
 
 
 def pencil_coeffs() -> PencilCoeffs:
-    """The pencil's coefficients, read by the series alone: nothing on the
-    library's path calls it."""
-    return PencilCoeffs(
-        delta1=LaurentPoly3.const(-1),
-        theta1=-(_P**2) - 2 * _P * _X + _Y**2 - 1,
-        theta2=-2 * _P**2 - 2 * _P * _X,
-        delta2=-(_P**2),
-    )
+    """The pencil's coefficients, typed in (p, x, s) and returned as their
+    `expand_s`, which keeps that source; read by the series alone: nothing
+    on the library's path calls it."""
+    return PencilCoeffs(*(f.expand_s() for f in (
+        -(P**0),  # delta1
+        -(P**2) - 2 * P * X + Y2 - 1,  # theta1
+        -2 * P**2 - 2 * P * X,  # theta2
+        -(P**2),  # delta2
+    )))
 
 
 def atilde_sequence(K: int) -> tuple[LaurentPoly3, ...]:
@@ -83,11 +83,8 @@ def _atilde(k: int) -> LaurentPoly3:
     return half_fderiv.get(k, 0) - poly_div_exact(s, pc.delta2)
 
 
-# The seeds W_1..W_4 in (p, x, s) as {(e_p, e_x, e_s): c}: 1, 1, s/2 and
-# -((s + 1) p + x s) / (2p) = -s/2 - 1/2 - x s / (2p).
-_HALF = Fraction(1, 2)
-_W_S = tuple(map(_pxs, ({(0, 0, 0): 1}, {(0, 0, 0): 1}, {(0, 0, 1): _HALF},
-                        {(0, 0, 1): -_HALF, (0, 0, 0): -_HALF, (-1, 1, 1): -_HALF})))
+# The seeds W_1..W_4 in (p, x, s): 1, 1, s/2 and -((s + 1) p + x s) / (2p).
+_W_S = (P**0, P**0, S / 2, -((S + 1) * P + X * S) / (2 * P))
 
 
 @lru_cache(maxsize=None)

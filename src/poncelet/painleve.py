@@ -84,9 +84,6 @@ class Jet2:
     def __sub__(self, other) -> "Jet2":
         return self + (-_as_jet(other))
 
-    def __rsub__(self, other) -> "Jet2":
-        return _as_jet(other) + (-self)
-
     def __mul__(self, other) -> "Jet2":
         other = _as_jet(other)
         return Jet2(
@@ -106,9 +103,6 @@ class Jet2:
 
     def __truediv__(self, other) -> "Jet2":
         return self * _as_jet(other).inv()
-
-    def __rtruediv__(self, other) -> "Jet2":
-        return _as_jet(other) * self.inv()
 
     def sqrt(self) -> "Jet2":
         s = cmath.sqrt(self.value)

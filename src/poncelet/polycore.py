@@ -26,9 +26,10 @@ by exact integer signs, on long operands by a fixed-point Horner
 with a rigorous error bound (Kobel, Rouillier and Sagraloff, 2016) and by
 exact Horner where it does not decide.  Polynomials in the three variables
 (p, x, y) allow negative exponents in p only; x and y exponents are always
-nonnegative.  One undivided definition, `_quartic_forms`, gives the quartic's
-discriminant and invariants, and the cubic's discriminant as the quartic's at A = 0 over B^2.
-"""
+nonnegative.  The library types every polynomial it writes by hand over one
+set of (p, x, s) variables, defined here (`P`, `X`, `S`, `R`, `Y2`).  One
+undivided definition, `_quartic_forms`, gives the quartic's discriminant and
+invariants, and the cubic's discriminant as the quartic's at A = 0 over B^2."""
 
 from __future__ import annotations
 
@@ -196,8 +197,8 @@ class LaurentPoly3:
     == and hash compare the polynomials, and `reduced` and `canonical` pick
     one form.
 
-    Privately, a value may be in (p, x, s), s = x**2 + y**2 - 1 (`_pxs`),
-    its third exponent that of s: such a value has no `terms` until
+    Privately, a value may be in (p, x, s), s = x**2 + y**2 - 1 (`P`, `X`,
+    `S`), its third exponent that of s: such a value has no `terms` until
     `expand_s`, and does not mix with one in (p, x, y).  The value that
     `expand_s` returns (and so `canonicalize` of a (p, x, s) value) keeps
     that form of itself in `_src`, which `specialize` reads; the slot is
@@ -496,11 +497,12 @@ def _poly(q: dict[int, int], den: int, w: int, deg: int, shift: int = 0, vars=_P
     return a
 
 
-def _pxs(terms: Mapping[Expo, Scalar]) -> LaurentPoly3:
-    """The polynomial with these terms {(e_p, e_x, e_s): c} in (p, x, s)."""
-    a = LaurentPoly3(terms)
-    a.vars = _PXS
-    return a
+# The (p, x, s) variables, S = s = x**2 + y**2 - 1, with R = S + 1 and
+# Y2 = y**2 = R - x**2, built with no Fraction: every polynomial the library
+# types by hand is written over them, and `expand_s` gives it in (p, x, y).
+P = _poly({1 << 2 * _MIN_WIDTH: 1}, 1, _MIN_WIDTH, 0, 0, _PXS)
+X, S = (_poly({k: 1}, 1, _MIN_WIDTH, 1, 0, _PXS) for k in (1 << _MIN_WIDTH, 1))
+R, Y2 = S + 1, S + 1 - X * X
 
 
 def _over_s(a: LaurentPoly3, k: int, r: int = 0) -> LaurentPoly3:
@@ -1335,15 +1337,19 @@ def _root_float(v: Fraction) -> float:
 
 
 def _quartic_forms(A, B, C, D, E):
-    """(27 disc, P, 3 D, O, R) of A t^4 + B t^3 + C t^2 + D t + E, typed
-    once and undivided, so int entries give ints (Cremona, 1999):
-    27 disc = 4 I^3 - J^2 with O = I = C^2 + 12 A E - 3 B D and
-    J = C (72 A E + 9 B D - 2 C^2) - 27 (A D^2 + E B^2), P = 8 A C - 3 B^2,
-    3 D = 16 A^2 I - P^2 and R = B^3 + 8 A^2 D - 4 A B C, over any ring."""
-    AA, BB, AC, AE, BD, CC = A * A, B * B, A * C, A * E, B * D, C * C
-    I, P = CC + 12 * AE - 3 * BD, 8 * AC - 3 * BB
+    """Yields 27 disc, P, 3 D, O, R of A t^4 + B t^3 + C t^2 + D t + E in
+    that order, typed once and undivided, so int entries give ints, and
+    27 disc before any product of the rest (Cremona, 1999): 27 disc =
+    4 I^3 - J^2 with O = I = C^2 + 12 A E - 3 B D and J = C (72 A E + 9 B D
+    - 2 C^2) - 27 (A D^2 + E B^2), P = 8 A C - 3 B^2, 3 D = 16 A^2 I - P^2
+    and R = B^3 + 8 A^2 D - 4 A B C, over any ring."""
+    BB, AE, BD, CC = B * B, A * E, B * D, C * C
+    I = CC + 12 * AE - 3 * BD
     J = C * (72 * AE + 9 * BD - 2 * CC) - 27 * (A * D * D + E * BB)
-    return 4 * I * I * I - J * J, P, 16 * AA * I - P * P, I, B * (BB - 4 * AC) + 8 * AA * D
+    yield 4 * I * I * I - J * J
+    AA, AC = A * A, A * C
+    P = 8 * AC - 3 * BB
+    yield from (P, 16 * AA * I - P * P, I, B * (BB - 4 * AC) + 8 * AA * D)
 
 
 def quartic_invariants(A, B, C, D, E):
@@ -1378,5 +1384,5 @@ def _discriminant(c: Sequence):
 def _discriminant_sign(c: Sequence[int]) -> int:
     """The sign of _discriminant(c) for integer c, with no Fraction: at
     degree 4 it is read from 27 times the discriminant."""
-    d = _quartic_forms(*c[::-1])[0] if len(c) == 5 else _discriminant(c)
+    d = next(_quartic_forms(*c[::-1])) if len(c) == 5 else _discriminant(c)
     return (d > 0) - (d < 0)

@@ -1,13 +1,14 @@
 """Golden polynomial identities: the printed locus polynomials, the worked
 p = 1/2 examples, the divisor factorization, and the symbolic discriminant
 factorizations.  All comparisons are exact.  The printed sides are typed
-here once, and built on first use and kept (`paper_locus`,
-`worked_example`, `region_polys`): a warm `checks()` computes only the
-library's side.  The discriminants' factors come from
-`classify.DISCRIMINANT_FACTORS`, the table the region labels read.  The
-factorizations are checked in (x, s), s = x^2 + y^2 - 1, on the (p, x, s)
-forms the loci and the printed region polynomials keep, where the powers
-of R = s + 1 and S = s divide out: no side is expanded to (x, y)."""
+here once, as printed, over polycore's (p, x, s) variables with R = s + 1,
+S = s and y^2 = R - x^2, and built on first use and kept as the sources of
+their expansions (`paper_locus`, `worked_example`, `region_polys`): a warm
+`checks()` computes only the library's side.  The discriminants' factors
+come from `classify.DISCRIMINANT_FACTORS`, the table the region labels
+read.  The factorizations are checked in (x, s), on the (p, x, s) forms
+the loci and the printed region polynomials keep, where the powers of R
+and S divide out: no side is expanded to (x, y)."""
 
 from __future__ import annotations
 
@@ -19,66 +20,56 @@ from typing import Mapping
 from .cayley import _ws, locus, locus_at_p
 from .classify import DISCRIMINANT_FACTORS
 from .polycore import (
+    P,
+    R,
+    S,
+    X,
+    Y2,
     LaurentPoly3,
     NotDivisible,
     PolycoreError,
     _discriminant,
     _over_s,
-    _pxs,
     canonicalize,
     quartic_invariants,
 )
 
-P = LaurentPoly3.var_p()
-X = LaurentPoly3.var_x()
-Y = LaurentPoly3.var_y()
-R = X**2 + Y**2  # squared distance of the center from the focus
-S = R - 1  # vanishes when the circle passes through the focus
-
 
 @lru_cache(maxsize=None)
 def paper_locus(n: int) -> LaurentPoly3:
-    """The locus polynomials exactly as printed, n = 3..7, in (x, y).
-
-    Built on first use and kept, as `region_polys()` is: they are
+    """The locus polynomials exactly as printed, n = 3..7, typed over R, S
+    and y^2 in (p, x, s) and returned as their `expand_s`, which keeps that
+    source.  Built on first use and kept, as `region_polys()` is: they are
     constants, and rebuilding them checks nothing new.  ValueError outside
     3..7, on every call (lru_cache keeps no exception)."""
     if n == 3:
-        return R - 1
-    if n == 4:
-        return R * P + X * S
-    if n == 5:
-        return 4 * R * P**2 + 4 * X * S * P - S**3
-    if n == 6:
-        return (
-            4 * R * (R + 1) * P**2
-            + 4 * X * (2 * R + 1) * S * P
-            + (3 * X**2 - Y**2 + 1) * S**2
-        )
-    if n == 7:
-        return (
+        f = R - 1
+    elif n == 4:
+        f = R * P + X * S
+    elif n == 5:
+        f = 4 * R * P**2 + 4 * X * S * P - S**3
+    elif n == 6:
+        f = 4 * R * (R + 1) * P**2 + 4 * X * (2 * R + 1) * S * P + (3 * X**2 - Y2 + 1) * S**2
+    elif n == 7:
+        f = (
             16 * R**3 * P**4
             + 48 * X * R**2 * S * P**3
-            + 4 * R * S**2 * (13 * X**2 + Y**2 - 1) * P**2
-            + 4 * X * S**3 * (5 * X**2 + Y**2 - 1) * P
+            + 4 * R * S**2 * (13 * X**2 + Y2 - 1) * P**2
+            + 4 * X * S**3 * (5 * X**2 + Y2 - 1) * P
             - S**6
         )
-    raise ValueError("printed loci cover n = 3..7")
+    else:
+        raise ValueError("printed loci cover n = 3..7")
+    return f.expand_s()
 
 
 @lru_cache(maxsize=None)
 def worked_example(n: int) -> LaurentPoly3:
     """The worked examples' loci at p = 1/2 exactly as printed, n = 3 and
-    4, in (x, y); built on first use and kept, as `paper_locus` is."""
-    if n == 3:
-        return X**2 + Y**2 - 1
-    if n == 4:
-        return X**2 + Y**2 + 2 * X * (X**2 + Y**2 - 1)
-    raise ValueError("printed worked examples cover n = 3 and 4")
-
-
-# x and s = x^2 + y^2 - 1 in (p, x, s), where R = s + 1 and S = s
-X_S, S_S = _pxs({(0, 1, 0): 1}), _pxs({(0, 0, 1): 1})
+    4, typed and kept as `paper_locus` is."""
+    if n not in (3, 4):
+        raise ValueError("printed worked examples cover n = 3 and 4")
+    return (X**2 + Y2 - 1 if n == 3 else X**2 + Y2 + 2 * X * (X**2 + Y2 - 1)).expand_s()
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +85,7 @@ def region_polys() -> Mapping[str, LaurentPoly3]:
     compares against the source.  Built on first use: building them costs
     milliseconds, which importing the package should not.
     """
-    R, x2 = S_S + 1, X_S**2
-    y2 = R - x2
+    x2, y2 = X**2, Y2
     return MappingProxyType({name: f.expand_s() for name, f in {
         "gamma5": R**2 - y2,
         "gamma6": R**3 - y2,
@@ -164,7 +154,7 @@ def checks() -> list[tuple[str, bool]]:
         ("P of the 7-gon quartic", quartic[1], "psi2", -256, 4, 2),
         ("D of the 7-gon quartic", quartic[2], "psi3", -65536, 8, 4),
         ("O of the 7-gon quartic", quartic[3], "psi4", -16, 2, 5),
-        ("R of the 7-gon quartic", quartic[4], "psi5", -4096 * X_S, 6, 3),
+        ("R of the 7-gon quartic", quartic[4], "psi5", -4096 * X, 6, 3),
     ]
     for label, value, name, c, kr, ks in factors:
         printed = None if src[name] is None else c * src[name]

@@ -34,6 +34,14 @@ def make_rng(salt: int = 0) -> random.Random:
     return random.Random(seed + salt)
 
 
+def pxs(terms) -> LaurentPoly3:
+    """The polynomial with these terms {(e_p, e_x, e_s): c} in (p, x, s),
+    s = x^2 + y^2 - 1, built from the terms as typed."""
+    a = LaurentPoly3(terms)
+    a.vars = polycore._PXS
+    return a
+
+
 def rand_fraction(rng: random.Random, num: int = 12, den: int = 6) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
@@ -641,8 +649,11 @@ def checks_reference() -> list[tuple[str, bool]]:
     classify, so a test that patches one of them changes both routes, and
     it reads no (p, x, s) form.  The hexagon row
     divides the public hankel_raw(6) by hankel_raw(3), where checks divides
-    W_6 by W_3 in (p, x, s): the two routes differ there."""
-    X, R, S = verify.X, verify.R, verify.S
+    W_6 by W_3 in (p, x, s): the two routes differ there.  Its R and S are
+    its own, typed in (x, y)."""
+    X, Y = LaurentPoly3.var_x(), LaurentPoly3.var_y()
+    R = X**2 + Y**2
+    S = R - 1
     rows = [
         (f"locus n={n} matches the printed polynomial", verify.locus(n).canonical, verify.paper_locus(n))
         for n in range(3, 8)

@@ -25,6 +25,7 @@ from conftest import (
     locus_reference,
     make_rng,
     poly_det,
+    pxs,
     rand_fraction,
     series_at,
     series_sqrt,
@@ -50,11 +51,16 @@ Y = LaurentPoly3.var_y()
 
 
 def test_pencil_coefficients():
+    # typed in (p, x, s): each field keeps that source, and it expands to
+    # the field's typing in (x, y), as printed
     pc = pencil_coeffs()
-    assert pc.delta1 == LaurentPoly3.const(-1)
-    assert pc.delta2 == -(P**2)
-    assert pc.theta2 == -2 * P**2 - 2 * P * X
-    assert pc.theta1 == -(P**2) - 2 * P * X + Y**2 - 1
+    typed = {"delta1": LaurentPoly3.const(-1), "theta1": -(P**2) - 2 * P * X + Y**2 - 1,
+             "theta2": -2 * P**2 - 2 * P * X, "delta2": -(P**2)}
+    for name, f in typed.items():
+        value = getattr(pc, name)
+        src = getattr(value, "_src", None)
+        assert src is not None and src.vars == polycore._PXS, name
+        assert src.expand_s() == value == f, name
 
 
 def test_pencil_coefficients_at_point():
@@ -203,7 +209,7 @@ def test_s_form_seeds():
     S = LaurentPoly3.var_y()  # the third variable of an s-form
     half = Fraction(1, 2)
     one = LaurentPoly3.const(1)
-    closed = tuple(polycore._pxs(f.terms) for f in [one, one, half * S, -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)])
+    closed = tuple(pxs(f.terms) for f in [one, one, half * S, -half * ((S + 1) + LaurentPoly3.var_p(-1) * X * S)])
     assert all(f.vars == polycore._PXS for f in cayley._W_S)
     assert cayley._W_S[:2] == closed[:2]
     assert cayley._W_S[2] == closed[2]
@@ -296,7 +302,7 @@ def _clear_caches():
 def test_cold_loci_kernel_work(kernel_calls):
     # Work, not wall clock: term pairs in the integer kernel for a cold
     # locus(3..12).  Products count len(a) len(b) per _mul, division
-    # len(quotient) len(divisor) per _idiv.  Measured 2005 and 203 in
+    # len(quotient) len(divisor) per _idiv.  Measured 1790 and 203 in
     # (p, x, s); the same route in (p, x, y) made 43278 and 2650, dividing
     # the whole W_n by every divisor's locus 60391 and 20475, the Somos-4
     # quotient 622912 and 244337.
@@ -453,7 +459,7 @@ def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     assert len(divisors) == 2
     S = LaurentPoly3.var_y()  # the third variable of an s-form
     for k, b, s_form in zip((3, 4), divisors, (S, (S + 1) * P + X * S)):
-        assert b == polycore._pxs(s_form.terms), k
+        assert b == pxs(s_form.terms), k
         assert b.expand_s().canonical() == locus(k).canonical, k
     for n, loc in loci.items():
         assert loc.raw_hankel == hankel_raw(n), n

@@ -45,6 +45,33 @@ def test_private_definitions_have_a_caller():
             assert any(word.search(t) for t in rest), f"{path.name}: {node.name} has no caller"
 
 
+def _is_laurent(node) -> bool:
+    """node names the class: `LaurentPoly3` or `<module>.LaurentPoly3`."""
+    return (isinstance(node, ast.Name) and node.id == "LaurentPoly3"
+            or isinstance(node, ast.Attribute) and node.attr == "LaurentPoly3")
+
+
+def test_only_polycore_types_a_polynomial_in_p_x_y():
+    # every polynomial typed by hand is written over polycore's (p, x, s)
+    # variables: no other module calls LaurentPoly3's typing constructors
+    # or builds one from terms (an empty dict literal is the zero polynomial)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "polycore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and _is_laurent(f.value)
+                    and f.attr in {"var_p", "var_x", "var_y", "const", "monomial"}):
+                found.append((path.name, node.lineno, f.attr))
+            elif _is_laurent(f) and (node.keywords or any(
+                    not (isinstance(a, ast.Dict) and not a.keys) for a in node.args)):
+                found.append((path.name, node.lineno, "terms"))
+    assert not found, found
+
+
 def _package_imports(tree: ast.Module) -> set[tuple[str, str | None]]:
     """(module, name) for each package module a source file imports, at any
     depth: name is None where the module itself is imported."""

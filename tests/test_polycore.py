@@ -38,7 +38,7 @@ from conftest import (
     sturm_isolate,
     time_limit,
 )
-from conftest import bench_center, canonicalize_reference, format_reference, specialize_reference
+from conftest import bench_center, canonicalize_reference, format_reference, pxs, specialize_reference
 from poncelet import cayley, polycore, verify
 from poncelet.cayley import hankel_raw
 from poncelet.cayley import locus, locus_at_p
@@ -206,7 +206,7 @@ def test_expand_s_matches_substitution():
         reference = LaurentPoly3()
         for (ep, ex, es), c in f.terms.items():
             reference = reference + LaurentPoly3.monomial(c, ep, ex) * s**es
-        e = polycore._pxs(f.terms).expand_s()
+        e = pxs(f.terms).expand_s()
         assert list(e.q) == sorted(e.q, reverse=True)
         assert e == reference, f
 
@@ -342,21 +342,21 @@ def test_product_past_the_width_re_keys():
 def test_values_in_s_have_no_terms():
     # a polynomial in (p, x, s) has no terms and no text until expand_s,
     # its repr still returns, and it does not mix with one in (p, x, y)
-    fs = polycore._pxs({(0, 0, 1): 1})
+    fs = pxs({(0, 0, 1): 1})
     assert fs.vars == polycore._PXS
     for read in (lambda: fs.terms, lambda: format_poly(fs), lambda: fs.evaluate(1, 1, 1)):
         with pytest.raises(PolycoreError, match="no terms until expand_s"):
             read()
     assert repr(fs) == "LaurentPoly3('s', in (p, x, s))"
     assert repr(cayley._ws(4)) == "LaurentPoly3('-1/2*s - 1/2 - 1/2*p^-1*x*s', in (p, x, s))"
-    s_form = polycore._pxs({(0, 1, 2): Fraction(3, 4), (-2, 0, 1): -1, (1, 0, 0): 1, (0, 0, 0): -1})
+    s_form = pxs({(0, 1, 2): Fraction(3, 4), (-2, 0, 1): -1, (1, 0, 0): 1, (0, 0, 0): -1})
     assert repr(s_form) == "LaurentPoly3('p + 3/4*x*s^2 - 1 - p^-2*s', in (p, x, s))"
     for mixed in (lambda: Y + fs, lambda: fs + Y, lambda: Y * fs, lambda: Y / fs, lambda: Y == fs, lambda: fs - Y):
         with pytest.raises(PolycoreError, match="do not mix"):
             mixed()
-    assert fs * 2 + 1 == polycore._pxs({(0, 0, 1): 2, (0, 0, 0): 1})
+    assert fs * 2 + 1 == pxs({(0, 0, 1): 2, (0, 0, 0): 1})
     assert fs.expand_s() == Y**2 + X**2 - 1
-    assert hash(fs) == hash(polycore._pxs({(0, 0, 1): Fraction(1)}))
+    assert hash(fs) == hash(pxs({(0, 0, 1): Fraction(1)}))
     with pytest.raises(PolycoreError, match="only a polynomial in"):
         Y.expand_s()
 
@@ -661,7 +661,7 @@ def test_specialize_through_the_source_matches_reference():
 def test_specialize_shifts_and_zero_on_both_forms():
     # A source with a p-shift of either sign, den > 1, a lowest power of p
     # above 0, NegativePExponent below it, and the zero polynomial.
-    s_form = polycore._pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
+    s_form = pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
     rng = make_rng(38)
     for e in (-2, 0, 3):
         a = s_form.times_p(e)
@@ -678,7 +678,7 @@ def test_specialize_shifts_and_zero_on_both_forms():
             assert specialize(b, x, y) == specialize(a, x, y) == want
     zero = locus(7).canonical * 0
     assert not zero.q and specialize(zero, Fraction(1, 3), 2) == UniPolyR([])
-    assert specialize(polycore._pxs({}), 1, 2) == UniPolyR([])
+    assert specialize(pxs({}), 1, 2) == UniPolyR([])
 
 
 def test_only_expand_s_and_canonical_carry_a_source():
@@ -705,7 +705,7 @@ def test_canonicalize_in_s_reads_the_sign_after_the_expansion(monkeypatch):
     # in (p, x, y)
     expand, calls = LaurentPoly3.expand_s, []
     monkeypatch.setattr(LaurentPoly3, "expand_s", lambda self: calls.append(self) or expand(self))
-    a = polycore._pxs({(0, 0, 1): 1, (0, 1, 0): -1})
+    a = pxs({(0, 0, 1): 1, (0, 1, 0): -1})
     for scale in (1, -1, Fraction(-6, 5)):
         for e in (-3, 0, 2):
             calls.clear()
@@ -737,7 +737,7 @@ def test_specialize_views_agree():
     # ones too, the two agree in every reading, and is_zero and degree
     # decode no Fraction.
     rng = make_rng(39)
-    s_form = polycore._pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
+    s_form = pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
     values = [locus(n).canonical for n in (3, 4, 5, 7, 12)]
     values += [parse_poly(format_poly(locus(7).canonical)), s_form.times_p(3), s_form.times_p(3).expand_s(),
                locus(5).canonical * 0]
@@ -1722,7 +1722,7 @@ def test_quartic_invariants_equal_the_five_formulas(q):
     # must hold 1/27 and 1/3) with int P, O and R from quartic_invariants
     alone = _five_formulas(q)
     shared = quartic_invariants(*q)
-    forms = polycore._quartic_forms(*q)
+    forms = tuple(polycore._quartic_forms(*q))
     assert shared == alone
     assert forms == (27 * alone[0], alone[1], 3 * alone[2], *alone[3:])
     if all(type(v) is int for v in q):
@@ -1740,14 +1740,53 @@ def test_quartic_invariants_on_the_7_gon_quartic_in_x_s():
     assert quartic_invariants(*quartic) == _five_formulas(quartic)
 
 
+class _CountingInt(int):
+    """An int whose products are counted; its arithmetic returns the class,
+    so every product downstream of one is counted too."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return _CountingInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _CountingInt(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _CountingInt(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _CountingInt(int(other) - int(self))
+
+
+def test_quartic_discriminant_sign_makes_only_the_discriminants_products():
+    # 27 disc = 4 I^3 - J^2 alone: B B, A E, B D, C C; 12 A E and 3 B D in
+    # I; 72 A E, 9 B D, 2 C C, C (..), A D, (A D) D, E B B and 27 (..) in
+    # J; 4 I, its two more factors of I, and J J.  P, 3 D and R would add
+    # 11 more, made and dropped on every 7-gon label
+    rng = make_rng(38)
+    for _ in range(20):
+        c = [_CountingInt(rng.randint(-10**6, 10**6)) for _ in range(5)]
+        _CountingInt.products = 0
+        sign = polycore._discriminant_sign(c)
+        assert _CountingInt.products == 4 + 2 + 8 + 4
+        disc = quartic_disc_expanded(*map(int, c[::-1]))
+        assert sign == (disc > 0) - (disc < 0)
+
+
 def test_over_s_divides_out_powers_of_s_and_of_s_plus_1():
     # f * s**k * (s + 1)**r over s**k and (s + 1)**r is f; one more power
     # of s than the least s-exponent, or of s + 1 where f is not 0 at
     # s = -1, does not divide
     rng = make_rng(34)
-    s = polycore._pxs({(0, 0, 1): 1})
+    s = pxs({(0, 0, 1): 1})
     for _ in range(40):
-        f = polycore._pxs(_rand_poly(rng, rng.randint(1, 5)).terms)
+        f = pxs(_rand_poly(rng, rng.randint(1, 5)).terms)
         k, r = rng.randint(0, 4), rng.randint(0, 8)
         a = f * s**k * (s + 1) ** r
         assert polycore._over_s(a, k, r) == f
@@ -1759,7 +1798,7 @@ def test_over_s_divides_out_powers_of_s_and_of_s_plus_1():
         if any(at_minus_1.values()):
             with pytest.raises(NotDivisible):
                 polycore._over_s(a, k, r + 1)
-    assert polycore._over_s(polycore._pxs({}), 3, 2).is_zero()
+    assert polycore._over_s(pxs({}), 3, 2).is_zero()
 
 
 def test_quartic_invariants_and_warm_checks_term_pairs(kernel_calls):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import checks_reference
+from conftest import checks_reference, pxs
 from poncelet import LocusPolynomial, cayley, classify, polycore, verify
 from poncelet.polycore import LaurentPoly3, format_poly, parse_poly
 
@@ -25,7 +25,7 @@ def test_checks_equal_reference_row_for_row():
 
 
 # p, x and s = x^2 + y^2 - 1, in (p, x, s)
-P_, X_, S_ = (polycore._pxs({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+P_, X_, S_ = (pxs({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def _with_factor(monkeypatch, n, index, value):
@@ -84,7 +84,7 @@ def _printed_changed(name):
         rp = dict(verify.region_polys())
         src = rp[name]._src
         key = max(src._decode())
-        rp[name] = (src + polycore._pxs({key: 1})).expand_s()
+        rp[name] = (src + pxs({key: 1})).expand_s()
         assert rp[name]._src is not None and rp[name] != verify.region_polys()[name]
         monkeypatch.setattr(verify, "region_polys", lambda: rp)
     return change
@@ -133,6 +133,30 @@ def test_the_printed_sides_are_built_once():
     assert all(verify.paper_locus(n) is verify.paper_locus(n) for n in range(3, 8))
     assert all(verify.worked_example(n) is verify.worked_example(n) for n in (3, 4))
     assert verify.region_polys() is verify.region_polys()
+
+
+def test_the_printed_sides_keep_their_s_forms_and_equal_their_x_y_typing():
+    # the printed loci and worked examples typed again here, as printed, in
+    # (x, y): verify's values, typed in (p, x, s), keep that source, and it
+    # expands to this typing
+    p, x, y = LaurentPoly3.var_p(), LaurentPoly3.var_x(), LaurentPoly3.var_y()
+    r = x**2 + y**2
+    s = r - 1
+    loci = {
+        3: r - 1,
+        4: r * p + x * s,
+        5: 4 * r * p**2 + 4 * x * s * p - s**3,
+        6: 4 * r * (r + 1) * p**2 + 4 * x * (2 * r + 1) * s * p + (3 * x**2 - y**2 + 1) * s**2,
+        7: (16 * r**3 * p**4 + 48 * x * r**2 * s * p**3 + 4 * r * s**2 * (13 * x**2 + y**2 - 1) * p**2
+            + 4 * x * s**3 * (5 * x**2 + y**2 - 1) * p - s**6),
+    }
+    examples = {3: x**2 + y**2 - 1, 4: x**2 + y**2 + 2 * x * (x**2 + y**2 - 1)}
+    values = [(f"locus {n}", verify.paper_locus(n), f) for n, f in loci.items()]
+    values += [(f"example {n}", verify.worked_example(n), f) for n, f in examples.items()]
+    for name, value, typed in values:
+        src = getattr(value, "_src", None)
+        assert src is not None and src.vars == polycore._PXS, name
+        assert src.expand_s() == value == typed, name
 
 
 @pytest.mark.parametrize("printed, bad", [(verify.paper_locus, (2, 8)), (verify.worked_example, (2, 5))],
