@@ -505,19 +505,6 @@ X, S = (_poly({k: 1}, 1, _MIN_WIDTH, 1, 0, _PXS) for k in (1 << _MIN_WIDTH, 1))
 R, Y2 = S + 1, S + 1 - X * X
 
 
-def _over_s(a: LaurentPoly3, k: int, r: int = 0) -> LaurentPoly3:
-    """a / (s**k * (s + 1)**r) for a in (p, x, s): s**k by lowering every
-    s-exponent by k, with no product, and (s + 1)**r by one exact division
-    by the sum of C(r, j) s**j, built in integer form.  NotDivisible where
-    the quotient is not a polynomial.  The least s-exponent of a's keys is
-    the largest k that divides."""
-    mask = (1 << a.w) - 1
-    if any(key & mask < k for key in a.q):
-        raise NotDivisible(f"s**{k} does not divide")
-    a = _poly({key - k: c for key, c in a.q.items()} if k else a.q, a.den, a.w, a.deg, a.shift, _PXS)
-    return a / _poly({j: math.comb(r, j) for j in range(r + 1)}, 1, _width(r), r, 0, _PXS) if r else a
-
-
 def _power(base, n: int, one):
     """base**n by repeated squaring, for either polynomial class; no factor is `one`."""
     if n < 0:

@@ -6,9 +6,9 @@ S = s and y^2 = R - x^2, and built on first use and kept as the sources of
 their expansions (`paper_locus`, `worked_example`, `region_polys`): a warm
 `checks()` computes only the library's side.  The discriminants' factors
 come from `classify.DISCRIMINANT_FACTORS`, the table the region labels
-read.  The factorizations are checked in (x, s), on the (p, x, s) forms
-the loci and the printed region polynomials keep, where the powers of R
-and S divide out: no side is expanded to (x, y)."""
+read.  The factorizations F(a) = c * R**kr * S**ks * gamma are checked
+undivided, in (p, x, s), against printed products kept per printed
+source: no side is divided or expanded to (x, y)."""
 
 from __future__ import annotations
 
@@ -26,10 +26,8 @@ from .polycore import (
     X,
     Y2,
     LaurentPoly3,
-    NotDivisible,
     PolycoreError,
     _discriminant,
-    _over_s,
     canonicalize,
     quartic_invariants,
 )
@@ -105,15 +103,22 @@ def region_polys() -> Mapping[str, LaurentPoly3]:
     }.items()})
 
 
-def _factored(value: LaurentPoly3 | None, kr: int, ks: int) -> LaurentPoly3 | None:
-    """value / (R**kr * S**ks) in (p, x, s) (`polycore._over_s`), or None
-    where value is None or the quotient is not a polynomial.  Putting
-    s = x**2 + y**2 - 1 is an injective ring map, so the quotient exists
-    there exactly when it does in (x, y), and expands to it."""
-    try:
-        return None if value is None else _over_s(value, ks, kr)
-    except NotDivisible:
+# printed name -> (its (x, s) source, (c, kr, ks), c * R**kr * S**ks * source)
+_products: dict[str, tuple[LaurentPoly3, tuple, LaurentPoly3]] = {}
+
+
+def _printed_product(name: str, src: LaurentPoly3 | None, factor: tuple) -> LaurentPoly3 | None:
+    """c * R**kr * S**ks * src for factor = (c, kr, ks), built on first use
+    and kept while the row reads the same src (by identity) and an equal
+    factor, so a printed side or factor changed after a warm call is built
+    again; None where src is."""
+    if src is None:
         return None
+    kept = _products.get(name)
+    if kept is None or kept[0] is not src or kept[1] != factor:
+        c, kr, ks = factor
+        kept = _products[name] = (src, factor, c * R**kr * S**ks * src)
+    return kept[2]
 
 
 def checks() -> list[tuple[str, bool]]:
@@ -125,11 +130,11 @@ def checks() -> list[tuple[str, bool]]:
     built on every call; the printed sides once, on first use.
 
     The discriminant and invariant rows check formula(a) == c * R**kr *
-    S**ks * printed as formula(a) / (R**kr * S**ks) == c * printed, all in
-    (p, x, s) (`_factored`): a the p-coefficients of the locus's (p, x, s)
-    form, taken once per locus, the 7-gon quartic's five invariants from
-    one `quartic_invariants`, and printed the (x, s) source that
-    `region_polys` keeps.  A None side, from a locus or a printed side with
+    S**ks * printed as it reads, undivided, in (p, x, s): a the
+    p-coefficients of the locus's (p, x, s) form, taken once per locus, the
+    7-gon quartic's five invariants from one `quartic_invariants`, and
+    printed the (x, s) source that `region_polys` keeps, each product kept
+    by `_printed_product`.  A None side, from a locus or a printed side with
     no (x, s) form or a locus not of the printed p-degree, fails its row."""
     try:  # W_6 / W_3 in (p, x, s), normalized and expanded once
         quotient = canonicalize(_ws(6) / _ws(3))
@@ -157,8 +162,7 @@ def checks() -> list[tuple[str, bool]]:
         ("R of the 7-gon quartic", quartic[4], "psi5", -4096 * X, 6, 3),
     ]
     for label, value, name, c, kr, ks in factors:
-        printed = None if src[name] is None else c * src[name]
-        rows.append((f"{label} factors as printed", _factored(value, kr, ks), printed))
+        rows.append((f"{label} factors as printed", value, _printed_product(name, src[name], (c, kr, ks))))
 
     return [(name, computed is not None and printed is not None and computed == printed)
             for name, computed, printed in rows]

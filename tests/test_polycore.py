@@ -1779,37 +1779,16 @@ def test_quartic_discriminant_sign_makes_only_the_discriminants_products():
         assert sign == (disc > 0) - (disc < 0)
 
 
-def test_over_s_divides_out_powers_of_s_and_of_s_plus_1():
-    # f * s**k * (s + 1)**r over s**k and (s + 1)**r is f; one more power
-    # of s than the least s-exponent, or of s + 1 where f is not 0 at
-    # s = -1, does not divide
-    rng = make_rng(34)
-    s = pxs({(0, 0, 1): 1})
-    for _ in range(40):
-        f = pxs(_rand_poly(rng, rng.randint(1, 5)).terms)
-        k, r = rng.randint(0, 4), rng.randint(0, 8)
-        a = f * s**k * (s + 1) ** r
-        assert polycore._over_s(a, k, r) == f
-        with pytest.raises(NotDivisible):
-            polycore._over_s(a, min(e for _, _, e in a._decode()) + 1, r)
-        at_minus_1 = Counter()
-        for (ep, ex, es), c in f._decode().items():
-            at_minus_1[ep, ex] += c * (-1) ** es
-        if any(at_minus_1.values()):
-            with pytest.raises(NotDivisible):
-                polycore._over_s(a, k, r + 1)
-    assert polycore._over_s(pxs({}), 3, 2).is_zero()
-
-
 def test_quartic_invariants_and_warm_checks_term_pairs(kernel_calls):
     # Work, not wall clock: term pairs len(a) len(b) in the integer
     # kernel's products.  Measured 25220 for quartic_invariants on the
     # 7-gon quartic (24292 for the discriminant alone) against 102481 for
     # the expansion.  A warm verify.checks() measured 37733 with the
     # invariants of the full p-coefficients in (x, y), 1210 with those in
-    # (x, s), 1053 with the invariants sharing their products and 619 with
-    # the printed sides built once and kept; the lower bound catches a
-    # checks() that makes its products outside polycore._mul.
+    # (x, s), 1053 with the invariants sharing their products, 619 with
+    # the printed sides built once and kept, and 617 with the factor rows'
+    # printed products kept too, each compared undivided; the lower bound
+    # catches a checks() that makes its products outside polycore._mul.
     quartic = _locus7_quartic()
     verify.checks()
     counts = []
@@ -1825,20 +1804,21 @@ def test_quartic_invariants_and_warm_checks_term_pairs(kernel_calls):
 def test_warm_checks_product_work(kernel_calls):
     # The discriminant and invariant rows are compared in (p, x, s): each
     # locus's p-coefficients are split once, the 7-gon quartic's five
-    # invariants share their products (quartic_invariants), powers of S
-    # leave by an exponent shift and powers of R by one exact division, by
-    # a sum of powers of s built with no product, and no quotient or
-    # printed side is expanded to (x, y).  The printed sides are built on
-    # the first call and kept, so a warm call makes only the computed ones.
-    # Measured 22 products (619 term pairs), 6 exact divisions (592 =
-    # the sum of len(a) len(b)), one per row with a power of R and one for
-    # the hexagon, and one expand_s, for the hexagon quotient, against 75
-    # products (1053 pairs) with the five printed loci and the two worked
-    # examples rebuilt on every call, and 91 products (1210 pairs), 8
-    # divisions (599 pairs) and 8 expand_s calls with the quotients
-    # expanded to (x, y) and each invariant alone.  The lower bounds catch
-    # a checks() that multiplies or divides outside polycore._mul and
-    # polycore._idiv, which the upper bounds alone would let pass at 0.
+    # invariants share their products (quartic_invariants), each is compared
+    # undivided with its printed product c R**kr S**ks gamma, and no side is
+    # expanded to (x, y).  The printed sides and products are built on the
+    # first call and kept, so a warm call makes only the computed ones.
+    # Measured 21 products (617 term pairs), one exact division, for the
+    # hexagon (7 pairs = len(a) len(b)), and one expand_s, for the hexagon
+    # quotient, against 22 products (619 pairs) and 6 divisions (592 pairs),
+    # one per row with a power of R and one for the hexagon, with each
+    # computed side divided by R**kr S**ks and c times the printed side made
+    # on every call; 75 products (1053 pairs) with the five printed loci and
+    # the two worked examples rebuilt on every call; and 91 products (1210
+    # pairs), 8 divisions (599 pairs) and 8 expand_s calls with the
+    # quotients expanded to (x, y) and each invariant alone.  The lower
+    # bounds catch a checks() that multiplies outside polycore._mul, which
+    # the upper bounds alone would let pass at 0.
     verify.checks()
     for calls in kernel_calls.values():
         calls.clear()
@@ -1846,8 +1826,8 @@ def test_warm_checks_product_work(kernel_calls):
     mul, div = kernel_calls["mul"], kernel_calls["div"]
     assert 19 <= len(mul) <= 22
     assert 540 <= sum(a * b for a, b, _ in mul) <= 619
-    assert len(div) == 6
-    assert 500 <= sum(a * b for a, b, _ in div) <= 592
+    assert len(div) == 1
+    assert sum(a * b for a, b, _ in div) == 7
     assert len(kernel_calls["expand"]) == 1
 
 

@@ -4,7 +4,9 @@ of conftest.checks_reference: row for row, under changes to a printed side
 that must each fail exactly its own rows, under changes to a computed locus
 that both routes must judge alike, and for a locus or a printed side with
 no (p, x, s) form, whose factor rows must fail closed.  The printed sides
-are built once and kept; the computed sides are built on every call."""
+are built once and kept, and so is each factor row's printed product while
+its source and (c, kr, ks) stay; the computed sides are built on every
+call."""
 
 import os
 import subprocess
@@ -171,11 +173,53 @@ def test_a_printed_side_out_of_range_raises_on_every_call(printed, bad):
 
 def test_importing_verify_builds_no_printed_side():
     code = ("import poncelet.verify as v\n"
-            "print(*(f.cache_info().currsize for f in (v.paper_locus, v.worked_example, v.region_polys)))")
+            "print(*(f.cache_info().currsize for f in (v.paper_locus, v.worked_example, v.region_polys)),"
+            " len(v._products))")
     path = os.pathsep.join(filter(None, [str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]
+
+
+def _kept_products() -> dict:
+    return {name: kept[2] for name, kept in verify._products.items()}
+
+
+def test_a_warm_call_builds_no_printed_product():
+    verify.checks()
+    kept = _kept_products()
+    assert sorted(kept) == sorted(_FACTOR_ROWS)
+    assert all(passed for _, passed in verify.checks())
+    assert all(_kept_products()[name] is product for name, product in kept.items())
+
+
+@pytest.mark.parametrize("name", sorted(_FACTOR_ROWS))
+def test_an_equal_new_printed_source_rebuilds_its_product_and_passes(monkeypatch, name):
+    # the same (x, s) polynomial as a new object: the kept product is not
+    # reused for it, and the product built from it is equal
+    verify.checks()
+    kept = _kept_products()
+    rp = dict(verify.region_polys())
+    src = pxs(rp[name]._src._decode())
+    assert src == rp[name]._src and src is not rp[name]._src
+    rp[name] = src.expand_s()
+    monkeypatch.setattr(verify, "region_polys", lambda: rp)
+    assert all(passed for _, passed in verify.checks())
+    assert verify._products[name][0] is src
+    assert all((_kept_products()[other] is product) == (other != name) for other, product in kept.items())
+    assert _kept_products()[name] == kept[name]
+
+
+@pytest.mark.parametrize("index, step", [(2, 1), (3, 1), (4, 1)], ids=["c", "kr", "ks"])
+def test_a_changed_factor_rebuilds_its_product_and_fails(monkeypatch, index, step):
+    verify.checks()
+    kept = _kept_products()["gamma5"]
+    row = list(classify.DISCRIMINANT_FACTORS[5])
+    _with_factor(monkeypatch, 5, index, row[index] + step)
+    results = verify.checks()
+    assert [name for name, passed in results if not passed] == [_FACTOR_ROWS["gamma5"]]
+    assert verify._products["gamma5"][1] == tuple(classify.DISCRIMINANT_FACTORS[5][2:])
+    assert _kept_products()["gamma5"] != kept
 
 
 @pytest.mark.parametrize("name", sorted(_FACTOR_ROWS))
