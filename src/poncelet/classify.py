@@ -22,7 +22,6 @@ from .polycore import (
     _as_fraction,
     _discriminant,
     _discriminant_sign,
-    _int_coeffs,
     _quartic_forms,
     _root_float,
     specialize,
@@ -119,17 +118,18 @@ class QuarticShape:
         }[self.tag]
 
 
-def _sign(v: Fraction) -> int:
+def _sign(v: Scalar) -> int:
     return (v > 0) - (v < 0)
 
 
 def rees_classify(a4: Scalar, a3: Scalar, a2: Scalar, a1: Scalar, a0: Scalar) -> QuarticShape:
     """Root structure of a real quartic from exact signs of its discriminant
-    and the auxiliary quantities P, D, R, O (`_quartic_forms`: 27 disc, 3 D)."""
-    A, B, C, D, E = (Fraction(v) for v in (a4, a3, a2, a1, a0))
-    if A == 0:
+    and P, D, R, O (`_quartic_forms`: 27 disc, 3 D), in ints on its primitive
+    integer list: a positive multiple, under which each form keeps its sign."""
+    f = UniPolyR([Fraction(v) for v in (a0, a1, a2, a3, a4)])
+    if len(f.prim) < 5:
         raise NotQuartic("leading coefficient must be nonzero")
-    disc, P, Dq, O, R = _quartic_forms(A, B, C, D, E)
+    disc, P, Dq, O, R = _quartic_forms(*f.prim[::-1])
     signs = (_sign(disc), _sign(P), _sign(Dq), _sign(R), _sign(O))
     if disc < 0:
         return QuarticShape("TwoRealTwoComplex", *signs)
@@ -169,8 +169,8 @@ def unique_p_for_4(e: Center) -> Fraction:
         raise OnLatusRectumLine("no 4-Poncelet pair off the focus on x = 0")
     if e.on_unit_circle():
         raise OnUnitCircle("centers on the unit circle admit only 3-gons")
-    c0, c1 = p_polynomial(4, e).coeffs
-    return -c0 / c1
+    c0, c1 = p_polynomial(4, e).prim
+    return Fraction(-c0, c1)
 
 
 def closed_form_roots(n: int, e: Center) -> tuple[complex | float, complex | float]:
@@ -184,7 +184,7 @@ def closed_form_roots(n: int, e: Center) -> tuple[complex | float, complex | flo
         raise ValueError("the quadratic closed form covers n = 5 and 6")
     if e.in_sigma():
         raise ExcludedCenter("center in Sigma is excluded for n >= 5")
-    c = _int_coeffs(p_polynomial(n, e))
+    c = p_polynomial(n, e).prim
     b, a, d = c[1], c[2], _discriminant(c)
     # sqrt(d) is the one float, taken on d / 4**k, which has one.  q adds two
     # terms of one sign, so neither root q / a nor c / q cancels: p = 0 stays 0.
@@ -264,7 +264,7 @@ def _region_label(n: int, e: Center, f: UniPolyR) -> str:
     # 16R^3 is not 0.  f's integer form is f times a positive scale, which
     # multiplies the discriminant by a positive power of it.
     label, _, c, _, k = DISCRIMINANT_FACTORS[n]
-    sign = _discriminant_sign(_int_coeffs(f)) * _sign(c) * _sign(s) ** k
+    sign = _discriminant_sign(f.prim) * _sign(c) * _sign(s) ** k
     return label + {1: "+", 0: "", -1: "-"}[sign]
 
 

@@ -9,14 +9,13 @@ locus is summed in (p, x, s), where s = x**2 + y**2 - 1 is one number) run
 over integers, denominators cleared once, and its text is read from the
 packed keys.  Its `terms` hold an `int` coefficient where den is 1, as in
 the canonical forms, and a `fractions.Fraction` otherwise.
-A univariate polynomial, `UniPolyR`, is one value with two views, each
-built on first read: a Fraction per coefficient, and a primitive integer
-list times a positive rational content.  `specialize` fills the integer
-view from its sums and the root finder reads it; an isolating interval is
-the integer triple (a, diff, v), (a/v, (a + diff)/v], and Fractions are
-built only for the two ends of each reported root.
+A univariate polynomial, `UniPolyR`, is a primitive integer list times a
+positive rational content, and its ring operations run over Z.
+`specialize` builds it from its sums and the root finder reads the list; an
+isolating interval is the integer triple (a, diff, v), (a/v, (a + diff)/v],
+and Fractions are built only for the two ends of each reported root.
 The root finder proves square-freeness by a gcd modulo a prime (Yun's
-decomposition is the fallback), isolates by Descartes' rule of signs on
+decomposition over Z is the fallback), isolates by Descartes' rule of signs on
 integer Taylor shifts (Collins and Akritas, 1976; Rouillier and Zimmermann,
 2004) from the nodes of the Cauchy-bound tree that a power-of-2 Fujiwara
 bound picks, and refines each root to the dyadic cell that bisection
@@ -38,6 +37,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -552,7 +552,7 @@ def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
     x = u/v and the third variable m/t (y, or s over (v t)**2),
     den * v**dx * t**dz times each coefficient is a sum of integers (dx, dz
     the degrees in x and the third variable).  Those sums over their gcd
-    are the result's integer view (`UniPolyR`), so no Fraction is built.
+    are the result's integer list (`UniPolyR`), so no Fraction is built.
     """
     x = _as_fraction(x)
     y = _as_fraction(y)
@@ -575,7 +575,7 @@ def specialize(a: LaurentPoly3, x: Scalar, y: Scalar) -> "UniPolyR":
     sums = [0] * ((max(q) >> ww) + 1)
     for k, c in q.items():
         sums[k >> ww] += c * xs[(k >> w) & mask] * zs[k & mask]
-    return _uni(sums[-shift:] if shift < 0 else [0] * shift + sums, a.den * v**dx * t**dz)
+    return _uni(sums[-shift:] if shift < 0 else [0] * shift + sums, 1, a.den * v**dx * t**dz)
 
 
 # -- text form -------------------------------------------------------------
@@ -706,50 +706,39 @@ def parse_poly(text: str) -> LaurentPoly3:
 class UniPolyR:
     """Dense univariate polynomial over Q; index = degree in p.
 
-    One value with two views, each built on first read and kept: `coeffs`,
-    a Fraction per coefficient, and `_int_form()`, (prim, num, den) for the
-    primitive integer list prim (lowest degree first, [] for zero) times
-    the content num/den, positive but 0 for zero.  The constructor fills
-    `coeffs` and `specialize` the integer view (`_uni`); == compares
-    integer views, and hash, repr and pickling read `coeffs`.
+    One integer form: `prim`, a primitive integer list (lowest degree first,
+    [] for zero), times the content num/den, positive and reduced (0/1 for
+    zero).  No one changes `prim`: a caller that shifts it in place copies
+    it first.  `coeffs`, a Fraction per coefficient, is built on each read;
+    hash, repr, pickling and evaluation read it.  The ring operations run on
+    the integer form, each result through one normalizer (`_primitive`), and
+    == compares stored forms; `divmod` is pseudo-division, so `poly_gcd` is
+    a primitive remainder sequence (Collins, 1967).
     """
 
-    __slots__ = ("_coeffs", "_ints")
+    __slots__ = ("prim", "num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs, self._ints = cs, None
+        den = _den_lcm(cs)
+        self.prim, self.num, self.den = _primitive([c.numerator * (den // c.denominator) for c in cs], 1, den)
 
     @property
     def coeffs(self) -> list[Fraction]:
-        if self._coeffs is None:
-            prim, num, den = self._ints
-            self._coeffs = [Fraction(c * num, den) for c in prim]
-        return self._coeffs
-
-    def _int_form(self) -> tuple[list[int], int, int]:
-        if self._ints is None:
-            den = _den_lcm(self._coeffs)
-            self._ints = _primitive([c.numerator * (den // c.denominator) for c in self._coeffs], den)
-        return self._ints
-
-    def _len(self) -> int:
-        return len(self._coeffs if self._ints is None else self._ints[0])
+        return [Fraction(c * self.num, self.den) for c in self.prim]
 
     def is_zero(self) -> bool:
-        return not self._len()
+        return not self.prim
 
     def degree(self) -> int:
-        if self.is_zero():
+        if not self.prim:
             raise ZeroPolynomial("zero polynomial has no degree")
-        return self._len() - 1
+        return len(self.prim) - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPolyR):
             return NotImplemented
-        return self._int_form() == other._int_form()
+        return (self.prim, self.num, self.den) == (other.prim, other.num, other.den)
 
     def __hash__(self):
         return hash(tuple(self.coeffs))
@@ -764,69 +753,73 @@ class UniPolyR:
         return total
 
     def __add__(self, other: "UniPolyR") -> "UniPolyR":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [_ZERO] * (n - len(self.coeffs))
-        b = other.coeffs + [_ZERO] * (n - len(other.coeffs))
-        return UniPolyR([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        ma, mb = self.num * (den // self.den), other.num * (den // other.den)
+        return _uni([x * ma + y * mb for x, y in zip_longest(self.prim, other.prim, fillvalue=0)], 1, den)
 
     def __sub__(self, other: "UniPolyR") -> "UniPolyR":
         return self + other.scale(-1)
 
     def __mul__(self, other: "UniPolyR") -> "UniPolyR":
-        if self.is_zero() or other.is_zero():
-            return UniPolyR([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPolyR(out)
+        a, b = self.prim, other.prim
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _uni(out, self.num * other.num, self.den * other.den)
 
     def __pow__(self, n: int) -> "UniPolyR":
         return _power(self, n, UniPolyR([1]))
 
     def scale(self, c: Scalar) -> "UniPolyR":
         c = _as_fraction(c)
-        return UniPolyR([a * c for a in self.coeffs])
+        return _uni(self.prim, self.num * c.numerator, self.den * c.denominator)
 
     def derivative(self) -> "UniPolyR":
-        return UniPolyR([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _uni([i * c for i, c in enumerate(self.prim)][1:], self.num, self.den)
 
     def monic(self) -> "UniPolyR":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
+        return _uni(self.prim, 1, self.prim[-1]) if self.prim else self
 
     def divmod(self, other: "UniPolyR") -> tuple["UniPolyR", "UniPolyR"]:
-        if other.is_zero():
+        if not other.prim:
             raise ZeroDivisionError
-        d = other.degree()
-        lc = other.coeffs[-1]
-        r = list(self.coeffs)
-        q = [_ZERO] * max(0, len(r) - d)
-        # q[k] cancels r[k + d], which lies above the remainder: left as is.
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = f = r[k + d] / lc
-            for i, c in enumerate(other.coeffs[:-1]):
-                r[k + i] -= f * c
-        return UniPolyR(q), UniPolyR(r[:d])
+        # pseudo-division: lc**k times the dividend, k the quotient's length,
+        # makes each step's division by the divisor's lead lc exact
+        b, d = other.prim, len(other.prim) - 1
+        k = max(0, len(self.prim) - d)
+        lck = b[-1] ** k
+        r, q = [c * lck for c in self.prim], [0] * k
+        # q[j] cancels r[j + d], which lies above the remainder: left as is.
+        for j in range(k - 1, -1, -1):
+            q[j] = f = r[j + d] // b[-1]
+            for i in range(d):
+                r[j + i] -= f * b[i]
+        return _uni(q, self.num * other.den, self.den * other.num * lck), _uni(r[:d], self.num, self.den * lck)
 
     def __repr__(self):
         return f"UniPolyR({self.coeffs!r})"
 
 
-def _primitive(c: list[int], den: int) -> tuple[list[int], int, int]:
-    """c / den, den > 0 and c without a trailing zero, as `_int_form`."""
-    g = math.gcd(*c)
-    h = math.gcd(g, den)
-    return [x // g for x in c] if g > 1 else c, g // h, den // h
-
-
-def _uni(c: list[int], den: int) -> UniPolyR:
-    """The UniPolyR c / den for integers c and den > 0, integer view kept."""
+def _primitive(c: list[int], num: int, den: int) -> tuple[list[int], int, int]:
+    """`UniPolyR`'s form of c * num / den, for integers c, num and den != 0:
+    c without trailing zeros (popped in place) over the gcd of its entries,
+    signed so that the content is positive, and the content reduced."""
     while c and not c[-1]:
         c.pop()
+    g = math.gcd(*c) if num else 0
+    if not g:
+        return [], 0, 1
+    if (num < 0) != (den < 0):
+        g = -g
+    num, den = abs(num * g), abs(den)
+    h = math.gcd(num, den)
+    return [x // g for x in c] if g != 1 else c, num // h, den // h
+
+
+def _uni(c: list[int], num: int, den: int) -> UniPolyR:
     f = UniPolyR.__new__(UniPolyR)
-    f._coeffs, f._ints = None, _primitive(c, den)
+    f.prim, f.num, f.den = _primitive(c, num, den)
     return f
 
 
@@ -884,11 +877,6 @@ def sturm_chain(f: UniPolyR) -> list[UniPolyR]:
 # large one makes a false alarm (a square-free g with a double root mod q)
 # rare.
 _SQUAREFREE_PRIME = 2**61 - 1
-
-
-def _int_coeffs(g: UniPolyR) -> list[int]:
-    """g's kept primitive integer list, [0] for zero; not to be changed."""
-    return g._int_form()[0] or [0]
 
 
 def _horner(c: Sequence[int], u: int, v: int) -> int:
@@ -1262,8 +1250,8 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     """All real roots with multiplicities and isolating intervals refined
     below 1e-15 width.
 
-    The root search reads f's integer view, its primitive integer
-    coefficients.  When a modular gcd with its derivative proves it
+    The root search reads f's primitive integer list, `f.prim`, copied
+    before any shift.  When a modular gcd with its derivative proves it
     square-free (_squarefree_mod), that list is isolated as it is;
     otherwise Yun's square-free decomposition splits it first.  Each
     square-free factor is isolated by Descartes' rule of signs on integer
@@ -1276,11 +1264,11 @@ def sturm_real_roots(f: UniPolyR, exclude_zero: bool = False) -> RootList:
     Fractions built, and its float is one int true division."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    c = _int_coeffs(f)
+    c = f.prim
     if _squarefree_mod(c):
         factors = [(c, 1)]
     else:
-        factors = [(_int_coeffs(g), mult) for g, mult in squarefree_decomposition(f)]
+        factors = [(g.prim, mult) for g, mult in squarefree_decomposition(f)]
     # (a, diff, v, mult, c): the interval (a/v, (a + diff)/v] of a root of
     # multiplicity mult of the square-free factor c
     found = [(*_refine(c, iv, ROOT_WIDTH), mult, c) for c, mult in factors for iv in _isolate(c)]
@@ -1349,10 +1337,11 @@ def quartic_invariants(A, B, C, D, E):
 
 def discriminant(f: UniPolyR) -> Fraction:
     """Exact discriminant for degrees 2-4: B^2 - 4 A C, and the cubic and
-    the quartic from the quartic's formulas (`quartic_invariants`)."""
+    the quartic from the quartic's formulas (`quartic_invariants`), on the
+    integer list, times content**(2 d - 2)."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    return _discriminant(f.coeffs)
+    return _discriminant(f.prim) * Fraction(f.num, f.den) ** (2 * f.degree() - 2)
 
 
 def _discriminant(c: Sequence):

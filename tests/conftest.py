@@ -19,7 +19,6 @@ from poncelet.cayley import atilde_sequence, hankel_raw, locus_at_p, pencil_coef
 from poncelet.polycore import (
     LaurentPoly3,
     UniPolyR,
-    _int_coeffs,
     poly_div_exact,
     specialize,
     squarefree_decomposition,
@@ -230,7 +229,7 @@ def sign_variations(chain, at) -> int:
     the reference root count, independent of the Descartes isolation in
     sturm_real_roots."""
     at = Fraction(at)
-    return _variations([_int_coeffs(g) for g in chain], at.numerator, at.denominator)
+    return _variations([g.prim for g in chain], at.numerator, at.denominator)
 
 
 def sturm_isolate(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
@@ -238,7 +237,7 @@ def sturm_isolate(g: UniPolyR) -> list[tuple[Fraction, Fraction]]:
     bisect (-B, B], B = cauchy_bound(g), until each node's Sturm count
     V(lo) - V(hi) is 0 or 1.  The reference for polycore._isolate, which
     must return the same nodes."""
-    chain = [_int_coeffs(h) for h in sturm_chain(g)]
+    chain = [h.prim for h in sturm_chain(g)]
     bound = cauchy_bound(g)
     top, den = bound.numerator, bound.denominator
     out = []
@@ -418,6 +417,112 @@ def bisect_refine(g, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fract
         else:
             a, b = mid, 2 * b
     return Fraction(a, v), Fraction(b, v)
+
+
+class FractionPoly:
+    """A polynomial over Q as a Fraction per coefficient, lowest degree
+    first, with the ring operations over Fraction that `UniPolyR` runs on
+    its integer form: the reference its results are checked against.  Its
+    repr is that of the UniPolyR with the same coefficients."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = cs
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
+        b = other.coeffs + [Fraction(0)] * (n - len(other.coeffs))
+        return FractionPoly([x + y for x, y in zip(a, b)])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return FractionPoly([])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __pow__(self, n: int):
+        out = FractionPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def scale(self, c):
+        return FractionPoly([a * c for a in self.coeffs])
+
+    def derivative(self):
+        return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def monic(self):
+        return self if self.is_zero() else self.scale(1 / self.coeffs[-1])
+
+    def divmod(self, other):
+        d, lc = other.degree(), other.coeffs[-1]
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(r) - d)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = f = r[k + d] / lc
+            for i, c in enumerate(other.coeffs[:-1]):
+                r[k + i] -= f * c
+        return FractionPoly(q), FractionPoly(r[:d])
+
+    def __repr__(self):
+        return f"UniPolyR({self.coeffs!r})"
+
+
+def fraction_gcd(a: FractionPoly, b: FractionPoly) -> FractionPoly:
+    """The monic gcd by Euclid's algorithm over Fraction."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def fraction_squarefree(f: FractionPoly) -> list[tuple[FractionPoly, int]]:
+    """Yun's square-free decomposition over Fraction, [(g_i, i)] with
+    f = lc * prod g_i^i, each g_i monic."""
+    f = f.monic()
+    if f.degree() == 0:
+        return []
+    d = f.derivative()
+    a = fraction_gcd(f, d)
+    b = f.divmod(a)[0]
+    c = d.divmod(a)[0] - b.derivative()
+    out, i = [], 1
+    while b.degree() > 0:
+        g = fraction_gcd(b, c)
+        if g.degree() > 0:
+            out.append((g.monic(), i))
+        b = b.divmod(g)[0]
+        c = c.divmod(g)[0] - b.derivative()
+        i += 1
+    return out
+
+
+def fraction_sturm_chain(f: FractionPoly) -> list[FractionPoly]:
+    """f, f' and the negated remainders over Fraction, to the last nonzero."""
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree() > 0:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(rem.scale(-1))
+    if chain[-1].is_zero():
+        chain.pop()
+    return chain
 
 
 def real_root_profile(f: UniPolyR) -> list[int]:

@@ -426,6 +426,22 @@ def test_cold_loci_double_each_w_once(monkeypatch):
     assert counts == {n: 1 for n in range(5, 13)}, counts
 
 
+def test_loci_and_hankel_raw_double_each_n_once():
+    # A cold locus(3..12) and then hankel_raw(3..12) run _doubling's body
+    # once for each n = 5..12: both read its one cached value, so W_5..W_8
+    # are not doubled again for hankel_raw
+    _clear_caches()
+    try:
+        for n in range(3, 13):
+            locus(n)
+        for n in range(3, 13):
+            hankel_raw(n)
+        info = cayley._doubling.cache_info()
+    finally:
+        _clear_caches()
+    assert (info.misses, info.currsize) == (8, 8), info
+
+
 def test_cold_loci_build_no_high_hankel_and_divide_twice(monkeypatch):
     # A cold locus(3..12) builds no W_n in (p, x, y): raw_hankel is computed
     # on access, and the doubling formulas read W_1..W_8 in (p, x, s).  Even

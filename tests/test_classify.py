@@ -166,6 +166,45 @@ def test_rees_rejects_degenerate_leading_coefficient():
         rees_classify(0, 1, 1, 1, 1)
 
 
+def _rees_inputs(rng: random.Random):
+    """4,000 coefficient lists a4..a0: a rational lead, up to 10**6 over
+    10**6, times linear and quadratic factors drawn from small pools with
+    repeats, so every Rees case occurs; or five small rationals, a4 = 0 in
+    some.  Products by Fraction convolution, with no library code."""
+    linear = [[-F(r), 1] for r in (-1, 0, F(1, 2), 2, F(-3, 7))]
+    quadratic = [[1, 0, 1], [1, 1, 1], [F(5, 4), -1, 1], [-2, 0, 1], [F(1, 9), F(2, 3), 1]]
+    for i in range(4000):
+        if i % 4 == 0:
+            yield [rng.choice([0, 1, -2, F(1, 3), F(-5, 2), 2]) for _ in range(5)]
+            continue
+        big = rng.random() < 0.3
+        f = [F(rng.randint(1, 10**6 if big else 9), rng.randint(1, 10**6 if big else 4)) * rng.choice([1, -1])]
+        while len(f) < 5:
+            c = rng.choice(quadratic if len(f) <= 3 and rng.random() < 0.4 else linear)
+            f = [sum(f[j] * c[k - j] for j in range(len(f)) if 0 <= k - j < len(c)) for k in range(len(f) + len(c) - 1)]
+        yield f[::-1]
+
+
+# Digest of rees_classify over _rees_inputs, one repr per input: its shape,
+# or the name of the error it raises.
+REES_DIGEST_SHA256 = "dde7fb2d96f996976c412b6f66b192ef06740e9bf1ac3bd3e21bb139da04e37e"
+
+
+def test_rees_results_digest():
+    # the forms are computed in ints on the coefficients over the lcm of
+    # their denominators; every tag and sign is that of the Fraction forms
+    h, tags = hashlib.sha256(), set()
+    for coeffs in _rees_inputs(random.Random(20261022)):
+        try:
+            shape = rees_classify(*coeffs)
+            tags.add(shape.tag)
+        except NotQuartic:
+            shape = "NotQuartic"
+        h.update(f"{shape!r}\n".encode())
+    assert len(tags) == 9
+    assert h.hexdigest() == REES_DIGEST_SHA256
+
+
 def test_rees_matches_sturm_ground_truth():
     rng = make_rng(20)
     for _ in range(1000):
@@ -420,7 +459,7 @@ def test_roots_match_references_at_benchmark_centers():
             e = Center(*bench_center(rng, kind))
             for n in range(5, 13):
                 f = p_polynomial(n, e)
-                c = polycore._int_coeffs(f)
+                c = f.prim
                 assert polycore._squarefree_mod(c), (n, e)
                 ivals = [bisect_refine(c, lo, hi, polycore.ROOT_WIDTH) for lo, hi in cauchy_isolate(c)]
                 if any(hi > lo for (_, hi), (lo, _) in zip(ivals, ivals[1:])):

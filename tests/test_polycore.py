@@ -20,6 +20,10 @@ from conftest import (
     count_sign_tests,
     det_laplace,
     fraction_count,
+    fraction_gcd,
+    fraction_squarefree,
+    fraction_sturm_chain,
+    FractionPoly,
     large_height_product,
     make_rng,
     p_coefficients,
@@ -67,7 +71,6 @@ from poncelet.polycore import (
 from poncelet.polycore import (
     _SQUAREFREE_PRIME,
     _horner,
-    _int_coeffs,
     _isolate,
     _refine,
     _squarefree_mod,
@@ -732,10 +735,10 @@ def test_source_leaves_equality_hash_and_pickle_alone():
 
 
 def test_specialize_views_agree():
-    # specialize keeps a polynomial's integer view and UniPolyR(coeffs) its
-    # Fraction view.  On specialize results, shifted, source-less and zero
-    # ones too, the two agree in every reading, and is_zero and degree
-    # decode no Fraction.
+    # specialize builds a polynomial from integer sums and UniPolyR(coeffs)
+    # from its Fractions.  On specialize results, shifted, source-less and
+    # zero ones too, the two agree in every reading, and is_zero and degree
+    # build no Fraction.
     rng = make_rng(39)
     s_form = pxs({(0, 1, 2): Fraction(3, 4), (2, 0, 1): -5, (1, 0, 0): Fraction(1, 6)})
     values = [locus(n).canonical for n in (3, 4, 5, 7, 12)]
@@ -754,7 +757,7 @@ def test_specialize_views_agree():
             g = UniPolyR(f.coeffs)
             back = pickle.loads(pickle.dumps(f))
             assert f == g == back and hash(f) == hash(g) == hash(back) and repr(f) == repr(g) == repr(back)
-            assert g.is_zero() == zero and _int_coeffs(f) == _int_coeffs(g)
+            assert g.is_zero() == zero and f.prim == g.prim
             assert zero or g.degree() == deg
             zeros += zero
     assert zeros >= 3
@@ -860,7 +863,7 @@ def test_descartes_isolation_matches_sturm_reference():
     at_hi = narrow = at_zero = 0
     for _ in range(150):
         f = _squarefree_sample(rng)
-        c = _int_coeffs(f)
+        c = f.prim
         ref = sturm_isolate(f)
         assert [_pair(iv) for iv in _isolate(c)] == ref
         at_hi += any(sign_at(c, hi.numerator, hi.denominator) == 0 for _, hi in ref)
@@ -949,7 +952,7 @@ def _bisection_cases():
         f = UniPolyR([rng.choice([1, -1, 3])])
         for r in roots:
             f = f * UniPolyR([-r, 1])
-        c = _int_coeffs(f)
+        c = f.prim
         ivals = [(*_pair(iv), None) for iv in _isolate(c)]
         for r0, r1, r2 in zip(roots, roots[1:], roots[2:] + [roots[-1] + 2]):
             ivals.append((r0, (2 * r1 + r2) / 3, None))
@@ -1058,7 +1061,7 @@ def test_seed_at_its_edges(monkeypatch):
         f = UniPolyR([1])
         for r in roots:
             f = f * UniPolyR([-r, 1])
-        c = [x << 1100 for x in _int_coeffs(f)]
+        c = [x << 1100 for x in f.prim]
         assert max(map(abs, c)) > 2**1024
         ivals = [_pair(iv) for iv in _isolate(c)]
         assert ivals == cauchy_isolate(c) and len(ivals) == len(roots)
@@ -1078,7 +1081,7 @@ def test_seed_at_its_edges(monkeypatch):
         f = UniPolyR([rng.choice([1, -1, 3])])
         for r in _dyadic_roots(rng):
             f = f * UniPolyR([-r, 1])
-        c = _int_coeffs(f)
+        c = f.prim
         ivals = [_pair(iv) for iv in _isolate(c)]
         assert ivals == cauchy_isolate(c)
         _refine_checked(c, ivals)
@@ -1087,7 +1090,7 @@ def test_seed_at_its_edges(monkeypatch):
         n, kind = 8 + i % 5, ("small", "large", "near")[i % 3]
         f = specialize(locus(n).canonical, *bench_center(rng, kind))
         for g, _ in squarefree_decomposition(f):
-            c = _int_coeffs(g)
+            c = g.prim
             ivals = [_pair(iv) for iv in _isolate(c)]
             assert ivals == cauchy_isolate(c)
             _refine_checked(c, ivals)
@@ -1117,8 +1120,8 @@ def test_refine_halves_the_horner_count(monkeypatch):
     monkeypatch.setattr(polycore, "_horner", lambda *a: calls.append(1) or horner(*a))
     qir = bisect = 0
     for f, _ in _gate_inputs()[:60]:
-        c = _int_coeffs(f)
-        factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+        c = f.prim
+        factors = [c] if _squarefree_mod(c) else [g.prim for g, _ in squarefree_decomposition(f)]
         for c in factors:
             for lo, hi in map(_pair, _isolate(c)):
                 calls.clear()
@@ -1140,8 +1143,8 @@ def test_seed_halves_the_sign_tests(monkeypatch):
     tests = count_sign_tests(monkeypatch)
     cases = []
     for f, _ in _gate_inputs()[:60]:
-        c = _int_coeffs(f)
-        factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+        c = f.prim
+        factors = [c] if _squarefree_mod(c) else [g.prim for g, _ in squarefree_decomposition(f)]
         cases += [(c, iv) for c in factors for iv in _isolate(c)]
     seeded = [_pair(_refine(c, iv, ROOT_WIDTH)) for c, iv in cases]
     count = len(tests)
@@ -1160,8 +1163,8 @@ def _bench_cases(rng, count):
         x, y = bench_center(rng, ("small", "large", "near")[i % 3])
         for n in (5, 7):
             f = specialize(locus(n).canonical, x, y)
-            c = _int_coeffs(f)
-            factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+            c = f.prim
+            factors = [c] if _squarefree_mod(c) else [g.prim for g, _ in squarefree_decomposition(f)]
             cases += [(c, iv) for c in factors for iv in _isolate(c)]
     return cases
 
@@ -1346,7 +1349,7 @@ def test_start_node_cuts_taylor_shifts(monkeypatch):
     # tree, on the n = 8..12 gate centers and the large-height samples.
     # About 36% and 26% of cauchy_isolate's.
     shifts = _count_calls(monkeypatch, "_shift1")
-    gate = [_int_coeffs(g) for f, _ in _gate_inputs()[60:72] for g, _ in squarefree_decomposition(f)]
+    gate = [g.prim for f, _ in _gate_inputs()[60:72] for g, _ in squarefree_decomposition(f)]
     for inputs in (gate, _large_height_samples()):
         shifts.clear()
         for c in inputs:
@@ -1369,8 +1372,8 @@ def test_filter_cuts_exact_horner(monkeypatch):
     filters = _count_calls(monkeypatch, "_filtered_horner")
     for i, (f, _) in enumerate(_gate_inputs()[:60]):
         if i % 2 == 0 and i % 3 != 2:
-            c = _int_coeffs(f)
-            factors = [c] if _squarefree_mod(c) else [_int_coeffs(g) for g, _ in squarefree_decomposition(f)]
+            c = f.prim
+            factors = [c] if _squarefree_mod(c) else [g.prim for g, _ in squarefree_decomposition(f)]
             for c in factors:
                 for iv in _isolate(c):
                     _refine(c, iv, ROOT_WIDTH)
@@ -1573,6 +1576,100 @@ def test_divmod_property():
             assert q.is_zero() and r == a
     with pytest.raises(ZeroDivisionError):
         UniPolyR([1, 1]).divmod(UniPolyR([]))
+
+
+def _ring_sample(rng, big=True):
+    """Coefficients, lowest degree first, of zero, a constant or a
+    polynomial of degree up to 5: small fractions, zeros, and with `big`
+    30-digit numerators over 12-digit denominators."""
+    def coeff():
+        kind = rng.random()
+        if kind < 0.15:
+            return 0
+        if big and kind < 0.35:
+            return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**12))
+        return rand_fraction(rng, 20, 6)
+
+    return [coeff() for _ in range(rng.choice([0, 1, 1, 2, 3, 4, 5, 6]))]
+
+
+def _same(got, ref):
+    """got, a UniPolyR, is the Fraction reference's value: ==, coeffs,
+    repr and hash."""
+    assert got == UniPolyR(ref.coeffs) and got.coeffs == ref.coeffs, (got, ref)
+    assert repr(got) == repr(ref) and hash(got) == hash(tuple(ref.coeffs))
+
+
+def test_unipoly_ring_matches_the_fraction_reference():
+    # Every ring operation on the integer form against the Fraction ring
+    # it replaced (conftest.FractionPoly), on zero, constants, negative
+    # leads, odd quotient lengths under a negative divisor lead (lc**k < 0),
+    # large denominators and repeated factors
+    rng = make_rng(47)
+    count = Counter()
+    for i in range(300):
+        # every third dividend has a squared factor, from small coefficients
+        ra, rb = FractionPoly(_ring_sample(rng, i % 3)), FractionPoly(_ring_sample(rng, i % 3))
+        if i % 3 == 0 and not rb.is_zero():
+            ra = ra * rb * rb
+        a, b, k = UniPolyR(ra.coeffs), UniPolyR(rb.coeffs), rand_fraction(rng, 9, 5)
+        count["zero"] += a.is_zero() or b.is_zero()
+        count["constant"] += not a.is_zero() and a.degree() == 0
+        count["negative lead"] += bool(a.prim) and a.prim[-1] < 0
+        count["large denominator"] += a.den > 10**12
+        _same(a + b, ra + rb)
+        _same(a - b, ra - rb)
+        _same(a * b, ra * rb)
+        _same(a.scale(k), ra.scale(k))
+        _same(a.derivative(), ra.derivative())
+        _same(a.monic(), ra.monic())
+        _same(a ** (i % 4), ra ** (i % 4))
+        assert (a == b) == (ra.coeffs == rb.coeffs) and a == UniPolyR(a.coeffs)
+        if not b.is_zero():
+            (q, r), (rq, rr) = a.divmod(b), ra.divmod(rb)
+            _same(q, rq)
+            _same(r, rr)
+            _same(poly_gcd(a, b), fraction_gcd(ra, rb))
+            length = len(a.prim) - b.degree()  # the quotient's
+            count["odd quotient, lc**k < 0"] += length > 0 and length % 2 == 1 and b.prim[-1] < 0
+        if not a.is_zero():
+            factors, ref = squarefree_decomposition(a), fraction_squarefree(ra)
+            assert [m for _, m in factors] == [m for _, m in ref]
+            for (g, _), (rg, _) in zip(factors, ref):
+                _same(g, rg)
+            count["repeated factor"] += any(m > 1 for _, m in factors)
+            if a.degree() > 0:
+                chain, ref = sturm_chain(a), fraction_sturm_chain(ra)
+                assert len(chain) == len(ref)
+                for g, rg in zip(chain, ref):
+                    _same(g, rg)
+            if 2 <= a.degree() <= 4:
+                d = discriminant(a)
+                assert type(d) is Fraction and d == polycore._discriminant(ra.coeffs)
+    assert min(count.values()) >= 10, count
+
+
+def test_unipoly_ring_makes_no_fraction_arithmetic(monkeypatch):
+    # divmod, poly_gcd, Yun's split and the Sturm chain run on the integer
+    # form: on a non-square-free input with rational coefficients they make
+    # no Fraction +, -, * or /
+    f = UniPolyR([Fraction(1, 3), -2, Fraction(5, 7)]) ** 2 * UniPolyR([Fraction(-3, 2), 0, 0, 1])
+    g = f.derivative()
+    calls = Counter()
+
+    def counted(name):
+        op = getattr(Fraction, name)
+        return lambda a, b: calls.update([name]) or op(a, b)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, counted(name))
+    f.divmod(g)
+    poly_gcd(f, g)
+    factors = squarefree_decomposition(f)
+    chains = [sturm_chain(h) for h in [f] + [h for h, _ in factors]]
+    monkeypatch.undo()
+    assert not calls, calls
+    assert [m for _, m in factors] == [1, 2] and all(len(c) > 2 for c in chains)
 
 
 def test_power_edge_exponents():
